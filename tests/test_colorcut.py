@@ -22,6 +22,20 @@ def transitive(n):
     return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def dense_d22(n, seed):
+    """A D(2,2) member with m = Theta(n^2): X is the first half, each X->Y
+    pair is kept with probability 1/2, every x gets two in-edges from X and
+    every y two out-edges into Y."""
+    rng = random.Random(seed)
+    X, Y = range(n // 2), range(n // 2, n)
+    edges = {(x, y) for x in X for y in Y if rng.random() < 0.5}
+    for x in X:
+        edges.update((u, x) for u in rng.sample([u for u in X if u != x], 2))
+    for y in Y:
+        edges.update((y, w) for w in rng.sample([w for w in Y if w != y], 2))
+    return Digraph(n, edges)
+
+
 class TestDegeneracy:
     def test_tree(self):
         edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
