@@ -17,7 +17,6 @@ from .digraph import (
     load_dg,
     parse_dg,
     save_dg,
-    structural_queries,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "load_dg",
     "parse_dg",
     "save_dg",
-    "structural_queries",
 ]

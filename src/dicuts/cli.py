@@ -44,12 +44,8 @@ EXIT_RESOURCE = 3
 
 
 def _infer_k(D: Digraph) -> int:
-    k = 0
-    while class_partition(D, k, k) is None:
-        k += 1
-        if k > D.n:
-            raise PreconditionError("no degree class found")
-    return max(k, 1)
+    """Least k >= 1 with D in D(k,k): every v has min(d-(v), d+(v)) <= k."""
+    return max([1] + [min(D.in_deg(v), D.out_deg(v)) for v in range(D.n)])
 
 
 def _triangle_bound_t(D: Digraph) -> int:

@@ -19,6 +19,7 @@ from .digraph import (
     cut_from_partition,
     extend_p3free_to_cut,
     is_p3_free,
+    shortest_bipartite_cycle,
 )
 
 
@@ -107,8 +108,9 @@ def best_balanced_class_bipartition(
 
 
 def _better_oriented_cut(D: Digraph, S) -> CutCertificate:
+    ss = set(S)
     a = cut_from_partition(D, S)
-    b = cut_from_partition(D, [v for v in range(D.n) if v not in set(S)])
+    b = cut_from_partition(D, [v for v in range(D.n) if v not in ss])
     return a if a.size >= b.size else b
 
 
@@ -124,18 +126,18 @@ def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
     if class_partition(D, k, k) is None:
         raise PreconditionError(f"digraph is not in D({k},{k})")
     X = [v for v in range(D.n) if D.out_deg(v) <= k]
-    Y = [v for v in range(D.n) if v not in set(X)]
+    Y = [v for v in range(D.n) if D.out_deg(v) > k]
     colors = [-1] * D.n
     offset = 0
     for side in (X, Y):
-        ss = set(side)
-        sub_edges = [(u, v) for u, v in D.edges if u in ss and v in ss]
-        sub, remap = _relabel(side, sub_edges)
+        remap = {v: i for i, v in enumerate(side)}
+        sub = [(remap[u], remap[v]) for u, v in D.edges
+               if u in remap and v in remap]
         order, d = degeneracy_order(len(side), sub)
         if d > k:
             raise AlgorithmBugError(f"side degeneracy {d} exceeds {k}")
         col = greedy_color(len(side), sub, order)
-        for i, v in enumerate(sorted(ss)):
+        for v, i in remap.items():
             colors[v] = offset + col.colors[i]
         offset += k + 1
     und = [(u, v) for u, v in D.edges]
@@ -151,14 +153,9 @@ def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
     return cert
 
 
-def _relabel(side: list[int], edges) -> tuple[list[Edge], dict[int, int]]:
-    remap = {v: i for i, v in enumerate(sorted(side))}
-    return [(remap[u], remap[v]) for u, v in edges], remap
-
-
 @dataclass(frozen=True)
 class CyclePeelStep:
-    """One recursion step: an undirected cycle of the (X, Y; F) bipartite
+    """One peeling step: an undirected cycle of the (X, Y; F) bipartite
     graph, its cycle edges F_C (all oriented X -> Y), and the side edges E_C
     (head in X_C or tail in Y_C) deleted alongside."""
 
@@ -173,10 +170,10 @@ def dicut_d22(
 ) -> CutCertificate:
     """A directed cut of size >= 3m/10 for any D in D(2,2).
 
-    Recursion: while the bipartite graph of X->Y edges has a cycle, bank the
-    cycle edges (P3-free after deleting their in/out neighborhoods) and
-    recurse; the base case is 5-degenerate, 6-colorable, and a balanced
-    class split gives 3m/5 bichromatic edges, half of them oriented one way.
+    While the bipartite graph of X->Y edges has a cycle, bank the cycle
+    edges (P3-free after deleting their in/out neighborhoods) and delete
+    them; what is left is 5-degenerate, 6-colorable, and a balanced class
+    split gives 3m/5 bichromatic edges, half of them oriented one way.
     """
     part = class_partition(D, 2, 2)
     if part is None:
@@ -191,27 +188,25 @@ def dicut_d22(
 
 
 def _d22_p3free(D: Digraph, steps: list[CyclePeelStep] | None) -> set[Edge]:
-    part = class_partition(D, 2, 2)
-    if part is None:
-        raise AlgorithmBugError("recursion left D(2,2)")
-    X, Y = set(part.X), set(part.Y)
-    F = [e for e in D.edges if e[0] in X and e[1] in Y]
-    cyc = _bipartite_cycle(D.n, F)
-    if cyc is None:
-        return _d22_base(D, X, F)
-    X_C = sorted(set(cyc) & X)
-    Y_C = sorted(set(cyc) & Y)
-    F_C = _cycle_edge_list(cyc, F)
-    E_C = sorted(
-        e for e in D.edges
-        if e not in F_C and (e[1] in set(X_C) or e[0] in set(Y_C)))
-    if steps is not None:
-        steps.append(CyclePeelStep(tuple(X_C), tuple(Y_C),
-                                   tuple(sorted(F_C)), tuple(E_C)))
-    rest = D.without_edges(set(F_C) | set(E_C))
-    S = _d22_p3free(rest, steps)
-    S.update(F_C)
-    return S
+    banked: set[Edge] = set()
+    while True:
+        part = class_partition(D, 2, 2)
+        if part is None:
+            raise AlgorithmBugError("cycle peeling left D(2,2)")
+        X, Y = set(part.X), set(part.Y)
+        F = [e for e in D.edges if e[0] in X and e[1] in Y]
+        cyc = shortest_bipartite_cycle(_underlying_adj(D.n, F), range(D.n))
+        if cyc is None:
+            return banked | _d22_base(D)
+        xc, yc = set(cyc) & X, set(cyc) & Y
+        F_C = _cycle_edge_list(cyc, F)
+        E_C = sorted(e for e in D.edges
+                     if e not in F_C and (e[1] in xc or e[0] in yc))
+        if steps is not None:
+            steps.append(CyclePeelStep(tuple(sorted(xc)), tuple(sorted(yc)),
+                                       tuple(sorted(F_C)), tuple(E_C)))
+        banked |= F_C
+        D = D.without_edges(F_C | set(E_C))
 
 
 def _cycle_edge_list(cyc: list[int], F) -> set[Edge]:
@@ -228,48 +223,8 @@ def _cycle_edge_list(cyc: list[int], F) -> set[Edge]:
     return out
 
 
-def _bipartite_cycle(n: int, F) -> list[int] | None:
-    """Shortest undirected cycle of the graph with edge set F, by BFS from
-    every vertex; None when F is a forest."""
-    adj = _underlying_adj(n, F)
-    best = None
-    for s in range(n):
-        if not adj[s]:
-            continue
-        parent = {s: -1}
-        dist = {s: 0}
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in sorted(adj[v]):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-                elif parent[v] != w:
-                    path_v = []
-                    x = v
-                    while x != -1:
-                        path_v.append(x)
-                        x = parent[x]
-                    path_w = []
-                    x = w
-                    while x not in path_v:
-                        path_w.append(x)
-                        x = parent[x]
-                    join = path_v.index(x)
-                    cand = path_v[: join + 1] + list(reversed(path_w))
-                    if len(cand) >= 3 and (best is None or len(cand) < len(best)):
-                        best = cand
-        if best is not None and len(best) == 4:
-            break  # bipartite girth floor
-    return best
-
-
-def _d22_base(D: Digraph, X: set[int], F) -> set[Edge]:
-    """F is a forest: the whole underlying graph is 5-degenerate; 6-color it
+def _d22_base(D: Digraph) -> set[Edge]:
+    """The X->Y edges form a forest, so the graph is 5-degenerate: 6-color it
     and take the best balanced class split's better orientation."""
     if D.m == 0:
         return set()

@@ -23,17 +23,9 @@ from .digraph import (
     class_partition,
     extend_p3free_to_cut,
     is_p3_free,
+    shortest_bipartite_cycle,
 )
 from . import oracle
-
-
-@dataclass(frozen=True)
-class PlusMinusDecomposition:
-    """V split by the out-degree >= 2 / in-degree >= 2 thresholds."""
-
-    V_plus: tuple[int, ...]
-    V_minus: tuple[int, ...]
-    V_zero: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -90,15 +82,6 @@ def _require_d11(D: Digraph, need_connected: bool = False) -> None:
         raise PreconditionError("digraph is not in D(1,1)")
     if need_connected and len(_edge_components(D)) > 1:
         raise PreconditionError("digraph is not connected")
-
-
-def plus_minus(D: Digraph) -> PlusMinusDecomposition:
-    _require_d11(D)
-    plus = tuple(v for v in range(D.n) if D.out_deg(v) >= 2)
-    minus = tuple(v for v in range(D.n) if D.in_deg(v) >= 2)
-    zero = tuple(v for v in range(D.n)
-                 if D.out_deg(v) < 2 and D.in_deg(v) < 2)
-    return PlusMinusDecomposition(plus, minus, zero)
 
 
 def find_triangle_reduction(
@@ -158,7 +141,7 @@ def _minus_components(D: Digraph, V_minus: set[int]) -> list[list[int]]:
     return [[inv[i] for i in comp] for comp in sub.weak_components()]
 
 
-def _is_directed_cycle_in(D: Digraph, comp: list[int], inside: set[int]) -> bool:
+def _is_directed_cycle_in(D: Digraph, comp: list[int]) -> bool:
     cs = set(comp)
     for v in comp:
         ins = [u for u in D.pred[v] if u in cs]
@@ -171,7 +154,7 @@ def _is_directed_cycle_in(D: Digraph, comp: list[int], inside: set[int]) -> bool
 def _leaf_in_minus(D: Digraph, V_minus: set[int]) -> Optional[ReducingPair]:
     for comp in _minus_components(D, V_minus):
         cs = set(comp)
-        cycle = _is_directed_cycle_in(D, comp, cs)
+        cycle = _is_directed_cycle_in(D, comp)
         for v0 in comp:
             if cycle:
                 ext = [u for u in D.pred[v0] if u not in cs]
@@ -209,7 +192,7 @@ def _even_cycle_in_plus(D: Digraph, V_plus: set[int]) -> Optional[ReducingPair]:
     second cycle vertex go to A)."""
     for comp in _minus_components(D, V_plus):  # components of the induced subgraph
         cs = set(comp)
-        if not _is_directed_cycle_in(D, comp, cs):
+        if not _is_directed_cycle_in(D, comp):
             continue
         order = _directed_cycle_order(D, comp, cs)
         if len(order) % 2 != 0:
@@ -347,14 +330,10 @@ def _plus_path_sets(D: Digraph, order: list[int], u: int, v: int,
     e0 = (u, nxt[u])
     A2 = {e0}
     B1 = set()
+    # even b's feed A, odd ones B; in the gamma step (path b_1 .. b_{2q-1})
+    # the last cycle edge into v is covered elsewhere and dropped below
     for j, b in enumerate(path, start=1):
-        if parity_even:
-            target = A2 if j % 2 == 0 else B1
-        else:
-            # gamma step: path b_1 .. b_{2q-1}; even b's feed A, odd feed B,
-            # except the last cycle edge into v which is covered elsewhere
-            target = A2 if j % 2 == 0 else B1
-        target.update(D.out_edges(b))
+        (A2 if j % 2 == 0 else B1).update(D.out_edges(b))
     if parity_even:
         B1.add((v, nxt[v]))  # f'_0
         f_last = None
@@ -412,41 +391,6 @@ def _multiedge_in_M(D: Digraph, V_plus: set[int],
     return None
 
 
-def _shortest_M_cycle(M_adj: dict, nodes: list) -> Optional[list]:
-    """Shortest cycle in a simple graph via BFS from every node."""
-    best: Optional[list] = None
-    for s in nodes:
-        parent = {s: None}
-        dist = {s: 0}
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in sorted(M_adj[v]):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-                elif parent[v] != w and parent.get(w) is not v:
-                    # cycle through s only counts if both paths start at s
-                    path_v = []
-                    x = v
-                    while x is not None:
-                        path_v.append(x)
-                        x = parent[x]
-                    path_w = []
-                    x = w
-                    while x not in path_v:
-                        path_w.append(x)
-                        x = parent[x]
-                    join = path_v.index(x)
-                    cyc = path_v[: join + 1] + list(reversed(path_w))
-                    if len(cyc) >= 3 and (best is None or len(cyc) < len(best)):
-                        best = cyc
-    return best
-
-
 def _gamma_cycle(D: Digraph, V_plus: set[int],
                  V_minus: set[int]) -> Optional[ReducingPair]:
     M = contraction_graph(D, V_plus, V_minus)
@@ -460,7 +404,8 @@ def _gamma_cycle(D: Digraph, V_plus: set[int],
         a, b = cyc_of[u], cyc_of[v]
         M_adj[a].add(b)
         M_adj[b].add(a)
-    cyc = _shortest_M_cycle(M_adj, nodes)
+    # M is bipartite (+ to -) and, after _multiedge_in_M, simple
+    cyc = shortest_bipartite_cycle(M_adj, nodes)
     if cyc is None:
         return None
     # rotate so the cycle starts at a plus node
@@ -626,7 +571,6 @@ def is_triangle_forest(D: Digraph) -> Optional[TriangleForestShape]:
     if len(bridges) != t - 1:
         return None
     # bridges must form a tree on the contracted triangles
-    seen_pairs = set()
     parent = list(range(t))
 
     def find(x):
@@ -643,7 +587,6 @@ def is_triangle_forest(D: Digraph) -> Optional[TriangleForestShape]:
         if ra == rb:
             return None
         parent[ra] = rb
-        seen_pairs.add((a, b))
     return TriangleForestShape(tuple(cover), tuple(bridges))
 
 

@@ -184,15 +184,3 @@ def split_dkk(D: Digraph, p1: int, p2: int,
         if class_partition(Dj, pj, pj) is None:
             raise AlgorithmBugError("split part fails class membership")
     return SplitResult(D1, D2, tuple(sorted(X)), tuple(sorted(Y)))
-
-
-def cut_cover_hint(D: Digraph) -> int:
-    """Upper bound on the number of directed cuts needed to cover E(D):
-    0 if edgeless, 3 in D(1,1), 6 in D(2,2)."""
-    if D.m == 0:
-        return 0
-    if class_partition(D, 1, 1) is not None:
-        return 3
-    if class_partition(D, 2, 2) is not None:
-        return 6
-    raise PreconditionError("digraph is not in D(2,2)")

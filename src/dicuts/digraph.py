@@ -157,51 +157,6 @@ class Digraph:
                         out.append((a, b, c))
         return sorted(out)
 
-    def undirected_cycle(self) -> Optional[list[int]]:
-        """Some cycle of the underlying graph as a vertex list, or None.
-
-        A digon counts as a cycle of length 2.
-        """
-        for u, v in self.edges:
-            if (v, u) in self.edge_set:
-                return [u, v]
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        color = [0] * self.n
-        parent = [-1] * self.n
-        for s in range(self.n):
-            if color[s]:
-                continue
-            stack = [(s, -1)]
-            while stack:
-                v, par = stack.pop()
-                if color[v]:
-                    continue
-                color[v] = 1
-                parent[v] = par
-                for w in sorted(adj[v]):
-                    if w == par:
-                        par = -2  # skip the tree edge back exactly once
-                        continue
-                    if color[w]:
-                        # found a cycle: walk both ancestries
-                        path_v = []
-                        x = v
-                        while x != -1:
-                            path_v.append(x)
-                            x = parent[x]
-                        path_w = []
-                        x = w
-                        while x not in path_v:
-                            path_w.append(x)
-                            x = parent[x]
-                        join = path_v.index(x)
-                        return path_v[: join + 1] + list(reversed(path_w))
-                    stack.append((w, v))
-        return None
-
     def is_acyclic(self) -> bool:
         indeg = [self.in_deg(v) for v in range(self.n)]
         queue = [v for v in range(self.n) if indeg[v] == 0]
@@ -303,22 +258,48 @@ def extend_p3free_to_cut(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class StructuralSummary:
-    components: tuple[tuple[int, ...], ...]
-    triangles: tuple[tuple[int, int, int], ...]
-    some_cycle: Optional[tuple[int, ...]]
-    has_digon: bool
+def shortest_bipartite_cycle(adj, nodes) -> Optional[list]:
+    """A shortest cycle of a simple bipartite graph as a node list, or None
+    for a forest.
 
-
-def structural_queries(D: Digraph) -> StructuralSummary:
-    cyc = D.undirected_cycle()
-    return StructuralSummary(
-        components=tuple(tuple(c) for c in D.weak_components()),
-        triangles=tuple(D.triangles()),
-        some_cycle=tuple(cyc) if cyc is not None else None,
-        has_digon=D.has_digon(),
-    )
+    `adj` maps each node to its neighbour set.  BFS runs from every node in
+    `nodes` order, scanning neighbours in sorted order; the first cycle of
+    the least length found wins.  A bipartite graph has no cycle shorter
+    than 4, so the first 4-cycle found is returned at once.
+    """
+    best = None
+    for s in nodes:
+        if not adj[s]:
+            continue
+        parent = {s: None}
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for w in sorted(adj[v]):
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+                elif parent[v] != w:
+                    # a non-tree edge: walk both ancestries to their meeting
+                    path_v = []
+                    x = v
+                    while x is not None:
+                        path_v.append(x)
+                        x = parent[x]
+                    path_w = []
+                    x = w
+                    while x not in path_v:
+                        path_w.append(x)
+                        x = parent[x]
+                    join = path_v.index(x)
+                    cand = path_v[: join + 1] + list(reversed(path_w))
+                    if len(cand) >= 3 and (best is None or len(cand) < len(best)):
+                        best = cand
+                        if len(best) == 4:
+                            return best
+    return best
 
 
 # -- .dg text format -------------------------------------------------------

@@ -100,8 +100,12 @@ def gen_random_family(family: str, n: int, k: int = 1,
         kk, acyclic = k, True
     else:
         raise InputError(f"unknown family {family!r}")
+    if kk < 0:
+        raise InputError("k must be non-negative")
     target = rng.randint(n, max(n, 2 * n))
     edges: set = set()
+    succ: list[set[int]] = [set() for _ in range(n)]
+    indeg, outdeg = [0] * n, [0] * n
     for _ in range(20 * target):
         if len(edges) >= target:
             break
@@ -112,11 +116,15 @@ def gen_random_family(family: str, n: int, k: int = 1,
             u, v = v, u
         if (u, v) in edges or (v, u) in edges:
             continue
-        edges.add((u, v))
-        D = Digraph(n, edges)
-        ok = class_partition(D, kk, kk) is not None
+        # the edge set is in D(kk, kk) (and triangle-free) before the draw;
+        # only u's out-degree, v's in-degree and triangles u->v->w->u change
+        ok = ((indeg[u] <= kk or outdeg[u] < kk)
+              and (indeg[v] < kk or outdeg[v] <= kk))
         if ok and family == "d11-trianglefree":
-            ok = not D.triangles()
-        if not ok:
-            edges.discard((u, v))
+            ok = not any((w, u) in edges for w in succ[v])
+        if ok:
+            edges.add((u, v))
+            succ[u].add(v)
+            outdeg[u] += 1
+            indeg[v] += 1
     return Digraph(n, sorted(edges))

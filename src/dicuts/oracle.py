@@ -22,16 +22,21 @@ from .digraph import (
 )
 
 MAX_DICUT_VERTICES = 26
+MAX_PACKING_TRIANGLES = 2000
+MAX_REMOVAL_EDGES = 40
+MAX_COVER_VERTICES = 10
+MAX_COVER_CUTS = 4
 
 
-def max_dicut_exact(D: Digraph, max_n: int = MAX_DICUT_VERTICES) -> CutCertificate:
+def max_dicut_exact(D: Digraph) -> CutCertificate:
     """A maximum directed cut, the lexicographically smallest X among maximizers.
 
     Enumerates bipartitions in Gray-code order so each step updates the cut
     size in O(degree) time.
     """
-    if D.n > max_n:
-        raise ResourceLimitError(f"n={D.n} exceeds enumeration guard {max_n}")
+    if D.n > MAX_DICUT_VERTICES:
+        raise ResourceLimitError(
+            f"n={D.n} exceeds enumeration guard {MAX_DICUT_VERTICES}")
     n = D.n
     in_x = [False] * n
     size = 0
@@ -62,12 +67,12 @@ def max_dicut_exact(D: Digraph, max_n: int = MAX_DICUT_VERTICES) -> CutCertifica
     return cut_from_partition(D, best_x)
 
 
-def max_triangle_packing(D: Digraph, max_triangles: int = 2000) -> int:
+def max_triangle_packing(D: Digraph) -> int:
     """Maximum number of pairwise vertex-disjoint directed triangles."""
     tris = D.triangles()
-    if len(tris) > max_triangles:
+    if len(tris) > MAX_PACKING_TRIANGLES:
         raise ResourceLimitError(
-            f"{len(tris)} triangles exceed guard {max_triangles}")
+            f"{len(tris)} triangles exceed guard {MAX_PACKING_TRIANGLES}")
     best = 0
     used: set[int] = set()
 
@@ -88,8 +93,7 @@ def max_triangle_packing(D: Digraph, max_triangles: int = 2000) -> int:
     return best
 
 
-def min_removal_exact(D: Digraph, k: int,
-                      max_edges: int = 40) -> frozenset[Edge]:
+def min_removal_exact(D: Digraph, k: int) -> frozenset[Edge]:
     """Smallest R with D \\ R in D(k-1, k-1).
 
     Iterative deepening; branches on the edges incident to a violating
@@ -99,8 +103,8 @@ def min_removal_exact(D: Digraph, k: int,
         raise PreconditionError("k must be >= 1")
     if class_partition(D, k, k) is None:
         raise PreconditionError(f"digraph is not in D({k},{k})")
-    if D.m > max_edges:
-        raise ResourceLimitError(f"m={D.m} exceeds guard {max_edges}")
+    if D.m > MAX_REMOVAL_EDGES:
+        raise ResourceLimitError(f"m={D.m} exceeds guard {MAX_REMOVAL_EDGES}")
 
     def violator(removed: set[Edge]) -> Optional[int]:
         for v in range(D.n):
@@ -133,14 +137,14 @@ def min_removal_exact(D: Digraph, k: int,
     raise AssertionError("unreachable: removing all edges always works")
 
 
-def decompose_into_cuts(D: Digraph, c: int, max_n: int = 10,
-                        max_cuts: int = 4) -> Optional[list[CutCertificate]]:
+def decompose_into_cuts(D: Digraph, c: int) -> Optional[list[CutCertificate]]:
     """c directed cuts covering E(D) (assign each edge to the first cut that
     contains it to read the result as a partition), or None if no such cover
     exists within the guard."""
-    if D.n > max_n or c > max_cuts:
+    if D.n > MAX_COVER_VERTICES or c > MAX_COVER_CUTS:
         raise ResourceLimitError(
-            f"n={D.n}, c={c} exceeds guard n<={max_n}, c<={max_cuts}")
+            f"n={D.n}, c={c} exceeds guard n<={MAX_COVER_VERTICES}, "
+            f"c<={MAX_COVER_CUTS}")
     n = D.n
     edge_list = list(D.edges)
 

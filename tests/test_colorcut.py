@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -163,3 +165,16 @@ class TestD22:
             cert = dicut_d22(D)
             cert.verify(D)
             assert 10 * cert.size >= 3 * D.m
+
+    def test_many_cycle_steps_need_no_recursion(self):
+        D = dense_d22(80, 1)
+        steps = []
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            cert = dicut_d22(D, steps)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(steps) > 150
+        cert.verify(D)
+        assert 10 * cert.size >= 3 * D.m

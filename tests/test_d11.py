@@ -11,7 +11,6 @@ from dicuts.d11 import (
     find_reducing_pair,
     find_triangle_reduction,
     is_triangle_forest,
-    plus_minus,
     validate_reducing_pair,
 )
 from dicuts.digraph import (
@@ -37,11 +36,6 @@ class TestPreconditions:
         D = Digraph(4, [(0, 3), (1, 3), (3, 1), (3, 2)])
         with pytest.raises(PreconditionError):
             dicut_d11(D)
-
-    def test_plus_minus(self):
-        D = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        pm = plus_minus(D)
-        assert pm.V_plus == (0,) and pm.V_minus == (3,) and pm.V_zero == (1, 2)
 
 
 class TestTriangleReduction:
@@ -110,8 +104,9 @@ class TestReducingPairs:
 
     def test_contraction_graph_on_gamma_instance(self):
         D = _gamma_instance()
-        pm = plus_minus(D)
-        M = contraction_graph(D, set(pm.V_plus), set(pm.V_minus))
+        V_plus = {v for v in range(D.n) if D.out_deg(v) >= 2}
+        V_minus = {v for v in range(D.n) if D.in_deg(v) >= 2}
+        M = contraction_graph(D, V_plus, V_minus)
         assert len(M.plus_cycles) == 3 and len(M.minus_cycles) == 3
         assert len(M.links) == 9
         cyc_of = M.cycle_of()

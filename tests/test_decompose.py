@@ -3,8 +3,8 @@ from collections import defaultdict
 
 import pytest
 
-from dicuts.decompose import bipartite_edge_coloring, cut_cover_hint, split_dkk
-from dicuts.digraph import Digraph, InputError, PreconditionError, class_partition
+from dicuts.decompose import bipartite_edge_coloring, split_dkk
+from dicuts.digraph import InputError, PreconditionError, class_partition
 from dicuts.generators import gen_random_family, gen_regular_tournament
 
 
@@ -101,14 +101,3 @@ class TestSplit:
                                       rng.randrange(1 << 30))
                 check_split(D, p1, p2)
                 check_split(D, p1, p2, balance_f=True)
-
-
-class TestCoverHint:
-    def test_values(self):
-        assert cut_cover_hint(Digraph(3, [])) == 0
-        assert cut_cover_hint(Digraph(2, [(0, 1)])) == 3
-        assert cut_cover_hint(gen_regular_tournament(2)) == 6
-
-    def test_outside_d22(self):
-        with pytest.raises(PreconditionError):
-            cut_cover_hint(gen_regular_tournament(3))

@@ -11,7 +11,6 @@ from dicuts.digraph import (
     format_dg,
     is_p3_free,
     parse_dg,
-    structural_queries,
 )
 
 
@@ -122,18 +121,10 @@ class TestStructure:
     def test_triangle_listing(self):
         D = Digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
         assert D.triangles() == [(0, 1, 2)]
-
-    def test_summary(self):
         D = Digraph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
-        s = structural_queries(D)
-        assert s.components == ((0, 1, 2), (3, 4))
-        assert s.triangles == ((0, 1, 2),)
-        assert s.some_cycle is not None
-        assert not s.has_digon
-
-    def test_digon_counts_as_cycle(self):
-        D = Digraph(2, [(0, 1), (1, 0)])
-        assert D.undirected_cycle() == [0, 1]
+        assert D.triangles() == [(0, 1, 2)]
+        assert D.weak_components() == [[0, 1, 2], [3, 4]]
+        assert not D.has_digon()
 
     def test_acyclic(self):
         assert Digraph(3, [(0, 1), (0, 2), (1, 2)]).is_acyclic()
