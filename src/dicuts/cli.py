@@ -19,6 +19,7 @@ from .colorcut import dicut_acyclic, dicut_d22
 from .d11 import dicut_d11, dicut_d11_connected
 from .decompose import split_dkk
 from .digraph import (
+    AlgorithmBugError,
     CutCertificate,
     Digraph,
     InputError,
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_BUG = 4
 
 
 def _infer_k(D: Digraph) -> int:
@@ -352,6 +354,10 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except AlgorithmBugError as exc:
+        print(f"internal error: {exc}; input: {getattr(args, 'file', '-')}",
+              file=sys.stderr)
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

@@ -7,6 +7,13 @@ other edge in B, with |B| <= 3/2 |A|.  Adding A to the cut-in-progress and
 deleting A u B keeps the 2/5 accounting.  Every constructed pair is
 validated at runtime; a failed validation is an algorithm bug, never a
 silently degraded answer.
+
+The loop works on pieces: one weakly connected component, with at least one
+edge, relabelled onto 0..n-1 in the order of its original vertices and
+carried with the list that maps it back.  Every choice below (sorted
+triangles, ``range(n)`` scans, sorted adjacency) follows vertex order, which
+the relabelling preserves, so a piece makes the same choices as the digraph
+it was cut from.
 """
 
 from __future__ import annotations
@@ -347,9 +354,7 @@ def _plus_path_sets(D: Digraph, order: list[int], u: int, v: int,
     return A2, B1, B2
 
 
-def _multiedge_in_M(D: Digraph, V_plus: set[int],
-                    V_minus: set[int]) -> Optional[ReducingPair]:
-    M = contraction_graph(D, V_plus, V_minus)
+def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
     plus_cycles, minus_cycles = M.plus_cycles, M.minus_cycles
     cyc_of, links = M.cycle_of(), M.links
     link_of = {u: v for u, v in links}
@@ -391,9 +396,7 @@ def _multiedge_in_M(D: Digraph, V_plus: set[int],
     return None
 
 
-def _gamma_cycle(D: Digraph, V_plus: set[int],
-                 V_minus: set[int]) -> Optional[ReducingPair]:
-    M = contraction_graph(D, V_plus, V_minus)
+def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
     plus_cycles, minus_cycles = M.plus_cycles, M.minus_cycles
     cyc_of, links = M.cycle_of(), M.links
     link_of = {u: v for u, v in links}
@@ -484,56 +487,56 @@ def find_reducing_pair(D: Digraph) -> ReducingPair:
     if rp is not None:
         return _reverse_pair(rp)
 
-    rp = _multiedge_in_M(D, V_plus, V_minus)
+    M = contraction_graph(D, V_plus, V_minus)
+    rp = _multiedge_in_M(D, M)
     if rp is not None:
         return rp
-    rp = _gamma_cycle(D, V_plus, V_minus)
+    rp = _gamma_cycle(D, M)
     if rp is not None:
         return rp
     raise AlgorithmBugError("no reducing pair found where one must exist")
 
 
+def _pieces(H: Digraph, label: list[int]) -> list[tuple[Digraph, list[int]]]:
+    """The edge-carrying weak components of H, each relabelled onto 0..n-1
+    in vertex order, with the map back through `label`."""
+    comps = _edge_components(H)
+    if len(comps) == 1 and len(comps[0]) == H.n:
+        return [(H, label)]
+    return [(H.induced(c)[0], [label[v] for v in c]) for c in comps]
+
+
 def _reduction_loop(D: Digraph, trace: list | None = None) -> set[Edge]:
-    """Run the Theorem 1 reduction on one weakly connected piece; returns the
-    accumulated P3-free edge set (edges of the *original* digraph)."""
+    """Run the Theorem 1 reduction on D; returns the accumulated P3-free
+    edge set (edges of D).
+
+    Each stack entry is a piece (H, label) of `_pieces`: label[i] is the
+    vertex of D behind vertex i of H.  What a step leaves of a piece is
+    split into pieces again.
+    """
     K: set[Edge] = set()
-    work = [D]
+    work = _pieces(D, list(range(D.n)))
     while work:
-        H = work.pop()
-        if H.m == 0:
-            continue
-        comps = _edge_components(H)
-        if len(comps) > 1:
-            for comp in comps:
-                keep = set(comp)
-                work.append(Digraph(H.n, [
-                    e for e in H.edges if e[0] in keep]))
-            continue
-        # drop isolated vertices but keep original labels: work directly on H
+        H, label = work.pop()
         if H.m <= 5:
-            sub_vertices = sorted({v for e in H.edges for v in e})
-            sub, remap = H.induced(sub_vertices)
-            inv = {i: v for v, i in remap.items()}
-            cert = oracle.max_dicut_exact(sub)
-            K.update((inv[u], inv[v]) for u, v in cert.cut_edges)
-            if trace is not None:
-                trace.append(("oracle-base", H.m, 0, tuple(sorted(
-                    (inv[u], inv[v]) for u, v in cert.cut_edges))))
-            continue
-        tri = find_triangle_reduction(H)
-        if tri is not None:
-            (x, y), (a, b, c) = tri
-            K.add((x, y))
-            if trace is not None:
-                trace.append(("triangle", 1, 2, ((x, y),)))
-            work.append(H.without_edges([(a, b), (b, c), (c, a)]))
-            continue
-        rp = find_reducing_pair(H)
-        K.update(rp.A)
+            A, gone = oracle.max_dicut_exact(H).cut_edges, ()
+            step = ("oracle-base", H.m, 0)
+        else:
+            tri = find_triangle_reduction(H)
+            if tri is not None:
+                (x, y), (a, b, c) = tri
+                A, gone = ((x, y),), ((a, b), (b, c), (c, a))
+                step = ("triangle", 1, 2)
+            else:
+                rp = find_reducing_pair(H)
+                A, gone = rp.A, rp.A | rp.B
+                step = (rp.provenance, len(rp.A), len(rp.B))
+        banked = tuple(sorted((label[u], label[v]) for u, v in A))
+        K.update(banked)
         if trace is not None:
-            trace.append((rp.provenance, len(rp.A), len(rp.B),
-                          tuple(sorted(rp.A))))
-        work.append(H.without_edges(rp.A | rp.B))
+            trace.append(step + (banked,))
+        if gone:
+            work.extend(_pieces(H.without_edges(gone), label))
     return K
 
 
@@ -550,26 +553,23 @@ def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
 # -- Theorem 5: connected case, 7m/20 --------------------------------------
 
 def is_triangle_forest(D: Digraph) -> Optional[TriangleForestShape]:
-    """The t-triangles-plus-(t-1)-tree-bridges shape, if D has it."""
+    """The t-triangles-plus-(t-1)-tree-bridges shape, if D has it.
+
+    A triangle of D other than the t of the shape would need two parallel
+    bridges or a cycle of bridges, both of which the tree check rejects.  So
+    D has the shape iff its triangles are pairwise disjoint, cover every
+    vertex that carries an edge, and the other m - 3t = t - 1 edges join
+    them into a tree.
+    """
     _require_d11(D, need_connected=True)
-    live = sorted({v for e in D.edges for v in e})
-    if not live or len(live) % 3 != 0:
-        return None
     tris = D.triangles()
-    cover = _exact_triangle_cover(live, tris)
-    if cover is None:
+    t = len(tris)
+    tri_of = {v: i for i, tri in enumerate(tris) for v in tri}
+    if (len(tri_of) != 3 * t or D.m != 4 * t - 1
+            or any(u not in tri_of or v not in tri_of for u, v in D.edges)):
         return None
-    t = len(cover)
-    if D.m != 4 * t - 1:
-        return None
-    tri_of = {}
-    for i, tri in enumerate(cover):
-        for v in tri:
-            tri_of[v] = i
-    tri_edges = {e for a, b, c in cover for e in ((a, b), (b, c), (c, a))}
-    bridges = sorted(e for e in D.edges if e not in tri_edges)
-    if len(bridges) != t - 1:
-        return None
+    tri_edges = {e for a, b, c in tris for e in ((a, b), (b, c), (c, a))}
+    bridges = tuple(e for e in D.edges if e not in tri_edges)
     # bridges must form a tree on the contracted triangles
     parent = list(range(t))
 
@@ -580,45 +580,11 @@ def is_triangle_forest(D: Digraph) -> Optional[TriangleForestShape]:
         return x
 
     for u, v in bridges:
-        a, b = tri_of[u], tri_of[v]
-        if a == b:
-            return None
-        ra, rb = find(a), find(b)
+        ra, rb = find(tri_of[u]), find(tri_of[v])
         if ra == rb:
             return None
         parent[ra] = rb
-    return TriangleForestShape(tuple(cover), tuple(bridges))
-
-
-def _exact_triangle_cover(
-    vertices: list[int], tris
-) -> Optional[list[tuple[int, int, int]]]:
-    """Partition `vertices` into vertex-disjoint directed triangles, if possible."""
-    by_vertex: dict[int, list[tuple[int, int, int]]] = {v: [] for v in vertices}
-    for tri in tris:
-        for v in tri:
-            by_vertex[v].append(tri)
-
-    used: set[int] = set()
-    chosen: list[tuple[int, int, int]] = []
-
-    def rec(i: int) -> bool:
-        while i < len(vertices) and vertices[i] in used:
-            i += 1
-        if i == len(vertices):
-            return True
-        for tri in by_vertex[vertices[i]]:
-            if any(w in used for w in tri):
-                continue
-            used.update(tri)
-            chosen.append(tri)
-            if rec(i + 1):
-                return True
-            chosen.pop()
-            used.difference_update(tri)
-        return False
-
-    return chosen if rec(0) else None
+    return TriangleForestShape(tuple(tris), bridges)
 
 
 def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate:
@@ -634,52 +600,42 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
 
 
 def _peel_triangle_forest(D: Digraph, trace: list | None) -> set[Edge]:
-    if D.m <= 6:
-        sub_vertices = sorted({v for e in D.edges for v in e})
-        if not sub_vertices:
-            return set()
-        sub, remap = D.induced(sub_vertices)
-        inv = {i: v for v, i in remap.items()}
-        cert = oracle.max_dicut_exact(sub)
-        return {(inv[u], inv[v]) for u, v in cert.cut_edges}
-    shape = is_triangle_forest(D)
-    if shape is None:
-        return _reduction_loop(D, trace)
-    # peel a leaf triangle together with its unique bridge
-    tri_of = {}
-    for i, tri in enumerate(shape.triangles):
-        for v in tri:
-            tri_of[v] = i
-    degree = [0] * len(shape.triangles)
-    for u, v in shape.bridges:
-        degree[tri_of[u]] += 1
-        degree[tri_of[v]] += 1
-    leaf = degree.index(1)
-    bridge = next(e for e in shape.bridges
-                  if tri_of[e[0]] == leaf or tri_of[e[1]] == leaf)
-    tri = shape.triangles[leaf]
-    cyc = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
-    tri_edge_set = [(a, cyc[a]) for a in tri]
-    if tri_of[bridge[0]] == leaf:
-        # bridge x -> x' leaves the leaf triangle at x
-        x = bridge[0]
-        xp = bridge[1]
+    """Peel leaf triangles while D is a triangle forest with m > 6; hand a
+    rest of another shape to the reduction loop, and one with m <= 6 to the
+    oracle."""
+    K: set[Edge] = set()
+    while D.m > 6:
+        shape = is_triangle_forest(D)
+        if shape is None:
+            return K | _reduction_loop(D, trace)
+        # peel a leaf triangle together with its unique bridge
+        tri_of = {v: i for i, tri in enumerate(shape.triangles) for v in tri}
+        degree = [0] * len(shape.triangles)
+        for u, v in shape.bridges:
+            degree[tri_of[u]] += 1
+            degree[tri_of[v]] += 1
+        leaf = degree.index(1)
+        bridge = next(e for e in shape.bridges
+                      if leaf in (tri_of[e[0]], tri_of[e[1]]))
+        tri = shape.triangles[leaf]
+        cyc = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
+        if tri_of[bridge[0]] == leaf:
+            # bridge x -> x' leaves the leaf triangle at x
+            x, xp = bridge
+            continuation = (xp, next(w for w in D.succ[xp]
+                                     if tri_of[w] == tri_of[xp]))
+        else:
+            # mirrored: bridge x' -> x enters the leaf triangle at x
+            xp, x = bridge
+            continuation = (next(u for u in D.pred[xp]
+                                 if tri_of[u] == tri_of[xp]), xp)
         y = cyc[x]
         opposite = (y, cyc[y])
-        continuation = (xp, next(w for w in D.succ[xp]
-                                 if tri_of.get(w) == tri_of[xp]))
-    else:
-        # mirrored: bridge x' -> x enters the leaf triangle at x
-        x = bridge[1]
-        xp = bridge[0]
-        y = cyc[x]
-        opposite = (y, cyc[y])
-        continuation = (next(u for u in D.pred[xp]
-                             if tri_of.get(u) == tri_of[xp]), xp)
-    removed = set(tri_edge_set) | {bridge, continuation}
-    rest = D.without_edges(removed)
-    if trace is not None:
-        trace.append(("leaf-triangle", 2, 3, (bridge, opposite)))
-    K = _peel_triangle_forest(rest, trace)
-    K.update({bridge, opposite})
-    return K
+        if trace is not None:
+            trace.append(("leaf-triangle", 2, 3, (bridge, opposite)))
+        K.update((bridge, opposite))
+        D = D.without_edges({(a, cyc[a]) for a in tri}
+                            | {bridge, continuation})
+    live = sorted({v for e in D.edges for v in e})
+    cut = oracle.max_dicut_exact(D.induced(live)[0]).cut_edges
+    return K | {(live[u], live[v]) for u, v in cut}

@@ -85,9 +85,6 @@ class Digraph:
     def in_deg(self, v: int) -> int:
         return len(self.pred[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edge_set
-
     def out_edges(self, v: int) -> list[Edge]:
         return [(v, w) for w in self.succ[v]]
 

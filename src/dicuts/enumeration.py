@@ -17,6 +17,9 @@ import numpy as np
 
 from .digraph import Digraph
 
+# masks canonicalised per numpy pass in d22_with_digons
+CHUNK_MASKS = 1 << 15
+
 
 def _automorphisms(n: int, edge_set: frozenset) -> list[tuple[int, ...]]:
     auts = []
@@ -80,35 +83,26 @@ def _orient(n: int, und: list, auts: list) -> Iterator[Digraph]:
 
 def d22_with_digons(n: int) -> Iterator[Digraph]:
     """All D(2,2) digraphs on exactly n <= 5 labeled vertices, reduced to one
-    representative (minimum bitmask) per isomorphism class."""
+    representative (minimum bitmask) per isomorphism class, in increasing
+    bitmask order.  The masks are scanned CHUNK_MASKS at a time, so memory
+    stays flat in the 2^(n(n-1)) masks."""
     if n > 5:
         raise ValueError("bitmask scan limited to 5 vertices")
     slots = [(u, v) for u in range(n) for v in range(n) if u != v]
     idx = {e: i for i, e in enumerate(slots)}
-    total = 1 << len(slots)
-    masks = np.arange(total, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(len(slots))[None, :]) & 1
-
-    din = np.zeros((total, n), dtype=np.int16)
-    dout = np.zeros((total, n), dtype=np.int16)
-    for i, (u, v) in enumerate(slots):
-        dout[:, u] += bits[:, i].astype(np.int16)
-        din[:, v] += bits[:, i].astype(np.int16)
-    member = ((din <= 2) | (dout <= 2)).all(axis=1)
-
+    tail = np.array([[u == x for x in range(n)] for u, _ in slots], np.int64)
+    head = np.array([[v == x for x in range(n)] for _, v in slots], np.int64)
     # canonical = min over all vertex permutations of the permuted mask
-    weights = []
-    for perm in permutations(range(n)):
-        w = np.zeros(len(slots), dtype=np.int64)
-        for i, (u, v) in enumerate(slots):
-            w[i] = 1 << idx[(perm[u], perm[v])]
-        weights.append(w)
-    W = np.stack(weights)  # (perms, slots)
-    sel = bits[member].astype(np.int64)
-    permuted = sel @ W.T  # (members, perms)
-    canon = permuted.min(axis=1)
-    keep = masks[member] == canon
-
-    for mask in masks[member][keep]:
-        edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-        yield Digraph(n, edges)
+    W = np.array([[1 << idx[(perm[u], perm[v])] for u, v in slots]
+                  for perm in permutations(range(n))], np.int64)
+    shifts = np.arange(len(slots))
+    total = 1 << len(slots)
+    for lo in range(0, total, CHUNK_MASKS):
+        masks = np.arange(lo, min(lo + CHUNK_MASKS, total), dtype=np.int64)
+        bits = (masks[:, None] >> shifts[None, :]) & 1
+        member = ((bits @ head <= 2) | (bits @ tail <= 2)).all(axis=1)
+        kept = masks[member]
+        canon = (bits[member] @ W.T).min(axis=1)
+        for mask in kept[kept == canon]:
+            edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
+            yield Digraph(n, edges)

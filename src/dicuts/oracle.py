@@ -73,23 +73,28 @@ def max_triangle_packing(D: Digraph) -> int:
     if len(tris) > MAX_PACKING_TRIANGLES:
         raise ResourceLimitError(
             f"{len(tris)} triangles exceed guard {MAX_PACKING_TRIANGLES}")
+    # depth-first over increasing triangle indices; nxt[d] is the next index
+    # to try at depth d, chosen[d] the triangle taken there
     best = 0
     used: set[int] = set()
-
-    def rec(i: int, count: int) -> None:
-        nonlocal best
-        best = max(best, count)
-        if count + (len(tris) - i) <= best:
-            return
-        for j in range(i, len(tris)):
-            tri = tris[j]
-            if used.isdisjoint(tri):
-                used.update(tri)
-                rec(j + 1, count + 1)
-                used.difference_update(tri)
-        return
-
-    rec(0, 0)
+    chosen: list[int] = []
+    nxt = [0]
+    while nxt:
+        j = nxt[-1]
+        while j < len(tris) and not used.isdisjoint(tris[j]):
+            j += 1
+        if j == len(tris):
+            nxt.pop()
+            if chosen:
+                used.difference_update(tris[chosen.pop()])
+            continue
+        nxt[-1] = j + 1
+        best = max(best, len(chosen) + 1)
+        # descend unless even taking every later triangle cannot beat best
+        if len(chosen) + len(tris) - j > best:
+            chosen.append(j)
+            used.update(tris[j])
+            nxt.append(j + 1)
     return best
 
 

@@ -71,9 +71,6 @@ class RemovalState:
                 raise AlgorithmBugError(
                     f"remainder leaves D({k-1},{k-1}) at vertex {v}")
 
-    def vertex_ok(self, v: int) -> bool:
-        return self.din[v] <= self.k - 1 or self.dout[v] <= self.k - 1
-
     def crit(self, e: Edge) -> frozenset[int]:
         """Critical endpoints of a removed edge: returning it there would
         break membership."""

@@ -1,7 +1,8 @@
 import pytest
 
+from dicuts import cli
 from dicuts.cli import main
-from dicuts.digraph import load_dg
+from dicuts.digraph import AlgorithmBugError, load_dg
 from dicuts.generators import gen_example1
 
 
@@ -54,6 +55,16 @@ class TestCutVerify:
     def test_oracle_method(self, t5_file, capsys):
         assert main(["verify", t5_file, "--method", "oracle"]) == 0
         assert "\t3\t" in capsys.readouterr().out
+
+    def test_algorithm_bug_exit(self, t5_file, monkeypatch, capsys):
+        def broken(D, method, k):
+            raise AlgorithmBugError("pair failed validation")
+
+        monkeypatch.setattr(cli, "_run_method", broken)
+        assert main(["cut", t5_file, "--method", "d22"]) == 4
+        err = capsys.readouterr().err
+        assert "internal error: pair failed validation" in err
+        assert t5_file in err
 
 
 class TestDecomposePeel:

@@ -1,6 +1,10 @@
+import inspect
+import itertools
 import math
 import random
+import sys
 
+import networkx as nx
 import pytest
 
 from dicuts import oracle
@@ -19,7 +23,33 @@ from dicuts.digraph import (
     PreconditionError,
     is_p3_free,
 )
+from dicuts.enumeration import digonfree_d11
 from dicuts.generators import gen_example1, gen_random_family
+
+
+def forest_reference(D):
+    """The triangles of the triangle-forest shape by brute force: every set
+    of t = (m+1)/4 vertex-disjoint triangles covering the vertices with
+    edges, whose other t-1 edges join them into a tree.  Asserts that at
+    most one such set exists."""
+    if (D.m + 1) % 4:
+        return None
+    t = (D.m + 1) // 4
+    live = {v for e in D.edges for v in e}
+    found = []
+    for cover in itertools.combinations(D.triangles(), t):
+        tri_of = {v: i for i, tri in enumerate(cover) for v in tri}
+        if len(tri_of) != 3 * t or set(tri_of) != live:
+            continue
+        tri_edges = {e for a, b, c in cover for e in ((a, b), (b, c), (c, a))}
+        G = nx.MultiGraph()
+        G.add_nodes_from(range(t))
+        G.add_edges_from((tri_of[u], tri_of[v]) for u, v in D.edges
+                         if (u, v) not in tri_edges)
+        if nx.is_connected(G):
+            found.append(cover)
+    assert len(found) <= 1
+    return found[0] if found else None
 
 
 def bound_ok(D, cert):
@@ -196,6 +226,36 @@ class TestTriangleForest:
         D = Digraph(4, [(0, 1), (2, 3)])
         with pytest.raises(PreconditionError):
             dicut_d11_connected(D)
+
+    def test_shape_matches_brute_force(self):
+        # the corpus holds graphs whose triangles share an edge, such as
+        # 0->1->2->0 with 0->1->3->0; `overlapping` checks that it does
+        checked = overlapping = accepted = 0
+        for D in digonfree_d11(6):
+            if not D.is_weakly_connected():
+                continue
+            tris = D.triangles()
+            if len({v for tri in tris for v in tri}) < 3 * len(tris):
+                overlapping += 1
+            shape = is_triangle_forest(D)
+            got = shape.triangles if shape is not None else None
+            assert got == forest_reference(D), D
+            checked += 1
+            accepted += shape is not None
+        assert checked > 1000 and overlapping > 0 and accepted > 1
+
+    def test_long_chain_needs_no_recursion(self):
+        D = self.forest(150)
+        trace = []
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            cert = dicut_d11_connected(D, trace)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert trace[0][0] == "leaf-triangle"
+        cert.verify(D)
+        assert 20 * cert.size >= 7 * D.m
 
     def test_mirrored_bridge(self):
         # bridge pointing INTO the leaf triangle

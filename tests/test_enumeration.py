@@ -1,5 +1,6 @@
 import pytest
 
+from dicuts import enumeration
 from dicuts.digraph import class_partition
 from dicuts.enumeration import d22_with_digons, digonfree_d11
 
@@ -40,3 +41,9 @@ class TestD22Masks:
     def test_guard(self):
         with pytest.raises(ValueError):
             list(d22_with_digons(6))
+
+    def test_chunks_keep_graphs_and_order(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "CHUNK_MASKS", 1 << 12)  # one chunk
+        whole = [D.edges for D in d22_with_digons(4)]
+        monkeypatch.setattr(enumeration, "CHUNK_MASKS", 64)
+        assert [D.edges for D in d22_with_digons(4)] == whole

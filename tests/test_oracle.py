@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from dicuts import oracle
@@ -68,6 +71,23 @@ class TestTrianglePacking:
     def test_sharing_a_vertex(self):
         e = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]
         assert oracle.max_triangle_packing(Digraph(5, e)) == 1
+
+    def test_long_chain_needs_no_recursion(self):
+        # t triangles, each joined to the next by one bridge
+        t = 150
+        edges = []
+        for i in range(t):
+            a = 3 * i
+            edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
+            if i:
+                edges.append((a - 2, a))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            got = oracle.max_triangle_packing(Digraph(3 * t, edges))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == t
 
 
 class TestMinRemoval:
