@@ -469,21 +469,22 @@ def find_reducing_pair(D: Digraph) -> ReducingPair:
     rp = _leaf_in_minus(D, V_minus)
     if rp is not None:
         return rp
-    rp = _leaf_in_minus(D.reverse(), V_plus)
+    Dr = D.reverse()
+    rp = _leaf_in_minus(Dr, V_plus)
     if rp is not None:
         return _reverse_pair(rp, "leaf-in-plus")
 
     rp = _even_cycle_in_plus(D, V_plus)
     if rp is not None:
         return rp
-    rp = _even_cycle_in_plus(D.reverse(), V_minus)
+    rp = _even_cycle_in_plus(Dr, V_minus)
     if rp is not None:
         return _reverse_pair(rp)
 
     rp = _v0_attach(D, V_minus)
     if rp is not None:
         return rp
-    rp = _v0_attach(D.reverse(), V_plus)
+    rp = _v0_attach(Dr, V_plus)
     if rp is not None:
         return _reverse_pair(rp)
 
@@ -600,14 +601,12 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
 
 
 def _peel_triangle_forest(D: Digraph, trace: list | None) -> set[Edge]:
-    """Peel leaf triangles while D is a triangle forest with m > 6; hand a
-    rest of another shape to the reduction loop, and one with m <= 6 to the
-    oracle."""
+    """Peel a leaf triangle if D is a triangle forest with m > 6 (the rest
+    has t - 2 triangles and 4t - 6 edges, so it is none); hand what is left
+    to the reduction loop if m > 6, else to the oracle."""
     K: set[Edge] = set()
-    while D.m > 6:
-        shape = is_triangle_forest(D)
-        if shape is None:
-            return K | _reduction_loop(D, trace)
+    shape = is_triangle_forest(D) if D.m > 6 else None
+    if shape is not None:
         # peel a leaf triangle together with its unique bridge
         tri_of = {v: i for i, tri in enumerate(shape.triangles) for v in tri}
         degree = [0] * len(shape.triangles)
@@ -636,6 +635,8 @@ def _peel_triangle_forest(D: Digraph, trace: list | None) -> set[Edge]:
         K.update((bridge, opposite))
         D = D.without_edges({(a, cyc[a]) for a in tri}
                             | {bridge, continuation})
+    if D.m > 6:
+        return K | _reduction_loop(D, trace)
     live = sorted({v for e in D.edges for v in e})
     cut = oracle.max_dicut_exact(D.induced(live)[0]).cut_edges
     return K | {(live[u], live[v]) for u, v in cut}

@@ -13,6 +13,8 @@ from typing import Iterable, Optional
 
 Edge = tuple[int, int]
 
+MAX_VERTICES = 1 << 20  # the adjacency lists are built per vertex
+
 
 class InputError(ValueError):
     """Malformed input data (bad file, edge outside the graph, ...)."""
@@ -27,7 +29,7 @@ class AlgorithmBugError(AssertionError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An exact search exceeded its explicit guard."""
+    """An input or an exact search exceeded its explicit guard."""
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,8 @@ class Digraph:
         edge_tuple = tuple(sorted((int(u), int(v)) for u, v in edges))
         if n < 0:
             raise InputError("vertex count must be non-negative")
+        if n > MAX_VERTICES:
+            raise ResourceLimitError(f"more than {MAX_VERTICES} vertices")
         seen = set()
         for u, v in edge_tuple:
             if u == v:

@@ -12,6 +12,7 @@ guard that the move catalog is rich enough.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .digraph import (
     AlgorithmBugError,
@@ -180,71 +181,62 @@ def _r_cycle_edges(state: RemovalState) -> set[Edge]:
     return alive
 
 
+def _move_table(state: RemovalState):
+    """(returned edges, most adds, tag) in scan order, listed lazily: a
+    later kind is only built once every earlier entry has failed."""
+    R_sorted = sorted(state.R)
+    for e in R_sorted:
+        yield (e,), 0, "return-edge"
+    on_cycle = _r_cycle_edges(state)
+    for e in R_sorted:
+        if not state.is_colored(e):
+            yield (e,), 1, ("cycle-recolor-swap" if e in on_cycle
+                            else "growth-swap")
+    for pair in combinations(R_sorted, 2):
+        yield pair, 1, "tree-path-swap"
+    touch: dict[int, set[Edge]] = {}
+    for e in R_sorted:
+        for v in e:
+            touch.setdefault(v, set()).add(e)
+
+    def touching(*es: Edge) -> set[Edge]:
+        return {f for e in es for v in e for f in touch[v]} - set(es)
+
+    triples = {tuple(sorted((e, f, g)))
+               for e in R_sorted for f in touching(e) for g in touching(e, f)}
+    for tri in sorted(triples):
+        yield tri, 2, "short-path-swap"
+
+
 def find_improvement(state: RemovalState) -> Rewrite | None:
-    """First applicable guarded move, scanned cheapest-first.
+    """First applicable guarded move of `_move_table`, cheapest first.
 
     M0 return-edge: some e with Crit(e) empty goes back.
     M2 cycle-recolor-swap / M4 growth-swap: one-for-one exchange of an
     uncolored arrow for a colored one (score rises, |R| constant); tagged
     M2 when the outgoing edge lies on a cycle of R, M4 otherwise.
-    M1 tree-path-swap: two R-edges out, at most one in.
-    M3 short-path-swap: a connected triple of R-edges out, at most two in.
+    M1 tree-path-swap: two R-edges out, one in.
+    M3 short-path-swap: a connected triple of R-edges out, two in.
+
+    A swap stays feasible when it returns fewer edges or adds more, so an
+    entry needs exactly `most` adds: with fewer, a sub-swap of an earlier
+    entry would be feasible (M0 without adds, M1 for M3 with one).  Each
+    add touches a returned edge: a farther one only lowers degrees where
+    none was raised, so dropping it would leave a feasible swap with too
+    few adds.  The add-free swap of M0 is feasible iff Crit(e) is empty.
     """
-    R_sorted = sorted(state.R)
-    # M0
-    for e in R_sorted:
-        if not state.crit(e):
-            return Rewrite((e,), (), "return-edge")
-
-    candidates = sorted(state.D.edge_set - state.R)
-
-    # M2 / M4: strict score improvement at constant size
-    colored_adds = [g for g in candidates if state.is_colored(g)]
-    uncolored_rs = [e for e in R_sorted if not state.is_colored(e)]
-    if colored_adds and uncolored_rs:
-        on_cycle = _r_cycle_edges(state)
-        for e in uncolored_rs:
-            for g in colored_adds:
-                if state.swap_feasible((e,), (g,)):
-                    tag = ("cycle-recolor-swap" if e in on_cycle
-                           else "growth-swap")
-                    return Rewrite((e,), (g,), tag)
-
-    # M1: strict size decrease, pairs out / one (or zero) in
-    for i, e in enumerate(R_sorted):
-        for f in R_sorted[i + 1:]:
-            if state.swap_feasible((e, f), ()):
-                return Rewrite((e, f), (), "tree-path-swap")
-            for g in candidates:
-                if state.swap_feasible((e, f), (g,)):
-                    return Rewrite((e, f), (g,), "tree-path-swap")
-
-    # M3: connected triples of R-edges, adds near the touched vertices
-    touch: dict[int, list[Edge]] = {}
-    for e in R_sorted:
-        touch.setdefault(e[0], []).append(e)
-        touch.setdefault(e[1], []).append(e)
-    triples = set()
-    for e in R_sorted:
-        nbrs = {f for v in e for f in touch[v] if f != e}
-        for f in sorted(nbrs):
-            nn = {g for v in (*e, *f) for g in touch[v] if g not in (e, f)}
-            for g in sorted(nn):
-                triples.add(tuple(sorted((e, f, g))))
-    for tri in sorted(triples):
-        verts = {v for e in tri for v in e}
-        near = sorted(
-            g for g in candidates
-            if g[0] in verts or g[1] in verts)
-        if state.swap_feasible(tri, ()):
-            return Rewrite(tri, (), "short-path-swap")
-        for g in near:
-            if state.swap_feasible(tri, (g,)):
-                return Rewrite(tri, (g,), "short-path-swap")
-        for ai, g in enumerate(near):
-            for h in near[ai + 1:]:
-                if state.swap_feasible(tri, (g, h)):
-                    return Rewrite(tri, (g, h), "short-path-swap")
+    D, R = state.D, state.R
+    for remove, most, tag in _move_table(state):
+        ends = {v for e in remove for v in e} if most else ()
+        near = sorted({g for v in ends
+                       for g in (*D.in_edges(v), *D.out_edges(v))
+                       if g not in R})
+        if most == len(remove):
+            # |R| stays: only a colored add lowers the potential
+            near = [g for g in near if state.is_colored(g)]
+        for add in combinations(near, most):
+            if state.swap_feasible(remove, add):
+                return Rewrite(remove, add, tag)
     return None
 
 

@@ -7,7 +7,7 @@ import sys
 import networkx as nx
 import pytest
 
-from dicuts import oracle
+from dicuts import d11, oracle
 from dicuts.d11 import (
     contraction_graph,
     dicut_d11,
@@ -256,6 +256,16 @@ class TestTriangleForest:
         assert trace[0][0] == "leaf-triangle"
         cert.verify(D)
         assert 20 * cert.size >= 7 * D.m
+
+    @pytest.mark.parametrize("t", [3, 4, 5, 6])
+    def test_shape_checked_once(self, t, monkeypatch):
+        # the peeled rest keeps 4t - 6 edges on t - 2 triangles: no forest
+        calls = []
+        monkeypatch.setattr(d11, "is_triangle_forest",
+                            lambda D: calls.append(D) or is_triangle_forest(D))
+        D = self.forest(t)
+        dicut_d11_connected(D).verify(D)
+        assert len(calls) == 1
 
     def test_mirrored_bridge(self):
         # bridge pointing INTO the leaf triangle

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from dicuts import digraph
 from dicuts.digraph import (
     Digraph,
     InputError,
     PreconditionError,
+    ResourceLimitError,
     class_partition,
     cut_from_partition,
     extend_p3free_to_cut,
@@ -65,6 +67,13 @@ class TestFormat:
             parse_dg("2 1\n0 x\n")
         with pytest.raises(InputError):
             parse_dg("")
+
+    def test_header_vertex_bomb(self):
+        # every per-vertex structure would be sized by this header
+        with pytest.raises(ResourceLimitError):
+            parse_dg("1000000000 0")
+        n = digraph.MAX_VERTICES
+        assert parse_dg(f"{n} 1\n0 1\n").n == n
 
 
 class TestClassPartition:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +8,8 @@ from dicuts.digraph import Digraph, PreconditionError, class_partition, is_p3_fr
 from dicuts.generators import gen_random_family, gen_regular_tournament
 from dicuts.peel import (
     RemovalState,
+    Rewrite,
+    _r_cycle_edges,
     find_improvement,
     initial_removal,
     peel_to_lower_class,
@@ -73,6 +76,100 @@ class TestMoves:
             st.apply(rw)
         assert len(st.R) <= 4
         assert len(st.R) >= len(oracle.min_removal_exact(D, 2))
+
+
+def scan_every_non_r_edge(state):
+    """The move search written out kind by kind, with M0, M1 and M2/M4
+    trying every non-R edge as an add and M3 the ones touching its triple."""
+    R_sorted = sorted(state.R)
+    for e in R_sorted:
+        if not state.crit(e):
+            return Rewrite((e,), (), "return-edge")
+    candidates = sorted(state.D.edge_set - state.R)
+    on_cycle = _r_cycle_edges(state)
+    for e in R_sorted:
+        if state.is_colored(e):
+            continue
+        for g in candidates:
+            if state.is_colored(g) and state.swap_feasible((e,), (g,)):
+                tag = "cycle-recolor-swap" if e in on_cycle else "growth-swap"
+                return Rewrite((e,), (g,), tag)
+    for i, e in enumerate(R_sorted):
+        for f in R_sorted[i + 1:]:
+            for add in [()] + [(g,) for g in candidates]:
+                if state.swap_feasible((e, f), add):
+                    return Rewrite((e, f), add, "tree-path-swap")
+    for tri in combinations(R_sorted, 3):
+        if not all(any(set(a) & set(b) for b in tri if b != a) for a in tri):
+            continue  # the three edges are not connected
+        verts = {v for e in tri for v in e}
+        near = [g for g in candidates if g[0] in verts or g[1] in verts]
+        adds = [()] + [(g,) for g in near] + [
+            (g, h) for i, g in enumerate(near) for h in near[i + 1:]]
+        for add in adds:
+            if state.swap_feasible(tri, add):
+                return Rewrite(tri, add, "short-path-swap")
+    return None
+
+
+def moves_agree(state, tags):
+    """Step both searches to the fixpoint; return the moves taken."""
+    moves = []
+    while True:
+        want = scan_every_non_r_edge(state)
+        got = find_improvement(state)
+        assert got == want
+        if got is None:
+            return moves
+        tags.add(got.tag)
+        moves.append(got)
+        state.apply(got)
+
+
+def short_path_state():
+    """A state whose first move after six returns is a short-path-swap."""
+    D = Digraph(11, [(0, 1), (0, 4), (1, 6), (2, 4), (2, 5), (2, 9), (3, 5),
+                     (3, 9), (3, 10), (4, 5), (4, 7), (4, 8), (5, 7), (5, 8),
+                     (7, 9), (8, 9), (8, 10), (9, 10)])
+    return RemovalState(D, 2, {(0, 4), (2, 4), (3, 9), (3, 10), (4, 5),
+                               (4, 7), (4, 8), (5, 7), (8, 9)})
+
+
+def colored_add_state():
+    """A state where returning (8, 6) first becomes feasible with the
+    uncolored add (4, 6), which would leave the potential unchanged."""
+    D = Digraph(10, [(2, 0), (2, 1), (2, 9), (3, 2), (3, 9), (4, 1), (4, 2),
+                     (4, 3), (4, 6), (5, 7), (6, 0), (6, 9), (7, 3), (7, 6),
+                     (8, 4), (8, 5), (8, 6)])
+    return RemovalState(D, 2, {(4, 2), (4, 3), (7, 6), (8, 6)})
+
+
+class TestMoveTable:
+    def test_same_moves_as_full_scan(self):
+        rng = random.Random(11)
+        tags: set = set()
+        for _ in range(300):
+            k = rng.choice((1, 2, 3))
+            D = gen_random_family(rng.choice(("dkk", "acyclic-dkk")),
+                                  rng.randint(3, 10), k, rng.randrange(1 << 30))
+            R = initial_removal(D, k).R
+            R |= {e for e in D.edges if e not in R and rng.random() < 0.3}
+            moves_agree(RemovalState(D, k, R), tags)
+        moves_agree(short_path_state(), tags)
+        moves_agree(colored_add_state(), tags)
+        assert tags == {"return-edge", "cycle-recolor-swap", "growth-swap",
+                        "tree-path-swap", "short-path-swap"}
+
+    def test_short_path_swap(self):
+        moves = moves_agree(short_path_state(), set())
+        assert [rw.tag for rw in moves] == ["return-edge"] * 6 + [
+            "short-path-swap"]
+        assert moves[6] == Rewrite(((4, 7), (4, 8), (5, 7)),
+                                   ((0, 4), (5, 8)), "short-path-swap")
+
+    def test_growth_swap_takes_colored_add(self):
+        moves = moves_agree(colored_add_state(), set())
+        assert moves[0] == Rewrite(((8, 6),), ((6, 0),), "growth-swap")
 
 
 class TestPeel:
