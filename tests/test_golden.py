@@ -69,8 +69,10 @@ def instances():
     """(name, source, digraph); source is None for the fixed instances."""
     for tag in sorted(PATTERN_INSTANCES):
         yield f"pattern:{tag}", None, PATTERN_INSTANCES[tag]
-    yield "pattern:leaf-in-minus:reversed", None, \
-        PATTERN_INSTANCES["leaf-in-minus"].reverse()
+    # the mirrored instances run each pattern on the reversed digraph
+    for tag in sorted(PATTERN_INSTANCES):
+        yield f"pattern:{tag}:reversed", None, \
+            PATTERN_INSTANCES[tag].reverse()
     for k in (1, 2, 3):
         yield f"example1:{k}", None, gen_example1(k)
     yield "example2", None, gen_example2()
