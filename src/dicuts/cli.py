@@ -188,11 +188,14 @@ def _cmd_explore(args) -> int:
     if p == 4:
         print("problem 4 is a complexity question; out of scope")
         return EXIT_OK
+    low = 3 if p < 4 else 4  # least n drawn
+    if args.max_n < low:
+        raise InputError(f"--max-n must be at least {low} for problem {p}")
     if p == 1:
         # smallest cut ratio of connected D(1,1) digraphs, tracked by m
         best: dict[int, Fraction] = {}
         for _ in range(args.budget):
-            D = _rand_member("d11", rng.randint(3, args.max_n), 1, rng)
+            D = _rand_member("d11", rng.randint(low, args.max_n), 1, rng)
             if not D.is_weakly_connected() or D.m == 0:
                 continue
             opt = _oracle_opt(D)
@@ -207,7 +210,7 @@ def _cmd_explore(args) -> int:
         # does max cut reach (2m + s)/5 on triangle-free D(1,1),
         # s = sources + sinks?
         for _ in range(args.budget):
-            D = _rand_member("d11-trianglefree", rng.randint(3, args.max_n), 1, rng)
+            D = _rand_member("d11-trianglefree", rng.randint(low, args.max_n), 1, rng)
             if D.m == 0:
                 continue
             opt = _oracle_opt(D)
@@ -223,7 +226,7 @@ def _cmd_explore(args) -> int:
             print("no counterexample to (2m+s)/5 found")
     elif p == 3:
         for _ in range(args.budget):
-            D = _rand_member("d11-trianglefree", rng.randint(3, args.max_n), 1, rng)
+            D = _rand_member("d11-trianglefree", rng.randint(low, args.max_n), 1, rng)
             if D.m == 0:
                 continue
             opt = _oracle_opt(D)
@@ -232,7 +235,7 @@ def _cmd_explore(args) -> int:
     elif p == 5:
         worst = Fraction(0)
         for _ in range(args.budget):
-            D = _rand_member("dkk", rng.randint(4, args.max_n), 2, rng)
+            D = _rand_member("dkk", rng.randint(low, args.max_n), 2, rng)
             if D.m == 0 or D.m > 24:
                 continue
             R = oracle.min_removal_exact(D, 2)
@@ -241,7 +244,7 @@ def _cmd_explore(args) -> int:
         print(f"lambda>={worst.numerator}/{worst.denominator}")
     elif p == 6:
         for _ in range(args.budget):
-            D = _rand_member("dkk", rng.randint(4, min(args.max_n, 10)), 2, rng)
+            D = _rand_member("dkk", rng.randint(low, min(args.max_n, 10)), 2, rng)
             if D.m == 0:
                 continue
             if oracle.decompose_into_cuts(D, 4) is None:
@@ -252,7 +255,7 @@ def _cmd_explore(args) -> int:
             print("all sampled D(2,2) covered by 4 cuts")
     elif p == 7:
         for _ in range(args.budget):
-            D = _rand_member("dkk", rng.randint(4, args.max_n), 3, rng)
+            D = _rand_member("dkk", rng.randint(low, args.max_n), 3, rng)
             if D.m == 0:
                 continue
             opt = _oracle_opt(D)
@@ -267,7 +270,7 @@ def _cmd_explore(args) -> int:
         bound = Fraction(1, 4) + Fraction(1, 8 * k + 4)
         best = Fraction(1)
         for _ in range(args.budget):
-            D = _rand_member("dkk", rng.randint(4, args.max_n), k, rng)
+            D = _rand_member("dkk", rng.randint(low, args.max_n), k, rng)
             if D.m == 0:
                 continue
             opt = _oracle_opt(D)

@@ -130,23 +130,20 @@ def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
     colors = [-1] * D.n
     offset = 0
     for side in (X, Y):
-        remap = {v: i for i, v in enumerate(side)}
-        sub = [(remap[u], remap[v]) for u, v in D.edges
-               if u in remap and v in remap]
-        order, d = degeneracy_order(len(side), sub)
+        sub, remap = D.induced(side)
+        order, d = degeneracy_order(sub.n, sub.edges)
         if d > k:
             raise AlgorithmBugError(f"side degeneracy {d} exceeds {k}")
-        col = greedy_color(len(side), sub, order)
+        col = greedy_color(sub.n, sub.edges, order)
         for v, i in remap.items():
             colors[v] = offset + col.colors[i]
         offset += k + 1
-    und = [(u, v) for u, v in D.edges]
-    for u, v in und:
+    for u, v in D.edges:
         if colors[u] == colors[v]:
             raise AlgorithmBugError("combined coloring is not proper")
     gamma = 2 * k + 2
     full = Coloring(tuple(colors), gamma)
-    S, _ = best_balanced_class_bipartition(full, D.n, und)
+    S, _ = best_balanced_class_bipartition(full, D.n, D.edges)
     cert = _better_oriented_cut(D, S)
     if (4 * k + 2) * cert.size < (k + 1) * D.m:
         raise AlgorithmBugError("acyclic cut misses its guarantee")
@@ -228,13 +225,12 @@ def _d22_base(D: Digraph) -> set[Edge]:
     and take the best balanced class split's better orientation."""
     if D.m == 0:
         return set()
-    und = [(u, v) for u, v in D.edges]
-    order, d = degeneracy_order(D.n, und)
+    order, d = degeneracy_order(D.n, D.edges)
     if d > 5:
         raise AlgorithmBugError(f"base-case degeneracy {d} exceeds 5")
-    col = greedy_color(D.n, und, order)
+    col = greedy_color(D.n, D.edges, order)
     if col.gamma < 2:
         return set()
-    S, _ = best_balanced_class_bipartition(col, D.n, und)
+    S, _ = best_balanced_class_bipartition(col, D.n, D.edges)
     cert = _better_oriented_cut(D, S)
     return set(cert.cut_edges)

@@ -399,7 +399,6 @@ def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
 def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
     plus_cycles, minus_cycles = M.plus_cycles, M.minus_cycles
     cyc_of, links = M.cycle_of(), M.links
-    link_of = {u: v for u, v in links}
     nodes = [("+", i) for i in range(len(plus_cycles))] + \
             [("-", i) for i in range(len(minus_cycles))]
     M_adj = {nd: set() for nd in nodes}

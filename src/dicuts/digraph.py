@@ -345,7 +345,11 @@ def format_dg(D: Digraph, comment: str | None = None) -> str:
 
 def load_dg(path) -> Digraph:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_dg(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"non-ASCII byte at offset {exc.start}") from exc
+    return parse_dg(text)
 
 
 def save_dg(D: Digraph, path, comment: str | None = None) -> None:

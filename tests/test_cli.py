@@ -48,6 +48,12 @@ class TestCutVerify:
         assert main(["cut", str(path), "--method", "d11c"]) == 0
         assert "77/20" in capsys.readouterr().out
 
+    def test_non_ascii_input_exit(self, tmp_path, capsys):
+        path = tmp_path / "latin1.dg"
+        path.write_bytes(b"# caf\xe9\n2 1\n0 1\n")
+        assert main(["cut", str(path), "--method", "d11"]) == 2
+        assert "non-ASCII" in capsys.readouterr().err
+
     def test_precondition_exit(self, t5_file):
         # tournament on 5 is not in D(1,1)
         assert main(["cut", t5_file, "--method", "d11"]) == 2
@@ -98,3 +104,10 @@ class TestExplore:
         assert main(["explore", "--problem", "1", "--max-n", "7",
                      "--budget", "30", "--seed", "1"]) == 0
         assert "c_max" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("problem, max_n", [
+        (1, 2), (2, 2), (3, 2), (5, 3), (6, 3), (7, 3), (8, 3)])
+    def test_max_n_below_least_draw(self, problem, max_n, capsys):
+        assert main(["explore", "--problem", str(problem),
+                     "--max-n", str(max_n), "--budget", "1"]) == 2
+        assert "--max-n must be at least" in capsys.readouterr().err
