@@ -172,8 +172,7 @@ def dicut_d22(
     them; what is left is 5-degenerate, 6-colorable, and a balanced class
     split gives 3m/5 bichromatic edges, half of them oriented one way.
     """
-    part = class_partition(D, 2, 2)
-    if part is None:
+    if class_partition(D, 2, 2) is None:
         raise PreconditionError("digraph is not in D(2,2)")
     S = _d22_p3free(D, steps)
     if not is_p3_free(D, S):
@@ -185,17 +184,16 @@ def dicut_d22(
 
 
 def _d22_p3free(D: Digraph, steps: list[CyclePeelStep] | None) -> set[Edge]:
+    """D is in D(2,2), and stays there as edges go, so the witness
+    (X, Y) of `class_partition` is X = {v : d-(v) <= 2} at every step."""
     banked: set[Edge] = set()
     while True:
-        part = class_partition(D, 2, 2)
-        if part is None:
-            raise AlgorithmBugError("cycle peeling left D(2,2)")
-        X, Y = set(part.X), set(part.Y)
-        F = [e for e in D.edges if e[0] in X and e[1] in Y]
+        X = {v for v in range(D.n) if D.in_deg(v) <= 2}
+        F = [e for e in D.edges if e[0] in X and e[1] not in X]
         cyc = shortest_bipartite_cycle(_underlying_adj(D.n, F), range(D.n))
         if cyc is None:
             return banked | _d22_base(D)
-        xc, yc = set(cyc) & X, set(cyc) & Y
+        xc, yc = set(cyc) & X, set(cyc) - X
         F_C = _cycle_edge_list(cyc, F)
         E_C = sorted(e for e in D.edges
                      if e not in F_C and (e[1] in xc or e[0] in yc))

@@ -14,6 +14,14 @@ carried with the list that maps it back.  Every choice below (sorted
 triangles, ``range(n)`` scans, sorted adjacency) follows vertex order, which
 the relabelling preserves, so a piece makes the same choices as the digraph
 it was cut from.
+
+The input class is checked once, at the entries `dicut_d11` and
+`dicut_d11_connected`.  Deleting edges keeps a digraph digon-free and in
+D(1,1), so every piece is a connected, edge-carrying, digon-free D(1,1)
+digraph.  `find_triangle_reduction`, `find_reducing_pair` and
+`is_triangle_forest` take such a piece (the last one also the connected
+input of `dicut_d11_connected`, isolated vertices and all) and do not
+check it again.
 """
 
 from __future__ import annotations
@@ -82,23 +90,21 @@ def _edge_components(D: Digraph) -> list[list[int]]:
             if any(D.out_deg(v) or D.in_deg(v) for v in c)]
 
 
-def _require_d11(D: Digraph, need_connected: bool = False) -> None:
+def _require_d11(D: Digraph) -> None:
     if D.has_digon():
         raise PreconditionError("digraph contains a digon")
     if class_partition(D, 1, 1) is None:
         raise PreconditionError("digraph is not in D(1,1)")
-    if need_connected and len(_edge_components(D)) > 1:
-        raise PreconditionError("digraph is not connected")
 
 
 def find_triangle_reduction(
     D: Digraph,
 ) -> Optional[tuple[Edge, tuple[int, int, int]]]:
-    """An edge x->y of a directed triangle with d-(x) = 1 and d+(y) = 1.
+    """An edge x->y of a directed triangle of the piece D with d-(x) = 1
+    and d+(y) = 1.
 
     Absent exactly when every triangle lies inside D+ or D-.
     """
-    _require_d11(D)
     for a, b, c in D.triangles():
         for x, y in ((a, b), (b, c), (c, a)):
             if D.in_deg(x) == 1 and D.out_deg(y) == 1:
@@ -148,30 +154,17 @@ def _minus_components(D: Digraph, V_minus: set[int]) -> list[list[int]]:
     return [[inv[i] for i in comp] for comp in sub.weak_components()]
 
 
-def _is_directed_cycle_in(D: Digraph, comp: list[int]) -> bool:
-    cs = set(comp)
-    for v in comp:
-        ins = [u for u in D.pred[v] if u in cs]
-        outs = [w for w in D.succ[v] if w in cs]
-        if len(ins) != 1 or len(outs) != 1:
-            return False
-    return True
-
-
 def _leaf_in_minus(D: Digraph, V_minus: set[int]) -> Optional[ReducingPair]:
     for comp in _minus_components(D, V_minus):
         cs = set(comp)
-        cycle = _is_directed_cycle_in(D, comp)
-        for v0 in comp:
-            if cycle:
-                ext = [u for u in D.pred[v0] if u not in cs]
-                if len(ext) < 2:
-                    continue
-                e1, e2 = (ext[0], v0), (ext[1], v0)
-            else:
-                if any(u in cs for u in D.pred[v0]):
-                    continue  # not a leaf of the in-tree
-                e1, e2 = (D.pred[v0][0], v0), (D.pred[v0][1], v0)
+        # leaves have no in-neighbour in the component; a V- vertex has
+        # out-degree <= 1, so a component without one is a directed cycle
+        leaves = [v for v in comp if cs.isdisjoint(D.pred[v])]
+        for v0 in leaves or comp:
+            ext = [u for u in D.pred[v0] if u not in cs]
+            if len(ext) < 2:
+                continue
+            e1, e2 = (ext[0], v0), (ext[1], v0)
             B = set(D.out_edges(v0))
             B.update(D.in_edges(e1[0]))
             B.update(D.in_edges(e2[0]))
@@ -194,16 +187,13 @@ def _directed_cycle_order(D: Digraph, comp: list[int], cs: set[int]) -> list[int
         order.append(nxt[0])
 
 
-def _even_cycle_in_plus(D: Digraph, V_plus: set[int]) -> Optional[ReducingPair]:
-    """Claim 1.4 construction on an even cycle of D+ (both out-edges of every
-    second cycle vertex go to A)."""
-    for comp in _minus_components(D, V_plus):  # components of the induced subgraph
-        cs = set(comp)
-        if not _is_directed_cycle_in(D, comp):
-            continue
-        order = _directed_cycle_order(D, comp, cs)
+def _even_cycle_in_plus(D: Digraph, plus_cycles) -> Optional[ReducingPair]:
+    """Claim 1.4 construction on an even cycle of D+, given in cyclic order
+    (both out-edges of every second cycle vertex go to A)."""
+    for order in plus_cycles:
         if len(order) % 2 != 0:
             continue
+        cs = set(order)
         A: set[Edge] = set()
         B: set[Edge] = set()
         for idx, x in enumerate(order):
@@ -262,16 +252,16 @@ def _minus_side_sets(D: Digraph, order: list[int], L: list[int]):
 # -- pattern (3): V0 attachment (Claim 1.5), plus the degenerate
 #    path-or-cycle case the proof skips -----------------------------------
 
-def _v0_attach(D: Digraph, V_minus: set[int]) -> Optional[ReducingPair]:
-    V_plus = {v for v in range(D.n) if D.out_deg(v) >= 2}
-    V0 = [v for v in range(D.n)
-          if v not in V_minus and v not in V_plus]
+def _v0_attach(D: Digraph, minus_cycles) -> Optional[ReducingPair]:
+    """`minus_cycles`: the cycles of D-, each in cyclic order."""
+    cycle_at = {v: order for order in minus_cycles for v in order}
+    # V0: in neither V+ nor V-
+    V0 = [v for v in range(D.n) if D.in_deg(v) <= 1 and D.out_deg(v) <= 1]
     for y in V0:
         for z in D.succ[y]:
-            if z not in V_minus:
+            if z not in cycle_at:
                 continue
-            comp = next(c for c in _minus_components(D, V_minus) if z in c)
-            order = _directed_cycle_order(D, comp, set(comp))
+            order = cycle_at[z]
             if D.in_deg(y) != 0:
                 x = D.pred[y][0]
                 L = _pick_L(order, set(), {z})
@@ -315,7 +305,7 @@ def contraction_graph(D: Digraph, V_plus: set[int],
     minus_cycles = tuple(
         tuple(_directed_cycle_order(D, comp, set(comp)))
         for comp in _minus_components(D, V_minus))
-    # after patterns 1-3, every edge is a cycle edge or a + -> - link
+    # once patterns 1-3 fail, every edge is a cycle edge or a + -> - link
     links = tuple((u, v) for u, v in D.edges
                   if u in V_plus and v in V_minus)
     return ContractionGraph(plus_cycles, minus_cycles, links)
@@ -455,10 +445,9 @@ def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
 
 
 def find_reducing_pair(D: Digraph) -> ReducingPair:
-    """A validated reducing pair for a connected digon-free D(1,1) digraph
-    with no triangle reduction and m >= 6; tried pattern by pattern in the
-    order of the claims of the 2/5 bound's proof."""
-    _require_d11(D, need_connected=True)
+    """A validated reducing pair for a piece D with no triangle reduction
+    and m >= 6; tried pattern by pattern in the order of the claims of the
+    2/5 bound's proof."""
     V_plus = {v for v in range(D.n) if D.out_deg(v) >= 2}
     V_minus = {v for v in range(D.n) if D.in_deg(v) >= 2}
 
@@ -473,21 +462,24 @@ def find_reducing_pair(D: Digraph) -> ReducingPair:
     if rp is not None:
         return _reverse_pair(rp, "leaf-in-plus")
 
-    rp = _even_cycle_in_plus(D, V_plus)
-    if rp is not None:
-        return rp
-    rp = _even_cycle_in_plus(Dr, V_minus)
-    if rp is not None:
-        return _reverse_pair(rp)
-
-    rp = _v0_attach(D, V_minus)
-    if rp is not None:
-        return rp
-    rp = _v0_attach(Dr, V_plus)
-    if rp is not None:
-        return _reverse_pair(rp)
-
+    # no leaf on either side: every component of D+ and D- is a cycle;
+    # Dr walks each one backwards from its least vertex
     M = contraction_graph(D, V_plus, V_minus)
+    backwards = lambda cycles: [c[:1] + c[:0:-1] for c in cycles]
+    rp = _even_cycle_in_plus(D, M.plus_cycles)
+    if rp is not None:
+        return rp
+    rp = _even_cycle_in_plus(Dr, backwards(M.minus_cycles))
+    if rp is not None:
+        return _reverse_pair(rp)
+
+    rp = _v0_attach(D, M.minus_cycles)
+    if rp is not None:
+        return rp
+    rp = _v0_attach(Dr, backwards(M.plus_cycles))
+    if rp is not None:
+        return _reverse_pair(rp)
+
     rp = _multiedge_in_M(D, M)
     if rp is not None:
         return rp
@@ -499,7 +491,7 @@ def find_reducing_pair(D: Digraph) -> ReducingPair:
 
 def _pieces(H: Digraph, label: list[int]) -> list[tuple[Digraph, list[int]]]:
     """The edge-carrying weak components of H, each relabelled onto 0..n-1
-    in vertex order, with the map back through `label`."""
+    in vertex order, with the map back through `label`: the pieces of H."""
     comps = _edge_components(H)
     if len(comps) == 1 and len(comps[0]) == H.n:
         return [(H, label)]
@@ -553,7 +545,7 @@ def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
 # -- Theorem 5: connected case, 7m/20 --------------------------------------
 
 def is_triangle_forest(D: Digraph) -> Optional[TriangleForestShape]:
-    """The t-triangles-plus-(t-1)-tree-bridges shape, if D has it.
+    """The t-triangles-plus-(t-1)-tree-bridges shape, if the piece D has it.
 
     A triangle of D other than the t of the shape would need two parallel
     bridges or a cycle of bridges, both of which the tree check rejects.  So
@@ -561,7 +553,6 @@ def is_triangle_forest(D: Digraph) -> Optional[TriangleForestShape]:
     vertex that carries an edge, and the other m - 3t = t - 1 edges join
     them into a tree.
     """
-    _require_d11(D, need_connected=True)
     tris = D.triangles()
     t = len(tris)
     tri_of = {v: i for i, tri in enumerate(tris) for v in tri}
@@ -590,7 +581,9 @@ def is_triangle_forest(D: Digraph) -> Optional[TriangleForestShape]:
 def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate:
     """A directed cut of size at least 7m/20 for connected D(1,1) digraphs
     that are not a single directed triangle."""
-    _require_d11(D, need_connected=True)
+    _require_d11(D)
+    if len(_edge_components(D)) > 1:
+        raise PreconditionError("digraph is not connected")
     if D.m == 3 and len(D.triangles()) == 1:
         raise PreconditionError("input is a directed triangle")
     K = _peel_triangle_forest(D, trace)

@@ -19,7 +19,6 @@ from .digraph import (
     Digraph,
     Edge,
     PreconditionError,
-    class_partition,
 )
 
 
@@ -33,10 +32,10 @@ class VertexColoring:
 
 
 def vertex_coloring(D: Digraph, k: int) -> VertexColoring:
-    if class_partition(D, k, k) is None:
-        raise PreconditionError(f"digraph is not in D({k},{k})")
     white = frozenset(v for v in range(D.n) if D.in_deg(v) <= k)
     black = frozenset(v for v in range(D.n) if D.out_deg(v) <= k)
+    if len(white | black) < D.n:  # a vertex with d- > k and d+ > k
+        raise PreconditionError(f"digraph is not in D({k},{k})")
     return VertexColoring(k, white, black)
 
 
@@ -133,10 +132,12 @@ class Rewrite:
 
 def initial_removal(D: Digraph, k: int) -> RemovalState:
     """Greedy feasible start: trim in-degrees of white vertices, then
-    out-degrees of black vertices, to k-1."""
+    out-degrees of the other black vertices, to k-1.  Only the state builds
+    the `VertexColoring`, and so refuses a D outside D(k,k)."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    coloring = vertex_coloring(D, k)
+    white = [v for v in range(D.n) if D.in_deg(v) <= k]
+    black_only = [v for v in range(D.n) if D.in_deg(v) > k >= D.out_deg(v)]
     R: set[Edge] = set()
     din = [D.in_deg(v) for v in range(D.n)]
     dout = [D.out_deg(v) for v in range(D.n)]
@@ -146,13 +147,13 @@ def initial_removal(D: Digraph, k: int) -> RemovalState:
         dout[e[0]] -= 1
         din[e[1]] -= 1
 
-    for v in sorted(coloring.white):
+    for v in white:
         for e in D.in_edges(v):
             if din[v] <= k - 1:
                 break
             if e not in R:
                 drop(e)
-    for v in sorted(coloring.black - coloring.white):
+    for v in black_only:
         for e in D.out_edges(v):
             if dout[v] <= k - 1:
                 break

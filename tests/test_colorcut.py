@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from dicuts import oracle
+from dicuts import colorcut, oracle
 from dicuts.colorcut import (
     Coloring,
     best_balanced_class_bipartition,
@@ -16,7 +16,7 @@ from dicuts.colorcut import (
     dicut_d22,
     greedy_color,
 )
-from dicuts.digraph import Digraph, PreconditionError
+from dicuts.digraph import Digraph, PreconditionError, class_partition
 from dicuts.generators import gen_random_family, gen_regular_tournament
 
 
@@ -146,6 +146,16 @@ class TestD22:
         for s in steps:
             assert len(s.F_C) == len(s.X_C) + len(s.Y_C)
             assert not set(s.F_C) & set(s.E_C)
+
+    def test_class_checked_once(self, monkeypatch):
+        # deleting edges keeps D in D(2,2): X = {v : d-(v) <= 2} at each step
+        D = dense_d22(20, 1)
+        calls = []
+        monkeypatch.setattr(colorcut, "class_partition",
+                            lambda *a: calls.append(a) or class_partition(*a))
+        steps = []
+        dicut_d22(D, steps).verify(D)
+        assert len(steps) > 1 and len(calls) == 1
 
     def test_random_with_digons(self):
         rng = random.Random(12)

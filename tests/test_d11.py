@@ -21,6 +21,7 @@ from dicuts.digraph import (
     AlgorithmBugError,
     Digraph,
     PreconditionError,
+    class_partition,
     is_p3_free,
 )
 from dicuts.enumeration import digonfree_d11
@@ -66,6 +67,20 @@ class TestPreconditions:
         D = Digraph(4, [(0, 3), (1, 3), (3, 1), (3, 2)])
         with pytest.raises(PreconditionError):
             dicut_d11(D)
+
+
+    def test_class_checked_once(self, monkeypatch):
+        # pieces inherit digon-freeness and D(1,1) from the input
+        D = gen_example1(3)
+        calls = []
+        has_digon = Digraph.has_digon
+        monkeypatch.setattr(Digraph, "has_digon",
+                            lambda H: calls.append("digon") or has_digon(H))
+        monkeypatch.setattr(d11, "class_partition",
+                            lambda *a: calls.append("class")
+                            or class_partition(*a))
+        dicut_d11(D).verify(D)
+        assert sorted(calls) == ["class", "digon"]
 
 
 class TestTriangleReduction:

@@ -3,8 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from dicuts import oracle
-from dicuts.digraph import Digraph, PreconditionError, class_partition, is_p3_free
+from dicuts import digraph, oracle, peel
+from dicuts.digraph import (
+    AlgorithmBugError,
+    Digraph,
+    PreconditionError,
+    class_partition,
+    is_p3_free,
+)
 from dicuts.generators import gen_random_family, gen_regular_tournament
 from dicuts.peel import (
     RemovalState,
@@ -176,6 +182,25 @@ class TestPeel:
     def test_rejects_outside_class(self):
         with pytest.raises(PreconditionError):
             peel_to_lower_class(gen_regular_tournament(3), 2)
+
+    def test_coloring_built_once(self, monkeypatch):
+        D = gen_regular_tournament(3)
+        colorings, checks = [], []
+        monkeypatch.setattr(peel, "vertex_coloring",
+                            lambda *a: colorings.append(a)
+                            or vertex_coloring(*a))
+        for mod in (digraph, peel):
+            monkeypatch.setattr(mod, "class_partition",
+                                lambda *a: checks.append(a)
+                                or class_partition(*a), raising=False)
+        peel_to_lower_class(D, 3)
+        assert len(colorings) == 1 and len(checks) <= 1
+
+    def test_state_refuses_outside_class_and_infeasible_R(self):
+        with pytest.raises(PreconditionError):
+            RemovalState(gen_regular_tournament(3), 2, set())
+        with pytest.raises(AlgorithmBugError):
+            RemovalState(gen_regular_tournament(2), 2, set())
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_tournament(self, k):
