@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb
 
@@ -40,22 +41,30 @@ def _underlying_adj(n: int, und_edges) -> list[set[int]]:
 
 
 def degeneracy_order(n: int, und_edges) -> tuple[list[int], int]:
-    """Remove a minimum-degree vertex repeatedly; returns (order, d) where d
-    is the largest degree seen at removal time.  Greedy coloring along the
-    reverse order needs at most d+1 colors."""
+    """Remove a minimum-degree vertex repeatedly, the least one on ties;
+    returns (order, d) where d is the largest degree seen at removal time.
+    Greedy coloring along the reverse order needs at most d+1 colors.
+
+    A heap of (degree, vertex) entries, stale ones skipped when popped,
+    finds each minimum in O(log n)."""
     adj = _underlying_adj(n, und_edges)
     deg = [len(a) for a in adj]
-    alive = set(range(n))
+    heap = [(deg[v], v) for v in range(n)]
+    heapify(heap)
+    alive = [True] * n
     order = []
     d = 0
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        d = max(d, deg[v])
+    while heap:
+        dv, v = heappop(heap)
+        if not alive[v] or dv != deg[v]:
+            continue
+        d = max(d, dv)
         order.append(v)
-        alive.discard(v)
+        alive[v] = False
         for w in adj[v]:
-            if w in alive:
+            if alive[w]:
                 deg[w] -= 1
+                heappush(heap, (deg[w], w))
     return order, d
 
 
@@ -185,37 +194,57 @@ def dicut_d22(
 
 def _d22_p3free(D: Digraph, steps: list[CyclePeelStep] | None) -> set[Edge]:
     """D is in D(2,2), and stays there as edges go, so the witness
-    (X, Y) of `class_partition` is X = {v : d-(v) <= 2} at every step."""
+    (X, Y) of `class_partition` is X = {v : d-(v) <= 2} at every step.
+
+    The working graph is kept as succ/pred sets, X flags and the undirected
+    adjacency of F (the X -> Y edges), updated per deleted edge and per
+    vertex whose in-degree falls to 2; X only grows, as in-degrees only
+    fall.  One `Digraph` of the remainder is built at the end."""
+    n = D.n
+    succ = [set(vs) for vs in D.succ]
+    pred = [set(us) for us in D.pred]
+    in_x = [len(pred[v]) <= 2 for v in range(n)]
+    adj = _underlying_adj(n, [(u, v) for u, v in D.edges
+                              if in_x[u] and not in_x[v]])
     banked: set[Edge] = set()
-    while True:
-        X = {v for v in range(D.n) if D.in_deg(v) <= 2}
-        F = [e for e in D.edges if e[0] in X and e[1] not in X]
-        cyc = shortest_bipartite_cycle(_underlying_adj(D.n, F), range(D.n))
-        if cyc is None:
-            return banked | _d22_base(D)
-        xc, yc = set(cyc) & X, set(cyc) - X
-        F_C = _cycle_edge_list(cyc, F)
-        E_C = sorted(e for e in D.edges
-                     if e not in F_C and (e[1] in xc or e[0] in yc))
+    while (cyc := shortest_bipartite_cycle(adj, range(n))) is not None:
+        xc = {v for v in cyc if in_x[v]}
+        yc = set(cyc) - xc
+        F_C = set()
+        for i, v in enumerate(cyc):
+            w = cyc[i - 1]
+            e = (v, w) if in_x[v] else (w, v)
+            if not (in_x[e[0]] and not in_x[e[1]] and e[1] in succ[e[0]]):
+                raise AlgorithmBugError("cycle edge missing from F")
+            F_C.add(e)
+        E_C = sorted(({(u, x) for x in xc for u in pred[x]}
+                      | {(y, w) for y in yc for w in succ[y]}) - F_C)
         if steps is not None:
             steps.append(CyclePeelStep(tuple(sorted(xc)), tuple(sorted(yc)),
                                        tuple(sorted(F_C)), tuple(E_C)))
         banked |= F_C
-        D = D.without_edges(F_C | set(E_C))
-
-
-def _cycle_edge_list(cyc: list[int], F) -> set[Edge]:
-    fs = set(F)
-    out = set()
-    for i, v in enumerate(cyc):
-        w = cyc[(i + 1) % len(cyc)]
-        if (v, w) in fs:
-            out.add((v, w))
-        elif (w, v) in fs:
-            out.add((w, v))
-        else:
-            raise AlgorithmBugError("cycle edge missing from F")
-    return out
+        joined = set()
+        for u, v in F_C | set(E_C):
+            succ[u].discard(v)
+            pred[v].discard(u)
+            if in_x[u] and not in_x[v]:
+                adj[u].discard(v)
+                adj[v].discard(u)
+            if len(pred[v]) <= 2 and not in_x[v]:
+                joined.add(v)
+        for v in joined:
+            in_x[v] = True
+            for u in pred[v]:
+                if in_x[u]:  # u -> v leaves F
+                    adj[u].discard(v)
+                    adj[v].discard(u)
+            for w in succ[v]:
+                if not in_x[w]:  # v -> w joins F
+                    adj[v].add(w)
+                    adj[w].add(v)
+    if banked:
+        D = Digraph(n, [(u, v) for u in range(n) for v in succ[u]])
+    return banked | _d22_base(D)
 
 
 def _d22_base(D: Digraph) -> set[Edge]:

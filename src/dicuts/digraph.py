@@ -1,8 +1,10 @@
 """Loopless digraphs on dense integer vertex ids, and the certificates built on them.
 
-Everything here is an immutable value: algorithms never mutate a digraph, they
-build new ones.  All set-like outputs are emitted in ascending order so that
-golden tests and the CLI are deterministic.
+Everything here is an immutable value: algorithms never mutate a digraph.  They
+build new ones, or keep mutable adjacency sets of their own while they delete
+edges (d22's cycle peeling) and build one digraph of what is left.  All
+set-like outputs are emitted in ascending order so that golden tests and the
+CLI are deterministic.
 """
 
 from __future__ import annotations

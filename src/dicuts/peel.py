@@ -11,6 +11,7 @@ guard that the move catalog is rich enough.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -225,20 +226,64 @@ def find_improvement(state: RemovalState) -> Rewrite | None:
     add touches a returned edge: a farther one only lowers degrees where
     none was raised, so dropping it would leave a feasible swap with too
     few adds.  The add-free swap of M0 is feasible iff Crit(e) is empty.
+
+    Returning edges only raises degrees, so a vertex of C, the union of
+    Crit(e) over the returned edges, stays broken unless some add has it
+    as an endpoint.  An entry with |C| > 2 * most is skipped, and only the
+    add combinations whose ends cover C are generated, in the order of
+    `combinations` over the sorted non-R edges at the returned edges.
     """
     D, R = state.D, state.R
+    crit = {e: state.crit(e) for e in R}
+    free: dict[frozenset[int], list[Edge]] = {}
+
+    def at(vs: frozenset[int]) -> list[Edge]:
+        """The non-R edges with every vertex of `vs`, one or two, as an
+        endpoint, sorted."""
+        if vs not in free:
+            a, b = min(vs), max(vs)
+            edges = (*D.in_edges(a), *D.out_edges(a)) if a == b else (
+                (a, b), (b, a))
+            free[vs] = sorted(g for g in edges
+                              if g in D.edge_set and g not in R)
+        return free[vs]
+
     for remove, most, tag in _move_table(state):
-        ends = {v for e in remove for v in e} if most else ()
-        near = sorted({g for v in ends
-                       for g in (*D.in_edges(v), *D.out_edges(v))
-                       if g not in R})
-        if most == len(remove):
-            # |R| stays: only a colored add lowers the potential
-            near = [g for g in near if state.is_colored(g)]
-        for add in combinations(near, most):
+        C = frozenset().union(*(crit[e] for e in remove))
+        if len(C) > 2 * most:
+            continue
+        ends = {v for e in remove for v in e}
+        for add in _covering_adds(C, most, ends, at):
+            if most == len(remove) and not all(map(state.is_colored, add)):
+                continue  # |R| stays: only colored adds lower the potential
             if state.swap_feasible(remove, add):
                 return Rewrite(remove, add, tag)
     return None
+
+
+def _covering_adds(C: frozenset[int], most: int, ends: set[int], at):
+    """The `most`-sets of non-R edges at `ends` whose endpoints cover C,
+    ascending and in `combinations` order.  C lies inside `ends`, and
+    `at(vs)` lists the non-R edges with every vertex of vs as an endpoint."""
+    if most == 0:
+        if not C:
+            yield ()
+        return
+
+    def touching(vs) -> list[Edge]:
+        return sorted({g for v in vs for g in at(frozenset((v,)))})
+
+    if most == 1:
+        yield from ((g,) for g in (at(C) if C else touching(ends)))
+        return
+    # two adds: the first must touch C when the second cannot cover it
+    firsts = touching(ends) if len(C) <= 2 else touching(C)
+    for g in firsts:
+        rest = C - set(g)
+        if len(rest) <= 2:
+            hs = at(rest) if rest else firsts
+            for h in hs[bisect_right(hs, g):]:
+                yield g, h
 
 
 def peel_to_lower_class(

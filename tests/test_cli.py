@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dicuts import cli
 from dicuts.cli import main
 from dicuts.digraph import AlgorithmBugError, load_dg
 from dicuts.generators import gen_example1
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -111,3 +118,13 @@ class TestExplore:
         assert main(["explore", "--problem", str(problem),
                      "--max-n", str(max_n), "--budget", "1"]) == 2
         assert "--max-n must be at least" in capsys.readouterr().err
+
+
+def test_core_imports_neither_numpy_nor_networkx():
+    # only `enumeration` needs them, and they are an optional extra
+    code = ("import sys, dicuts.cli; "
+            "print(sorted({'numpy', 'networkx'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from math import comb
 
@@ -10,13 +11,19 @@ import pytest
 from dicuts import colorcut, oracle
 from dicuts.colorcut import (
     Coloring,
+    CyclePeelStep,
     best_balanced_class_bipartition,
     degeneracy_order,
     dicut_acyclic,
     dicut_d22,
     greedy_color,
 )
-from dicuts.digraph import Digraph, PreconditionError, class_partition
+from dicuts.digraph import (
+    Digraph,
+    PreconditionError,
+    class_partition,
+    shortest_bipartite_cycle,
+)
 from dicuts.generators import gen_random_family, gen_regular_tournament
 
 
@@ -38,7 +45,90 @@ def dense_d22(n, seed):
     return Digraph(n, edges)
 
 
+def random_d22(rng, n, digons):
+    """Random edges kept while every vertex has in- or out-degree <= 2."""
+    edges, din, dout = set(), [0] * n, [0] * n
+    for _ in range(4 * n):
+        u, v = rng.sample(range(n), 2)
+        if (u, v) in edges or (not digons and (v, u) in edges):
+            continue
+        if (din[u] <= 2 or dout[u] < 2) and (din[v] < 2 or dout[v] <= 2):
+            edges.add((u, v))
+            dout[u] += 1
+            din[v] += 1
+    return Digraph(n, edges)
+
+
+def degeneracy_by_scan(n, und_edges):
+    """`degeneracy_order` as first written: a scan of every live vertex for
+    the least (degree, vertex) at each removal."""
+    adj = [set() for _ in range(n)]
+    for u, v in und_edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    deg = [len(a) for a in adj]
+    alive = set(range(n))
+    order, d = [], 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        d = max(d, deg[v])
+        order.append(v)
+        alive.discard(v)
+        for w in adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    return order, d
+
+
+def d22_rebuilding(D):
+    """d22's cycle peeling as first written: X, F and F's adjacency found
+    afresh and a new Digraph built at every step.  Returns the banked set,
+    the steps, and whether a vertex joined X before a later cycle step."""
+    banked, steps, X_before, mid_run = set(), [], None, False
+    while True:
+        X = {v for v in range(D.n) if D.in_deg(v) <= 2}
+        F = [e for e in D.edges if e[0] in X and e[1] not in X]
+        adj = [set() for _ in range(D.n)]
+        for u, v in F:
+            adj[u].add(v)
+            adj[v].add(u)
+        cyc = shortest_bipartite_cycle(adj, range(D.n))
+        if cyc is None:
+            return banked | colorcut._d22_base(D), steps, mid_run
+        mid_run |= X_before is not None and X != X_before
+        X_before = X
+        xc, yc = set(cyc) & X, set(cyc) - X
+        F_C = {(v, w) if v in X else (w, v)
+               for v, w in zip(cyc, cyc[1:] + cyc[:1])}
+        assert F_C <= set(F)
+        E_C = sorted(e for e in D.edges
+                     if e not in F_C and (e[1] in xc or e[0] in yc))
+        steps.append(CyclePeelStep(tuple(sorted(xc)), tuple(sorted(yc)),
+                                   tuple(sorted(F_C)), tuple(E_C)))
+        banked |= F_C
+        D = D.without_edges(F_C | set(E_C))
+
+
 class TestDegeneracy:
+    def test_heap_order_matches_scan(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            edges = [tuple(rng.sample(range(n), 2))
+                     for _ in range(rng.randint(0, 3 * n))] if n > 1 else []
+            assert degeneracy_order(n, edges) == degeneracy_by_scan(n, edges)
+
+    def test_large_sparse_graph(self):
+        # out-degree 2 at n = 8 000: a scan per removal took seconds
+        rng = random.Random(1)
+        n = 8000
+        edges = [(v, w + (w >= v)) for v in range(n)
+                 for w in rng.sample(range(n - 1), 2)]
+        start = time.perf_counter()
+        order, d = degeneracy_order(n, edges)
+        assert time.perf_counter() - start < 1.0
+        assert sorted(order) == list(range(n)) and d == 3
+
     def test_tree(self):
         edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
         _, d = degeneracy_order(5, edges)
@@ -175,6 +265,21 @@ class TestD22:
             cert = dicut_d22(D)
             cert.verify(D)
             assert 10 * cert.size >= 3 * D.m
+
+    def test_same_steps_as_rebuilding_every_step(self):
+        rng = random.Random(13)
+        joined = 0
+        for i in range(200):
+            if i % 4 == 3:
+                D = dense_d22(rng.randrange(8, 40, 2), rng.randrange(1 << 30))
+            else:
+                D = random_d22(rng, rng.randint(4, 30), digons=i % 2 == 0)
+            banked, want, mid_run = d22_rebuilding(D)
+            steps = []
+            assert colorcut._d22_p3free(D, steps) == banked
+            assert steps == want
+            joined += mid_run
+        assert joined >= 100
 
     def test_many_cycle_steps_need_no_recursion(self):
         D = dense_d22(80, 1)

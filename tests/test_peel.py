@@ -15,6 +15,8 @@ from dicuts.generators import gen_random_family, gen_regular_tournament
 from dicuts.peel import (
     RemovalState,
     Rewrite,
+    _covering_adds,
+    _move_table,
     _r_cycle_edges,
     find_improvement,
     initial_removal,
@@ -165,6 +167,32 @@ class TestMoveTable:
         moves_agree(colored_add_state(), tags)
         assert tags == {"return-edge", "cycle-recolor-swap", "growth-swap",
                         "tree-path-swap", "short-path-swap"}
+
+    def test_covering_adds_are_filtered_combinations(self):
+        # the generated adds are exactly the combinations of the non-R edges
+        # at the returned edges whose ends cover C, in the same order
+        rng = random.Random(3)
+        for _ in range(60):
+            k = rng.choice((1, 2, 3))
+            D = gen_random_family("dkk", rng.randint(4, 12), k,
+                                  rng.randrange(1 << 30))
+            R = initial_removal(D, k).R
+            R |= {e for e in D.edges if e not in R and rng.random() < 0.5}
+            state = RemovalState(D, k, R)
+
+            def at(vs):
+                return sorted(g for g in D.edges
+                              if g not in R and vs <= set(g))
+
+            for remove, most, _ in _move_table(state):
+                ends = sorted({v for e in remove for v in e})
+                near = [g for g in D.edges
+                        if g not in R and set(g) & set(ends)]
+                C = frozenset(rng.sample(ends, min(len(ends), 2 * most,
+                                                   rng.randint(0, 4))))
+                want = [add for add in combinations(near, most)
+                        if C <= {v for g in add for v in g}]
+                assert list(_covering_adds(C, most, set(ends), at)) == want
 
     def test_short_path_swap(self):
         moves = moves_agree(short_path_state(), set())

@@ -1,0 +1,46 @@
+"""Scale cases: inputs large enough that per-step whole-graph work shows.
+
+Each case checks counted work, not wall time, so it holds on any machine
+and fails at once if a quadratic term comes back.
+"""
+
+from test_colorcut import dense_d22
+
+from dicuts.colorcut import dicut_d22
+from dicuts.digraph import Digraph, class_partition
+from dicuts.peel import RemovalState, peel_to_lower_class
+
+# swap_feasible calls of the move search on dense_d22(80, 1), k = 2, when
+# it tried every add combination of every entry of the move table
+UNPRUNED_SWAP_CALLS = 1_176_591
+
+
+def counting(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_dense_d22_builds_no_graph_per_cycle_step(monkeypatch):
+    D = dense_d22(240, 1)  # m = 7 714
+    builds = counting(monkeypatch, Digraph, "__init__")
+    steps = []
+    cert = dicut_d22(D, steps)
+    cert.verify(D)
+    assert 10 * cert.size >= 3 * D.m
+    assert len(steps) == 1765 and len(builds) <= 2
+
+
+def test_peel_dense_d22_prunes_the_move_search(monkeypatch):
+    D = dense_d22(80, 1)  # m = 926
+    calls = counting(monkeypatch, RemovalState, "swap_feasible")
+    rest, R = peel_to_lower_class(D, 2)
+    assert class_partition(rest, 1, 1) is not None
+    assert 5 * len(R) <= 2 * D.m
+    assert 10 * len(calls) <= UNPRUNED_SWAP_CALLS
