@@ -19,7 +19,6 @@ from .digraph import (
     class_partition,
     cut_from_partition,
     extend_p3free_to_cut,
-    is_p3_free,
     shortest_bipartite_cycle,
 )
 
@@ -184,9 +183,10 @@ def dicut_d22(
     if class_partition(D, 2, 2) is None:
         raise PreconditionError("digraph is not in D(2,2)")
     S = _d22_p3free(D, steps)
-    if not is_p3_free(D, S):
-        raise AlgorithmBugError("banked edge set lost P3-freeness")
-    cert = extend_p3free_to_cut(D, S)
+    try:
+        cert = extend_p3free_to_cut(D, S)
+    except PreconditionError as exc:
+        raise AlgorithmBugError("banked edge set lost P3-freeness") from exc
     if 10 * cert.size < 3 * D.m:
         raise AlgorithmBugError("3m/10 guarantee missed")
     return cert

@@ -8,12 +8,13 @@ deleting A u B keeps the 2/5 accounting.  Every constructed pair is
 validated at runtime; a failed validation is an algorithm bug, never a
 silently degraded answer.
 
-The loop works on pieces: one weakly connected component, with at least one
-edge, relabelled onto 0..n-1 in the order of its original vertices and
-carried with the list that maps it back.  Every choice below (sorted
-triangles, ``range(n)`` scans, sorted adjacency) follows vertex order, which
-the relabelling preserves, so a piece makes the same choices as the digraph
-it was cut from.
+The loop deletes edges from one `WorkGraph` for the whole run and works on
+its pieces: `Piece` views of one weakly connected component with at least
+one edge, on the original vertex ids.  After a step it looks for components
+only among the vertices of the piece it stepped on.  Every choice below
+(sorted triangles, scans of ``D.vertices``, sorted adjacency) follows vertex
+order, so a piece makes the same choices as its component relabelled onto
+0..n-1, and the functions below take a `Digraph` just as well.
 
 The input class is checked once, at the entries `dicut_d11` and
 `dicut_d11_connected`.  Deleting edges keeps a digraph digon-free and in
@@ -35,6 +36,7 @@ from .digraph import (
     Digraph,
     Edge,
     PreconditionError,
+    WorkGraph,
     class_partition,
     extend_p3free_to_cut,
     is_p3_free,
@@ -81,13 +83,6 @@ class ContractionGraph:
             for v in cyc:
                 out[v] = ("-", i)
         return out
-
-
-def _edge_components(D: Digraph) -> list[list[int]]:
-    """Weak components that carry at least one edge (isolated vertices are
-    irrelevant to every cut bound)."""
-    return [c for c in D.weak_components()
-            if any(D.out_deg(v) or D.in_deg(v) for v in c)]
 
 
 def _require_d11(D: Digraph) -> None:
@@ -148,10 +143,23 @@ def _reverse_pair(rp: ReducingPair, tag: str | None = None) -> ReducingPair:
 # -- pattern (1): a D- (D+) component that is not a cycle, or a cycle
 #    vertex with more than one external edge (Claim 1.3) ------------------
 
-def _minus_components(D: Digraph, V_minus: set[int]) -> list[list[int]]:
-    sub, remap = D.induced(V_minus)
-    inv = {i: v for v, i in remap.items()}
-    return [[inv[i] for i in comp] for comp in sub.weak_components()]
+def _minus_components(D: Digraph, V_minus: set[int]):
+    """The weak components of D[V_minus], each sorted, in order of least
+    vertex; lazily, so a search can stop at the first one it needs."""
+    seen = set()
+    for s in sorted(V_minus):
+        if s in seen:
+            continue
+        seen.add(s)
+        stack, comp = [s], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in D.succ[v] + D.pred[v]:
+                if w in V_minus and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        yield sorted(comp)
 
 
 def _leaf_in_minus(D: Digraph, V_minus: set[int]) -> Optional[ReducingPair]:
@@ -256,7 +264,7 @@ def _v0_attach(D: Digraph, minus_cycles) -> Optional[ReducingPair]:
     """`minus_cycles`: the cycles of D-, each in cyclic order."""
     cycle_at = {v: order for order in minus_cycles for v in order}
     # V0: in neither V+ nor V-
-    V0 = [v for v in range(D.n) if D.in_deg(v) <= 1 and D.out_deg(v) <= 1]
+    V0 = [v for v in D.vertices if D.in_deg(v) <= 1 and D.out_deg(v) <= 1]
     for y in V0:
         for z in D.succ[y]:
             if z not in cycle_at:
@@ -279,13 +287,13 @@ def _v0_attach(D: Digraph, minus_cycles) -> Optional[ReducingPair]:
 
 def _path_or_cycle(D: Digraph) -> Optional[ReducingPair]:
     """All degrees <= 1: a bare directed path or cycle (V+ = V- = empty)."""
-    starts = [v for v in range(D.n) if D.in_deg(v) == 0 and D.out_deg(v) == 1]
+    starts = [v for v in D.vertices if D.in_deg(v) == 0 and D.out_deg(v) == 1]
     if starts:
         v = starts[0]
         w = D.succ[v][0]
         return _pair(D, {(v, w)}, set(D.out_edges(w)), "path-or-cycle")
     # directed cycle; alternate edges
-    comp = [v for v in range(D.n) if D.out_deg(v) == 1]
+    comp = [v for v in D.vertices if D.out_deg(v) == 1]
     order = _directed_cycle_order(D, comp, set(comp))
     nxt = {order[i]: order[(i + 1) % len(order)] for i in range(len(order))}
     take = len(order) // 2
@@ -448,8 +456,9 @@ def find_reducing_pair(D: Digraph) -> ReducingPair:
     """A validated reducing pair for a piece D with no triangle reduction
     and m >= 6; tried pattern by pattern in the order of the claims of the
     2/5 bound's proof."""
-    V_plus = {v for v in range(D.n) if D.out_deg(v) >= 2}
-    V_minus = {v for v in range(D.n) if D.in_deg(v) >= 2}
+    succ, pred = D.succ, D.pred
+    V_plus = {v for v in D.vertices if len(succ[v]) >= 2}
+    V_minus = {v for v in D.vertices if len(pred[v]) >= 2}
 
     if not V_plus and not V_minus:
         return _path_or_cycle(D)
@@ -489,29 +498,31 @@ def find_reducing_pair(D: Digraph) -> ReducingPair:
     raise AlgorithmBugError("no reducing pair found where one must exist")
 
 
-def _pieces(H: Digraph, label: list[int]) -> list[tuple[Digraph, list[int]]]:
-    """The edge-carrying weak components of H, each relabelled onto 0..n-1
-    in vertex order, with the map back through `label`: the pieces of H."""
-    comps = _edge_components(H)
-    if len(comps) == 1 and len(comps[0]) == H.n:
-        return [(H, label)]
-    return [(H.induced(c)[0], [label[v] for v in c]) for c in comps]
+def _exact_cut(vertices: list[int], edges) -> list[Edge]:
+    """A maximum directed cut of the digraph with these `edges` on the
+    ascending `vertices`, which all carry an edge: the oracle's, on the
+    digraph relabelled onto 0..n-1 in vertex order."""
+    index = {v: i for i, v in enumerate(vertices)}
+    H = Digraph(len(vertices), [(index[u], index[v]) for u, v in edges])
+    return [(vertices[u], vertices[v])
+            for u, v in oracle.max_dicut_exact(H).cut_edges]
 
 
 def _reduction_loop(D: Digraph, trace: list | None = None) -> set[Edge]:
     """Run the Theorem 1 reduction on D; returns the accumulated P3-free
     edge set (edges of D).
 
-    Each stack entry is a piece (H, label) of `_pieces`: label[i] is the
-    vertex of D behind vertex i of H.  What a step leaves of a piece is
+    Each stack entry is a `Piece` of one `WorkGraph` of D.  A step deletes
+    its edges from the working graph, and what it leaves of its piece is
     split into pieces again.
     """
     K: set[Edge] = set()
-    work = _pieces(D, list(range(D.n)))
+    W = WorkGraph(D)
+    work = W.pieces(D.vertices)
     while work:
-        H, label = work.pop()
+        H = work.pop()
         if H.m <= 5:
-            A, gone = oracle.max_dicut_exact(H).cut_edges, ()
+            A, gone = _exact_cut(H.vertices, H.edges), ()
             step = ("oracle-base", H.m, 0)
         else:
             tri = find_triangle_reduction(H)
@@ -523,13 +534,22 @@ def _reduction_loop(D: Digraph, trace: list | None = None) -> set[Edge]:
                 rp = find_reducing_pair(H)
                 A, gone = rp.A, rp.A | rp.B
                 step = (rp.provenance, len(rp.A), len(rp.B))
-        banked = tuple(sorted((label[u], label[v]) for u, v in A))
+        banked = tuple(sorted(A))
         K.update(banked)
         if trace is not None:
             trace.append(step + (banked,))
         if gone:
-            work.extend(_pieces(H.without_edges(gone), label))
+            work.extend(W.split(H, gone))
     return K
+
+
+def _cut_from_banked(D: Digraph, K: set[Edge]) -> CutCertificate:
+    """The cut that extends the loop's own P3-free set K; a K that is not
+    P3-free is a bug of the loop, not of the input."""
+    try:
+        return extend_p3free_to_cut(D, K)
+    except PreconditionError as exc:
+        raise AlgorithmBugError("accumulated set lost P3-freeness") from exc
 
 
 def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
@@ -537,9 +557,7 @@ def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     vertex-disjoint directed triangles (never computed here)."""
     _require_d11(D)
     K = _reduction_loop(D, trace)
-    if not is_p3_free(D, K):
-        raise AlgorithmBugError("accumulated set lost P3-freeness")
-    return extend_p3free_to_cut(D, K)
+    return _cut_from_banked(D, K)
 
 
 # -- Theorem 5: connected case, 7m/20 --------------------------------------
@@ -582,14 +600,13 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
     """A directed cut of size at least 7m/20 for connected D(1,1) digraphs
     that are not a single directed triangle."""
     _require_d11(D)
-    if len(_edge_components(D)) > 1:
+    # a weak component carries an edge iff it has two vertices
+    if sum(len(c) > 1 for c in D.weak_components()) > 1:
         raise PreconditionError("digraph is not connected")
     if D.m == 3 and len(D.triangles()) == 1:
         raise PreconditionError("input is a directed triangle")
     K = _peel_triangle_forest(D, trace)
-    if not is_p3_free(D, K):
-        raise AlgorithmBugError("accumulated set lost P3-freeness")
-    return extend_p3free_to_cut(D, K)
+    return _cut_from_banked(D, K)
 
 
 def _peel_triangle_forest(D: Digraph, trace: list | None) -> set[Edge]:
@@ -630,5 +647,4 @@ def _peel_triangle_forest(D: Digraph, trace: list | None) -> set[Edge]:
     if D.m > 6:
         return K | _reduction_loop(D, trace)
     live = sorted({v for e in D.edges for v in e})
-    cut = oracle.max_dicut_exact(D.induced(live)[0]).cut_edges
-    return K | {(live[u], live[v]) for u, v in cut}
+    return K.union(_exact_cut(live, D.edges))

@@ -1,14 +1,21 @@
 """Loopless digraphs on dense integer vertex ids, and the certificates built on them.
 
-Everything here is an immutable value: algorithms never mutate a digraph.  They
-build new ones, or keep mutable adjacency sets of their own while they delete
-edges (d22's cycle peeling) and build one digraph of what is left.  All
-set-like outputs are emitted in ascending order so that golden tests and the
-CLI are deterministic.
+A `Digraph` is an immutable value: no algorithm mutates one.  Algorithms that
+delete edges step by step keep a mutable working graph instead and build a
+`Digraph` only of what they hand on.  d11's reduction loop uses `WorkGraph`:
+one list of sorted successor tuples and one of sorted predecessor tuples,
+where deleting an edge replaces its two endpoint tuples.  It reads one weak
+component at a time through a `Piece`, a view over the component's sorted
+vertex list that offers the reads of a `Digraph` its pattern functions make
+(`vertices`, `succ`, `pred`, degrees, `edges`, `triangles`, `reverse`, ...)
+on the original vertex ids.  d22's cycle peeling keeps adjacency sets of its
+own.  All set-like outputs are emitted in ascending order so that golden
+tests and the CLI are deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -16,6 +23,9 @@ from typing import Iterable, Optional
 Edge = tuple[int, int]
 
 MAX_VERTICES = 1 << 20  # the adjacency lists are built per vertex
+# `WorkGraph.split` walks a piece this small whole: its turn-taking searches
+# cost more than they save below about this size
+WALK_WHOLE_PIECE = 32
 
 
 class InputError(ValueError):
@@ -34,8 +44,24 @@ class ResourceLimitError(RuntimeError):
     """An input or an exact search exceeded its explicit guard."""
 
 
+class _AdjacencyReads:
+    """Degree and edge reads in terms of sorted `succ` and `pred` tuples."""
+
+    def out_deg(self, v: int) -> int:
+        return len(self.succ[v])
+
+    def in_deg(self, v: int) -> int:
+        return len(self.pred[v])
+
+    def out_edges(self, v: int) -> list[Edge]:
+        return [(v, w) for w in self.succ[v]]
+
+    def in_edges(self, v: int) -> list[Edge]:
+        return [(u, v) for u in self.pred[v]]
+
+
 @dataclass(frozen=True)
-class Digraph:
+class Digraph(_AdjacencyReads):
     """A digraph without loops or parallel edges on vertices 0..n-1.
 
     Antiparallel pairs (digons) are representable; operations that need
@@ -67,6 +93,10 @@ class Digraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @property
+    def vertices(self) -> range:
+        return range(self.n)
+
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
@@ -84,18 +114,6 @@ class Digraph:
         for u, v in self.edges:
             inc[v].append(u)
         return tuple(tuple(sorted(us)) for us in inc)
-
-    def out_deg(self, v: int) -> int:
-        return len(self.succ[v])
-
-    def in_deg(self, v: int) -> int:
-        return len(self.pred[v])
-
-    def out_edges(self, v: int) -> list[Edge]:
-        return [(v, w) for w in self.succ[v]]
-
-    def in_edges(self, v: int) -> list[Edge]:
-        return [(u, v) for u in self.pred[v]]
 
     def without_edges(self, remove: Iterable[Edge]) -> "Digraph":
         gone = set(remove)
@@ -172,6 +190,152 @@ class Digraph:
                 if indeg[w] == 0:
                     queue.append(w)
         return done == self.n
+
+
+class WorkGraph:
+    """A mutable copy of a digraph's adjacency under edge deletion.
+
+    `succ[v]` and `pred[v]` stay sorted tuples over the digraph's vertex
+    ids; deleting an edge replaces the tuples of its two endpoints.
+    """
+
+    def __init__(self, D: Digraph):
+        self.succ = list(D.succ)
+        self.pred = list(D.pred)
+
+    def delete(self, edges: Iterable[Edge]) -> None:
+        succ, pred = self.succ, self.pred
+        for u, v in edges:
+            if v not in succ[u]:
+                raise AlgorithmBugError(f"edge ({u}, {v}) is not in the working graph")
+            succ[u] = tuple([w for w in succ[u] if w != v])
+            pred[v] = tuple([w for w in pred[v] if w != u])
+
+    def pieces(self, vertices: Iterable[int]) -> list["Piece"]:
+        """The weak components that carry an edge among `vertices`, ordered
+        by least vertex.
+
+        `vertices` comes in ascending order and is a union of weak
+        components (all vertices, or the vertices of a piece since cut).
+        """
+        succ, pred = self.succ, self.pred
+        seen = set()
+        out = []
+        for s in vertices:
+            if s in seen or not (succ[s] or pred[s]):
+                continue
+            seen.add(s)
+            stack, comp, m = [s], [], 0
+            while stack:
+                v = stack.pop()
+                comp.append(v)
+                m += len(succ[v])
+                for w in succ[v] + pred[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            comp.sort()
+            out.append(Piece(comp, succ, pred, m))
+        return out
+
+    def split(self, H: "Piece", gone: Iterable[Edge]) -> list["Piece"]:
+        """Delete the edges `gone` of the piece H; returns the pieces H
+        leaves, ordered by least vertex.
+
+        Each of them holds an end of a deleted edge.  A search runs from
+        every end, one vertex per search in turn, and searches that meet
+        join.  Once at most one is still running, the rest of H is its
+        piece, which is never walked: a step that cuts a little off a large
+        piece costs what it cuts off.
+        """
+        gone = tuple(gone)
+        self.delete(gone)
+        if len(H.vertices) <= WALK_WHOLE_PIECE:
+            return self.pieces(H.vertices)
+        succ, pred = self.succ, self.pred
+        owner: dict[int, int] = {}
+        # search id -> [stack, vertices, edges], while it runs
+        running: dict[int, list] = {}
+        for s in sorted({v for e in gone for v in e}):
+            owner[s] = s
+            running[s] = [[s], [s], 0]
+        joined: dict[int, int] = {}
+        done = []
+        while len(running) > 1:
+            for r in list(running):
+                search = running.get(r)
+                if search is None:  # joined another one this round
+                    continue
+                stack, comp = search[0], search[1]
+                if not stack:
+                    done.append(running.pop(r))
+                    continue
+                v = stack.pop()
+                search[2] += len(succ[v])
+                for w in succ[v] + pred[v]:
+                    o = owner.get(w)
+                    if o is None:
+                        owner[w] = r
+                        stack.append(w)
+                        comp.append(w)
+                        continue
+                    while o in joined:
+                        o = joined[o]
+                    if o != r:
+                        other = running.pop(o)
+                        stack += other[0]
+                        comp += other[1]
+                        search[2] += other[2]
+                        joined[o] = r
+        out = [Piece(sorted(comp), succ, pred, m)
+               for _, comp, m in done if len(comp) > 1]
+        if running:
+            cut = sorted(v for _, comp, _ in done for v in comp)
+            rest = list(H.vertices)
+            for v in reversed(cut):
+                del rest[bisect_left(rest, v)]
+            m = H.m - len(gone) - sum(m for _, _, m in done)
+            out.append(Piece(rest, succ, pred, m))
+        out.sort(key=lambda P: P.vertices[0])
+        return out
+
+
+class Piece(_AdjacencyReads):
+    """One weak component of a `WorkGraph`, read like a `Digraph` on its
+    original vertex ids, and valid until the next deletion.
+
+    `vertices` is sorted, and `edges` and `triangles` come in the order a
+    `Digraph` gives them, so a pattern that scans `vertices` makes the same
+    choices on a piece as on the component relabelled onto 0..n-1.
+    """
+
+    def __init__(self, vertices: list[int], succ: list, pred: list, m: int):
+        self.vertices = vertices
+        self.succ = succ
+        self.pred = pred
+        self.m = m
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        succ = self.succ
+        return tuple([(u, w) for u in self.vertices for w in succ[u]])
+
+    @cached_property
+    def edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.edges)
+
+    def triangles(self):
+        """All directed 3-cycles as in `Digraph.triangles`, lazily."""
+        succ = self.succ
+        for a in self.vertices:
+            for b in succ[a]:
+                if b > a:
+                    for c in succ[b]:
+                        if c > a and a in succ[c]:
+                            yield a, b, c
+
+    def reverse(self) -> "Piece":
+        return Piece(self.vertices, self.pred, self.succ, self.m)
 
 
 @dataclass(frozen=True)

@@ -31,40 +31,41 @@ MAX_COVER_CUTS = 4
 def max_dicut_exact(D: Digraph) -> CutCertificate:
     """A maximum directed cut, the lexicographically smallest X among maximizers.
 
-    Enumerates bipartitions in Gray-code order so each step updates the cut
-    size in O(degree) time.
+    Enumerates bipartitions in Gray-code order, with X as a bitmask, so
+    each step updates the cut size by two popcounts.
     """
     if D.n > MAX_DICUT_VERTICES:
         raise ResourceLimitError(
             f"n={D.n} exceeds enumeration guard {MAX_DICUT_VERTICES}")
     n = D.n
-    in_x = [False] * n
-    size = 0
-    best_size = 0
-    best_x: tuple[int, ...] = ()
-
-    def flip(v: int) -> None:
-        nonlocal size
-        if in_x[v]:
-            # leaving X: out-edges to Y stop counting, in-edges from X start
-            size -= sum(1 for w in D.succ[v] if not in_x[w])
-            in_x[v] = False
-            size += sum(1 for u in D.pred[v] if in_x[u])
-        else:
-            size -= sum(1 for u in D.pred[v] if in_x[u])
-            in_x[v] = True
-            size += sum(1 for w in D.succ[v] if not in_x[w])
-
+    out_mask = [sum(1 << w for w in D.succ[v]) for v in range(n)]
+    in_mask = [sum(1 << u for u in D.pred[v]) for v in range(n)]
+    x = size = best = best_size = 0
     total = 1 << n
     for i in range(1, total + 1):
-        if size > best_size or (size == best_size and best_x and
-                                tuple(v for v in range(n) if in_x[v]) < best_x):
-            best_size = size
-            best_x = tuple(v for v in range(n) if in_x[v])
+        if size > best_size:
+            best, best_size = x, size
+        elif size == best_size and best:
+            # X comes before best's X in lexicographic order iff, at their
+            # least differing vertex d, X holds d and best has more members
+            # beyond it, or best holds d and X has no member from d on
+            d = (x ^ best) & -(x ^ best)
+            if (best >= d << 1) if x & d else (x < d):
+                best = x
         if i == total:
             break
-        flip((i & -i).bit_length() - 1)
-    return cut_from_partition(D, best_x)
+        v = (i & -i).bit_length() - 1
+        bit = 1 << v
+        if x & bit:
+            # leaving X: out-edges to Y stop counting, in-edges from X start
+            size -= (out_mask[v] & ~x).bit_count()
+            x ^= bit
+            size += (in_mask[v] & x).bit_count()
+        else:
+            size -= (in_mask[v] & x).bit_count()
+            x |= bit
+            size += (out_mask[v] & ~x).bit_count()
+    return cut_from_partition(D, [v for v in range(n) if best >> v & 1])
 
 
 def max_triangle_packing(D: Digraph) -> int:

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from dicuts import colorcut, oracle
+from dicuts import colorcut, digraph, oracle
 from dicuts.colorcut import (
     Coloring,
     CyclePeelStep,
@@ -19,6 +19,7 @@ from dicuts.colorcut import (
     greedy_color,
 )
 from dicuts.digraph import (
+    AlgorithmBugError,
     Digraph,
     PreconditionError,
     class_partition,
@@ -246,6 +247,24 @@ class TestD22:
         steps = []
         dicut_d22(D, steps).verify(D)
         assert len(steps) > 1 and len(calls) == 1
+
+    def test_banked_set_checked_once(self, monkeypatch):
+        calls = []
+        check = digraph.is_p3_free
+        counted = lambda H, S: calls.append(H) or check(H, S)
+        monkeypatch.setattr(digraph, "is_p3_free", counted)
+        monkeypatch.setattr(colorcut, "is_p3_free", counted, raising=False)
+        for D in (dense_d22(20, 1), gen_regular_tournament(2)):
+            calls.clear()
+            dicut_d22(D).verify(D)
+            assert calls == [D]
+
+    def test_banked_p3_is_a_bug(self, monkeypatch):
+        D = dense_d22(20, 1)
+        a, b = next((e, f) for e in D.edges for f in D.edges if e[1] == f[0])
+        monkeypatch.setattr(colorcut, "_d22_p3free", lambda *_: {a, b})
+        with pytest.raises(AlgorithmBugError):
+            dicut_d22(D)
 
     def test_random_with_digons(self):
         rng = random.Random(12)

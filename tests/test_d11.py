@@ -7,7 +7,7 @@ import sys
 import networkx as nx
 import pytest
 
-from dicuts import d11, oracle
+from dicuts import d11, digraph, oracle
 from dicuts.d11 import (
     contraction_graph,
     dicut_d11,
@@ -53,6 +53,71 @@ def forest_reference(D):
     return found[0] if found else None
 
 
+def triangle_chain(t):
+    """t directed triangles in a row, a bridge from each apex to the next
+    tail: m = 4t - 1, and t disjoint triangles."""
+    edges = []
+    for i in range(t):
+        a = 3 * i
+        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
+        if i:
+            edges.append((a - 2, a))
+    return Digraph(3 * t, edges)
+
+
+def random_triangle_tree(rng, t):
+    """t directed triangles, each joined to an earlier one by a bridge in a
+    random direction, on shuffled labels.  A vertex carries at most one
+    bridge, so every vertex keeps in- or out-degree 1: a D(1,1) digraph."""
+    edges, free = [], []
+    for i in range(t):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [(a, b), (b, c), (c, a)]
+        if i:
+            p = free.pop(rng.randrange(len(free)))
+            q = rng.choice((a, b, c))
+            edges.append((p, q) if rng.random() < 0.5 else (q, p))
+            free += [v for v in (a, b, c) if v != q]
+        else:
+            free += [a, b, c]
+    label = list(range(3 * t))
+    rng.shuffle(label)
+    return Digraph(3 * t, [(label[u], label[v]) for u, v in edges])
+
+
+def reduction_rebuilding(D):
+    """d11's reduction loop as first written: every piece a component
+    relabelled onto 0..n-1 with the list that maps it back, and a new
+    Digraph built of what each step leaves.  Returns K and the trace."""
+    def pieces(H, label):
+        return [(H.induced(c)[0], [label[v] for v in c])
+                for c in H.weak_components() if len(c) > 1]
+
+    K, trace = set(), []
+    work = pieces(D, list(range(D.n)))
+    while work:
+        H, label = work.pop()
+        if H.m <= 5:
+            A, gone = oracle.max_dicut_exact(H).cut_edges, ()
+            step = ("oracle-base", H.m, 0)
+        else:
+            tri = find_triangle_reduction(H)
+            if tri is not None:
+                (x, y), (a, b, c) = tri
+                A, gone = ((x, y),), ((a, b), (b, c), (c, a))
+                step = ("triangle", 1, 2)
+            else:
+                rp = find_reducing_pair(H)
+                A, gone = rp.A, rp.A | rp.B
+                step = (rp.provenance, len(rp.A), len(rp.B))
+        banked = tuple(sorted((label[u], label[v]) for u, v in A))
+        K.update(banked)
+        trace.append(step + (banked,))
+        if gone:
+            work.extend(pieces(H.without_edges(gone), label))
+    return K, trace
+
+
 def bound_ok(D, cert):
     t = oracle.max_triangle_packing(D)
     return cert.size >= math.ceil((2 * D.m - t) / 5)
@@ -81,6 +146,31 @@ class TestPreconditions:
                             or class_partition(*a))
         dicut_d11(D).verify(D)
         assert sorted(calls) == ["class", "digon"]
+
+    @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
+    def test_banked_set_checked_once(self, method, monkeypatch):
+        # the certificate's one P3 check is extend_p3free_to_cut's; the
+        # pattern validations run on pieces, never on D itself
+        calls = []
+        check = digraph.is_p3_free
+        counted = lambda H, S: calls.append(H) or check(H, S)
+        monkeypatch.setattr(digraph, "is_p3_free", counted)
+        monkeypatch.setattr(d11, "is_p3_free", counted)
+        for D in [gen_example1(3), triangle_chain(4)] + \
+                [PATTERN_INSTANCES[tag] for tag in sorted(PATTERN_INSTANCES)
+                 if method is dicut_d11]:
+            calls.clear()
+            method(D).verify(D)
+            assert sum(H is D for H in calls) == 1
+
+    @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
+    def test_banked_p3_is_a_bug(self, method, monkeypatch):
+        D = gen_example1(2)
+        a, b = next((e, f) for e in D.edges for f in D.edges if e[1] == f[0])
+        monkeypatch.setattr(d11, "_reduction_loop", lambda *_: {a, b})
+        monkeypatch.setattr(d11, "_peel_triangle_forest", lambda *_: {a, b})
+        with pytest.raises(AlgorithmBugError):
+            method(D)
 
 
 class TestTriangleReduction:
@@ -204,31 +294,43 @@ class TestBound:
             for tag, a_size, b_size, A in trace:
                 assert is_p3_free(D, A)
 
+    # WALK_WHOLE_PIECE = 0 makes every split run its turn-taking searches
+    @pytest.mark.parametrize("walk_whole", [0, digraph.WALK_WHOLE_PIECE])
+    def test_same_steps_as_rebuilding_every_step(self, walk_whole,
+                                                 monkeypatch):
+        monkeypatch.setattr(digraph, "WALK_WHOLE_PIECE", walk_whole)
+        rng = random.Random(23)
+        graphs = [PATTERN_INSTANCES[tag] for tag in sorted(PATTERN_INSTANCES)]
+        graphs += [D.reverse() for D in graphs]
+        for i in range(160):
+            family = "d11-trianglefree" if i % 4 == 3 else "d11"
+            graphs.append(gen_random_family(family, rng.randint(3, 150), 1,
+                                            rng.randrange(1 << 30)))
+        graphs += [random_triangle_tree(rng, rng.randint(1, 40))
+                   for _ in range(40)]
+        for D in graphs:
+            trace = []
+            K = d11._reduction_loop(D, trace)
+            want_K, want = reduction_rebuilding(D)
+            for got_step, want_step in zip(trace, want):
+                assert got_step == want_step
+            assert len(trace) == len(want) and K == want_K
+
 
 class TestTriangleForest:
-    def forest(self, t):
-        # chain of t triangles, bridge from each apex to the next tail
-        edges = []
-        for i in range(t):
-            a = 3 * i
-            edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
-            if i:
-                edges.append((a - 2, a))
-        return Digraph(3 * t, edges)
-
     def test_shape_detected(self):
-        shape = is_triangle_forest(self.forest(3))
+        shape = is_triangle_forest(triangle_chain(3))
         assert shape is not None
         assert len(shape.triangles) == 3 and len(shape.bridges) == 2
 
     def test_shape_rejected_on_extra_edge(self):
-        D = self.forest(3)
+        D = triangle_chain(3)
         D2 = Digraph(D.n, list(D.edges) + [(1, 5)])
         assert is_triangle_forest(D2) is None
 
     def test_connected_bound(self):
         for t in (2, 3, 4):
-            D = self.forest(t)
+            D = triangle_chain(t)
             cert = dicut_d11_connected(D)
             cert.verify(D)
             assert 20 * cert.size >= 7 * D.m
@@ -260,7 +362,7 @@ class TestTriangleForest:
         assert checked > 1000 and overlapping > 0 and accepted > 1
 
     def test_long_chain_needs_no_recursion(self):
-        D = self.forest(150)
+        D = triangle_chain(150)
         trace = []
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 100)
@@ -278,7 +380,7 @@ class TestTriangleForest:
         calls = []
         monkeypatch.setattr(d11, "is_triangle_forest",
                             lambda D: calls.append(D) or is_triangle_forest(D))
-        D = self.forest(t)
+        D = triangle_chain(t)
         dicut_d11_connected(D).verify(D)
         assert len(calls) == 1
 

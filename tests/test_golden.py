@@ -33,7 +33,7 @@ from dicuts.generators import (  # noqa: E402
 )
 from dicuts.peel import peel_to_lower_class  # noqa: E402
 from test_colorcut import dense_d22  # noqa: E402
-from test_d11 import PATTERN_INSTANCES  # noqa: E402
+from test_d11 import PATTERN_INSTANCES, triangle_chain  # noqa: E402
 
 CORPUS = Path(__file__).with_name("golden_corpus.json")
 
@@ -55,16 +55,6 @@ RANDOM_DRAWS = (
 )
 
 
-def _triangle_chain(t: int) -> Digraph:
-    edges = []
-    for i in range(t):
-        a = 3 * i
-        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
-        if i:
-            edges.append((a - 2, a))
-    return Digraph(3 * t, edges)
-
-
 def instances():
     """(name, source, digraph); source is None for the fixed instances."""
     for tag in sorted(PATTERN_INSTANCES):
@@ -79,7 +69,7 @@ def instances():
     for k in (2, 3):
         yield f"tournament:{k}", None, gen_regular_tournament(k)
     for t in (2, 3, 4, 5):
-        yield f"triangle-chain:{t}", None, _triangle_chain(t)
+        yield f"triangle-chain:{t}", None, triangle_chain(t)
     for n, seed in ((20, 1), (30, 2)):
         yield f"dense-d22:{n}:{seed}", None, dense_d22(n, seed)
     for family, n, k, seed in RANDOM_DRAWS:

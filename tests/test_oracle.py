@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 
 import pytest
@@ -10,6 +11,38 @@ from dicuts.generators import gen_example1, gen_regular_tournament
 
 def triangle():
     return Digraph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def max_dicut_by_flips(D):
+    """The Gray-code search as first written, X as a flag list and each
+    flip counted by generator sums: (X, size) of the lexicographically
+    smallest maximizer."""
+    n = D.n
+    in_x = [False] * n
+    size = best_size = 0
+    best_x = ()
+
+    def flip(v):
+        nonlocal size
+        if in_x[v]:
+            size -= sum(1 for w in D.succ[v] if not in_x[w])
+            in_x[v] = False
+            size += sum(1 for u in D.pred[v] if in_x[u])
+        else:
+            size -= sum(1 for u in D.pred[v] if in_x[u])
+            in_x[v] = True
+            size += sum(1 for w in D.succ[v] if not in_x[w])
+
+    total = 1 << n
+    for i in range(1, total + 1):
+        if size > best_size or (size == best_size and best_x and
+                                tuple(v for v in range(n) if in_x[v]) < best_x):
+            best_size = size
+            best_x = tuple(v for v in range(n) if in_x[v])
+        if i == total:
+            break
+        flip((i & -i).bit_length() - 1)
+    return best_x, best_size
 
 
 class TestMaxDicut:
@@ -37,6 +70,18 @@ class TestMaxDicut:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             oracle.max_dicut_exact(Digraph(27, []))
+
+    def test_same_certificate_as_flip_sums(self):
+        # densities from empty to complete, so ties of every kind occur
+        rng = random.Random(31)
+        for _ in range(400):
+            n = rng.randint(0, 10)
+            p = rng.random()
+            D = Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                            if u != v and rng.random() < p])
+            cert = oracle.max_dicut_exact(D)
+            cert.verify(D)
+            assert (cert.X, cert.size) == max_dicut_by_flips(D)
 
     def test_matches_max_p3_free_on_small(self):
         # cut sizes and maximum P3-free subset sizes agree (both directions

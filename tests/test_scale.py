@@ -4,9 +4,12 @@ Each case checks counted work, not wall time, so it holds on any machine
 and fails at once if a quadratic term comes back.
 """
 
+import pytest
 from test_colorcut import dense_d22
+from test_d11 import triangle_chain
 
 from dicuts.colorcut import dicut_d22
+from dicuts.d11 import dicut_d11, dicut_d11_connected
 from dicuts.digraph import Digraph, class_partition
 from dicuts.peel import RemovalState, peel_to_lower_class
 
@@ -44,3 +47,21 @@ def test_peel_dense_d22_prunes_the_move_search(monkeypatch):
     assert class_partition(rest, 1, 1) is not None
     assert 5 * len(R) <= 2 * D.m
     assert 10 * len(calls) <= UNPRUNED_SWAP_CALLS
+
+
+@pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
+def test_d11_long_chain_builds_a_graph_only_per_oracle_base(method, monkeypatch):
+    # the chain's t = 1 100 triangles are disjoint, so t is also the most
+    # disjoint triangles in the (2m - t)/5 bound
+    t = 1100
+    D = triangle_chain(t)  # m = 4 399
+    builds = counting(monkeypatch, Digraph, "__init__")
+    trace = []
+    cert = method(D, trace)
+    cert.verify(D)
+    if method is dicut_d11:
+        assert 5 * cert.size >= 2 * D.m - t
+    else:
+        assert 20 * cert.size >= 7 * D.m
+    oracle_steps = sum(step[0] == "oracle-base" for step in trace)
+    assert len(builds) <= oracle_steps + 4
