@@ -17,8 +17,8 @@ from .digraph import (
     InputError,
     PreconditionError,
     class_partition,
+    cut_from_banked,
     cut_from_partition,
-    extend_p3free_to_cut,
     shortest_bipartite_cycle,
 )
 
@@ -183,10 +183,7 @@ def dicut_d22(
     if class_partition(D, 2, 2) is None:
         raise PreconditionError("digraph is not in D(2,2)")
     S = _d22_p3free(D, steps)
-    try:
-        cert = extend_p3free_to_cut(D, S)
-    except PreconditionError as exc:
-        raise AlgorithmBugError("banked edge set lost P3-freeness") from exc
+    cert = cut_from_banked(D, S)
     if 10 * cert.size < 3 * D.m:
         raise AlgorithmBugError("3m/10 guarantee missed")
     return cert

@@ -38,7 +38,7 @@ from .digraph import (
     PreconditionError,
     WorkGraph,
     class_partition,
-    extend_p3free_to_cut,
+    cut_from_banked,
     is_p3_free,
     shortest_bipartite_cycle,
 )
@@ -543,21 +543,12 @@ def _reduction_loop(D: Digraph, trace: list | None = None) -> set[Edge]:
     return K
 
 
-def _cut_from_banked(D: Digraph, K: set[Edge]) -> CutCertificate:
-    """The cut that extends the loop's own P3-free set K; a K that is not
-    P3-free is a bug of the loop, not of the input."""
-    try:
-        return extend_p3free_to_cut(D, K)
-    except PreconditionError as exc:
-        raise AlgorithmBugError("accumulated set lost P3-freeness") from exc
-
-
 def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     """A directed cut of size at least (2m - t)/5, t the maximum number of
     vertex-disjoint directed triangles (never computed here)."""
     _require_d11(D)
     K = _reduction_loop(D, trace)
-    return _cut_from_banked(D, K)
+    return cut_from_banked(D, K)
 
 
 # -- Theorem 5: connected case, 7m/20 --------------------------------------
@@ -606,7 +597,7 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
     if D.m == 3 and len(D.triangles()) == 1:
         raise PreconditionError("input is a directed triangle")
     K = _peel_triangle_forest(D, trace)
-    return _cut_from_banked(D, K)
+    return cut_from_banked(D, K)
 
 
 def _peel_triangle_forest(D: Digraph, trace: list | None) -> set[Edge]:

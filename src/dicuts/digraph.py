@@ -15,7 +15,6 @@ tests and the CLI are deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -23,9 +22,6 @@ from typing import Iterable, Optional
 Edge = tuple[int, int]
 
 MAX_VERTICES = 1 << 20  # the adjacency lists are built per vertex
-# `WorkGraph.split` walks a piece this small whole: its turn-taking searches
-# cost more than they save below about this size
-WALK_WHOLE_PIECE = 32
 
 
 class InputError(ValueError):
@@ -240,69 +236,16 @@ class WorkGraph:
 
     def split(self, H: "Piece", gone: Iterable[Edge]) -> list["Piece"]:
         """Delete the edges `gone` of the piece H; returns the pieces H
-        leaves, ordered by least vertex.
-
-        Each of them holds an end of a deleted edge.  A search runs from
-        every end, one vertex per search in turn, and searches that meet
-        join.  Once at most one is still running, the rest of H is its
-        piece, which is never walked: a step that cuts a little off a large
-        piece costs what it cuts off.
-        """
-        gone = tuple(gone)
+        leaves, ordered by least vertex.  Only H's vertices are walked."""
         self.delete(gone)
-        if len(H.vertices) <= WALK_WHOLE_PIECE:
-            return self.pieces(H.vertices)
-        succ, pred = self.succ, self.pred
-        owner: dict[int, int] = {}
-        # search id -> [stack, vertices, edges], while it runs
-        running: dict[int, list] = {}
-        for s in sorted({v for e in gone for v in e}):
-            owner[s] = s
-            running[s] = [[s], [s], 0]
-        joined: dict[int, int] = {}
-        done = []
-        while len(running) > 1:
-            for r in list(running):
-                search = running.get(r)
-                if search is None:  # joined another one this round
-                    continue
-                stack, comp = search[0], search[1]
-                if not stack:
-                    done.append(running.pop(r))
-                    continue
-                v = stack.pop()
-                search[2] += len(succ[v])
-                for w in succ[v] + pred[v]:
-                    o = owner.get(w)
-                    if o is None:
-                        owner[w] = r
-                        stack.append(w)
-                        comp.append(w)
-                        continue
-                    while o in joined:
-                        o = joined[o]
-                    if o != r:
-                        other = running.pop(o)
-                        stack += other[0]
-                        comp += other[1]
-                        search[2] += other[2]
-                        joined[o] = r
-        out = [Piece(sorted(comp), succ, pred, m)
-               for _, comp, m in done if len(comp) > 1]
-        if running:
-            cut = sorted(v for _, comp, _ in done for v in comp)
-            rest = list(H.vertices)
-            for v in reversed(cut):
-                del rest[bisect_left(rest, v)]
-            m = H.m - len(gone) - sum(m for _, _, m in done)
-            out.append(Piece(rest, succ, pred, m))
-        out.sort(key=lambda P: P.vertices[0])
-        return out
+        return self.pieces(H.vertices)
 
 
 class Piece(_AdjacencyReads):
     """One weak component of a `WorkGraph`, read like a `Digraph` on its
-    original vertex ids, and valid until the next deletion.
+    original vertex ids.  It, its `m` and its cached `edges`/`edge_set`
+    are valid until an edge at one of its vertices is deleted; deleting
+    edges of other pieces leaves it intact.
 
     `vertices` is sorted, and `edges` and `triangles` come in the order a
     `Digraph` gives them, so a pattern that scans `vertices` makes the same
@@ -423,6 +366,15 @@ def extend_p3free_to_cut(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
     if not S <= set(cert.cut_edges):
         raise AlgorithmBugError("extension dropped an edge of the P3-free set")
     return cert
+
+
+def cut_from_banked(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
+    """`extend_p3free_to_cut` for a set an algorithm banked itself: a set
+    that is not P3-free is a bug of that algorithm, not of its input."""
+    try:
+        return extend_p3free_to_cut(D, S)
+    except PreconditionError as exc:
+        raise AlgorithmBugError("banked edge set lost P3-freeness") from exc
 
 
 def shortest_bipartite_cycle(adj, nodes) -> Optional[list]:

@@ -294,11 +294,7 @@ class TestBound:
             for tag, a_size, b_size, A in trace:
                 assert is_p3_free(D, A)
 
-    # WALK_WHOLE_PIECE = 0 makes every split run its turn-taking searches
-    @pytest.mark.parametrize("walk_whole", [0, digraph.WALK_WHOLE_PIECE])
-    def test_same_steps_as_rebuilding_every_step(self, walk_whole,
-                                                 monkeypatch):
-        monkeypatch.setattr(digraph, "WALK_WHOLE_PIECE", walk_whole)
+    def test_same_steps_as_rebuilding_every_step(self):
         rng = random.Random(23)
         graphs = [PATTERN_INSTANCES[tag] for tag in sorted(PATTERN_INSTANCES)]
         graphs += [D.reverse() for D in graphs]
