@@ -62,8 +62,9 @@ def _triangle_bound_t(D: Digraph) -> int:
 def _run_method(D: Digraph, method: str, k: int | None):
     """(certificate, guaranteed bound as Fraction)."""
     if method == "d11":
-        t = _triangle_bound_t(D)
-        return dicut_d11(D), Fraction(2 * D.m - t, 5)
+        # the class check comes first: t may cost a packing search
+        cert = dicut_d11(D)
+        return cert, Fraction(2 * D.m - _triangle_bound_t(D), 5)
     if method == "d11c":
         return dicut_d11_connected(D), Fraction(7 * D.m, 20)
     if method == "acyclic":

@@ -503,9 +503,10 @@ def _exact_cut(vertices: list[int], edges) -> list[Edge]:
     ascending `vertices`, which all carry an edge: the oracle's, on the
     digraph relabelled onto 0..n-1 in vertex order."""
     index = {v: i for i, v in enumerate(vertices)}
-    H = Digraph(len(vertices), [(index[u], index[v]) for u, v in edges])
-    return [(vertices[u], vertices[v])
-            for u, v in oracle.max_dicut_exact(H).cut_edges]
+    _, x = oracle.max_dicut_mask(
+        len(vertices), [(index[u], index[v]) for u, v in edges])
+    return [(u, v) for u, v in edges
+            if x >> index[u] & 1 and not x >> index[v] & 1]
 
 
 def _reduction_loop(D: Digraph, trace: list | None = None) -> set[Edge]:

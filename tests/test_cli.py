@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dicuts import cli
+from dicuts import cli, oracle
 from dicuts.cli import main
 from dicuts.digraph import AlgorithmBugError, load_dg
 from dicuts.generators import gen_example1
@@ -64,6 +64,17 @@ class TestCutVerify:
     def test_precondition_exit(self, t5_file):
         # tournament on 5 is not in D(1,1)
         assert main(["cut", t5_file, "--method", "d11"]) == 2
+
+    def test_class_checked_before_packing(self, tmp_path, monkeypatch):
+        # the packing search for t is exponential; a non-member needs none
+        path = tmp_path / "t9.dg"
+        assert main(["gen", "tournament", "--k", "4", "-o", str(path)]) == 0
+        calls = []
+        packing = oracle.max_triangle_packing
+        monkeypatch.setattr(oracle, "max_triangle_packing",
+                            lambda D: calls.append(D) or packing(D))
+        assert main(["cut", str(path), "--method", "d11"]) == 2
+        assert calls == []
 
     def test_oracle_method(self, t5_file, capsys):
         assert main(["verify", t5_file, "--method", "oracle"]) == 0

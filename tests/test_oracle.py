@@ -45,6 +45,19 @@ def max_dicut_by_flips(D):
     return best_x, best_size
 
 
+def random_digraph(rng, n, p):
+    return Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                       if u != v and rng.random() < p])
+
+
+def seeded_draws():
+    # densities from empty to complete, so ties of every kind occur
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.randint(0, 10)
+        yield random_digraph(rng, n, rng.random())
+
+
 class TestMaxDicut:
     def test_triangle(self):
         cert = triangle()
@@ -72,16 +85,27 @@ class TestMaxDicut:
             oracle.max_dicut_exact(Digraph(27, []))
 
     def test_same_certificate_as_flip_sums(self):
-        # densities from empty to complete, so ties of every kind occur
-        rng = random.Random(31)
-        for _ in range(400):
-            n = rng.randint(0, 10)
-            p = rng.random()
-            D = Digraph(n, [(u, v) for u in range(n) for v in range(n)
-                            if u != v and rng.random() < p])
+        for D in seeded_draws():
             cert = oracle.max_dicut_exact(D)
             cert.verify(D)
             assert (cert.X, cert.size) == max_dicut_by_flips(D)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_cross_block_tie_break(self, width, monkeypatch):
+        # narrow blocks put most vertices high, so maximizers tie across
+        # blocks with and without high vertices in X
+        monkeypatch.setattr(oracle, "BLOCK_VERTICES", width)
+        for D in seeded_draws():
+            cert = oracle.max_dicut_exact(D)
+            cert.verify(D)
+            assert (cert.X, cert.size) == max_dicut_by_flips(D)
+
+    @pytest.mark.parametrize("n, seed", [(17, 1), (18, 2)])
+    def test_several_blocks_at_full_width(self, n, seed):
+        D = random_digraph(random.Random(seed), n, 3 / n)
+        cert = oracle.max_dicut_exact(D)
+        cert.verify(D)
+        assert (cert.X, cert.size) == max_dicut_by_flips(D)
 
     def test_matches_max_p3_free_on_small(self):
         # cut sizes and maximum P3-free subset sizes agree (both directions
@@ -118,8 +142,9 @@ class TestTrianglePacking:
         assert oracle.max_triangle_packing(Digraph(5, e)) == 1
 
     def test_long_chain_needs_no_recursion(self):
-        # t triangles, each joined to the next by one bridge
-        t = 150
+        # t triangles, each joined to the next by one bridge; 606 650
+        # search steps, within the work budget
+        t = 1100
         edges = []
         for i in range(t):
             a = 3 * i
@@ -133,6 +158,12 @@ class TestTrianglePacking:
         finally:
             sys.setrecursionlimit(limit)
         assert got == t
+
+    def test_work_budget(self, monkeypatch):
+        D = gen_regular_tournament(7)  # n = 15: 276 288 search steps
+        monkeypatch.setattr(oracle, "MAX_PACKING_STEPS", 100_000)
+        with pytest.raises(ResourceLimitError):
+            oracle.max_triangle_packing(D)
 
 
 class TestMinRemoval:
