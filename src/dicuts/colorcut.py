@@ -91,21 +91,24 @@ def best_balanced_class_bipartition(
     gamma = coloring.gamma
     if gamma < 2:
         raise InputError("need at least two color classes")
-    adj_pairs = []
+    # edges per unordered class pair, so a split costs O(gamma^2), not O(m)
+    pair_count: dict[tuple[int, int], int] = {}
     for u, v in und_edges:
         cu, cv = coloring.colors[u], coloring.colors[v]
         if cu == cv:
             raise InputError("coloring is not proper")
-        adj_pairs.append((cu, cv))
+        pair = (cu, cv) if cu < cv else (cv, cu)
+        pair_count[pair] = pair_count.get(pair, 0) + 1
     best = None
     best_group = None
     for group in combinations(range(gamma), gamma // 2):
         gs = set(group)
-        crossing = sum(1 for cu, cv in adj_pairs if (cu in gs) != (cv in gs))
+        crossing = sum(c for (cu, cv), c in pair_count.items()
+                       if (cu in gs) != (cv in gs))
         if best is None or crossing > best:
             best = crossing
             best_group = gs
-    m = len(adj_pairs)
+    m = sum(pair_count.values())
     need = Fraction((gamma * gamma // 4) * m, comb(gamma, 2))
     if best < need:
         raise AlgorithmBugError(

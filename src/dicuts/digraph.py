@@ -100,16 +100,18 @@ class Digraph(_AdjacencyReads):
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.n)]
+        # edges are sorted, so every list comes out sorted
         for u, v in self.edges:
             out[u].append(v)
-        return tuple(tuple(sorted(vs)) for vs in out)
+        return tuple(map(tuple, out))
 
     @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
         inc: list[list[int]] = [[] for _ in range(self.n)]
+        # edges are sorted by tail, so every list comes out sorted
         for u, v in self.edges:
             inc[v].append(u)
-        return tuple(tuple(sorted(us)) for us in inc)
+        return tuple(map(tuple, inc))
 
     def without_edges(self, remove: Iterable[Edge]) -> "Digraph":
         gone = set(remove)
@@ -304,7 +306,7 @@ class CutCertificate:
         if sorted(self.X + self.Y) != list(range(D.n)) or set(self.X) & set(self.Y):
             raise AlgorithmBugError("X, Y do not partition V")
         xs = set(self.X)
-        expect = tuple(sorted(e for e in D.edges if e[0] in xs and e[1] not in xs))
+        expect = tuple(e for e in D.edges if e[0] in xs and e[1] not in xs)
         if expect != self.cut_edges or self.size != len(expect):
             raise AlgorithmBugError("stored cut does not match its partition")
 
@@ -348,7 +350,7 @@ def cut_from_partition(D: Digraph, X: Iterable[int]) -> CutCertificate:
     xs = set(X)
     if any(not 0 <= v < D.n for v in xs):
         raise InputError("vertex outside digraph")
-    cut = tuple(sorted(e for e in D.edges if e[0] in xs and e[1] not in xs))
+    cut = tuple(e for e in D.edges if e[0] in xs and e[1] not in xs)
     Y = tuple(v for v in range(D.n) if v not in xs)
     return CutCertificate(tuple(sorted(xs)), Y, cut, len(cut))
 

@@ -2,9 +2,10 @@
 
 Digon-free families are produced by orienting every graph of the atlas of
 small undirected graphs and keeping one representative per orbit of the
-underlying graph's automorphism group.  The digon-admitting D(2,2) family
-is enumerated as adjacency bitmasks, canonicalized with numpy over all
-vertex permutations.
+underlying graph's automorphism group, which a backtracking search finds.
+The digon-admitting D(2,2) family is enumerated as adjacency bitmasks; a
+mask is kept when no vertex permutation maps it below itself, tested one
+permutation at a time through lookup tables over the two halves of the mask.
 """
 
 from __future__ import annotations
@@ -17,16 +18,48 @@ import numpy as np
 
 from .digraph import Digraph
 
-# masks canonicalised per numpy pass in d22_with_digons
+# masks scanned per numpy pass in d22_with_digons
 CHUNK_MASKS = 1 << 15
 
 
-def _automorphisms(n: int, edge_set: frozenset) -> list[tuple[int, ...]]:
+def _automorphisms(n: int, und: list) -> list[tuple[int, ...]]:
+    """Every automorphism of the undirected graph on 0..n-1 with edge list
+    `und`, in lexicographic order.  Vertices are mapped in order; vertex i
+    may go to an unused vertex of its degree whose neighbours among the
+    images of 0..i-1 are the images of i's neighbours among 0..i-1."""
+    adj = [0] * n
+    for u, v in und:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    deg = [a.bit_count() for a in adj]
     auts = []
-    for perm in permutations(range(n)):
-        if all(frozenset((perm[u], perm[v])) in edge_set for u, v in
-               (tuple(e) for e in edge_set)):
-            auts.append(perm)
+    image: list[int] = []
+    used = 0
+    # nxt[i] is the next candidate image of vertex i
+    nxt = [0]
+    while nxt:
+        i = len(nxt) - 1
+        if i == n:
+            auts.append(tuple(image))
+            w = n
+        else:
+            want = 0
+            for j in range(i):
+                if adj[i] >> j & 1:
+                    want |= 1 << image[j]
+            w = nxt[i]
+            while w < n and (used >> w & 1 or deg[w] != deg[i]
+                             or adj[w] & used != want):
+                w += 1
+        if w == n:
+            nxt.pop()
+            if image:
+                used ^= 1 << image.pop()
+            continue
+        nxt[i] = w + 1
+        image.append(w)
+        used |= 1 << w
+        nxt.append(0)
     return auts
 
 
@@ -40,15 +73,16 @@ def digonfree_d11(max_n: int) -> Iterator[Digraph]:
         n = G.number_of_nodes()
         if n > max_n:
             break
-        und = [tuple(sorted(e)) for e in G.edges()]
-        und.sort()
-        edge_set = frozenset(frozenset(e) for e in und)
-        auts = _automorphisms(n, edge_set)
-        yield from _orient(n, und, auts)
+        und = sorted(tuple(sorted(e)) for e in G.edges())
+        yield from _orient(n, und, _automorphisms(n, und))
 
 
 def _orient(n: int, und: list, auts: list) -> Iterator[Digraph]:
+    """One orientation per orbit under `auts`: the one whose sorted edge
+    list is least."""
     m = len(und)
+    identity = tuple(range(n))
+    auts = [perm for perm in auts if perm != identity]
     din = [0] * n
     dout = [0] * n
     chosen: list[tuple[int, int]] = []
@@ -90,19 +124,39 @@ def d22_with_digons(n: int) -> Iterator[Digraph]:
         raise ValueError("bitmask scan limited to 5 vertices")
     slots = [(u, v) for u in range(n) for v in range(n) if u != v]
     idx = {e: i for i, e in enumerate(slots)}
-    tail = np.array([[u == x for x in range(n)] for u, _ in slots], np.int64)
-    head = np.array([[v == x for x in range(n)] for _, v in slots], np.int64)
-    # canonical = min over all vertex permutations of the permuted mask
-    W = np.array([[1 << idx[(perm[u], perm[v])] for u, v in slots]
-                  for perm in permutations(range(n))], np.int64)
-    shifts = np.arange(len(slots))
+    perms = list(permutations(range(n)))[1:]  # all but the identity
+    # a mask is a low and a high half of slots; each table below maps one
+    # half's bits to what they contribute, and a mask sums its two entries
+    half = len(slots) // 2
+    low = (1 << half) - 1
+    parts = (slots[:half], slots[half:])
+    bits = [(np.arange(1 << len(p))[:, None] >> np.arange(len(p))) & 1
+            for p in parts]
+    # degrees packed 4 bits per vertex; the low half's fields start at 5,
+    # so the top bit of a summed field is set iff that degree is >= 3, and a
+    # field never carries (degree <= 4, 5 + 4 < 16)
+    fields = sum(1 << 4 * x for x in range(n))
+    indeg = [b @ np.array([1 << 4 * v for _, v in p], np.int64)
+             for b, p in zip(bits, parts)]
+    outdeg = [b @ np.array([1 << 4 * u for u, _ in p], np.int64)
+              for b, p in zip(bits, parts)]
+    indeg[0] += 5 * fields
+    outdeg[0] += 5 * fields
+    # image[h][k, x]: half h's bits x moved by perms[k]
+    image = [np.array([[1 << idx[(q[u], q[v])] for u, v in p] for q in perms],
+                      np.int64) @ b.T for b, p in zip(bits, parts)]
     total = 1 << len(slots)
-    for lo in range(0, total, CHUNK_MASKS):
-        masks = np.arange(lo, min(lo + CHUNK_MASKS, total), dtype=np.int64)
-        bits = (masks[:, None] >> shifts[None, :]) & 1
-        member = ((bits @ head <= 2) | (bits @ tail <= 2)).all(axis=1)
-        kept = masks[member]
-        canon = (bits[member] @ W.T).min(axis=1)
-        for mask in kept[kept == canon]:
+    for start in range(0, total, CHUNK_MASKS):
+        masks = np.arange(start, min(start + CHUNK_MASKS, total),
+                          dtype=np.int64)
+        lo, hi = masks & low, masks >> half
+        # in D(2,2): no vertex has both degrees >= 3
+        both = (indeg[0][lo] + indeg[1][hi]) & (outdeg[0][lo] + outdeg[1][hi])
+        kept = masks[(both & 8 * fields) == 0]
+        # least in its orbit: no permutation maps it below itself
+        for k in range(len(perms)):
+            lo, hi = kept & low, kept >> half
+            kept = kept[image[0][k, lo] + image[1][k, hi] >= kept]
+        for mask in kept.tolist():
             edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
             yield Digraph(n, edges)

@@ -155,14 +155,43 @@ def _lex_before(x: int, y: int) -> bool:
 
 
 def max_triangle_packing(D: Digraph) -> int:
-    """Maximum number of pairwise vertex-disjoint directed triangles."""
+    """Maximum number of pairwise vertex-disjoint directed triangles.
+
+    Triangles that share a vertex are joined into groups, and the packing
+    is the sum of each group's own.  One step budget covers every group.
+    """
     tris = D.triangles()
     if len(tris) > MAX_PACKING_TRIANGLES:
         raise ResourceLimitError(
             f"{len(tris)} triangles exceed guard {MAX_PACKING_TRIANGLES}")
+    # union-find over vertices, with path halving
+    root: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while root.setdefault(v, v) != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for a, b, c in tris:
+        ra = find(a)
+        root[find(b)] = ra
+        root[find(c)] = ra
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for tri in tris:
+        groups.setdefault(find(tri[0]), []).append(tri)
+    total = steps = 0
+    for group in groups.values():
+        best, steps = _pack_group(group, steps)
+        total += best
+    return total
+
+
+def _pack_group(tris: list, steps: int) -> tuple[int, int]:
+    """(maximum packing of `tris`, `steps` plus the search steps taken)."""
     # depth-first over increasing triangle indices; nxt[d] is the next index
     # to try at depth d, chosen[d] the triangle taken there
-    best = steps = 0
+    best = 0
     used: set[int] = set()
     chosen: list[int] = []
     nxt = [0]
@@ -186,7 +215,7 @@ def max_triangle_packing(D: Digraph) -> int:
             chosen.append(j)
             used.update(tris[j])
             nxt.append(j + 1)
-    return best
+    return best, steps
 
 
 def min_removal_exact(D: Digraph, k: int) -> frozenset[Edge]:

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -188,6 +189,34 @@ class TestBalancedSplit:
             g, m = col.gamma, len(edges)
             need = Fraction((g * g // 4) * m, comb(g, 2))
             assert self.crossing(S, edges) >= need
+
+    def test_same_split_as_scanning_every_edge(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(4, 24)
+            edges = list({tuple(sorted(rng.sample(range(n), 2)))
+                          for _ in range(rng.randint(3, 60))})
+            order, d = degeneracy_order(n, edges)
+            col = greedy_color(n, edges, order)
+            if col.gamma < 2 or col.gamma > 8:
+                continue
+            seen.add(col.gamma)
+            assert (best_balanced_class_bipartition(col, n, edges)
+                    == self.split_by_edge_scan(col, n, edges))
+        assert seen >= {2, 3, 4, 5}
+
+    @staticmethod
+    def split_by_edge_scan(col, n, edges):
+        """The first best split, scoring every split over all edges."""
+        best = best_group = None
+        for group in itertools.combinations(range(col.gamma), col.gamma // 2):
+            crossing = sum(1 for u, v in edges
+                           if (col.colors[u] in group) != (col.colors[v] in group))
+            if best is None or crossing > best:
+                best, best_group = crossing, group
+        return (tuple(v for v in range(n) if col.colors[v] in best_group),
+                tuple(v for v in range(n) if col.colors[v] not in best_group))
 
 
 class TestAcyclic:

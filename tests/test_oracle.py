@@ -3,8 +3,9 @@ import random
 import sys
 
 import pytest
+from test_d11 import triangle_chain
 
-from dicuts import oracle
+from dicuts import cli, oracle
 from dicuts.digraph import Digraph, ResourceLimitError, is_p3_free
 from dicuts.generators import gen_example1, gen_regular_tournament
 
@@ -142,28 +143,71 @@ class TestTrianglePacking:
         assert oracle.max_triangle_packing(Digraph(5, e)) == 1
 
     def test_long_chain_needs_no_recursion(self):
-        # t triangles, each joined to the next by one bridge; 606 650
-        # search steps, within the work budget
-        t = 1100
-        edges = []
-        for i in range(t):
-            a = 3 * i
-            edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
-            if i:
-                edges.append((a - 2, a))
+        D = triangle_chain(1100)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 100)
         try:
-            got = oracle.max_triangle_packing(Digraph(3 * t, edges))
+            got = oracle.max_triangle_packing(D)
         finally:
             sys.setrecursionlimit(limit)
-        assert got == t
+        assert got == 1100
 
     def test_work_budget(self, monkeypatch):
         D = gen_regular_tournament(7)  # n = 15: 276 288 search steps
         monkeypatch.setattr(oracle, "MAX_PACKING_STEPS", 100_000)
         with pytest.raises(ResourceLimitError):
             oracle.max_triangle_packing(D)
+
+    def test_disjoint_groups_packed_apart(self, monkeypatch):
+        # one group per triangle: 3 steps each, where the search over the
+        # whole set needs about t^2 / 2
+        monkeypatch.setattr(oracle, "MAX_PACKING_STEPS", 10_000)
+        assert oracle.max_triangle_packing(triangle_chain(1100)) == 1100
+
+    def test_chain_bound_stays_exact_past_the_whole_set_budget(self):
+        # the whole-set search exceeds MAX_PACKING_STEPS from t = 1 420 on,
+        # and the bound fell back to m // 3 = 1 933
+        assert cli._triangle_bound_t(triangle_chain(1450)) == 1450
+
+    def test_same_as_whole_set_search(self):
+        # one to three random blocks on shuffled labels, so the triangles
+        # fall into one or several groups
+        rng = random.Random(7)
+        for _ in range(300):
+            n, edges = 0, []
+            for _ in range(rng.randint(1, 3)):
+                size = rng.randint(3, 7)
+                p = rng.uniform(0.2, 0.6)
+                edges += [(n + u, n + v) for u in range(size)
+                          for v in range(size)
+                          if u != v and rng.random() < p]
+                n += size
+            label = rng.sample(range(n), n)
+            D = Digraph(n, [(label[u], label[v]) for u, v in edges])
+            assert (oracle.max_triangle_packing(D)
+                    == whole_set_packing(D.triangles()))
+
+
+def whole_set_packing(tris):
+    """The search over all triangles at once, without a step budget."""
+    best = 0
+    used, chosen, nxt = set(), [], [0]
+    while nxt:
+        j = nxt[-1]
+        while j < len(tris) and not used.isdisjoint(tris[j]):
+            j += 1
+        if j == len(tris):
+            nxt.pop()
+            if chosen:
+                used.difference_update(tris[chosen.pop()])
+            continue
+        nxt[-1] = j + 1
+        best = max(best, len(chosen) + 1)
+        if len(chosen) + len(tris) - j > best:
+            chosen.append(j)
+            used.update(tris[j])
+            nxt.append(j + 1)
+    return best
 
 
 class TestMinRemoval:
