@@ -123,6 +123,23 @@ class TestExplore:
                      "--budget", "30", "--seed", "1"]) == 0
         assert "c_max" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("problem, out", [
+        (1, "m=5\tc_max>=3/5\nm=6\tc_max>=2/3\nm=7\tc_max>=3/7\n"
+            "m=9\tc_max>=5/9\nm=10\tc_max>=1/2\nm=11\tc_max>=7/11\n"),
+        (2, "no counterexample to (2m+s)/5 found\n"),
+        (3, "tight\tn=5\tm=7\topt=3\ntight\tn=6\tm=7\topt=3\n"),
+        (4, "problem 4 is a complexity question; out of scope\n"),
+        (5, "lambda>=2/11\n"),
+        (6, "all sampled D(2,2) covered by 4 cuts\n"),
+        (7, "no counterexample to 2m/7 found\n"),
+        (8, "min c_max seen: 5/11\n"),
+    ])
+    def test_pinned_output(self, problem, out, capsys):
+        # each problem's draws and report for one fixed seed
+        assert main(["explore", "--problem", str(problem), "--seed", "1",
+                     "--budget", "10", "--max-n", "7"]) == 0
+        assert capsys.readouterr().out == out
+
     @pytest.mark.parametrize("problem, max_n", [
         (1, 2), (2, 2), (3, 2), (5, 3), (6, 3), (7, 3), (8, 3)])
     def test_max_n_below_least_draw(self, problem, max_n, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from dicuts.digraph import (
     InputError,
     PreconditionError,
     ResourceLimitError,
+    WorkGraph,
     class_partition,
     cut_from_partition,
     extend_p3free_to_cut,
@@ -16,13 +19,13 @@ from dicuts.digraph import (
 )
 
 
-def small_digraphs(max_n=6):
+def small_digraphs(max_n=6, max_edges=12):
     @st.composite
     def build(draw):
         n = draw(st.integers(1, max_n))
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) \
-            if pairs else []
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                              max_size=max_edges)) if pairs else []
         return Digraph(n, edges)
     return build()
 
@@ -134,6 +137,34 @@ class TestStructure:
         assert D.triangles() == [(0, 1, 2)]
         assert D.weak_components() == [[0, 1, 2], [3, 4]]
         assert not D.has_digon()
+
+    @given(small_digraphs(max_n=9, max_edges=30))
+    def test_reads_match_brute_force(self, D):
+        es = D.edge_set
+        tris = [(a, b, c) for a, b, c in itertools.permutations(D.vertices, 3)
+                if a < b and a < c and {(a, b), (b, c), (c, a)} <= es]
+        assert D.triangles() == tris
+        root = list(D.vertices)
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for u, v in D.edges:
+            root[find(u)] = find(v)
+        comps: dict[int, list[int]] = {}
+        for v in D.vertices:
+            comps.setdefault(find(v), []).append(v)
+        comps = sorted(comps.values())
+        assert D.weak_components() == comps
+        pieces = WorkGraph(D).pieces(D.vertices)
+        assert [P.vertices for P in pieces] == [c for c in comps if len(c) > 1]
+        for P in pieces:
+            inside = set(P.vertices)
+            assert P.edges == tuple(e for e in D.edges if e[0] in inside)
+            assert P.m == len(P.edges)
+            assert list(P.triangles()) == [t for t in tris if t[0] in inside]
 
     def test_acyclic(self):
         assert Digraph(3, [(0, 1), (0, 2), (1, 2)]).is_acyclic()
