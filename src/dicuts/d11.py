@@ -8,10 +8,15 @@ deleting A u B keeps the 2/5 accounting.  Every constructed pair is
 validated at runtime; a failed validation is an algorithm bug, never a
 silently degraded answer.
 
-The loop deletes edges from one `WorkGraph` for the whole run and works on
-its pieces: `Piece` views of one weakly connected component with at least
-one edge, on the original vertex ids.  After a step it looks for components
-only among the vertices of the piece it stepped on.  Every choice below
+`dicut_d11` and `dicut_d11_connected` run from entry to certificate on one
+`WorkGraph` of their input and build no `Digraph`: d11c counts its pieces
+to check connectivity and deletes a peeled leaf triangle from it before the
+reduction loop takes it over.  The loop works on its pieces: `Piece` views
+of one weakly connected component with at least one edge, on the original
+vertex ids.  It deletes a step's edges from the working graph and then
+looks for pieces only among the vertices of the piece it stepped on.  The
+contraction graph of patterns (4) and (5) is built once per search, with
+its links grouped by (plus-cycle, minus-cycle) pair.  Every choice below
 (sorted triangles, scans of ``D.vertices``, sorted adjacency) follows vertex
 order, so a piece makes the same choices as its component relabelled onto
 0..n-1, and the functions below take a `Digraph` just as well.
@@ -65,24 +70,16 @@ class ContractionGraph:
     """Cycles of D+ and D- contracted to nodes, with the external
     D+ -> D- edges kept as links (multiplicity preserved).
 
-    Bipartite between plus-nodes and minus-nodes once the earlier
-    reduction patterns no longer apply.
+    `node_of` maps each cycle vertex to its node ('+' or '-', index), and
+    `between` lists the links from plus-cycle i to minus-cycle j under the
+    key (i, j), in edge order.  Bipartite between plus-nodes and
+    minus-nodes once the earlier reduction patterns no longer apply.
     """
 
     plus_cycles: tuple[tuple[int, ...], ...]
     minus_cycles: tuple[tuple[int, ...], ...]
-    links: tuple[Edge, ...]
-
-    def cycle_of(self) -> dict[int, tuple[str, int]]:
-        """Map each cycle vertex to its contracted node ('+'/'-', index)."""
-        out: dict[int, tuple[str, int]] = {}
-        for i, cyc in enumerate(self.plus_cycles):
-            for v in cyc:
-                out[v] = ("+", i)
-        for i, cyc in enumerate(self.minus_cycles):
-            for v in cyc:
-                out[v] = ("-", i)
-        return out
+    node_of: dict[int, tuple[str, int]]
+    between: dict[tuple[int, int], list[Edge]]
 
 
 def _require_d11(D: Digraph) -> None:
@@ -313,10 +310,16 @@ def contraction_graph(D: Digraph, V_plus: set[int],
     minus_cycles = tuple(
         tuple(_directed_cycle_order(D, comp, set(comp)))
         for comp in _minus_components(D, V_minus))
+    node_of = {v: ("+", i) for i, cyc in enumerate(plus_cycles) for v in cyc}
+    node_of.update((v, ("-", i)) for i, cyc in enumerate(minus_cycles)
+                   for v in cyc)
     # once patterns 1-3 fail, every edge is a cycle edge or a + -> - link
-    links = tuple((u, v) for u, v in D.edges
-                  if u in V_plus and v in V_minus)
-    return ContractionGraph(plus_cycles, minus_cycles, links)
+    between: dict[tuple[int, int], list[Edge]] = {}
+    for u, v in D.edges:
+        if u in V_plus and v in V_minus:
+            key = (node_of[u][1], node_of[v][1])
+            between.setdefault(key, []).append((u, v))
+    return ContractionGraph(plus_cycles, minus_cycles, node_of, between)
 
 
 def _plus_path_sets(D: Digraph, order: list[int], u: int, v: int,
@@ -353,29 +356,23 @@ def _plus_path_sets(D: Digraph, order: list[int], u: int, v: int,
 
 
 def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
-    plus_cycles, minus_cycles = M.plus_cycles, M.minus_cycles
-    cyc_of, links = M.cycle_of(), M.links
-    link_of = {u: v for u, v in links}
-    by_pair: dict[tuple[int, int], list[Edge]] = {}
-    for u, v in links:
-        key = (cyc_of[u][1], cyc_of[v][1])
-        by_pair.setdefault(key, []).append((u, v))
-    for (pi, mi), es in sorted(by_pair.items()):
+    for (pi, mi), es in sorted(M.between.items()):
         if len(es) < 2:
             continue
-        plus_order = plus_cycles[pi]
-        minus_order = minus_cycles[mi]
-        linked = {x for x in plus_order
-                  if x in link_of and cyc_of[link_of[x]] == ("-", mi)}
+        plus_order = M.plus_cycles[pi]
+        minus_order = M.minus_cycles[mi]
+        # each cycle vertex has one external edge (Claim 1.3), so the
+        # linked vertices of the plus-cycle map to their one link head
+        link_of = dict(es)
         # walk the cycle; between consecutive linked vertices pick an even gap
         length = len(plus_order)
         u = v = None
         for start_idx, a in enumerate(plus_order):
-            if a not in linked:
+            if a not in link_of:
                 continue
             gap = 0
             i = (start_idx + 1) % length
-            while plus_order[i] not in linked:
+            while plus_order[i] not in link_of:
                 gap += 1
                 i = (i + 1) % length
             if gap % 2 == 0 and plus_order[i] != a:
@@ -396,15 +393,15 @@ def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
 
 def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
     plus_cycles, minus_cycles = M.plus_cycles, M.minus_cycles
-    cyc_of, links = M.cycle_of(), M.links
+    between = M.between
     nodes = [("+", i) for i in range(len(plus_cycles))] + \
             [("-", i) for i in range(len(minus_cycles))]
     M_adj = {nd: set() for nd in nodes}
-    for u, v in links:
-        a, b = cyc_of[u], cyc_of[v]
-        M_adj[a].add(b)
-        M_adj[b].add(a)
-    # M is bipartite (+ to -) and, after _multiedge_in_M, simple
+    for i, j in between:
+        M_adj[("+", i)].add(("-", j))
+        M_adj[("-", j)].add(("+", i))
+    # M is bipartite (+ to -) and, after _multiedge_in_M, simple: the gamma
+    # link of a (plus, minus) pair is its one D-edge
     cyc = shortest_bipartite_cycle(M_adj, nodes)
     if cyc is None:
         return None
@@ -414,18 +411,12 @@ def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
     p = len(cyc) // 2
     A: set[Edge] = set()
     B: set[Edge] = set()
-    # gamma links: for each adjacent (plus, minus) pair on gamma, the unique
-    # D-edge realizing it (M is simple at this stage)
-    gamma_links: dict[tuple, dict[tuple, Edge]] = {}
-    for u, v in links:
-        a, b = cyc_of[u], cyc_of[v]
-        gamma_links.setdefault(a, {})[b] = (u, v)
     for i in range(p):
         pnode = cyc[2 * i]
         m_next = cyc[(2 * i + 1) % len(cyc)]
         m_prev = cyc[(2 * i - 1) % len(cyc)]
-        e_next = gamma_links[pnode][m_next]
-        e_prev = gamma_links[pnode][m_prev]
+        e_next = between[(pnode[1], m_next[1])][0]
+        e_prev = between[(pnode[1], m_prev[1])][0]
         order = plus_cycles[pnode[1]]
         a_v, b_v = e_prev[0], e_next[0]  # the two linked vertices of C+_i
         # choose the direction with an odd number of interior vertices
@@ -443,8 +434,8 @@ def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
         order = minus_cycles[mnode[1]]
         p_before = cyc[2 * i]
         p_after = cyc[(2 * i + 2) % len(cyc)]
-        targets = {gamma_links[p_before][mnode][1],
-                   gamma_links[p_after][mnode][1]}
+        targets = {between[(p_before[1], mnode[1])][0][1],
+                   between[(p_after[1], mnode[1])][0][1]}
         L = _pick_L(order, targets, set())
         B1, A0, B2 = _minus_side_sets(D, order, L)
         A |= A0
@@ -509,17 +500,16 @@ def _exact_cut(vertices: list[int], edges) -> list[Edge]:
             if x >> index[u] & 1 and not x >> index[v] & 1]
 
 
-def _reduction_loop(D: Digraph, trace: list | None = None) -> set[Edge]:
-    """Run the Theorem 1 reduction on D; returns the accumulated P3-free
-    edge set (edges of D).
+def _reduction_loop(W: WorkGraph, vertices, trace: list | None) -> set[Edge]:
+    """Run the Theorem 1 reduction on the edges of the working graph W
+    among the ascending `vertices`, a union of its weak components; returns
+    the accumulated P3-free edge set.
 
-    Each stack entry is a `Piece` of one `WorkGraph` of D.  A step deletes
-    its edges from the working graph, and what it leaves of its piece is
-    split into pieces again.
+    Each stack entry is a `Piece` of W.  A step deletes its edges from W,
+    and what it leaves of its piece is split into pieces again.
     """
     K: set[Edge] = set()
-    W = WorkGraph(D)
-    work = W.pieces(D.vertices)
+    work = W.pieces(vertices)
     while work:
         H = work.pop()
         if H.m <= 5:
@@ -540,7 +530,8 @@ def _reduction_loop(D: Digraph, trace: list | None = None) -> set[Edge]:
         if trace is not None:
             trace.append(step + (banked,))
         if gone:
-            work.extend(W.split(H, gone))
+            W.delete(gone)
+            work.extend(W.pieces(H.vertices))
     return K
 
 
@@ -548,7 +539,7 @@ def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     """A directed cut of size at least (2m - t)/5, t the maximum number of
     vertex-disjoint directed triangles (never computed here)."""
     _require_d11(D)
-    K = _reduction_loop(D, trace)
+    K = _reduction_loop(WorkGraph(D), D.vertices, trace)
     return cut_from_banked(D, K)
 
 
@@ -592,21 +583,25 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
     """A directed cut of size at least 7m/20 for connected D(1,1) digraphs
     that are not a single directed triangle."""
     _require_d11(D)
-    # a weak component carries an edge iff it has two vertices
-    if sum(len(c) > 1 for c in D.weak_components()) > 1:
+    W = WorkGraph(D)
+    # isolated vertices are allowed: only edge-carrying components count
+    if len(W.pieces(D.vertices)) > 1:
         raise PreconditionError("digraph is not connected")
     if D.m == 3 and len(D.triangles()) == 1:
         raise PreconditionError("input is a directed triangle")
-    K = _peel_triangle_forest(D, trace)
+    K = _peel_triangle_forest(D, W, trace)
     return cut_from_banked(D, K)
 
 
-def _peel_triangle_forest(D: Digraph, trace: list | None) -> set[Edge]:
-    """Peel a leaf triangle if D is a triangle forest with m > 6 (the rest
-    has t - 2 triangles and 4t - 6 edges, so it is none); hand what is left
-    to the reduction loop if m > 6, else to the oracle."""
+def _peel_triangle_forest(D: Digraph, W: WorkGraph,
+                          trace: list | None) -> set[Edge]:
+    """Peel a leaf triangle off W, the working graph of D, if D is a
+    triangle forest with m > 6 (the rest has t - 2 triangles and 4t - 6
+    edges, so it is none); hand what is left to the reduction loop if
+    m > 6, else to the oracle."""
     K: set[Edge] = set()
-    shape = is_triangle_forest(D) if D.m > 6 else None
+    m = D.m
+    shape = is_triangle_forest(D) if m > 6 else None
     if shape is not None:
         # peel a leaf triangle together with its unique bridge
         tri_of = {v: i for i, tri in enumerate(shape.triangles) for v in tri}
@@ -634,9 +629,10 @@ def _peel_triangle_forest(D: Digraph, trace: list | None) -> set[Edge]:
         if trace is not None:
             trace.append(("leaf-triangle", 2, 3, (bridge, opposite)))
         K.update((bridge, opposite))
-        D = D.without_edges({(a, cyc[a]) for a in tri}
-                            | {bridge, continuation})
-    if D.m > 6:
-        return K | _reduction_loop(D, trace)
-    live = sorted({v for e in D.edges for v in e})
-    return K.union(_exact_cut(live, D.edges))
+        W.delete([(a, cyc[a]) for a in tri] + [bridge, continuation])
+        m -= 5
+    if m > 6:
+        return K | _reduction_loop(W, D.vertices, trace)
+    edges = [(u, w) for u in D.vertices for w in W.succ[u]]
+    live = sorted({v for e in edges for v in e})
+    return K.union(_exact_cut(live, edges))

@@ -2,15 +2,18 @@
 
 A `Digraph` is an immutable value: no algorithm mutates one.  Algorithms that
 delete edges step by step keep a mutable working graph instead and build a
-`Digraph` only of what they hand on.  d11's reduction loop uses `WorkGraph`:
-one list of sorted successor tuples and one of sorted predecessor tuples,
-where deleting an edge replaces its two endpoint tuples.  It reads one weak
-component at a time through a `Piece`, a view over the component's sorted
-vertex list that offers the reads of a `Digraph` its pattern functions make
-(`vertices`, `succ`, `pred`, degrees, `edges`, `triangles`, `reverse`, ...)
-on the original vertex ids.  d22's cycle peeling keeps adjacency sets of its
-own.  All set-like outputs are emitted in ascending order so that golden
-tests and the CLI are deterministic.
+`Digraph` only of what they hand on.  d11 and d11c run from entry to
+certificate on one `WorkGraph`: one list of sorted successor tuples and one
+of sorted predecessor tuples, where deleting an edge replaces its two
+endpoint tuples.  They read it one weak component at a time through a
+`Piece`, a view over the component's sorted vertex list that offers the
+reads of a `Digraph` the pattern functions make (`vertices`, `succ`,
+`pred`, degrees, `edges`, `triangles`, `reverse`, ...) on the original
+vertex ids.  `WorkGraph.pieces` is the one component walk, which
+`Digraph.weak_components` reads too, and `Digraph` and `Piece` list
+triangles through one function.  d22's cycle peeling keeps adjacency sets
+of its own.  All set-like outputs are emitted in ascending order so that
+golden tests and the CLI are deterministic.
 """
 
 from __future__ import annotations
@@ -38,6 +41,17 @@ class AlgorithmBugError(AssertionError):
 
 class ResourceLimitError(RuntimeError):
     """An input or an exact search exceeded its explicit guard."""
+
+
+def _triangles(vertices: Iterable[int], succ):
+    """The directed 3-cycles a->b->c->a with a in `vertices` and least, in
+    lexicographic order: `vertices` ascends and each `succ` tuple is sorted."""
+    for a in vertices:
+        for b in succ[a]:
+            if b > a:
+                for c in succ[b]:
+                    if c > a and a in succ[c]:
+                        yield a, b, c
 
 
 class _AdjacencyReads:
@@ -144,37 +158,17 @@ class Digraph(_AdjacencyReads):
 
     def weak_components(self) -> list[list[int]]:
         """Weakly connected components, each sorted, ordered by least vertex."""
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.succ[v] + self.pred[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        succ, pred = self.succ, self.pred
+        comps = [P.vertices for P in WorkGraph(self).pieces(self.vertices)]
+        comps += [[v] for v in self.vertices if not (succ[v] or pred[v])]
+        return sorted(comps)
 
     def is_weakly_connected(self) -> bool:
         return len(self.weak_components()) <= 1
 
     def triangles(self) -> list[tuple[int, int, int]]:
         """All directed 3-cycles, as (a, b, c) with a minimal and a->b->c->a."""
-        out = []
-        for a in range(self.n):
-            for b in self.succ[a]:
-                if b < a:
-                    continue
-                for c in self.succ[b]:
-                    if c > a and c != b and (c, a) in self.edge_set:
-                        out.append((a, b, c))
-        return sorted(out)
+        return list(_triangles(self.vertices, self.succ))
 
     def is_acyclic(self) -> bool:
         indeg = [self.in_deg(v) for v in range(self.n)]
@@ -236,12 +230,6 @@ class WorkGraph:
             out.append(Piece(comp, succ, pred, m))
         return out
 
-    def split(self, H: "Piece", gone: Iterable[Edge]) -> list["Piece"]:
-        """Delete the edges `gone` of the piece H; returns the pieces H
-        leaves, ordered by least vertex.  Only H's vertices are walked."""
-        self.delete(gone)
-        return self.pieces(H.vertices)
-
 
 class Piece(_AdjacencyReads):
     """One weak component of a `WorkGraph`, read like a `Digraph` on its
@@ -271,13 +259,7 @@ class Piece(_AdjacencyReads):
 
     def triangles(self):
         """All directed 3-cycles as in `Digraph.triangles`, lazily."""
-        succ = self.succ
-        for a in self.vertices:
-            for b in succ[a]:
-                if b > a:
-                    for c in succ[b]:
-                        if c > a and a in succ[c]:
-                            yield a, b, c
+        return _triangles(self.vertices, self.succ)
 
     def reverse(self) -> "Piece":
         return Piece(self.vertices, self.pred, self.succ, self.m)

@@ -21,6 +21,7 @@ from dicuts.digraph import (
     AlgorithmBugError,
     Digraph,
     PreconditionError,
+    WorkGraph,
     class_partition,
     is_p3_free,
 )
@@ -243,11 +244,11 @@ class TestReducingPairs:
         V_minus = {v for v in range(D.n) if D.in_deg(v) >= 2}
         M = contraction_graph(D, V_plus, V_minus)
         assert len(M.plus_cycles) == 3 and len(M.minus_cycles) == 3
-        assert len(M.links) == 9
-        cyc_of = M.cycle_of()
+        links = [e for es in M.between.values() for e in es]
+        assert len(links) == 9
         # every link goes from a contracted plus-cycle to a minus-cycle
-        assert all(cyc_of[u][0] == "+" and cyc_of[v][0] == "-"
-                   for u, v in M.links)
+        assert all(M.node_of[u] == ("+", i) and M.node_of[v] == ("-", j)
+                   for (i, j), es in M.between.items() for u, v in es)
 
     def test_validator_rejects_bad_pair(self):
         D = Digraph(3, [(0, 1), (1, 2)])
@@ -306,7 +307,7 @@ class TestBound:
                    for _ in range(40)]
         for D in graphs:
             trace = []
-            K = d11._reduction_loop(D, trace)
+            K = d11._reduction_loop(WorkGraph(D), D.vertices, trace)
             want_K, want = reduction_rebuilding(D)
             for got_step, want_step in zip(trace, want):
                 assert got_step == want_step
