@@ -92,6 +92,8 @@ def _report_line(instance: str, method: str, D: Digraph,
 
 
 def _cmd_gen(args) -> int:
+    if args.t is not None and args.family != "disjoint-triangles":
+        raise InputError("--t applies to disjoint-triangles only")
     if args.family == "example1":
         D = gen_example1(args.k)
     elif args.family == "example2":
@@ -101,7 +103,8 @@ def _cmd_gen(args) -> int:
     else:
         D = gen_random_family(args.family, args.n if args.t is None else args.t,
                               args.k, args.seed)
-    comment = f"family={args.family} k={args.k} n={args.n} seed={args.seed}"
+    size = f"n={args.n}" if args.t is None else f"t={args.t}"
+    comment = f"family={args.family} k={args.k} {size} seed={args.seed}"
     if args.output:
         save_dg(D, args.output, comment)
     else:
@@ -178,10 +181,6 @@ def _cmd_peel(args) -> int:
     return EXIT_OK
 
 
-def _rand_member(family: str, n: int, k: int, rng: random.Random) -> Digraph:
-    return gen_random_family(family, n, k, rng.randrange(1 << 30))
-
-
 def _cmd_explore(args) -> int:
     rng = random.Random(args.seed)
     p = args.problem
@@ -192,12 +191,20 @@ def _cmd_explore(args) -> int:
     low = 3 if p < 4 else 4  # least n drawn
     if args.max_n < low:
         raise InputError(f"--max-n must be at least {low} for problem {p}")
+
+    def members(family: str, k: int, high: int):
+        """The members with an edge among the budget's draws, n in low..high."""
+        for _ in range(args.budget):
+            D = gen_random_family(family, rng.randint(low, high), k,
+                                  rng.randrange(1 << 30))
+            if D.m:
+                yield D
+
     if p == 1:
         # smallest cut ratio of connected D(1,1) digraphs, tracked by m
         best: dict[int, Fraction] = {}
-        for _ in range(args.budget):
-            D = _rand_member("d11", rng.randint(low, args.max_n), 1, rng)
-            if not D.is_weakly_connected() or D.m == 0:
+        for D in members("d11", 1, args.max_n):
+            if not D.is_weakly_connected():
                 continue
             opt = _oracle_opt(D)
             if opt is None:
@@ -210,10 +217,7 @@ def _cmd_explore(args) -> int:
     elif p == 2:
         # does max cut reach (2m + s)/5 on triangle-free D(1,1),
         # s = sources + sinks?
-        for _ in range(args.budget):
-            D = _rand_member("d11-trianglefree", rng.randint(low, args.max_n), 1, rng)
-            if D.m == 0:
-                continue
+        for D in members("d11-trianglefree", 1, args.max_n):
             opt = _oracle_opt(D)
             if opt is None:
                 continue
@@ -226,28 +230,21 @@ def _cmd_explore(args) -> int:
         if not found_counterexample:
             print("no counterexample to (2m+s)/5 found")
     elif p == 3:
-        for _ in range(args.budget):
-            D = _rand_member("d11-trianglefree", rng.randint(low, args.max_n), 1, rng)
-            if D.m == 0:
-                continue
+        for D in members("d11-trianglefree", 1, args.max_n):
             opt = _oracle_opt(D)
             if opt is not None and opt == math.ceil(2 * D.m / 5):
                 print(f"tight\tn={D.n}\tm={D.m}\topt={opt}")
     elif p == 5:
         worst = Fraction(0)
-        for _ in range(args.budget):
-            D = _rand_member("dkk", rng.randint(low, args.max_n), 2, rng)
-            if D.m == 0 or D.m > 24:
+        for D in members("dkk", 2, args.max_n):
+            if D.m > 24:
                 continue
             R = oracle.min_removal_exact(D, 2)
-            if D.m and Fraction(len(R), D.m) > worst:
+            if Fraction(len(R), D.m) > worst:
                 worst = Fraction(len(R), D.m)
         print(f"lambda>={worst.numerator}/{worst.denominator}")
     elif p == 6:
-        for _ in range(args.budget):
-            D = _rand_member("dkk", rng.randint(low, min(args.max_n, 10)), 2, rng)
-            if D.m == 0:
-                continue
+        for D in members("dkk", 2, min(args.max_n, 10)):
             if oracle.decompose_into_cuts(D, 4) is None:
                 print(f"needs>=5 cuts\tn={D.n}\tm={D.m}")
                 print(format_dg(D))
@@ -255,10 +252,7 @@ def _cmd_explore(args) -> int:
         if not found_counterexample:
             print("all sampled D(2,2) covered by 4 cuts")
     elif p == 7:
-        for _ in range(args.budget):
-            D = _rand_member("dkk", rng.randint(low, args.max_n), 3, rng)
-            if D.m == 0:
-                continue
+        for D in members("dkk", 3, args.max_n):
             opt = _oracle_opt(D)
             if opt is not None and 7 * opt < 2 * D.m:
                 print(f"counterexample\tn={D.n}\tm={D.m}\topt={opt}")
@@ -270,10 +264,7 @@ def _cmd_explore(args) -> int:
         k = 2
         bound = Fraction(1, 4) + Fraction(1, 8 * k + 4)
         best = Fraction(1)
-        for _ in range(args.budget):
-            D = _rand_member("dkk", rng.randint(low, args.max_n), k, rng)
-            if D.m == 0:
-                continue
+        for D in members("dkk", k, args.max_n):
             opt = _oracle_opt(D)
             if opt is None:
                 continue

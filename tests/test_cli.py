@@ -31,6 +31,17 @@ class TestGen:
         out = capsys.readouterr().out
         assert "3 3" in out
 
+    def test_t_sets_and_records_the_triangle_count(self, capsys):
+        assert main(["gen", "disjoint-triangles", "--t", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "# family=disjoint-triangles k=1 t=2 seed=0"
+        assert lines[1] == "6 6"
+
+    @pytest.mark.parametrize("family", ["d11", "tournament", "example1"])
+    def test_t_rejected_for_other_families(self, family, capsys):
+        assert main(["gen", family, "--t", "5"]) == 2
+        assert "--t applies to disjoint-triangles only" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_member(self, t5_file):
