@@ -629,8 +629,9 @@ def _peel_triangle_forest(D: Digraph, W: WorkGraph,
         if trace is not None:
             trace.append(("leaf-triangle", 2, 3, (bridge, opposite)))
         K.update((bridge, opposite))
-        W.delete([(a, cyc[a]) for a in tri] + [bridge, continuation])
-        m -= 5
+        gone = [(a, cyc[a]) for a in tri] + [bridge, continuation]
+        W.delete(gone)
+        m -= len(gone)
     if m > 6:
         return K | _reduction_loop(W, D.vertices, trace)
     edges = [(u, w) for u in D.vertices for w in W.succ[u]]
