@@ -119,6 +119,21 @@ class TestDecomposePeel:
         assert rest.m + removed.m == 10
         assert "removed" in capsys.readouterr().out
 
+    def test_peel_verbose_moves(self, tmp_path, capsys):
+        # example2 needs no move at k = 2; this seeded D(2,2) draw makes
+        # return-edge moves and tree-path swaps with an add
+        path, prefix = str(tmp_path / "g.dg"), str(tmp_path / "pe")
+        assert main(["gen", "dkk", "--k", "2", "--n", "32", "--seed", "25",
+                     "-o", path]) == 0
+        assert main(["peel", path, "--k", "2", "-o", prefix, "-v"]) == 0
+        assert capsys.readouterr().out == (
+            "removed\t6\tbound\t22\n"
+            "move\treturn-edge\t-[(2, 19)]\t+[]\n"
+            "move\treturn-edge\t-[(4, 8)]\t+[]\n"
+            "move\ttree-path-swap\t-[(4, 5), (4, 14)]\t+[(5, 14)]\n"
+            "move\ttree-path-swap\t-[(6, 22), (8, 7)]\t+[(22, 7)]\n"
+            "move\ttree-path-swap\t-[(14, 27), (24, 29)]\t+[(29, 27)]\n")
+
 
 class TestExplore:
     def test_problem4_out_of_scope(self, capsys):
