@@ -16,6 +16,7 @@ from .digraph import (
     Edge,
     InputError,
     PreconditionError,
+    Step,
     class_partition,
     cut_from_banked,
     cut_from_partition,
@@ -161,38 +162,29 @@ def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class CyclePeelStep:
-    """One peeling step: an undirected cycle of the (X, Y; F) bipartite
-    graph, its cycle edges F_C (all oriented X -> Y), and the side edges E_C
-    (head in X_C or tail in Y_C) deleted alongside."""
-
-    X_C: tuple[int, ...]
-    Y_C: tuple[int, ...]
-    F_C: tuple[Edge, ...]
-    E_C: tuple[Edge, ...]
-
-
-def dicut_d22(
-    D: Digraph, steps: list[CyclePeelStep] | None = None
-) -> CutCertificate:
+def dicut_d22(D: Digraph, trace: list[Step] | None = None) -> CutCertificate:
     """A directed cut of size >= 3m/10 for any D in D(2,2).
 
     While the bipartite graph of X->Y edges has a cycle, bank the cycle
     edges (P3-free after deleting their in/out neighborhoods) and delete
     them; what is left is 5-degenerate, 6-colorable, and a balanced class
     split gives 3m/5 bichromatic edges, half of them oriented one way.
+
+    Each peeling step goes to `trace` as `Step("cycle", F_C, E_C)`: the
+    cycle edges F_C, all oriented X -> Y (the cycle's vertices X_C and Y_C
+    are their tails and heads), and the side edges E_C (head in X_C or tail
+    in Y_C) deleted alongside.
     """
     if class_partition(D, 2, 2) is None:
         raise PreconditionError("digraph is not in D(2,2)")
-    S = _d22_p3free(D, steps)
+    S = _d22_p3free(D, trace)
     cert = cut_from_banked(D, S)
     if 10 * cert.size < 3 * D.m:
         raise AlgorithmBugError("3m/10 guarantee missed")
     return cert
 
 
-def _d22_p3free(D: Digraph, steps: list[CyclePeelStep] | None) -> set[Edge]:
+def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
     """D is in D(2,2), and stays there as edges go, so the witness
     (X, Y) of `class_partition` is X = {v : d-(v) <= 2} at every step.
 
@@ -217,14 +209,14 @@ def _d22_p3free(D: Digraph, steps: list[CyclePeelStep] | None) -> set[Edge]:
             if not (in_x[e[0]] and not in_x[e[1]] and e[1] in succ[e[0]]):
                 raise AlgorithmBugError("cycle edge missing from F")
             F_C.add(e)
-        E_C = sorted(({(u, x) for x in xc for u in pred[x]}
-                      | {(y, w) for y in yc for w in succ[y]}) - F_C)
-        if steps is not None:
-            steps.append(CyclePeelStep(tuple(sorted(xc)), tuple(sorted(yc)),
-                                       tuple(sorted(F_C)), tuple(E_C)))
+        E_C = ({(u, x) for x in xc for u in pred[x]}
+               | {(y, w) for y in yc for w in succ[y]}) - F_C
+        step = Step("cycle", tuple(sorted(F_C)), tuple(sorted(E_C)))
+        if trace is not None:
+            trace.append(step)
         banked |= F_C
         joined = set()
-        for u, v in F_C | set(E_C):
+        for u, v in step.kept + step.dropped:
             succ[u].discard(v)
             pred[v].discard(u)
             if in_x[u] and not in_x[v]:

@@ -6,7 +6,10 @@ sets where A is P3-free and every directed P3 with one edge in A has its
 other edge in B, with |B| <= 3/2 |A|.  Adding A to the cut-in-progress and
 deleting A u B keeps the 2/5 accounting.  Every constructed pair is
 validated at runtime; a failed validation is an algorithm bug, never a
-silently degraded answer.
+silently degraded answer.  A pair is returned as the `Step` (tag, A, B),
+and each step of the loop goes to the trace as one `Step`: the edges it
+banks are `kept`, the other edges it deletes `dropped`.  A base step
+keeps a maximum cut of its piece and drops the rest of the piece.
 
 `dicut_d11` and `dicut_d11_connected` run from entry to certificate on one
 `WorkGraph` of their input and build no `Digraph`: d11c counts its pieces
@@ -33,7 +36,7 @@ check it again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .digraph import (
     AlgorithmBugError,
@@ -41,6 +44,7 @@ from .digraph import (
     Digraph,
     Edge,
     PreconditionError,
+    Step,
     WorkGraph,
     class_partition,
     cut_from_banked,
@@ -48,13 +52,6 @@ from .digraph import (
     shortest_bipartite_cycle,
 )
 from . import oracle
-
-
-@dataclass(frozen=True)
-class ReducingPair:
-    A: frozenset[Edge]
-    B: frozenset[Edge]
-    provenance: str
 
 
 @dataclass(frozen=True)
@@ -104,8 +101,9 @@ def find_triangle_reduction(
     return None
 
 
-def validate_reducing_pair(D: Digraph, A: frozenset[Edge],
-                           B: frozenset[Edge], tag: str) -> None:
+def validate_reducing_pair(D: Digraph, A: Iterable[Edge],
+                           B: Iterable[Edge], tag: str) -> None:
+    A, B = frozenset(A), frozenset(B)
     if not A:
         raise AlgorithmBugError(f"{tag}: empty A")
     if A & B:
@@ -125,16 +123,21 @@ def validate_reducing_pair(D: Digraph, A: frozenset[Edge],
         raise AlgorithmBugError(f"{tag}: |B| = {len(B)} > 3/2 |A| = {len(A)}")
 
 
-def _pair(D: Digraph, A, B, tag: str) -> ReducingPair:
-    A = frozenset(A)
-    B = frozenset(B) - A
-    validate_reducing_pair(D, A, B, tag)
-    return ReducingPair(A, B, tag)
+def _pair(D: Digraph, A, B, tag: str) -> Step:
+    """The reducing pair (A, B - A), validated, as a step."""
+    step = Step(tag, tuple(sorted(A)), tuple(sorted(set(B).difference(A))))
+    validate_reducing_pair(D, step.kept, step.dropped, tag)
+    return step
 
 
-def _reverse_pair(rp: ReducingPair, tag: str | None = None) -> ReducingPair:
-    flip = lambda S: frozenset((v, u) for u, v in S)
-    return ReducingPair(flip(rp.A), flip(rp.B), tag or rp.provenance)
+def _reverse_pair(step: Optional[Step],
+                  tag: str | None = None) -> Optional[Step]:
+    """The pair `step` found on the reverse digraph, read on D (None stays
+    None)."""
+    if step is None:
+        return None
+    flip = lambda S: tuple(sorted((v, u) for u, v in S))
+    return Step(tag or step.tag, flip(step.kept), flip(step.dropped))
 
 
 # -- pattern (1): a D- (D+) component that is not a cycle, or a cycle
@@ -159,7 +162,7 @@ def _minus_components(D: Digraph, V_minus: set[int]):
         yield sorted(comp)
 
 
-def _leaf_in_minus(D: Digraph, V_minus: set[int]) -> Optional[ReducingPair]:
+def _leaf_in_minus(D: Digraph, V_minus: set[int]) -> Optional[Step]:
     for comp in _minus_components(D, V_minus):
         cs = set(comp)
         # leaves have no in-neighbour in the component; a V- vertex has
@@ -192,7 +195,7 @@ def _directed_cycle_order(D: Digraph, comp: list[int], cs: set[int]) -> list[int
         order.append(nxt[0])
 
 
-def _even_cycle_in_plus(D: Digraph, plus_cycles) -> Optional[ReducingPair]:
+def _even_cycle_in_plus(D: Digraph, plus_cycles) -> Optional[Step]:
     """Claim 1.4 construction on an even cycle of D+, given in cyclic order
     (both out-edges of every second cycle vertex go to A)."""
     for order in plus_cycles:
@@ -257,7 +260,7 @@ def _minus_side_sets(D: Digraph, order: list[int], L: list[int]):
 # -- pattern (3): V0 attachment (Claim 1.5), plus the degenerate
 #    path-or-cycle case the proof skips -----------------------------------
 
-def _v0_attach(D: Digraph, minus_cycles) -> Optional[ReducingPair]:
+def _v0_attach(D: Digraph, minus_cycles) -> Optional[Step]:
     """`minus_cycles`: the cycles of D-, each in cyclic order."""
     cycle_at = {v: order for order in minus_cycles for v in order}
     # V0: in neither V+ nor V-
@@ -282,7 +285,7 @@ def _v0_attach(D: Digraph, minus_cycles) -> Optional[ReducingPair]:
     return None
 
 
-def _path_or_cycle(D: Digraph) -> Optional[ReducingPair]:
+def _path_or_cycle(D: Digraph) -> Optional[Step]:
     """All degrees <= 1: a bare directed path or cycle (V+ = V- = empty)."""
     starts = [v for v in D.vertices if D.in_deg(v) == 0 and D.out_deg(v) == 1]
     if starts:
@@ -355,7 +358,7 @@ def _plus_path_sets(D: Digraph, order: list[int], u: int, v: int,
     return A2, B1, B2
 
 
-def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
+def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[Step]:
     for (pi, mi), es in sorted(M.between.items()):
         if len(es) < 2:
             continue
@@ -391,7 +394,7 @@ def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
     return None
 
 
-def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
+def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[Step]:
     plus_cycles, minus_cycles = M.plus_cycles, M.minus_cycles
     between = M.between
     nodes = [("+", i) for i in range(len(plus_cycles))] + \
@@ -443,7 +446,7 @@ def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[ReducingPair]:
     return _pair(D, A, B - A, "gamma-cycle")
 
 
-def find_reducing_pair(D: Digraph) -> ReducingPair:
+def find_reducing_pair(D: Digraph) -> Step:
     """A validated reducing pair for a piece D with no triangle reduction
     and m >= 6; tried pattern by pattern in the order of the claims of the
     2/5 bound's proof."""
@@ -454,50 +457,39 @@ def find_reducing_pair(D: Digraph) -> ReducingPair:
     if not V_plus and not V_minus:
         return _path_or_cycle(D)
 
-    rp = _leaf_in_minus(D, V_minus)
-    if rp is not None:
-        return rp
+    # a pattern that does not apply returns None; a Step is never falsy
     Dr = D.reverse()
-    rp = _leaf_in_minus(Dr, V_plus)
-    if rp is not None:
-        return _reverse_pair(rp, "leaf-in-plus")
-
+    rp = (_leaf_in_minus(D, V_minus)
+          or _reverse_pair(_leaf_in_minus(Dr, V_plus), "leaf-in-plus"))
+    if rp:
+        return rp
     # no leaf on either side: every component of D+ and D- is a cycle;
     # Dr walks each one backwards from its least vertex
     M = contraction_graph(D, V_plus, V_minus)
     backwards = lambda cycles: [c[:1] + c[:0:-1] for c in cycles]
-    rp = _even_cycle_in_plus(D, M.plus_cycles)
-    if rp is not None:
-        return rp
-    rp = _even_cycle_in_plus(Dr, backwards(M.minus_cycles))
-    if rp is not None:
-        return _reverse_pair(rp)
-
-    rp = _v0_attach(D, M.minus_cycles)
-    if rp is not None:
-        return rp
-    rp = _v0_attach(Dr, backwards(M.plus_cycles))
-    if rp is not None:
-        return _reverse_pair(rp)
-
-    rp = _multiedge_in_M(D, M)
-    if rp is not None:
-        return rp
-    rp = _gamma_cycle(D, M)
-    if rp is not None:
+    rp = (_even_cycle_in_plus(D, M.plus_cycles)
+          or _reverse_pair(_even_cycle_in_plus(Dr, backwards(M.minus_cycles)))
+          or _v0_attach(D, M.minus_cycles)
+          or _reverse_pair(_v0_attach(Dr, backwards(M.plus_cycles)))
+          or _multiedge_in_M(D, M)
+          or _gamma_cycle(D, M))
+    if rp:
         return rp
     raise AlgorithmBugError("no reducing pair found where one must exist")
 
 
-def _exact_cut(vertices: list[int], edges) -> list[Edge]:
-    """A maximum directed cut of the digraph with these `edges` on the
-    ascending `vertices`, which all carry an edge: the oracle's, on the
-    digraph relabelled onto 0..n-1 in vertex order."""
+def _base_step(vertices: list[int], edges) -> Step:
+    """The oracle-base step of the digraph with these sorted `edges` on the
+    ascending `vertices`, which all carry an edge: it keeps the oracle's
+    maximum directed cut, found on the digraph relabelled onto 0..n-1 in
+    vertex order, and drops the other edges."""
     index = {v: i for i, v in enumerate(vertices)}
     _, x = oracle.max_dicut_mask(
         len(vertices), [(index[u], index[v]) for u, v in edges])
-    return [(u, v) for u, v in edges
-            if x >> index[u] & 1 and not x >> index[v] & 1]
+    cut = {(u, v) for u, v in edges
+           if x >> index[u] & 1 and not x >> index[v] & 1}
+    return Step("oracle-base", tuple(e for e in edges if e in cut),
+                tuple(e for e in edges if e not in cut))
 
 
 def _reduction_loop(W: WorkGraph, vertices, trace: list | None) -> set[Edge]:
@@ -505,33 +497,29 @@ def _reduction_loop(W: WorkGraph, vertices, trace: list | None) -> set[Edge]:
     among the ascending `vertices`, a union of its weak components; returns
     the accumulated P3-free edge set.
 
-    Each stack entry is a `Piece` of W.  A step deletes its edges from W,
-    and what it leaves of its piece is split into pieces again.
+    Each stack entry is a `Piece` of W.  A step other than the base step
+    deletes its edges from W, and what it leaves of its piece is split into
+    pieces again.
     """
     K: set[Edge] = set()
     work = W.pieces(vertices)
     while work:
         H = work.pop()
         if H.m <= 5:
-            A, gone = _exact_cut(H.vertices, H.edges), ()
-            step = ("oracle-base", H.m, 0)
+            step = _base_step(H.vertices, H.edges)
         else:
             tri = find_triangle_reduction(H)
             if tri is not None:
                 (x, y), (a, b, c) = tri
-                A, gone = ((x, y),), ((a, b), (b, c), (c, a))
-                step = ("triangle", 1, 2)
+                step = Step("triangle", ((x, y),), tuple(sorted(
+                    {(a, b), (b, c), (c, a)} - {(x, y)})))
             else:
-                rp = find_reducing_pair(H)
-                A, gone = rp.A, rp.A | rp.B
-                step = (rp.provenance, len(rp.A), len(rp.B))
-        banked = tuple(sorted(A))
-        K.update(banked)
-        if trace is not None:
-            trace.append(step + (banked,))
-        if gone:
-            W.delete(gone)
+                step = find_reducing_pair(H)
+            W.delete(step.kept + step.dropped)
             work.extend(W.pieces(H.vertices))
+        K.update(step.kept)
+        if trace is not None:
+            trace.append(step)
     return K
 
 
@@ -625,15 +613,16 @@ def _peel_triangle_forest(D: Digraph, W: WorkGraph,
             continuation = (next(u for u in D.pred[xp]
                                  if tri_of[u] == tri_of[xp]), xp)
         y = cyc[x]
-        opposite = (y, cyc[y])
+        kept = tuple(sorted((bridge, (y, cyc[y]))))
+        gone = {(a, cyc[a]) for a in tri} | {bridge, continuation}
+        step = Step("leaf-triangle", kept, tuple(sorted(gone.difference(kept))))
         if trace is not None:
-            trace.append(("leaf-triangle", 2, 3, (bridge, opposite)))
-        K.update((bridge, opposite))
-        gone = [(a, cyc[a]) for a in tri] + [bridge, continuation]
+            trace.append(step)
+        K.update(kept)
         W.delete(gone)
         m -= len(gone)
     if m > 6:
         return K | _reduction_loop(W, D.vertices, trace)
     edges = [(u, w) for u in D.vertices for w in W.succ[u]]
-    live = sorted({v for e in edges for v in e})
-    return K.union(_exact_cut(live, edges))
+    step = _base_step(sorted({v for e in edges for v in e}), edges)
+    return K.union(step.kept)

@@ -12,17 +12,32 @@ reads of a `Digraph` the pattern functions make (`vertices`, `succ`,
 vertex ids.  `WorkGraph.pieces` is the one component walk, which
 `Digraph.weak_components` reads too, and `Digraph` and `Piece` list
 triangles through one function.  d22's cycle peeling keeps adjacency sets
-of its own.  All set-like outputs are emitted in ascending order so that
-golden tests and the CLI are deterministic.
+of its own.  Every algorithm that works in steps (d11, d11c, d22, peel)
+records them in its trace as `Step`s.  All set-like outputs are emitted in
+ascending order so that golden tests and the CLI are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 Edge = tuple[int, int]
+
+
+class Step(NamedTuple):
+    """One certified step of an algorithm, as its trace records it.
+
+    `kept` holds the edges the step commits to the output: cut edges for
+    d11, d11c and d22, the edges returned to the remainder for peel.
+    `dropped` holds the other edges the step takes out of the work.  Both
+    are sorted and disjoint.
+    """
+
+    tag: str
+    kept: tuple[Edge, ...]
+    dropped: tuple[Edge, ...]
 
 MAX_VERTICES = 1 << 20  # the adjacency lists are built per vertex
 

@@ -6,7 +6,9 @@ checked for feasibility (the remainder stays in D(k-1,k-1)) and for a strict
 lexicographic decrease of the potential (|R|, -arrow score) before it is
 applied, so termination is structural, not heuristic.  The fixpoint
 assertions |Crit(R)| >= |R| and |R| <= floor(2m/(2k+1)) are the empirical
-guard that the move catalog is rich enough.
+guard that the move catalog is rich enough.  A move is a `Step`: its `kept`
+edges leave R for the remainder and its `dropped` edges enter R, and
+`peel_to_lower_class` records each applied move in its trace as it is.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .digraph import (
     Digraph,
     Edge,
     PreconditionError,
+    Step,
 )
 
 
@@ -108,27 +111,20 @@ class RemovalState:
                 return False
         return True
 
-    def apply(self, rw: "Rewrite") -> None:
+    def apply(self, move: Step) -> None:
         before = self.potential()
-        for e in rw.remove:
+        for e in move.kept:
             self.R.discard(e)
             self.dout[e[0]] += 1
             self.din[e[1]] += 1
-        for e in rw.add:
+        for e in move.dropped:
             self.R.add(e)
             self.dout[e[0]] -= 1
             self.din[e[1]] -= 1
         self.check_feasible()
         if not self.potential() < before:
             raise AlgorithmBugError(
-                f"move {rw.tag} did not decrease the potential")
-
-
-@dataclass(frozen=True)
-class Rewrite:
-    remove: tuple[Edge, ...]  # leave R, return to the remainder
-    add: tuple[Edge, ...]     # enter R
-    tag: str
+                f"move {move.tag} did not decrease the potential")
 
 
 def initial_removal(D: Digraph, k: int) -> RemovalState:
@@ -210,8 +206,9 @@ def _move_table(state: RemovalState):
         yield tri, 2, "short-path-swap"
 
 
-def find_improvement(state: RemovalState) -> Rewrite | None:
-    """First applicable guarded move of `_move_table`, cheapest first.
+def find_improvement(state: RemovalState) -> Step | None:
+    """First applicable guarded move of `_move_table`, cheapest first, as
+    `Step(tag, remove, add)`: `remove` leaves R, `add` enters it.
 
     M0 return-edge: some e with Crit(e) empty goes back.
     M2 cycle-recolor-swap / M4 growth-swap: one-for-one exchange of an
@@ -257,7 +254,7 @@ def find_improvement(state: RemovalState) -> Rewrite | None:
             if most == len(remove) and not all(map(state.is_colored, add)):
                 continue  # |R| stays: only colored adds lower the potential
             if state.swap_feasible(remove, add):
-                return Rewrite(remove, add, tag)
+                return Step(tag, remove, add)
     return None
 
 
@@ -293,12 +290,12 @@ def peel_to_lower_class(
     state = initial_removal(D, k)
     guard = D.m * (D.m + 2)  # potential lattice size; loop must end before
     for _ in range(guard + 1):
-        rw = find_improvement(state)
-        if rw is None:
+        move = find_improvement(state)
+        if move is None:
             break
-        state.apply(rw)
+        state.apply(move)
         if trace is not None:
-            trace.append((rw.tag, rw.remove, rw.add))
+            trace.append(move)
     else:
         raise AlgorithmBugError("improvement loop exceeded the potential bound")
     crit = state.crit_R()

@@ -218,7 +218,7 @@ def test_c13_step_level_certification():
                               rng.randrange(1 << 30))
         trace = []
         cert = dicut_d11(D, trace)
-        for tag, a_size, b_size, A in trace:
+        for tag, A, B in trace:
             assert is_p3_free(D, A)
         assert is_p3_free(D, cert.cut_edges)
         H = D
@@ -232,8 +232,8 @@ def test_c13_step_level_certification():
             if len(comps) != 1:
                 break
             rp = find_reducing_pair(H)
-            validate_reducing_pair(H, rp.A, rp.B, rp.provenance)
-            H = H.without_edges(rp.A | rp.B)
+            validate_reducing_pair(H, rp.kept, rp.dropped, rp.tag)
+            H = H.without_edges(rp.kept + rp.dropped)
     for k in (2, 3):
         for _ in range(20):
             D = gen_random_family("dkk", rng.randint(5, 15), k,

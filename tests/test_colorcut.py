@@ -12,7 +12,6 @@ import pytest
 from dicuts import colorcut, digraph, oracle
 from dicuts.colorcut import (
     Coloring,
-    CyclePeelStep,
     best_balanced_class_bipartition,
     degeneracy_order,
     dicut_acyclic,
@@ -23,6 +22,7 @@ from dicuts.digraph import (
     AlgorithmBugError,
     Digraph,
     PreconditionError,
+    Step,
     class_partition,
     shortest_bipartite_cycle,
 )
@@ -105,8 +105,7 @@ def d22_rebuilding(D):
         assert F_C <= set(F)
         E_C = sorted(e for e in D.edges
                      if e not in F_C and (e[1] in xc or e[0] in yc))
-        steps.append(CyclePeelStep(tuple(sorted(xc)), tuple(sorted(yc)),
-                                   tuple(sorted(F_C)), tuple(E_C)))
+        steps.append(Step("cycle", tuple(sorted(F_C)), tuple(E_C)))
         banked |= F_C
         D = D.without_edges(F_C | set(E_C))
 
@@ -264,8 +263,9 @@ class TestD22:
         cert = dicut_d22(gen_example2(), steps)
         assert cert.size >= math.ceil(3 * 45 / 10)
         for s in steps:
-            assert len(s.F_C) == len(s.X_C) + len(s.Y_C)
-            assert not set(s.F_C) & set(s.E_C)
+            X_C, Y_C = {u for u, _ in s.kept}, {v for _, v in s.kept}
+            assert len(s.kept) == len(X_C) + len(Y_C)
+            assert not set(s.kept) & set(s.dropped)
 
     def test_class_checked_once(self, monkeypatch):
         # deleting edges keeps D in D(2,2): X = {v : d-(v) <= 2} at each step

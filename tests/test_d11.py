@@ -21,6 +21,7 @@ from dicuts.digraph import (
     AlgorithmBugError,
     Digraph,
     PreconditionError,
+    Step,
     WorkGraph,
     class_partition,
     is_p3_free,
@@ -94,26 +95,29 @@ def reduction_rebuilding(D):
         return [(H.induced(c)[0], [label[v] for v in c])
                 for c in H.weak_components() if len(c) > 1]
 
+    def relabel(es, label):
+        return tuple(sorted((label[u], label[v]) for u, v in es))
+
     K, trace = set(), []
     work = pieces(D, list(range(D.n)))
     while work:
         H, label = work.pop()
         if H.m <= 5:
-            A, gone = oracle.max_dicut_exact(H).cut_edges, ()
-            step = ("oracle-base", H.m, 0)
+            A = oracle.max_dicut_exact(H).cut_edges
+            tag, B, gone = "oracle-base", set(H.edges) - set(A), ()
         else:
             tri = find_triangle_reduction(H)
             if tri is not None:
                 (x, y), (a, b, c) = tri
                 A, gone = ((x, y),), ((a, b), (b, c), (c, a))
-                step = ("triangle", 1, 2)
+                tag, B = "triangle", set(gone) - set(A)
             else:
                 rp = find_reducing_pair(H)
-                A, gone = rp.A, rp.A | rp.B
-                step = (rp.provenance, len(rp.A), len(rp.B))
-        banked = tuple(sorted((label[u], label[v]) for u, v in A))
-        K.update(banked)
-        trace.append(step + (banked,))
+                tag, A, B = rp
+                gone = A + B
+        step = Step(tag, relabel(A, label), relabel(B, label))
+        K.update(step.kept)
+        trace.append(step)
         if gone:
             work.extend(pieces(H.without_edges(gone), label))
     return K, trace
@@ -228,8 +232,8 @@ class TestReducingPairs:
     def test_pattern_fires_and_validates(self, tag):
         D = PATTERN_INSTANCES[tag]
         rp = find_reducing_pair(D)
-        assert rp.provenance == tag
-        validate_reducing_pair(D, rp.A, rp.B, tag)  # idempotent re-check
+        assert rp.tag == tag
+        validate_reducing_pair(D, rp.kept, rp.dropped, tag)  # idempotent re-check
 
     @pytest.mark.parametrize("tag", sorted(PATTERN_INSTANCES))
     def test_pattern_instance_meets_bound(self, tag):
@@ -292,7 +296,7 @@ class TestBound:
             cert = dicut_d11(D, trace)
             cert.verify(D)
             assert bound_ok(D, cert)
-            for tag, a_size, b_size, A in trace:
+            for tag, A, B in trace:
                 assert is_p3_free(D, A)
 
     def test_same_steps_as_rebuilding_every_step(self):

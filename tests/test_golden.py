@@ -6,6 +6,12 @@ d22, X for acyclic, R and the move trace for peel, X and D1 for split.  It
 also stores each instance's edges, and (family, n, k, seed) for the seeded
 random ones, so a change to a generator shows up as well.
 
+A trace is a list of `Step`s, each stored as [tag, kept, dropped].  A d11
+or d11c step keeps the edges it banks and drops the other edges it deletes;
+an oracle-base step keeps a maximum cut of its piece and drops the rest of
+the piece.  A peel move keeps the edges it returns to the remainder and
+drops the edges it adds to R.
+
 A refactor must reproduce the file exactly.  A change that alters a witness
 on purpose rewrites the file and says so in CHANGES.md:
 
@@ -96,7 +102,7 @@ def outputs(D: Digraph) -> dict:
     if class_partition(D, 2, 2) is not None:
         steps: list = []
         out["d22"] = {"X": dicut_d22(D, steps).X,
-                      "F_C": [_edges(s.F_C) for s in steps]}
+                      "F_C": [_edges(s.kept) for s in steps]}
     if D.is_acyclic():
         k = max([1] + [min(D.in_deg(v), D.out_deg(v)) for v in range(D.n)])
         out["acyclic"] = {"k": k, "X": dicut_acyclic(D, k).X}

@@ -8,13 +8,13 @@ from dicuts.digraph import (
     AlgorithmBugError,
     Digraph,
     PreconditionError,
+    Step,
     class_partition,
     is_p3_free,
 )
 from dicuts.generators import gen_random_family, gen_regular_tournament
 from dicuts.peel import (
     RemovalState,
-    Rewrite,
     _covering_adds,
     _move_table,
     _r_cycle_edges,
@@ -92,7 +92,7 @@ def scan_every_non_r_edge(state):
     R_sorted = sorted(state.R)
     for e in R_sorted:
         if not state.crit(e):
-            return Rewrite((e,), (), "return-edge")
+            return Step("return-edge", (e,), ())
     candidates = sorted(state.D.edge_set - state.R)
     on_cycle = _r_cycle_edges(state)
     for e in R_sorted:
@@ -101,12 +101,12 @@ def scan_every_non_r_edge(state):
         for g in candidates:
             if state.is_colored(g) and state.swap_feasible((e,), (g,)):
                 tag = "cycle-recolor-swap" if e in on_cycle else "growth-swap"
-                return Rewrite((e,), (g,), tag)
+                return Step(tag, (e,), (g,))
     for i, e in enumerate(R_sorted):
         for f in R_sorted[i + 1:]:
             for add in [()] + [(g,) for g in candidates]:
                 if state.swap_feasible((e, f), add):
-                    return Rewrite((e, f), add, "tree-path-swap")
+                    return Step("tree-path-swap", (e, f), add)
     for tri in combinations(R_sorted, 3):
         if not all(any(set(a) & set(b) for b in tri if b != a) for a in tri):
             continue  # the three edges are not connected
@@ -116,7 +116,7 @@ def scan_every_non_r_edge(state):
             (g, h) for i, g in enumerate(near) for h in near[i + 1:]]
         for add in adds:
             if state.swap_feasible(tri, add):
-                return Rewrite(tri, add, "short-path-swap")
+                return Step("short-path-swap", tri, add)
     return None
 
 
@@ -198,12 +198,12 @@ class TestMoveTable:
         moves = moves_agree(short_path_state(), set())
         assert [rw.tag for rw in moves] == ["return-edge"] * 6 + [
             "short-path-swap"]
-        assert moves[6] == Rewrite(((4, 7), (4, 8), (5, 7)),
-                                   ((0, 4), (5, 8)), "short-path-swap")
+        assert moves[6] == Step("short-path-swap", ((4, 7), (4, 8), (5, 7)),
+                                ((0, 4), (5, 8)))
 
     def test_growth_swap_takes_colored_add(self):
         moves = moves_agree(colored_add_state(), set())
-        assert moves[0] == Rewrite(((8, 6),), ((6, 0),), "growth-swap")
+        assert moves[0] == Step("growth-swap", ((8, 6),), ((6, 0),))
 
 
 class TestPeel:
