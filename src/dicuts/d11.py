@@ -586,7 +586,7 @@ def _peel_triangle_forest(D: Digraph, W: WorkGraph,
     """Peel a leaf triangle off W, the working graph of D, if D is a
     triangle forest with m > 6 (the rest has t - 2 triangles and 4t - 6
     edges, so it is none); hand what is left to the reduction loop if
-    m > 6, else to the oracle."""
+    m > 6, else to the oracle as one oracle-base step."""
     K: set[Edge] = set()
     m = D.m
     shape = is_triangle_forest(D) if m > 6 else None
@@ -625,4 +625,6 @@ def _peel_triangle_forest(D: Digraph, W: WorkGraph,
         return K | _reduction_loop(W, D.vertices, trace)
     edges = [(u, w) for u in D.vertices for w in W.succ[u]]
     step = _base_step(sorted({v for e in edges for v in e}), edges)
+    if trace is not None and edges:
+        trace.append(step)
     return K.union(step.kept)

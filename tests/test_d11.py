@@ -318,6 +318,30 @@ class TestBound:
             assert len(trace) == len(want) and K == want_K
 
 
+def test_steps_cover_every_edge_once():
+    # each edge is banked or deleted by exactly one step, d11c's exact
+    # tail (m <= 6 after the optional leaf peel) included
+    rng = random.Random(31)
+    graphs = list(digonfree_d11(6))
+    graphs += [gen_random_family("d11", rng.randint(3, 60), 1,
+                                 rng.randrange(1 << 30)) for _ in range(60)]
+    graphs += [random_triangle_tree(rng, rng.randint(1, 12))
+               for _ in range(30)]
+    connected = 0
+    for D in graphs:
+        for method in (dicut_d11, dicut_d11_connected):
+            trace = []
+            try:
+                method(D, trace)
+            except PreconditionError:  # d11c: disconnected, or a triangle
+                continue
+            connected += method is dicut_d11_connected
+            covered = sorted(e for step in trace
+                             for e in step.kept + step.dropped)
+            assert covered == list(D.edges), (method.__name__, D)
+    assert connected > 7000
+
+
 class TestTriangleForest:
     def test_shape_detected(self):
         shape = is_triangle_forest(triangle_chain(3))
