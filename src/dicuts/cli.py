@@ -91,9 +91,17 @@ def _report_line(instance: str, method: str, D: Digraph,
     return line, ok
 
 
+# the options each family of `gen` reads, in the order its header names them
+GEN_READS = {"example1": "k", "example2": "", "tournament": "k",
+             "d11": "n seed", "d11-trianglefree": "n seed",
+             "dkk": "k n seed", "acyclic-dkk": "k n seed",
+             "disjoint-triangles": "t"}
+
+
 def _cmd_gen(args) -> int:
     if args.t is not None and args.family != "disjoint-triangles":
         raise InputError("--t applies to disjoint-triangles only")
+    size = args.n if args.t is None else args.t  # t for disjoint-triangles
     if args.family == "example1":
         D = gen_example1(args.k)
     elif args.family == "example2":
@@ -101,10 +109,10 @@ def _cmd_gen(args) -> int:
     elif args.family == "tournament":
         D = gen_regular_tournament(args.k)
     else:
-        D = gen_random_family(args.family, args.n if args.t is None else args.t,
-                              args.k, args.seed)
-    size = f"n={args.n}" if args.t is None else f"t={args.t}"
-    comment = f"family={args.family} k={args.k} {size} seed={args.seed}"
+        D = gen_random_family(args.family, size, args.k, args.seed)
+    value = {"k": args.k, "n": args.n, "seed": args.seed, "t": size}
+    comment = " ".join([f"family={args.family}"] + [
+        f"{opt}={value[opt]}" for opt in GEN_READS[args.family].split()])
     if args.output:
         save_dg(D, args.output, comment)
     else:
@@ -284,9 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate an instance")
-    g.add_argument("family", choices=[
-        "example1", "example2", "tournament", "d11", "d11-trianglefree",
-        "dkk", "acyclic-dkk", "disjoint-triangles"])
+    g.add_argument("family", choices=list(GEN_READS))
     g.add_argument("--k", type=int, default=1)
     g.add_argument("--n", type=int, default=10)
     g.add_argument("--t", type=int, default=None,

@@ -13,6 +13,24 @@ from dicuts.generators import gen_example1
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+# `gen` options of each family, and the header they give: only the options
+# the family reads
+GEN_HEADERS = [
+    (["example1", "--k", "2", "--seed", "4"], "family=example1 k=2"),
+    (["example2", "--seed", "7"], "family=example2"),
+    (["tournament", "--k", "2"], "family=tournament k=2"),
+    (["d11", "--k", "3"], "family=d11 n=10 seed=0"),
+    (["d11-trianglefree", "--k", "2", "--n", "8", "--seed", "3"],
+     "family=d11-trianglefree n=8 seed=3"),
+    (["dkk", "--k", "2", "--n", "12", "--seed", "1"],
+     "family=dkk k=2 n=12 seed=1"),
+    (["acyclic-dkk", "--k", "3", "--n", "9", "--seed", "4"],
+     "family=acyclic-dkk k=3 n=9 seed=4"),
+    (["disjoint-triangles", "--n", "3", "--k", "2", "--seed", "5"],
+     "family=disjoint-triangles t=3"),
+]
+
+
 @pytest.fixture
 def t5_file(tmp_path):
     path = tmp_path / "t5.dg"
@@ -34,8 +52,15 @@ class TestGen:
     def test_t_sets_and_records_the_triangle_count(self, capsys):
         assert main(["gen", "disjoint-triangles", "--t", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "# family=disjoint-triangles k=1 t=2 seed=0"
+        assert lines[0] == "# family=disjoint-triangles t=2"
         assert lines[1] == "6 6"
+
+    @pytest.mark.parametrize("argv, header", GEN_HEADERS,
+                             ids=[argv[0] for argv, _ in GEN_HEADERS])
+    def test_header_records_what_the_family_reads(self, argv, header,
+                                                  capsys):
+        assert main(["gen", *argv]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "# " + header
 
     @pytest.mark.parametrize("family", ["d11", "tournament", "example1"])
     def test_t_rejected_for_other_families(self, family, capsys):
