@@ -16,7 +16,7 @@ from typing import Iterator
 import networkx as nx
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, ResourceLimitError
 
 # masks scanned per numpy pass in d22_with_digons
 CHUNK_MASKS = 1 << 15
@@ -68,7 +68,7 @@ def digonfree_d11(max_n: int) -> Iterator[Digraph]:
     isomorphism class (graphs with isolated vertices appear once per
     underlying atlas entry)."""
     if max_n > 7:
-        raise ValueError("atlas covers at most 7 vertices")
+        raise ResourceLimitError("atlas covers at most 7 vertices")
     for G in nx.graph_atlas_g()[1:]:
         n = G.number_of_nodes()
         if n > max_n:
@@ -121,7 +121,7 @@ def d22_with_digons(n: int) -> Iterator[Digraph]:
     bitmask order.  The masks are scanned CHUNK_MASKS at a time, so memory
     stays flat in the 2^(n(n-1)) masks."""
     if n > 5:
-        raise ValueError("bitmask scan limited to 5 vertices")
+        raise ResourceLimitError("bitmask scan limited to 5 vertices")
     slots = [(u, v) for u in range(n) for v in range(n) if u != v]
     idx = {e: i for i, e in enumerate(slots)}
     perms = list(permutations(range(n)))[1:]  # all but the identity

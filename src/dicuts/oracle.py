@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .digraph import (
+    AlgorithmBugError,
     CutCertificate,
     Digraph,
     Edge,
@@ -259,7 +260,7 @@ def min_removal_exact(D: Digraph, k: int) -> frozenset[Edge]:
         res = search(set(), budget)
         if res is not None:
             return res
-    raise AssertionError("unreachable: removing all edges always works")
+    raise AlgorithmBugError("unreachable: removing all edges always works")
 
 
 def decompose_into_cuts(D: Digraph, c: int) -> Optional[list[CutCertificate]]:

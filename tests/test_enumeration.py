@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from dicuts import enumeration
-from dicuts.digraph import class_partition
+from dicuts.digraph import ResourceLimitError, class_partition
 from dicuts.enumeration import d22_with_digons, digonfree_d11
 
 
@@ -87,8 +87,10 @@ class TestD22Masks:
         assert any(D.has_digon() for D in d22_with_digons(3))
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ResourceLimitError):
             list(d22_with_digons(6))
+        with pytest.raises(ResourceLimitError):
+            next(digonfree_d11(8))
 
     def test_chunks_keep_graphs_and_order(self, monkeypatch):
         monkeypatch.setattr(enumeration, "CHUNK_MASKS", 1 << 12)  # one chunk
