@@ -170,10 +170,9 @@ def dicut_d22(D: Digraph, trace: list[Step] | None = None) -> CutCertificate:
     them; what is left is 5-degenerate, 6-colorable, and a balanced class
     split gives 3m/5 bichromatic edges, half of them oriented one way.
 
-    Each peeling step goes to `trace` as `Step("cycle", F_C, E_C)`: the
-    cycle edges F_C, all oriented X -> Y (the cycle's vertices X_C and Y_C
-    are their tails and heads), and the side edges E_C (head in X_C or tail
-    in Y_C) deleted alongside.
+    Each step goes to `trace` as `Step("cycle", F_C, E_C)`: the cycle edges,
+    all oriented X -> Y, and the side edges deleted alongside, whose head
+    is a tail of F_C or whose tail is a head of F_C.
     """
     if class_partition(D, 2, 2) is None:
         raise PreconditionError("digraph is not in D(2,2)")

@@ -6,10 +6,8 @@ sets where A is P3-free and every directed P3 with one edge in A has its
 other edge in B, with |B| <= 3/2 |A|.  Adding A to the cut-in-progress and
 deleting A u B keeps the 2/5 accounting.  Every constructed pair is
 validated at runtime; a failed validation is an algorithm bug, never a
-silently degraded answer.  A pair is returned as the `Step` (tag, A, B),
-and each step of the loop goes to the trace as one `Step`: the edges it
-banks are `kept`, the other edges it deletes `dropped`.  A base step
-keeps a maximum cut of its piece and drops the rest of the piece.
+silently degraded answer.  Each step, a reducing pair included, is a `Step`
+of the edges it banks (`kept`) and the other edges it deletes (`dropped`).
 
 `dicut_d11` and `dicut_d11_connected` run from entry to certificate on one
 `WorkGraph` of their input and build no `Digraph`: d11c counts its pieces
@@ -125,15 +123,15 @@ def validate_reducing_pair(D: Digraph, A: Iterable[Edge],
 
 def _pair(D: Digraph, A, B, tag: str) -> Step:
     """The reducing pair (A, B - A), validated, as a step."""
-    step = Step(tag, tuple(sorted(A)), tuple(sorted(set(B).difference(A))))
-    validate_reducing_pair(D, step.kept, step.dropped, tag)
-    return step
+    A = frozenset(A)
+    B = frozenset(B) - A
+    validate_reducing_pair(D, A, B, tag)
+    return Step(tag, tuple(sorted(A)), tuple(sorted(B)))
 
 
 def _reverse_pair(step: Optional[Step],
                   tag: str | None = None) -> Optional[Step]:
-    """The pair `step` found on the reverse digraph, read on D (None stays
-    None)."""
+    """`step`, found on the reverse digraph, read on D; None stays None."""
     if step is None:
         return None
     flip = lambda S: tuple(sorted((v, u) for u, v in S))
@@ -497,9 +495,8 @@ def _reduction_loop(W: WorkGraph, vertices, trace: list | None) -> set[Edge]:
     among the ascending `vertices`, a union of its weak components; returns
     the accumulated P3-free edge set.
 
-    Each stack entry is a `Piece` of W.  A step other than the base step
-    deletes its edges from W, and what it leaves of its piece is split into
-    pieces again.
+    Each stack entry is a `Piece` of W.  A non-base step deletes its edges
+    from W, and what it leaves of its piece is split into pieces again.
     """
     K: set[Edge] = set()
     work = W.pieces(vertices)

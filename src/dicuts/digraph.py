@@ -25,6 +25,8 @@ from typing import Iterable, NamedTuple, Optional
 
 Edge = tuple[int, int]
 
+MAX_VERTICES = 1 << 20  # the adjacency lists are built per vertex
+
 
 class Step(NamedTuple):
     """One certified step of an algorithm, as its trace records it.
@@ -38,8 +40,6 @@ class Step(NamedTuple):
     tag: str
     kept: tuple[Edge, ...]
     dropped: tuple[Edge, ...]
-
-MAX_VERTICES = 1 << 20  # the adjacency lists are built per vertex
 
 
 class InputError(ValueError):

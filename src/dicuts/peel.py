@@ -6,9 +6,8 @@ checked for feasibility (the remainder stays in D(k-1,k-1)) and for a strict
 lexicographic decrease of the potential (|R|, -arrow score) before it is
 applied, so termination is structural, not heuristic.  The fixpoint
 assertions |Crit(R)| >= |R| and |R| <= floor(2m/(2k+1)) are the empirical
-guard that the move catalog is rich enough.  A move is a `Step`: its `kept`
-edges leave R for the remainder and its `dropped` edges enter R, and
-`peel_to_lower_class` records each applied move in its trace as it is.
+guard that the move catalog is rich enough.  A move is a `Step` whose `kept`
+edges leave R and whose `dropped` edges enter it, as the trace records it.
 """
 
 from __future__ import annotations
@@ -207,8 +206,7 @@ def _move_table(state: RemovalState):
 
 
 def find_improvement(state: RemovalState) -> Step | None:
-    """First applicable guarded move of `_move_table`, cheapest first, as
-    `Step(tag, remove, add)`: `remove` leaves R, `add` enters it.
+    """First applicable guarded move of `_move_table`, cheapest first.
 
     M0 return-edge: some e with Crit(e) empty goes back.
     M2 cycle-recolor-swap / M4 growth-swap: one-for-one exchange of an
