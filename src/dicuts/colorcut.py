@@ -208,14 +208,13 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
             if not (in_x[e[0]] and not in_x[e[1]] and e[1] in succ[e[0]]):
                 raise AlgorithmBugError("cycle edge missing from F")
             F_C.add(e)
-        E_C = ({(u, x) for x in xc for u in pred[x]}
-               | {(y, w) for y in yc for w in succ[y]}) - F_C
-        step = Step("cycle", tuple(sorted(F_C)), tuple(sorted(E_C)))
+        E_C = sorted(({(u, x) for x in xc for u in pred[x]}
+                      | {(y, w) for y in yc for w in succ[y]}) - F_C)
         if trace is not None:
-            trace.append(step)
+            trace.append(Step("cycle", tuple(sorted(F_C)), tuple(E_C)))
         banked |= F_C
         joined = set()
-        for u, v in step.kept + step.dropped:
+        for u, v in F_C | set(E_C):
             succ[u].discard(v)
             pred[v].discard(u)
             if in_x[u] and not in_x[v]:
