@@ -484,10 +484,10 @@ def _base_step(vertices: list[int], edges) -> Step:
     index = {v: i for i, v in enumerate(vertices)}
     _, x = oracle.max_dicut_mask(
         len(vertices), [(index[u], index[v]) for u, v in edges])
-    cut = {(u, v) for u, v in edges
-           if x >> index[u] & 1 and not x >> index[v] & 1}
-    return Step("oracle-base", tuple(e for e in edges if e in cut),
-                tuple(e for e in edges if e not in cut))
+    kept = [(u, v) for u, v in edges
+            if x >> index[u] & 1 and not x >> index[v] & 1]
+    return Step("oracle-base", tuple(kept),
+                tuple([e for e in edges if e not in kept]))
 
 
 def _reduction_loop(W: WorkGraph, vertices, trace: list | None) -> set[Edge]:
