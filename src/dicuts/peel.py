@@ -8,11 +8,17 @@ applied, so termination is structural, not heuristic.  The fixpoint
 assertions |Crit(R)| >= |R| and |R| <= floor(2m/(2k+1)) are the empirical
 guard that the move catalog is rich enough.  A move is a `Step` whose `kept`
 edges leave R and whose `dropped` edges enter it, as the trace records it.
+
+The search keeps its state across moves: `RemovalState` refreshes what a
+move touched at the move's own endpoints, and the move table lists only the
+entries and adds that can fire, in the order a full scan would try them, so
+every call returns that scan's first feasible move.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -43,7 +49,14 @@ def vertex_coloring(D: Digraph, k: int) -> VertexColoring:
 
 
 class RemovalState:
-    """Mutable R with incremental degree tracking of the remainder D \\ R."""
+    """Mutable R with incremental degree tracking of the remainder D \\ R.
+
+    For the move search it also keeps R in sorted order (`order`), the R
+    edges at each vertex (`r_at`), the R edges whose Crit is empty
+    (`returnable`) and the arrow score (`score`, the colored R edges), and
+    fills two caches on demand: the non-R edges at a vertex (`free`) and the
+    single adds that repair an R edge's return (`repairs`).
+    """
 
     def __init__(self, D: Digraph, k: int, R: set[Edge]):
         self.D = D
@@ -56,20 +69,26 @@ class RemovalState:
             self.dout[u] -= 1
             self.din[v] -= 1
         self.check_feasible()
+        self.order = sorted(self.R)
+        self.score = sum(1 for e in self.R if self.is_colored(e))
+        self.r_at: list[set[Edge]] = [set() for _ in range(D.n)]
+        for e in self.R:
+            self.r_at[e[0]].add(e)
+            self.r_at[e[1]].add(e)
+        self.returnable = {e for e in self.R if not self.crit(e)}
+        self._free: dict[int, tuple[list[Edge], list[Edge]]] = {}
+        self._repairs: dict[Edge, list[tuple[Edge]]] = {}
 
     def is_colored(self, e: Edge) -> bool:
         """Black-tail or white-head arrow."""
         return e[0] in self.coloring.black or e[1] in self.coloring.white
 
-    def arrow_score(self) -> int:
-        return sum(1 for e in self.R if self.is_colored(e))
-
     def potential(self) -> tuple[int, int]:
-        return (len(self.R), -self.arrow_score())
+        return (len(self.R), -self.score)
 
-    def check_feasible(self) -> None:
+    def check_feasible(self, vertices: Iterable[int] | None = None) -> None:
         k = self.k
-        for v in range(self.D.n):
+        for v in range(self.D.n) if vertices is None else vertices:
             if self.din[v] > k - 1 and self.dout[v] > k - 1:
                 raise AlgorithmBugError(
                     f"remainder leaves D({k-1},{k-1}) at vertex {v}")
@@ -87,6 +106,24 @@ class RemovalState:
 
     def crit_R(self) -> frozenset[int]:
         return frozenset(v for e in self.R for v in self.crit(e))
+
+    def free(self, v: int) -> tuple[list[Edge], list[Edge]]:
+        """The non-R out-edges and in-edges at v, each sorted."""
+        got = self._free.get(v)
+        if got is None:
+            R = self.R
+            got = self._free[v] = (
+                [e for e in self.D.out_edges(v) if e not in R],
+                [e for e in self.D.in_edges(v) if e not in R])
+        return got
+
+    def repairs(self, e: Edge) -> list[tuple[Edge]]:
+        """The single adds with which returning e, an R edge with a
+        non-empty Crit, is feasible, sorted."""
+        got = self._repairs.get(e)
+        if got is None:
+            got = self._repairs[e] = list(_adds(self, (e,), 1))
+        return got
 
     def swap_feasible(self, remove: tuple[Edge, ...],
                       add: tuple[Edge, ...]) -> bool:
@@ -111,19 +148,45 @@ class RemovalState:
         return True
 
     def apply(self, move: Step) -> None:
+        """Apply `move` and refresh what it touched: degrees, R membership,
+        and so Crit, free edges and repairs, change only at its endpoints."""
         before = self.potential()
         for e in move.kept:
-            self.R.discard(e)
-            self.dout[e[0]] += 1
-            self.din[e[1]] += 1
+            self._shift(e, -1)
         for e in move.dropped:
-            self.R.add(e)
-            self.dout[e[0]] -= 1
-            self.din[e[1]] -= 1
-        self.check_feasible()
+            self._shift(e, 1)
+        touched = {v for e in (*move.kept, *move.dropped) for v in e}
+        self.check_feasible(touched)
+        for v in touched:
+            self._free.pop(v, None)
+            for e in self.r_at[v]:
+                self._repairs.pop(e, None)
+                if self.crit(e):
+                    self.returnable.discard(e)
+                else:
+                    self.returnable.add(e)
         if not self.potential() < before:
             raise AlgorithmBugError(
                 f"move {move.tag} did not decrease the potential")
+
+    def _shift(self, e: Edge, into: int) -> None:
+        """Move e into R (into = 1) or out of it (into = -1)."""
+        u, v = e
+        self.dout[u] -= into
+        self.din[v] -= into
+        self.score += into * self.is_colored(e)
+        if into > 0:
+            self.R.add(e)
+            insort(self.order, e)
+            self.r_at[u].add(e)
+            self.r_at[v].add(e)
+        else:
+            self.R.remove(e)
+            del self.order[bisect_left(self.order, e)]
+            self.r_at[u].remove(e)
+            self.r_at[v].remove(e)
+            self.returnable.discard(e)
+            self._repairs.pop(e, None)
 
 
 def initial_removal(D: Digraph, k: int) -> RemovalState:
@@ -178,31 +241,45 @@ def _r_cycle_edges(state: RemovalState) -> set[Edge]:
     return alive
 
 
+def _connected_triples(state: RemovalState):
+    """The triples of R edges whose union is connected, ascending, built
+    one least edge at a time."""
+    r_at = state.r_at
+    for e in state.order:
+        near = {f for v in e for f in r_at[v] if f > e}
+        pairs = {(f, g) if f < g else (g, f)
+                 for f in near for g in near.union(r_at[f[0]], r_at[f[1]])
+                 if g > e and g != f}
+        for f, g in sorted(pairs):
+            yield e, f, g
+
+
 def _move_table(state: RemovalState):
-    """(returned edges, most adds, tag) in scan order, listed lazily: a
-    later kind is only built once every earlier entry has failed."""
-    R_sorted = sorted(state.R)
-    for e in R_sorted:
-        yield (e,), 0, "return-edge"
-    on_cycle = _r_cycle_edges(state)
-    for e in R_sorted:
-        if not state.is_colored(e):
-            yield (e,), 1, ("cycle-recolor-swap" if e in on_cycle
-                            else "growth-swap")
-    for pair in combinations(R_sorted, 2):
-        yield pair, 1, "tree-path-swap"
-    touch: dict[int, set[Edge]] = {}
-    for e in R_sorted:
-        for v in e:
-            touch.setdefault(v, set()).add(e)
-
-    def touching(*es: Edge) -> set[Edge]:
-        return {f for e in es for v in e for f in touch[v]} - set(es)
-
-    triples = {tuple(sorted((e, f, g)))
-               for e in R_sorted for f in touching(e) for g in touching(e, f)}
-    for tri in sorted(triples):
-        yield tri, 2, "short-path-swap"
+    """(returned edges, adds, tag) in scan order, for the entries that can
+    fire, listed lazily: a later kind is only built once every earlier
+    entry has failed."""
+    for e in sorted(state.returnable):
+        yield (e,), _adds(state, (e,), 0), "return-edge"
+    on_cycle = None
+    for e in state.order:
+        if state.is_colored(e):
+            continue
+        # |R| stays: only colored adds lower the potential
+        adds = [add for add in state.repairs(e) if state.is_colored(add[0])]
+        if adds:
+            if on_cycle is None:
+                on_cycle = _r_cycle_edges(state)
+            yield (e,), adds, ("cycle-recolor-swap" if e in on_cycle
+                               else "growth-swap")
+    sharing: dict[Edge, list[Edge]] = {}
+    for e in state.order:
+        for (g,) in state.repairs(e):
+            sharing.setdefault(g, []).append(e)
+    for pair in sorted({p for es in sharing.values()
+                        for p in combinations(es, 2)}):
+        yield pair, _adds(state, pair, 1), "tree-path-swap"
+    for tri in _connected_triples(state):
+        yield tri, _adds(state, tri, 2), "short-path-swap"
 
 
 def find_improvement(state: RemovalState) -> Step | None:
@@ -217,49 +294,67 @@ def find_improvement(state: RemovalState) -> Step | None:
 
     A swap stays feasible when it returns fewer edges or adds more, so an
     entry needs exactly `most` adds: with fewer, a sub-swap of an earlier
-    entry would be feasible (M0 without adds, M1 for M3 with one).  Each
-    add touches a returned edge: a farther one only lowers degrees where
-    none was raised, so dropping it would leave a feasible swap with too
-    few adds.  The add-free swap of M0 is feasible iff Crit(e) is empty.
+    entry would be feasible (M0 without adds, M1 for M3 with one).  Past M0
+    every R edge has a non-empty Crit.
 
-    Returning edges only raises degrees, so a vertex of C, the union of
-    Crit(e) over the returned edges, stays broken unless some add has it
-    as an endpoint.  An entry with |C| > 2 * most is skipped, and only the
-    add combinations whose ends cover C are generated, in the order of
-    `combinations` over the sorted non-R edges at the returned edges.
+    Returning edges only raises degrees, so each vertex the return breaks
+    (the set B, which holds the Crit of every returned edge) stays broken
+    unless the adds bring one of its degrees back to k-1; `most` adds can
+    do that only on a side at most `most` too high.  An entry's adds are
+    the `most`-sets of non-R edges on such sides whose ends cover B, in
+    `combinations` order: with one add, exactly the feasible ones.
+
+    The table lists only entries that can fire.  An add that makes a pair's
+    return feasible makes each edge's return alone feasible, so the pairs
+    are those of R edges sharing one of their `repairs`.  Past the pairs no
+    triple is repaired by one add (a pair inside it would be), so each of a
+    triple's two adds serves a vertex of B; the connected triples are
+    walked in order, one least edge at a time, and never collected.
     """
-    D, R = state.D, state.R
-    crit = {e: state.crit(e) for e in R}
-    free: dict[frozenset[int], list[Edge]] = {}
-
-    def at(vs: frozenset[int]) -> list[Edge]:
-        """The non-R edges with every vertex of `vs`, one or two, as an
-        endpoint, sorted."""
-        if vs not in free:
-            a, b = min(vs), max(vs)
-            edges = (*D.in_edges(a), *D.out_edges(a)) if a == b else (
-                (a, b), (b, a))
-            free[vs] = sorted(g for g in edges
-                              if g in D.edge_set and g not in R)
-        return free[vs]
-
-    for remove, most, tag in _move_table(state):
-        C = frozenset().union(*(crit[e] for e in remove))
-        if len(C) > 2 * most:
-            continue
-        ends = {v for e in remove for v in e}
-        for add in _covering_adds(C, most, ends, at):
-            if most == len(remove) and not all(map(state.is_colored, add)):
-                continue  # |R| stays: only colored adds lower the potential
+    for remove, adds, tag in _move_table(state):
+        for add in adds:
             if state.swap_feasible(remove, add):
                 return Step(tag, remove, add)
     return None
 
 
-def _covering_adds(C: frozenset[int], most: int, ends: set[int], at):
-    """The `most`-sets of non-R edges at `ends` whose endpoints cover C,
-    ascending and in `combinations` order.  C lies inside `ends`, and
-    `at(vs)` lists the non-R edges with every vertex of vs as an endpoint."""
+def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
+    """The `most`-sets of non-R edges with which returning `remove` can be
+    feasible, ascending and in `combinations` order: each vertex of B, the
+    vertices the return breaks, offers the non-R edges on a side of it that
+    `most` adds bring back to k-1, and each set covers B."""
+    k = state.k
+    up_out: dict[int, int] = {}
+    up_in: dict[int, int] = {}
+    for u, v in remove:
+        up_out[u] = up_out.get(u, 0) + 1
+        up_in[v] = up_in.get(v, 0) + 1
+    fix: dict[int, list[Edge]] = {}
+    for v in up_out.keys() | up_in.keys():
+        dout = state.dout[v] + up_out.get(v, 0)
+        din = state.din[v] + up_in.get(v, 0)
+        if dout < k or din < k:
+            continue
+        if len(fix) == 2 * most:
+            return ()  # more of B than `most` adds have ends
+        outs, ins = state.free(v)
+        outs = outs if dout - most < k else []
+        ins = ins if din - most < k else []
+        if not outs and not ins:
+            return ()
+        fix[v] = sorted(outs + ins) if outs and ins else outs or ins
+
+    def at(vs) -> list[Edge]:
+        a, *rest = vs
+        return [g for g in fix[a] if all(g in fix[b] for b in rest)]
+
+    return _covering_adds(frozenset(fix), most, at)
+
+
+def _covering_adds(C: frozenset[int], most: int, at):
+    """The `most`-sets of edges at C whose endpoints cover C, ascending and
+    in `combinations` order, where `at(vs)` lists the edges with every
+    vertex of vs as an endpoint."""
     if most == 0:
         if not C:
             yield ()
@@ -269,10 +364,10 @@ def _covering_adds(C: frozenset[int], most: int, ends: set[int], at):
         return sorted({g for v in vs for g in at(frozenset((v,)))})
 
     if most == 1:
-        yield from ((g,) for g in (at(C) if C else touching(ends)))
+        yield from ((g,) for g in (at(C) if C else ()))
         return
-    # two adds: the first must touch C when the second cannot cover it
-    firsts = touching(ends) if len(C) <= 2 else touching(C)
+    # two adds: the second covers what the first leaves of C
+    firsts = touching(C)
     for g in firsts:
         rest = C - set(g)
         if len(rest) <= 2:

@@ -15,6 +15,7 @@ from dicuts.digraph import (
 from dicuts.generators import gen_random_family, gen_regular_tournament
 from dicuts.peel import (
     RemovalState,
+    _connected_triples,
     _covering_adds,
     _move_table,
     _r_cycle_edges,
@@ -152,6 +153,57 @@ def colored_add_state():
     return RemovalState(D, 2, {(4, 2), (4, 3), (7, 6), (8, 6)})
 
 
+def full_table(state):
+    """Every entry of the move table, as a full scan lists it: (returned
+    edges, most adds, tag) for each R edge, each uncolored one, every pair
+    and every connected triple."""
+    R_sorted = sorted(state.R)
+    on_cycle = _r_cycle_edges(state)
+    for e in R_sorted:
+        yield (e,), 0, "return-edge"
+    for e in R_sorted:
+        if not state.is_colored(e):
+            yield (e,), 1, ("cycle-recolor-swap" if e in on_cycle
+                            else "growth-swap")
+    for pair in combinations(R_sorted, 2):
+        yield pair, 1, "tree-path-swap"
+    for tri in combinations(R_sorted, 3):
+        if all(any(set(a) & set(b) for b in tri if b != a) for a in tri):
+            yield tri, 2, "short-path-swap"
+
+
+def full_walk(state):
+    """(tag, returned edges, adds) as a search that filters rather than
+    generates tries them: each `full_table` entry whose critical vertices C
+    number at most 2 * most, with every `most`-set of non-R edges at its
+    returned edges that covers C, in `combinations` order, and only colored
+    adds when |R| would stay."""
+    D, R = state.D, state.R
+    for remove, most, tag in full_table(state):
+        C = set().union(*map(state.crit, remove))
+        if len(C) > 2 * most:
+            continue
+        ends = {v for e in remove for v in e}
+        near = [g for g in D.edges if g not in R and ends & set(g)]
+        for add in combinations(near, most):
+            if not C <= {v for g in add for v in g}:
+                continue
+            if most == len(remove) and not all(map(state.is_colored, add)):
+                continue
+            yield tag, remove, add
+
+
+def to_first_feasible(state, steps):
+    """The (tag, remove, add) steps up to and with the first feasible one,
+    and that one, or None."""
+    out = []
+    for step in steps:
+        out.append(step)
+        if state.swap_feasible(*step[1:]):
+            return out, step
+    return out, None
+
+
 class TestMoveTable:
     def test_same_moves_as_full_scan(self):
         rng = random.Random(11)
@@ -170,7 +222,7 @@ class TestMoveTable:
 
     def test_covering_adds_are_filtered_combinations(self):
         # the generated adds are exactly the combinations of the non-R edges
-        # at the returned edges whose ends cover C, in the same order
+        # at C whose ends cover C, in the same order
         rng = random.Random(3)
         for _ in range(60):
             k = rng.choice((1, 2, 3))
@@ -184,15 +236,79 @@ class TestMoveTable:
                 return sorted(g for g in D.edges
                               if g not in R and vs <= set(g))
 
-            for remove, most, _ in _move_table(state):
+            for remove, most, _ in full_table(state):
                 ends = sorted({v for e in remove for v in e})
-                near = [g for g in D.edges
-                        if g not in R and set(g) & set(ends)]
                 C = frozenset(rng.sample(ends, min(len(ends), 2 * most,
                                                    rng.randint(0, 4))))
+                near = [g for g in D.edges if g not in R and C & set(g)]
                 want = [add for add in combinations(near, most)
                         if C <= {v for g in add for v in g}]
-                assert list(_covering_adds(C, most, set(ends), at)) == want
+                assert list(_covering_adds(C, most, at)) == want
+
+    def test_move_table_is_the_full_walk_pruned(self):
+        # at every call up to the fixpoint, the table's (tag, entry, add)
+        # steps up to its first feasible one are a subsequence of the full
+        # walk's, and both searches stop at the same feasible step
+        rng = random.Random(12)
+        states = [short_path_state(), colored_add_state()]
+        for _ in range(120):
+            k = rng.choice((1, 2, 3))
+            D = gen_random_family(rng.choice(("dkk", "acyclic-dkk")),
+                                  rng.randint(3, 10), k, rng.randrange(1 << 30))
+            R = initial_removal(D, k).R
+            R |= {e for e in D.edges if e not in R and rng.random() < 0.3}
+            states.append(RemovalState(D, k, R))
+        walked = listed = 0
+        for state in states:
+            while True:
+                old, want = to_first_feasible(state, full_walk(state))
+                new, got = to_first_feasible(state, (
+                    (tag, remove, add) for remove, adds, tag in
+                    _move_table(state) for add in adds))
+                rest = iter(old)
+                assert all(step in rest for step in new)
+                assert got == want
+                walked, listed = walked + len(old), listed + len(new)
+                if got is None:
+                    break
+                state.apply(find_improvement(state))
+        assert listed < walked
+
+    def test_connected_triples_in_order(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            D = gen_random_family("dkk", rng.randint(4, 14), 2,
+                                  rng.randrange(1 << 30))
+            R = {e for e in D.edges if rng.random() < 0.5}
+            R |= initial_removal(D, 2).R
+            state = RemovalState(D, 2, R)
+            want = [remove for remove, _, _ in full_table(state)
+                    if len(remove) == 3]
+            assert list(_connected_triples(state)) == want
+
+    def test_apply_keeps_what_a_fresh_state_builds(self):
+        # after every move, the kept order, incidences, returnable edges,
+        # score and every cached free list and repair list are those of a
+        # state built afresh from the new R
+        rng = random.Random(9)
+        for _ in range(80):
+            k = rng.choice((1, 2, 3))
+            D = gen_random_family("dkk", rng.randint(4, 12), k,
+                                  rng.randrange(1 << 30))
+            R = initial_removal(D, k).R
+            R |= {e for e in D.edges if e not in R and rng.random() < 0.3}
+            state = RemovalState(D, k, R)
+            while (move := find_improvement(state)) is not None:
+                state.apply(move)
+                fresh = RemovalState(D, k, state.R)
+                assert state.order == fresh.order
+                assert state.r_at == fresh.r_at
+                assert state.returnable == fresh.returnable
+                assert state.potential() == fresh.potential()
+                for v, edges in state._free.items():
+                    assert edges == fresh.free(v)
+                for e, adds in state._repairs.items():
+                    assert adds == fresh.repairs(e)
 
     def test_short_path_swap(self):
         moves = moves_agree(short_path_state(), set())

@@ -12,6 +12,7 @@ import pytest
 from test_colorcut import dense_d22
 from test_d11 import triangle_chain
 
+from dicuts import peel
 from dicuts.colorcut import dicut_d22
 from dicuts.d11 import dicut_d11, dicut_d11_connected
 from dicuts.digraph import Digraph, class_partition
@@ -53,6 +54,28 @@ def test_peel_dense_d22_prunes_the_move_search(monkeypatch):
     assert class_partition(rest, 1, 1) is not None
     assert 5 * len(R) <= 2 * D.m
     assert 10 * len(calls) <= UNPRUNED_SWAP_CALLS
+
+
+def test_peel_final_search_lists_few_pairs(monkeypatch):
+    # the initial removal of dense_d22(320, 1) is already a fixpoint, so the
+    # one search is the final, unsuccessful one; scanning every pair of R
+    # would list C(320, 2) = 51 040 of them
+    D = dense_d22(320, 1)  # m = 13 412
+    pairs = []
+    table = peel._move_table
+
+    def counted(state):
+        for entry in table(state):
+            if len(entry[0]) == 2:
+                pairs.append(entry[0])
+            yield entry
+
+    monkeypatch.setattr(peel, "_move_table", counted)
+    trace = []
+    rest, R = peel_to_lower_class(D, 2, trace)
+    assert trace == [] and len(R) == 320
+    assert class_partition(rest, 1, 1) is not None
+    assert len(pairs) <= len(R)
 
 
 @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
