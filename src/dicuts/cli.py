@@ -91,28 +91,38 @@ def _report_line(instance: str, method: str, D: Digraph,
     return line, ok
 
 
-# the options each family of `gen` reads, in the order its header names them
+# the options each family of `gen` reads, in the order its header names them,
+# and the value each takes when it is not given
 GEN_READS = {"example1": "k", "example2": "", "tournament": "k",
              "d11": "n seed", "d11-trianglefree": "n seed",
              "dkk": "k n seed", "acyclic-dkk": "k n seed",
              "disjoint-triangles": "t"}
+GEN_DEFAULTS = {"k": 1, "n": 10, "seed": 0, "t": 10}
 
 
 def _cmd_gen(args) -> int:
-    if args.t is not None and args.family != "disjoint-triangles":
-        raise InputError("--t applies to disjoint-triangles only")
-    size = args.n if args.t is None else args.t  # t for disjoint-triangles
+    reads = GEN_READS[args.family].split()
+    value = dict(GEN_DEFAULTS)
+    for opt in GEN_DEFAULTS:
+        given = getattr(args, opt)
+        if given is None:
+            continue
+        if opt not in reads:
+            users = ", ".join(family for family, opts in GEN_READS.items()
+                              if opt in opts.split())
+            raise InputError(f"--{opt} applies to {users} only")
+        value[opt] = given
     if args.family == "example1":
-        D = gen_example1(args.k)
+        D = gen_example1(value["k"])
     elif args.family == "example2":
         D = gen_example2()
     elif args.family == "tournament":
-        D = gen_regular_tournament(args.k)
-    else:
-        D = gen_random_family(args.family, size, args.k, args.seed)
-    value = {"k": args.k, "n": args.n, "seed": args.seed, "t": size}
+        D = gen_regular_tournament(value["k"])
+    else:  # t is the size of disjoint-triangles
+        size = value["t" if args.family == "disjoint-triangles" else "n"]
+        D = gen_random_family(args.family, size, value["k"], value["seed"])
     comment = " ".join([f"family={args.family}"] + [
-        f"{opt}={value[opt]}" for opt in GEN_READS[args.family].split()])
+        f"{opt}={value[opt]}" for opt in reads])
     if args.output:
         save_dg(D, args.output, comment)
     else:
@@ -293,11 +303,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate an instance")
     g.add_argument("family", choices=list(GEN_READS))
-    g.add_argument("--k", type=int, default=1)
-    g.add_argument("--n", type=int, default=10)
-    g.add_argument("--t", type=int, default=None,
-                   help="triangle count for disjoint-triangles")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--k", type=int, help="class parameter (default 1)")
+    g.add_argument("--n", type=int, help="vertex count (default 10)")
+    g.add_argument("--t", type=int,
+                   help="triangle count for disjoint-triangles (default 10)")
+    g.add_argument("--seed", type=int, help="random seed (default 0)")
     g.add_argument("-o", "--output")
     g.set_defaults(func=_cmd_gen)
 

@@ -14,20 +14,31 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # `gen` options of each family, and the header they give: only the options
-# the family reads
+# the family reads, with the defaults filled in
 GEN_HEADERS = [
-    (["example1", "--k", "2", "--seed", "4"], "family=example1 k=2"),
-    (["example2", "--seed", "7"], "family=example2"),
+    (["example1", "--k", "2"], "family=example1 k=2"),
+    (["example2"], "family=example2"),
     (["tournament", "--k", "2"], "family=tournament k=2"),
-    (["d11", "--k", "3"], "family=d11 n=10 seed=0"),
-    (["d11-trianglefree", "--k", "2", "--n", "8", "--seed", "3"],
+    (["d11"], "family=d11 n=10 seed=0"),
+    (["d11-trianglefree", "--n", "8", "--seed", "3"],
      "family=d11-trianglefree n=8 seed=3"),
     (["dkk", "--k", "2", "--n", "12", "--seed", "1"],
      "family=dkk k=2 n=12 seed=1"),
     (["acyclic-dkk", "--k", "3", "--n", "9", "--seed", "4"],
      "family=acyclic-dkk k=3 n=9 seed=4"),
-    (["disjoint-triangles", "--n", "3", "--k", "2", "--seed", "5"],
-     "family=disjoint-triangles t=3"),
+    (["disjoint-triangles", "--t", "3"], "family=disjoint-triangles t=3"),
+]
+
+# an option each family does not read, and the families that do read it
+GEN_REFUSED = [
+    (["example1", "--seed", "4"], "--seed applies to d11, d11-trianglefree"),
+    (["example2", "--k", "2"], "--k applies to example1, tournament"),
+    (["tournament", "--k", "2", "--n", "40"], "--n applies to d11,"),
+    (["d11", "--k", "3"], "--k applies to example1, tournament, dkk"),
+    (["d11-trianglefree", "--k", "2"], "--k applies to example1, tournament"),
+    (["dkk", "--t", "2"], "--t applies to disjoint-triangles"),
+    (["acyclic-dkk", "--t", "2"], "--t applies to disjoint-triangles"),
+    (["disjoint-triangles", "--n", "3"], "--n applies to d11,"),
 ]
 
 
@@ -61,6 +72,14 @@ class TestGen:
                                                   capsys):
         assert main(["gen", *argv]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "# " + header
+
+    @pytest.mark.parametrize("argv, message", GEN_REFUSED,
+                             ids=[argv[0] for argv, _ in GEN_REFUSED])
+    def test_refuses_an_option_the_family_does_not_read(self, argv, message,
+                                                       capsys):
+        assert main(["gen", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
     @pytest.mark.parametrize("family", ["d11", "tournament", "example1"])
     def test_t_rejected_for_other_families(self, family, capsys):
@@ -115,6 +134,21 @@ class TestCutVerify:
     def test_oracle_method(self, t5_file, capsys):
         assert main(["verify", t5_file, "--method", "oracle"]) == 0
         assert "\t3\t" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--k", "1", "--l", "1"], ["cut", "--method", "d11"],
+        ["verify", "--method", "d22"], ["decompose", "--split", "1", "1"],
+        ["peel", "--k", "2"]], ids=lambda argv: argv[0])
+    def test_resource_exit(self, argv, tmp_path, capsys):
+        # a header past the vertex guard is refused before any per-vertex
+        # list is built
+        path = tmp_path / "huge.dg"
+        path.write_text("1048577 0\n")
+        argv = [argv[0], str(path), *argv[1:]]
+        if argv[0] in ("decompose", "peel"):
+            argv += ["-o", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert "resource guard" in capsys.readouterr().err
 
     def test_algorithm_bug_exit(self, t5_file, monkeypatch, capsys):
         def broken(D, method, k):
