@@ -1,5 +1,6 @@
 import hashlib
-from itertools import permutations
+from collections import Counter
+from itertools import permutations, product
 
 import networkx as nx
 import pytest
@@ -12,6 +13,24 @@ from dicuts.enumeration import d22_with_digons, digonfree_d11
 def digest(graphs):
     return hashlib.sha256(repr([(D.n, D.edges) for D in graphs])
                           .encode()).hexdigest()
+
+
+def canonical_form(n, edges):
+    """The least sorted edge list over the relabellings that list the
+    vertices by (in-degree, out-degree); equal iff the digraphs are
+    isomorphic."""
+    deg = [(sum(v == x for _, v in edges), sum(u == x for u, _ in edges))
+           for x in range(n)]
+    blocks = [[x for x in range(n) if deg[x] == c] for c in sorted(set(deg))]
+    forms = []
+    for order in product(*(permutations(b) for b in blocks)):
+        label = {x: i for i, x in enumerate(x for b in order for x in b)}
+        forms.append(sorted((label[u], label[v]) for u, v in edges))
+    return n, tuple(min(forms))
+
+
+def undirected_form(n, edges):
+    return canonical_form(n, [e for u, v in edges for e in ((u, v), (v, u))])
 
 
 class TestDigonFree:
@@ -38,6 +57,23 @@ class TestDigonFree:
     def test_n6_corpus_pinned(self):
         assert digest(digonfree_d11(6)) == (
             "5e374d5e90e5027a7d9d0796e03ee38eb9d814dc182309c17286b6ea28af198e")
+
+    def test_n6_classes_pinned_up_to_labelling(self):
+        # what any labelling of the corpus must keep: its isomorphism
+        # classes, the count on each n, and every undirected graph of the
+        # atlas as an underlying graph
+        graphs = list(digonfree_d11(6))
+        forms = sorted(canonical_form(D.n, D.edges) for D in graphs)
+        assert len(set(forms)) == len(forms)
+        assert hashlib.sha256(repr(forms).encode()).hexdigest() == (
+            "d5e6a6c0f18516b9b425f8acb0f018b488c02b8c2354d1810a9c6ddb5f5a42b9")
+        assert sorted(Counter(D.n for D in graphs).items()) == [
+            (1, 1), (2, 2), (3, 7), (4, 42), (5, 417), (6, 6651)]
+        underlying = {(D.n, frozenset(frozenset(e) for e in D.edges))
+                      for D in graphs}
+        atlas = {undirected_form(G.number_of_nodes(), G.edges())
+                 for G in nx.graph_atlas_g()[1:] if G.number_of_nodes() <= 6}
+        assert {undirected_form(n, edges) for n, edges in underlying} == atlas
 
     def test_automorphisms_match_all_permutations(self):
         for G in nx.graph_atlas_g()[1:]:
