@@ -234,8 +234,9 @@ class TestExplore:
 
 
 def test_core_imports_neither_numpy_nor_networkx():
-    # only `enumeration` needs them, and they are an optional extra
-    code = ("import sys, dicuts.cli; "
+    # the package needs nothing outside the standard library; `cli` and
+    # `enumeration` import every other module of it
+    code = ("import sys, dicuts.cli, dicuts.enumeration; "
             "print(sorted({'numpy', 'networkx'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,

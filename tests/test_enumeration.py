@@ -76,16 +76,26 @@ class TestDigonFree:
         assert {undirected_form(n, edges) for n, edges in underlying} == atlas
 
     def test_automorphisms_match_all_permutations(self):
-        for G in nx.graph_atlas_g()[1:]:
-            n = G.number_of_nodes()
-            if n > 6:
-                break
-            und = sorted(tuple(sorted(e)) for e in G.edges())
-            edge_set = {frozenset(e) for e in und}
-            scan = [perm for perm in permutations(range(n))
-                    if all(frozenset((perm[u], perm[v])) in edge_set
-                           for u, v in und)]
-            assert enumeration._automorphisms(n, und) == scan
+        # the generator's image of each undirected graph under every
+        # permutation, and so its automorphisms, against a direct scan; the
+        # slots are digonfree_d11's
+        for n, count in zip(range(1, 7), [1, 2, 4, 11, 34, 156]):
+            slots = [(u, v) for u in range(n) for v in range(u + 1, n)][::-1]
+            graphs = list(enumeration._orderly(n, slots, lambda mask, i: True))
+            assert len(graphs) == count
+            for mask, images in graphs:
+                und = [e for i, e in enumerate(slots) if mask >> i & 1]
+                edge_set = set(und)
+                scan = []
+                for perm, image in zip(permutations(range(n)), images):
+                    mapped = [tuple(sorted((perm[u], perm[v])))
+                              for u, v in und]
+                    assert image == sum(1 << slots.index(e) for e in mapped)
+                    if set(mapped) == edge_set:
+                        scan.append(perm)
+                auts = [perm for perm, image
+                        in zip(permutations(range(n)), images) if image == mask]
+                assert auts == scan
 
 
 class TestD22Masks:
@@ -127,9 +137,3 @@ class TestD22Masks:
             list(d22_with_digons(6))
         with pytest.raises(ResourceLimitError):
             next(digonfree_d11(8))
-
-    def test_chunks_keep_graphs_and_order(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "CHUNK_MASKS", 1 << 12)  # one chunk
-        whole = [D.edges for D in d22_with_digons(4)]
-        monkeypatch.setattr(enumeration, "CHUNK_MASKS", 64)
-        assert [D.edges for D in d22_with_digons(4)] == whole
