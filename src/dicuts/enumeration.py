@@ -30,7 +30,7 @@ def _orderly(n: int, slots: list,
     admits: the largest mask of its orbit, and its images under
     permutations(range(n)) in that order.  `fits(mask, i)` says whether mask
     plus slot i is in the family; the family must be closed under edge
-    deletion.  An unordered slot (u, v) has u < v."""
+    deletion.  Slots are ordered pairs, or unordered pairs listed once each."""
     perms = list(permutations(range(n)))
     index = {e: i for i, e in enumerate(slots)}
     # moved[i][k]: slot i's bit under perms[k]
@@ -41,7 +41,8 @@ def _orderly(n: int, slots: list,
     while stack:
         mask, images = stack.pop()
         yield mask, images
-        for i in range((mask & -mask).bit_length() - 1 if mask else len(slots)):
+        lowest = (mask & -mask).bit_length() - 1 if mask else len(slots)
+        for i in range(lowest):
             if fits(mask, i):
                 child = mask | 1 << i
                 # a child's images are its parent's plus slot i's
