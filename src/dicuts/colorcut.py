@@ -119,11 +119,14 @@ def best_balanced_class_bipartition(
     return S, T
 
 
-def _better_oriented_cut(D: Digraph, S) -> CutCertificate:
+def _leaving_side(coloring: Coloring, n: int, edges) -> set[int]:
+    """The side of the best balanced class split that more of `edges` leave
+    than enter, S itself on a tie: one orientation gets at least half of
+    the crossing edges."""
+    S, T = best_balanced_class_bipartition(coloring, n, edges)
     ss = set(S)
-    a = cut_from_partition(D, S)
-    b = cut_from_partition(D, [v for v in range(D.n) if v not in ss])
-    return a if a.size >= b.size else b
+    leave_minus_enter = sum((u in ss) - (v in ss) for u, v in edges)
+    return ss if leave_minus_enter >= 0 else set(T)
 
 
 def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
@@ -137,26 +140,21 @@ def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
         raise PreconditionError("digraph is not acyclic")
     if class_partition(D, k, k) is None:
         raise PreconditionError(f"digraph is not in D({k},{k})")
-    X = [v for v in range(D.n) if D.out_deg(v) <= k]
-    Y = [v for v in range(D.n) if D.out_deg(v) > k]
-    colors = [-1] * D.n
-    offset = 0
-    for side in (X, Y):
-        sub, remap = D.induced(side)
-        order, d = degeneracy_order(sub.n, sub.edges)
-        if d > k:
-            raise AlgorithmBugError(f"side degeneracy {d} exceeds {k}")
-        col = greedy_color(sub.n, sub.edges, order)
-        for v, i in remap.items():
-            colors[v] = offset + col.colors[i]
-        offset += k + 1
+    # one pass colors both sides over the edges within a side: none of them
+    # joins the sides, so neither side's heap pops or color choices see the
+    # other, and the sides' colors only need an offset to stay apart
+    high = [D.out_deg(v) > k for v in range(D.n)]
+    same_side = [(u, v) for u, v in D.edges if high[u] == high[v]]
+    order, d = degeneracy_order(D.n, same_side)
+    if d > k:
+        raise AlgorithmBugError(f"side degeneracy {d} exceeds {k}")
+    col = greedy_color(D.n, same_side, order)
+    colors = [c + k + 1 if h else c for c, h in zip(col.colors, high)]
     for u, v in D.edges:
         if colors[u] == colors[v]:
             raise AlgorithmBugError("combined coloring is not proper")
-    gamma = 2 * k + 2
-    full = Coloring(tuple(colors), gamma)
-    S, _ = best_balanced_class_bipartition(full, D.n, D.edges)
-    cert = _better_oriented_cut(D, S)
+    full = Coloring(tuple(colors), 2 * k + 2)
+    cert = cut_from_partition(D, _leaving_side(full, D.n, D.edges))
     if (4 * k + 2) * cert.size < (k + 1) * D.m:
         raise AlgorithmBugError("acyclic cut misses its guarantee")
     return cert
@@ -190,7 +188,7 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
     The working graph is kept as succ/pred sets, X flags and the undirected
     adjacency of F (the X -> Y edges), updated per deleted edge and per
     vertex whose in-degree falls to 2; X only grows, as in-degrees only
-    fall.  One `Digraph` of the remainder is built at the end."""
+    fall.  The base case reads the remainder as an edge list."""
     n = D.n
     succ = [set(vs) for vs in D.succ]
     pred = [set(us) for us in D.pred]
@@ -232,22 +230,17 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
                 if not in_x[w]:  # v -> w joins F
                     adj[v].add(w)
                     adj[w].add(v)
-    if banked:
-        D = Digraph(n, [(u, v) for u in range(n) for v in succ[u]])
-    return banked | _d22_base(D)
+    return banked | _d22_base(n, [(u, v) for u in range(n) for v in succ[u]])
 
 
-def _d22_base(D: Digraph) -> set[Edge]:
+def _d22_base(n: int, edges: list[Edge]) -> set[Edge]:
     """The X->Y edges form a forest, so the graph is 5-degenerate: 6-color it
-    and take the best balanced class split's better orientation."""
-    if D.m == 0:
+    and take the best balanced class split's better orientation.  The order
+    of `edges` does not matter."""
+    if not edges:
         return set()
-    order, d = degeneracy_order(D.n, D.edges)
+    order, d = degeneracy_order(n, edges)
     if d > 5:
         raise AlgorithmBugError(f"base-case degeneracy {d} exceeds 5")
-    col = greedy_color(D.n, D.edges, order)
-    if col.gamma < 2:
-        return set()
-    S, _ = best_balanced_class_bipartition(col, D.n, D.edges)
-    cert = _better_oriented_cut(D, S)
-    return set(cert.cut_edges)
+    side = _leaving_side(greedy_color(n, edges, order), n, edges)
+    return {(u, v) for u, v in edges if u in side and v not in side}

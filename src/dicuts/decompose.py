@@ -15,24 +15,15 @@ from .digraph import (
 )
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Proper edge coloring of a bipartite multigraph with colors 1..delta.
-
-    Edges are (left, right, key) triples so parallel edges stay distinct.
-    """
-
-    colors: dict[tuple[int, int, int], int]
-    num_colors: int
-
-
 def bipartite_edge_coloring(
     left_n: int,
     right_n: int,
     edges: list[tuple[int, int]],
     delta: int,
-) -> EdgeColoring:
-    """Properly color the edges of a bipartite multigraph with <= delta colors.
+) -> list[int]:
+    """Properly color the edges of a bipartite multigraph with colors
+    1..delta; returns the color of each edge by its position in `edges`, so
+    parallel edges stay distinct.
 
     Incremental insertion: when both endpoints have a free color but no common
     one, swap colors along the alternating path (Vizing fan degenerates to a
@@ -48,16 +39,15 @@ def bipartite_edge_coloring(
     if any(d > delta for d in deg_l) or any(d > delta for d in deg_r):
         raise InputError("maximum degree exceeds delta")
 
-    # color_at[side][vertex][color] -> edge key using that color there, or absent
-    at_l: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(left_n)]
-    at_r: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(right_n)]
-    colors: dict[tuple[int, int, int], int] = {}
+    # at_l[u][c] / at_r[v][c]: index of the edge colored c at that vertex
+    at_l: list[dict[int, int]] = [{} for _ in range(left_n)]
+    at_r: list[dict[int, int]] = [{} for _ in range(right_n)]
+    colors = [0] * len(edges)
 
-    def free(used: dict[int, tuple]) -> int:
+    def free(used: dict[int, int]) -> int:
         return next(c for c in range(1, delta + 1) if c not in used)
 
-    for key, (u, v) in enumerate(edges):
-        e = (u, v, key)
+    for i, (u, v) in enumerate(edges):
         a = free(at_l[u])
         b = free(at_r[v])
         if a != b:
@@ -72,29 +62,28 @@ def bipartite_edge_coloring(
                     break
                 f = used[want]
                 path.append(f)
-                x = f[0] if side == "r" else f[1]
+                x = edges[f][0] if side == "r" else edges[f][1]
                 side = "l" if side == "r" else "r"
                 want = b if want == a else a
             for f in path:
-                del at_l[f[0]][colors[f]]
-                del at_r[f[1]][colors[f]]
+                del at_l[edges[f][0]][colors[f]]
+                del at_r[edges[f][1]][colors[f]]
             for f in path:
                 new = b if colors[f] == a else a
                 colors[f] = new
-                at_l[f[0]][new] = f
-                at_r[f[1]][new] = f
+                at_l[edges[f][0]][new] = f
+                at_r[edges[f][1]][new] = f
             b = a
-        colors[e] = a
-        at_l[u][a] = e
-        at_r[v][a] = e
+        colors[i] = a
+        at_l[u][a] = i
+        at_r[v][a] = i
 
     # properness is cheap to recheck and the swap logic is fiddly: assert it
-    for side_maps, end in ((at_l, 0), (at_r, 1)):
-        for vmap in side_maps:
-            for c, e in vmap.items():
-                if colors[e] != c:
-                    raise AlgorithmBugError("edge coloring bookkeeping broken")
-    return EdgeColoring(colors, delta)
+    for vmap in (*at_l, *at_r):
+        for c, f in vmap.items():
+            if colors[f] != c:
+                raise AlgorithmBugError("edge coloring bookkeeping broken")
+    return colors
 
 
 @dataclass(frozen=True)
@@ -130,12 +119,10 @@ def split_dkk(D: Digraph, p1: int, p2: int,
     xi = {v: i for i, v in enumerate(sorted(X))}
     yi = {v: i for i, v in enumerate(sorted(Y))}
     bip = [(xi[v], yi[u]) for u, v in B]
-    coloring = bipartite_edge_coloring(len(xi), len(yi), bip, p) if p else \
-        EdgeColoring({}, 0)
+    # for p = 0, B is empty: a Y vertex has out-degree 0 in D(0,0)
     e1: set[Edge] = set()
     e2: set[Edge] = set()
-    for key, e in enumerate(B):
-        c = coloring.colors[(bip[key][0], bip[key][1], key)]
+    for e, c in zip(B, bipartite_edge_coloring(len(xi), len(yi), bip, p)):
         (e1 if c <= p1 else e2).add(e)
 
     # fill the remaining constrained stars greedily under the budgets;

@@ -12,9 +12,12 @@ reads of a `Digraph` the pattern functions make (`vertices`, `succ`,
 vertex ids.  `WorkGraph.pieces` is the one component walk, which
 `Digraph.weak_components` reads too, and `Digraph` and `Piece` list
 triangles through one function.  d22's cycle peeling keeps adjacency sets
-of its own.  Every algorithm that works in steps (d11, d11c, d22, peel)
-records them in its trace as `Step`s.  All set-like outputs are emitted in
-ascending order so that golden tests and the CLI are deterministic.
+of its own and hands its base case the remainder as an edge list; the
+coloring cuts color edge lists on the original ids, so no algorithm builds
+a `Digraph` it does not hand on.  Every algorithm that works in steps
+(d11, d11c, d22, peel) records them in its trace as `Step`s.  All set-like
+outputs are emitted in ascending order so that golden tests and the CLI
+are deterministic.
 """
 
 from __future__ import annotations
@@ -58,6 +61,15 @@ class ResourceLimitError(RuntimeError):
     """An input or an exact search exceeded its explicit guard."""
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count outside 0..MAX_VERTICES; a generator calls it
+    before it builds any list of that size."""
+    if n < 0:
+        raise InputError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"more than {MAX_VERTICES} vertices")
+
+
 def _triangles(vertices: Iterable[int], succ):
     """The directed 3-cycles a->b->c->a with a in `vertices` and least, in
     lexicographic order: `vertices` ascends and each `succ` tuple is sorted."""
@@ -97,11 +109,8 @@ class Digraph(_AdjacencyReads):
     edges: tuple[Edge, ...]
 
     def __init__(self, n: int, edges: Iterable[Edge]):
+        check_vertex_count(n)
         edge_tuple = tuple(sorted((int(u), int(v)) for u, v in edges))
-        if n < 0:
-            raise InputError("vertex count must be non-negative")
-        if n > MAX_VERTICES:
-            raise ResourceLimitError(f"more than {MAX_VERTICES} vertices")
         seen = set()
         for u, v in edge_tuple:
             if u == v:

@@ -11,6 +11,7 @@ from .digraph import (
     AlgorithmBugError,
     Digraph,
     InputError,
+    check_vertex_count,
     class_partition,
 )
 
@@ -25,6 +26,8 @@ def gen_example1(k: int) -> Digraph:
     """
     if k < 1:
         raise InputError("k must be >= 1")
+    n = 6 * k + 3
+    check_vertex_count(n)
     # vertex ids: block i in 1..k holds u,v,w,x,y at 5*(i-1)..5*(i-1)+4
     def u(i): return 5 * (i - 1)
     def v(i): return 5 * (i - 1) + 1
@@ -34,7 +37,6 @@ def gen_example1(k: int) -> Digraph:
     y0 = 5 * k          # fresh y_0
     u_last = 5 * k + 1  # fresh u_{k+1}
     def z(i): return 5 * k + 2 + i  # z_0 .. z_k
-    n = 6 * k + 3
 
     edges = []
     for i in range(1, k + 1):
@@ -55,6 +57,7 @@ def gen_regular_tournament(k: int) -> Digraph:
     if k < 1:
         raise InputError("k must be >= 1")
     n = 2 * k + 1
+    check_vertex_count(n)
     return Digraph(n, [(i, (i + d) % n) for i in range(n)
                        for d in range(1, k + 1)])
 
@@ -85,6 +88,7 @@ def gen_random_family(family: str, n: int, k: int = 1,
         t = n
         if t < 1:
             raise InputError("need at least one triangle")
+        check_vertex_count(3 * t)
         edges = []
         for i in range(t):
             a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
@@ -102,6 +106,7 @@ def gen_random_family(family: str, n: int, k: int = 1,
         raise InputError(f"unknown family {family!r}")
     if kk < 0:
         raise InputError("k must be non-negative")
+    check_vertex_count(n)
     target = rng.randint(n, max(n, 2 * n))
     edges: set = set()
     succ: list[set[int]] = [set() for _ in range(n)]

@@ -86,6 +86,16 @@ class TestGen:
         assert main(["gen", family, "--t", "5"]) == 2
         assert "--t applies to disjoint-triangles only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["example1", "--k", "174763"], ["tournament", "--k", "524288"],
+        ["disjoint-triangles", "--t", "349526"], ["d11", "--n", "1048577"]],
+        ids=lambda argv: argv[0])
+    def test_past_the_vertex_guard(self, argv, capsys):
+        assert main(["gen", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "resource guard: more than 1048576 vertices" in err
+
 
 class TestCheck:
     def test_member(self, t5_file):

@@ -24,6 +24,7 @@ from dicuts.digraph import (
     PreconditionError,
     Step,
     class_partition,
+    cut_from_partition,
     shortest_bipartite_cycle,
 )
 from dicuts.generators import gen_random_family, gen_regular_tournament
@@ -96,7 +97,7 @@ def d22_rebuilding(D):
             adj[v].add(u)
         cyc = shortest_bipartite_cycle(adj, range(D.n))
         if cyc is None:
-            return banked | colorcut._d22_base(D), steps, mid_run
+            return banked | colorcut._d22_base(D.n, list(D.edges)), steps, mid_run
         mid_run |= X_before is not None and X != X_before
         X_before = X
         xc, yc = set(cyc) & X, set(cyc) - X
@@ -108,6 +109,113 @@ def d22_rebuilding(D):
         steps.append(Step("cycle", tuple(sorted(F_C)), tuple(E_C)))
         banked |= F_C
         D = D.without_edges(F_C | set(E_C))
+
+
+def oriented_cuts(D, S):
+    """The certificates of S and of its complement, as the colour path first
+    built both to keep the larger, S's on a tie."""
+    ss = set(S)
+    return (cut_from_partition(D, S),
+            cut_from_partition(D, [v for v in range(D.n) if v not in ss]))
+
+
+def better_oriented_cut(D, S):
+    a, b = oriented_cuts(D, S)
+    return a if a.size >= b.size else b
+
+
+def acyclic_split_by_sides(D, k):
+    """`dicut_acyclic`'s balanced split as first written: each side of the
+    degree witness colored on its own induced subgraph, relabelled densely
+    in vertex order as `Digraph.induced` does, the high side's colors offset
+    by k+1."""
+    X = [v for v in range(D.n) if D.out_deg(v) <= k]
+    Y = [v for v in range(D.n) if D.out_deg(v) > k]
+    colors = [-1] * D.n
+    for offset, side in ((0, X), (k + 1, Y)):
+        remap = {v: i for i, v in enumerate(side)}
+        sub = sorted((remap[u], remap[v]) for u, v in D.edges
+                     if u in remap and v in remap)
+        order, _ = degeneracy_order(len(side), sub)
+        col = greedy_color(len(side), sub, order)
+        for v, i in remap.items():
+            colors[v] = offset + col.colors[i]
+    full = Coloring(tuple(colors), 2 * k + 2)
+    S, _ = best_balanced_class_bipartition(full, D.n, D.edges)
+    return S
+
+
+def d22_base_split(D):
+    """`_d22_base`'s balanced split as first written, on a `Digraph`."""
+    order, _ = degeneracy_order(D.n, D.edges)
+    col = greedy_color(D.n, D.edges, order)
+    S, _ = best_balanced_class_bipartition(col, D.n, D.edges)
+    return S
+
+
+class TestColorPathReference:
+    """The one-pass coloring and the one orientation count pick the same
+    cut as per-side `induced` coloring and two certificates did."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_acyclic(self, k):
+        rng = random.Random(20 + k)
+        draws = [transitive(2 * k + 1)]
+        draws += [gen_random_family("acyclic-dkk", rng.randint(2, 40), k,
+                                    rng.randrange(1 << 30))
+                  for _ in range(60)]
+        ties = 0
+        for D in draws:
+            S = acyclic_split_by_sides(D, k)
+            a, b = oriented_cuts(D, S)
+            ties += a.size == b.size and D.m > 0
+            assert dicut_acyclic(D, k) == better_oriented_cut(D, S)
+        assert ties >= 1
+
+    def test_acyclic_path_ties(self):
+        # S = {0, 2} on the path 0 -> 1 -> 2: one edge leaves it and one
+        # enters it, and the tie keeps S
+        D = Digraph(3, [(0, 1), (1, 2)])
+        S = acyclic_split_by_sides(D, 1)
+        a, b = oriented_cuts(D, S)
+        assert a.size == b.size == 1
+        assert dicut_acyclic(D, 1) == a
+
+    def test_d22_base(self, monkeypatch):
+        calls = []
+        base = colorcut._d22_base
+        monkeypatch.setattr(colorcut, "_d22_base",
+                            lambda n, edges: calls.append((n, list(edges)))
+                            or base(n, edges))
+        rng = random.Random(21)
+        for i in range(120):
+            if i % 4 == 3:
+                D = dense_d22(rng.randrange(8, 40, 2), rng.randrange(1 << 30))
+            else:
+                D = random_d22(rng, rng.randint(2, 30), digons=i % 2 == 0)
+            dicut_d22(D)
+        ties = 0
+        for n, edges in calls:
+            H = Digraph(n, edges)
+            want = set()
+            if H.m:
+                S = d22_base_split(H)
+                a, b = oriented_cuts(H, S)
+                ties += a.size == b.size
+                want = set(better_oriented_cut(H, S).cut_edges)
+            rng.shuffle(edges)  # the order of the edge list does not matter
+            assert base(n, edges) == want
+        assert ties >= 1
+
+    def test_d22_base_four_cycle_ties(self):
+        # S = {1, 3} is a colour class of the directed 4-cycle: two edges
+        # leave it and two enter it, and the tie keeps S
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        H = Digraph(4, edges)
+        S = d22_base_split(H)
+        a, b = oriented_cuts(H, S)
+        assert a.size == b.size == 2
+        assert colorcut._d22_base(4, edges) == set(a.cut_edges)
 
 
 class TestDegeneracy:

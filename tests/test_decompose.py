@@ -4,26 +4,30 @@ from collections import defaultdict
 import pytest
 
 from dicuts.decompose import bipartite_edge_coloring, split_dkk
-from dicuts.digraph import InputError, PreconditionError, class_partition
+from dicuts.digraph import (
+    Digraph,
+    InputError,
+    PreconditionError,
+    class_partition,
+)
 from dicuts.generators import gen_random_family, gen_regular_tournament
 
 
-def assert_proper(coloring, edges, delta):
+def assert_proper(colors, edges, delta):
+    assert len(colors) == len(edges)
     seen = defaultdict(set)
-    for (u, v, key), c in coloring.colors.items():
+    for (u, v), c in zip(edges, colors):
         assert 1 <= c <= delta
         assert c not in seen[("l", u)]
         assert c not in seen[("r", v)]
         seen[("l", u)].add(c)
         seen[("r", v)].add(c)
-    assert len(coloring.colors) == len(edges)
 
 
 class TestEdgeColoring:
     def test_matching_single_color(self):
         edges = [(0, 0), (1, 1), (2, 2)]
-        col = bipartite_edge_coloring(3, 3, edges, 1)
-        assert set(col.colors.values()) == {1}
+        assert bipartite_edge_coloring(3, 3, edges, 1) == [1, 1, 1]
 
     def test_c4_alternates(self):
         edges = [(0, 0), (0, 1), (1, 1), (1, 0)]
@@ -34,10 +38,7 @@ class TestEdgeColoring:
         edges = [(i, j) for i in range(3) for j in range(3)]
         col = bipartite_edge_coloring(3, 3, edges, 3)
         assert_proper(col, edges, 3)
-        by_color = defaultdict(int)
-        for c in col.colors.values():
-            by_color[c] += 1
-        assert sorted(by_color.values()) == [3, 3, 3]
+        assert sorted(col.count(c) for c in (1, 2, 3)) == [3, 3, 3]
 
     def test_multigraph(self):
         edges = [(0, 0), (0, 0), (0, 1), (1, 0)]
@@ -92,6 +93,16 @@ class TestSplit:
     def test_rejects_outside_class(self):
         with pytest.raises(PreconditionError):
             split_dkk(gen_regular_tournament(3), 1, 1)
+
+    def test_zero_zero_with_edges(self):
+        # in D(0,0) every edge runs from a source in X to a sink in Y, so
+        # nothing is edge-colored and every edge is an unconstrained X->Y edge
+        D = Digraph(5, [(0, 3), (0, 4), (1, 3), (2, 4)])
+        res = check_split(D, 0, 0)
+        assert res.X == (0, 1, 2) and res.Y == (3, 4)
+        assert res.D1.m == 0 and res.D2.edges == D.edges
+        res = check_split(D, 0, 0, balance_f=True)
+        assert res.D1.m == 2 and res.D2.m == 2
 
     def test_random(self):
         rng = random.Random(2)

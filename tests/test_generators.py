@@ -1,7 +1,14 @@
+import tracemalloc
+
 import pytest
 
 from dicuts import oracle
-from dicuts.digraph import InputError, class_partition
+from dicuts.digraph import (
+    MAX_VERTICES,
+    InputError,
+    ResourceLimitError,
+    class_partition,
+)
 from dicuts.generators import (
     gen_example1,
     gen_example2,
@@ -81,3 +88,30 @@ class TestRandomFamilies:
     def test_unknown_family(self):
         with pytest.raises(InputError):
             gen_random_family("nope", 5)
+
+
+# each generator just past the vertex guard, and the vertex count it asks for
+PAST_THE_GUARD = [
+    (gen_example1, (174763,)),  # 6k + 3 = 2^20 + 5
+    (gen_regular_tournament, (524288,)),  # 2k + 1 = 2^20 + 1
+    (gen_random_family, ("disjoint-triangles", 349526)),  # 3t = 2^20 + 2
+    (gen_random_family, ("d11", MAX_VERTICES + 1)),
+    (gen_random_family, ("acyclic-dkk", MAX_VERTICES + 1, 3)),
+]
+
+
+@pytest.mark.parametrize("gen, args", PAST_THE_GUARD,
+                         ids=[args[0] if isinstance(args[0], str) else
+                              gen.__name__ for gen, args in PAST_THE_GUARD])
+def test_vertex_guard_comes_before_any_edge(gen, args):
+    # the edge lists past the guard run from 168 MB traced (the triangles)
+    # to about 5e11 tuples (the tournament), so the guard must fire first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match=f"more than {MAX_VERTICES} vertices"):
+            gen(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -6,6 +6,7 @@ whose work is its running time, has a wall-time budget far above what it
 needs.
 """
 
+import random
 import time
 
 import pytest
@@ -13,7 +14,7 @@ from test_colorcut import dense_d22
 from test_d11 import triangle_chain
 
 from dicuts import peel
-from dicuts.colorcut import dicut_d22
+from dicuts.colorcut import dicut_acyclic, dicut_d22
 from dicuts.d11 import dicut_d11, dicut_d11_connected
 from dicuts.digraph import Digraph, class_partition
 from dicuts.generators import gen_random_family
@@ -44,7 +45,34 @@ def test_dense_d22_builds_no_graph_per_cycle_step(monkeypatch):
     cert = dicut_d22(D, steps)
     cert.verify(D)
     assert 10 * cert.size >= 3 * D.m
-    assert len(steps) == 1765 and len(builds) <= 2
+    assert len(steps) == 1765 and len(builds) == 0
+
+
+def dense_acyclic(n, k, seed):
+    """An acyclic D(k,k) member with m = Theta(n^2): every edge runs forward
+    in id order, X is the first half, each X->Y pair is kept with
+    probability 1/2, every x gets k in-edges from earlier x (fewer at the
+    start) and every y k out-edges to later y (fewer at the end)."""
+    rng = random.Random(seed)
+    X, Y = range(n // 2), range(n // 2, n)
+    edges = {(x, y) for x in X for y in Y if rng.random() < 0.5}
+    for x in X:
+        edges.update((u, x) for u in rng.sample(range(x), min(k, x)))
+    for y in Y:
+        edges.update((y, w) for w in rng.sample(range(y + 1, n),
+                                                min(k, n - 1 - y)))
+    return Digraph(n, edges)
+
+
+def test_dense_acyclic_builds_no_graph(monkeypatch):
+    # both sides of the witness are colored in one pass on the original ids
+    D = dense_acyclic(240, 3, 1)  # m = 7 942
+    assert D.is_acyclic() and class_partition(D, 3, 3) is not None
+    builds = counting(monkeypatch, Digraph, "__init__")
+    cert = dicut_acyclic(D, 3)
+    cert.verify(D)
+    assert 14 * cert.size >= 4 * D.m
+    assert len(builds) == 0
 
 
 def test_peel_dense_d22_prunes_the_move_search(monkeypatch):
