@@ -203,6 +203,16 @@ class TestDecomposePeel:
             "move\ttree-path-swap\t-[(6, 22), (8, 7)]\t+[(22, 7)]\n"
             "move\ttree-path-swap\t-[(14, 27), (24, 29)]\t+[(29, 27)]\n")
 
+    def test_peel_removed_file_bytes(self, tmp_path):
+        path, prefix = str(tmp_path / "g.dg"), str(tmp_path / "pe")
+        assert main(["gen", "dkk", "--k", "2", "--n", "32", "--seed", "25",
+                     "-o", path]) == 0
+        assert main(["peel", path, "--k", "2", "-o", prefix]) == 0
+        with open(prefix + ".removed.dg", "rb") as fh:
+            assert fh.read() == (
+                f"# removed edges, peel k=2 of {path}\n"
+                "32 6\n5 14\n10 2\n11 8\n22 4\n22 7\n29 27\n").encode()
+
 
 class TestExplore:
     def test_problem4_out_of_scope(self, capsys):
