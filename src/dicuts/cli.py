@@ -187,11 +187,8 @@ def _cmd_peel(args) -> int:
     rest, R = peel_to_lower_class(D, args.k, trace)
     save_dg(rest, f"{args.output}.rest.dg",
             f"peel k={args.k} of {args.file}")
-    with open(f"{args.output}.removed.dg", "w", encoding="ascii") as fh:
-        fh.write(f"# removed edges, peel k={args.k} of {args.file}\n")
-        fh.write(f"{D.n} {len(R)}\n")
-        for u, v in sorted(R):
-            fh.write(f"{u} {v}\n")
+    save_dg(Digraph(D.n, R), f"{args.output}.removed.dg",
+            f"removed edges, peel k={args.k} of {args.file}")
     print(f"removed\t{len(R)}\tbound\t{2 * D.m // (2 * args.k + 1)}")
     if args.verbose:
         for tag, rem, add in trace:

@@ -16,11 +16,14 @@ reduction loop takes it over.  The loop works on its pieces: `Piece` views
 of one weakly connected component with at least one edge, on the original
 vertex ids.  It deletes a step's edges from the working graph and then
 looks for pieces only among the vertices of the piece it stepped on.  The
-contraction graph of patterns (4) and (5) is built once per search, with
-its links grouped by (plus-cycle, minus-cycle) pair.  Every choice below
-(sorted triangles, scans of ``D.vertices``, sorted adjacency) follows vertex
-order, so a piece makes the same choices as its component relabelled onto
-0..n-1, and the functions below take a `Digraph` just as well.
+patterns read D+ and D- from the degrees as they scan and stop where one
+fires, and the validation finds edges in `succ`: no reducing-pair step
+lists a piece's edges or its V+ and V- sets.  The contraction graph of patterns (4) and
+(5) is built once per search, with its links grouped by (plus-cycle,
+minus-cycle) pair.  Every choice below (sorted triangles, scans of
+``D.vertices``, sorted adjacency) follows vertex order, so a piece makes
+the same choices as its component relabelled onto 0..n-1, and the
+functions below take a `Digraph` just as well.
 
 The input class is checked once, at the entries `dicut_d11` and
 `dicut_d11_connected`.  Deleting edges keeps a digraph digon-free and in
@@ -46,7 +49,7 @@ from .digraph import (
     WorkGraph,
     class_partition,
     cut_from_banked,
-    is_p3_free,
+    _p3_free,
     shortest_bipartite_cycle,
 )
 from . import oracle
@@ -65,7 +68,6 @@ class ContractionGraph:
     """Cycles of D+ and D- contracted to nodes, with the external
     D+ -> D- edges kept as links (multiplicity preserved).
 
-    `node_of` maps each cycle vertex to its node ('+' or '-', index), and
     `between` lists the links from plus-cycle i to minus-cycle j under the
     key (i, j), in edge order.  Bipartite between plus-nodes and
     minus-nodes once the earlier reduction patterns no longer apply.
@@ -73,7 +75,6 @@ class ContractionGraph:
 
     plus_cycles: tuple[tuple[int, ...], ...]
     minus_cycles: tuple[tuple[int, ...], ...]
-    node_of: dict[int, tuple[str, int]]
     between: dict[tuple[int, int], list[Edge]]
 
 
@@ -106,9 +107,10 @@ def validate_reducing_pair(D: Digraph, A: Iterable[Edge],
         raise AlgorithmBugError(f"{tag}: empty A")
     if A & B:
         raise AlgorithmBugError(f"{tag}: A and B intersect")
-    if not A <= D.edge_set or not B <= D.edge_set:
+    succ = D.succ
+    if any(v not in succ[u] for u, v in A | B):
         raise AlgorithmBugError(f"{tag}: pair uses edges outside D")
-    if not is_p3_free(D, A):
+    if not _p3_free(A):
         raise AlgorithmBugError(f"{tag}: A contains a directed P3")
     for a, b in A:
         for e in D.in_edges(a):
@@ -141,27 +143,29 @@ def _reverse_pair(step: Optional[Step],
 # -- pattern (1): a D- (D+) component that is not a cycle, or a cycle
 #    vertex with more than one external edge (Claim 1.3) ------------------
 
-def _minus_components(D: Digraph, V_minus: set[int]):
-    """The weak components of D[V_minus], each sorted, in order of least
-    vertex; lazily, so a search can stop at the first one it needs."""
+def _minus_components(D: Digraph):
+    """The weak components of D-, the subgraph on the vertices of in-degree
+    >= 2 (D+ is D- of the reverse), each sorted, in order of least vertex;
+    lazily, so a search can stop at the first one it needs."""
+    succ, pred = D.succ, D.pred
     seen = set()
-    for s in sorted(V_minus):
-        if s in seen:
+    for s in D.vertices:
+        if s in seen or len(pred[s]) < 2:
             continue
         seen.add(s)
         stack, comp = [s], []
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in D.succ[v] + D.pred[v]:
-                if w in V_minus and w not in seen:
+            for w in succ[v] + pred[v]:
+                if w not in seen and len(pred[w]) >= 2:
                     seen.add(w)
                     stack.append(w)
         yield sorted(comp)
 
 
-def _leaf_in_minus(D: Digraph, V_minus: set[int]) -> Optional[Step]:
-    for comp in _minus_components(D, V_minus):
+def _leaf_in_minus(D: Digraph) -> Optional[Step]:
+    for comp in _minus_components(D):
         cs = set(comp)
         # leaves have no in-neighbour in the component; a V- vertex has
         # out-degree <= 1, so a component without one is a directed cycle
@@ -302,25 +306,27 @@ def _path_or_cycle(D: Digraph) -> Optional[Step]:
 
 # -- contraction multigraph M, patterns (4) and (5) ------------------------
 
-def contraction_graph(D: Digraph, V_plus: set[int],
-                      V_minus: set[int]) -> ContractionGraph:
+def contraction_graph(D: Digraph) -> ContractionGraph:
     """Cycles of D+ and D- in cyclic order, and the external V+ -> V- links."""
     plus_cycles = tuple(
         tuple(_directed_cycle_order(D, comp, set(comp)))
-        for comp in _minus_components(D, V_plus))
+        for comp in _minus_components(D.reverse()))
     minus_cycles = tuple(
         tuple(_directed_cycle_order(D, comp, set(comp)))
-        for comp in _minus_components(D, V_minus))
-    node_of = {v: ("+", i) for i, cyc in enumerate(plus_cycles) for v in cyc}
-    node_of.update((v, ("-", i)) for i, cyc in enumerate(minus_cycles)
-                   for v in cyc)
-    # once patterns 1-3 fail, every edge is a cycle edge or a + -> - link
+        for comp in _minus_components(D))
+    # V+ and V- are disjoint in D(1,1), so one map holds both cycle indices
+    node_of = {v: i for cycles in (plus_cycles, minus_cycles)
+               for i, cyc in enumerate(cycles) for v in cyc}
+    # once patterns 1-3 fail, every edge is a cycle edge or a + -> - link,
+    # and every V+ vertex lies on a plus-cycle; its out-edges in ascending
+    # order of tail are the links in edge order
+    succ, pred = D.succ, D.pred
     between: dict[tuple[int, int], list[Edge]] = {}
-    for u, v in D.edges:
-        if u in V_plus and v in V_minus:
-            key = (node_of[u][1], node_of[v][1])
-            between.setdefault(key, []).append((u, v))
-    return ContractionGraph(plus_cycles, minus_cycles, node_of, between)
+    for u in sorted(v for cyc in plus_cycles for v in cyc):
+        for v in succ[u]:
+            if len(pred[v]) >= 2:
+                between.setdefault((node_of[u], node_of[v]), []).append((u, v))
+    return ContractionGraph(plus_cycles, minus_cycles, between)
 
 
 def _plus_path_sets(D: Digraph, order: list[int], u: int, v: int,
@@ -449,21 +455,20 @@ def find_reducing_pair(D: Digraph) -> Step:
     and m >= 6; tried pattern by pattern in the order of the claims of the
     2/5 bound's proof."""
     succ, pred = D.succ, D.pred
-    V_plus = {v for v in D.vertices if len(succ[v]) >= 2}
-    V_minus = {v for v in D.vertices if len(pred[v]) >= 2}
-
-    if not V_plus and not V_minus:
+    # D+ and D- are read from the degrees where a pattern needs them; this
+    # scan stops at the first vertex of either
+    if all(len(succ[v]) < 2 and len(pred[v]) < 2 for v in D.vertices):
         return _path_or_cycle(D)
 
     # a pattern that does not apply returns None; a Step is never falsy
     Dr = D.reverse()
-    rp = (_leaf_in_minus(D, V_minus)
-          or _reverse_pair(_leaf_in_minus(Dr, V_plus), "leaf-in-plus"))
+    rp = (_leaf_in_minus(D)
+          or _reverse_pair(_leaf_in_minus(Dr), "leaf-in-plus"))
     if rp:
         return rp
     # no leaf on either side: every component of D+ and D- is a cycle;
     # Dr walks each one backwards from its least vertex
-    M = contraction_graph(D, V_plus, V_minus)
+    M = contraction_graph(D)
     backwards = lambda cycles: [c[:1] + c[:0:-1] for c in cycles]
     rp = (_even_cycle_in_plus(D, M.plus_cycles)
           or _reverse_pair(_even_cycle_in_plus(Dr, backwards(M.minus_cycles)))
@@ -476,11 +481,12 @@ def find_reducing_pair(D: Digraph) -> Step:
     raise AlgorithmBugError("no reducing pair found where one must exist")
 
 
-def _base_step(vertices: list[int], edges) -> Step:
-    """The oracle-base step of the digraph with these sorted `edges` on the
-    ascending `vertices`, which all carry an edge: it keeps the oracle's
-    maximum directed cut, found on the digraph relabelled onto 0..n-1 in
-    vertex order, and drops the other edges."""
+def _base_step(vertices: list[int], succ) -> Step:
+    """The oracle-base step of the digraph on the ascending `vertices`,
+    which all carry an edge, with these sorted `succ` tuples: it keeps the
+    oracle's maximum directed cut, found on the digraph relabelled onto
+    0..n-1 in vertex order, and drops the other edges."""
+    edges = [(u, w) for u in vertices for w in succ[u]]
     index = {v: i for i, v in enumerate(vertices)}
     _, x = oracle.max_dicut_mask(
         len(vertices), [(index[u], index[v]) for u, v in edges])
@@ -503,7 +509,7 @@ def _reduction_loop(W: WorkGraph, vertices, trace: list | None) -> set[Edge]:
     while work:
         H = work.pop()
         if H.m <= 5:
-            step = _base_step(H.vertices, H.edges)
+            step = _base_step(H.vertices, H.succ)
         else:
             tri = find_triangle_reduction(H)
             if tri is not None:
@@ -620,8 +626,8 @@ def _peel_triangle_forest(D: Digraph, W: WorkGraph,
         m -= len(gone)
     if m > 6:
         return K | _reduction_loop(W, D.vertices, trace)
-    edges = [(u, w) for u in D.vertices for w in W.succ[u]]
-    step = _base_step(sorted({v for e in edges for v in e}), edges)
-    if trace is not None and edges:
+    vertices = [v for v in D.vertices if W.succ[v] or W.pred[v]]
+    step = _base_step(vertices, W.succ)
+    if trace is not None and vertices:
         trace.append(step)
     return K.union(step.kept)

@@ -8,8 +8,9 @@ of sorted predecessor tuples, where deleting an edge replaces its two
 endpoint tuples.  They read it one weak component at a time through a
 `Piece`, a view over the component's sorted vertex list that offers the
 reads of a `Digraph` the pattern functions make (`vertices`, `succ`,
-`pred`, degrees, `edges`, `triangles`, `reverse`, ...) on the original
-vertex ids.  `WorkGraph.pieces` is the one component walk, which
+`pred`, degrees, `triangles`, `reverse`, ...) on the original vertex
+ids; a piece lists no edges of its own, so its readers find edges in
+`succ`.  `WorkGraph.pieces` is the one component walk, which
 `Digraph.weak_components` reads too, and `Digraph` and `Piece` list
 triangles through one function.  d22's cycle peeling keeps adjacency sets
 of its own and hands its base case the remainder as an edge list; the
@@ -257,13 +258,13 @@ class WorkGraph:
 
 class Piece(_AdjacencyReads):
     """One weak component of a `WorkGraph`, read like a `Digraph` on its
-    original vertex ids.  It, its `m` and its cached `edges`/`edge_set`
-    are valid until an edge at one of its vertices is deleted; deleting
-    edges of other pieces leaves it intact.
+    original vertex ids.  It and its `m` are valid until an edge at one of
+    its vertices is deleted; deleting edges of other pieces leaves it
+    intact.
 
-    `vertices` is sorted, and `edges` and `triangles` come in the order a
-    `Digraph` gives them, so a pattern that scans `vertices` makes the same
-    choices on a piece as on the component relabelled onto 0..n-1.
+    `vertices` is sorted, and `triangles` come in the order a `Digraph`
+    gives them, so a pattern that scans `vertices` makes the same choices
+    on a piece as on the component relabelled onto 0..n-1.
     """
 
     def __init__(self, vertices: list[int], succ: list, pred: list, m: int):
@@ -271,15 +272,6 @@ class Piece(_AdjacencyReads):
         self.succ = succ
         self.pred = pred
         self.m = m
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        succ = self.succ
-        return tuple([(u, w) for u in self.vertices for w in succ[u]])
-
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
 
     def triangles(self):
         """All directed 3-cycles as in `Digraph.triangles`, lazily."""
@@ -341,6 +333,11 @@ def is_p3_free(D: Digraph, S: Iterable[Edge]) -> bool:
     bad = S - D.edge_set
     if bad:
         raise InputError(f"edges not in digraph: {sorted(bad)}")
+    return _p3_free(S)
+
+
+def _p3_free(S: set[Edge]) -> bool:
+    """`is_p3_free` for a set of edges already known to be in the digraph."""
     heads = {}
     for u, v in S:
         heads.setdefault(v, []).append(u)

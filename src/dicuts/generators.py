@@ -11,6 +11,8 @@ from .digraph import (
     AlgorithmBugError,
     Digraph,
     InputError,
+    MAX_VERTICES,
+    ResourceLimitError,
     check_vertex_count,
     class_partition,
 )
@@ -58,6 +60,8 @@ def gen_regular_tournament(k: int) -> Digraph:
         raise InputError("k must be >= 1")
     n = 2 * k + 1
     check_vertex_count(n)
+    if n * k > MAX_VERTICES:
+        raise ResourceLimitError(f"{n * k} edges exceed guard {MAX_VERTICES}")
     return Digraph(n, [(i, (i + d) % n) for i in range(n)
                        for d in range(1, k + 1)])
 

@@ -21,6 +21,7 @@ on edge lists for its base case.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Optional
 
 from .digraph import (
@@ -30,6 +31,7 @@ from .digraph import (
     Edge,
     PreconditionError,
     ResourceLimitError,
+    _triangles,
     class_partition,
     cut_from_partition,
 )
@@ -161,10 +163,12 @@ def max_triangle_packing(D: Digraph) -> int:
     Triangles that share a vertex are joined into groups, and the packing
     is the sum of each group's own.  One step budget covers every group.
     """
-    tris = D.triangles()
+    # list one triangle past the guard, not all of them, to trip it
+    tris = list(islice(_triangles(D.vertices, D.succ),
+                       MAX_PACKING_TRIANGLES + 1))
     if len(tris) > MAX_PACKING_TRIANGLES:
         raise ResourceLimitError(
-            f"{len(tris)} triangles exceed guard {MAX_PACKING_TRIANGLES}")
+            f"more than {MAX_PACKING_TRIANGLES} triangles")
     # union-find over vertices, with path halving
     root: dict[int, int] = {}
 

@@ -12,14 +12,15 @@ edges leave R and whose `dropped` edges enter it, as the trace records it.
 The search keeps its state across moves: `RemovalState` refreshes what a
 move touched at the move's own endpoints, and the move table lists only the
 entries and adds that can fire, in the order a full scan would try them, so
-every call returns that scan's first feasible move.
+every call returns that scan's first feasible move.  The state checks the
+class once, with `class_partition`, colors arrows from two per-vertex flags
+of D's degrees, and keeps R as a set: each search sorts it once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import combinations
 
 from .digraph import (
@@ -28,30 +29,16 @@ from .digraph import (
     Edge,
     PreconditionError,
     Step,
+    class_partition,
 )
-
-
-@dataclass(frozen=True)
-class VertexColoring:
-    """White = small in-degree, black = small out-degree, in the ORIGINAL D."""
-
-    k: int
-    white: frozenset[int]
-    black: frozenset[int]
-
-
-def vertex_coloring(D: Digraph, k: int) -> VertexColoring:
-    white = frozenset(v for v in range(D.n) if D.in_deg(v) <= k)
-    black = frozenset(v for v in range(D.n) if D.out_deg(v) <= k)
-    if len(white | black) < D.n:  # a vertex with d- > k and d+ > k
-        raise PreconditionError(f"digraph is not in D({k},{k})")
-    return VertexColoring(k, white, black)
 
 
 class RemovalState:
     """Mutable R with incremental degree tracking of the remainder D \\ R.
 
-    For the move search it also keeps R in sorted order (`order`), the R
+    A vertex is white if its in-degree in the ORIGINAL D is at most k, and
+    black if its out-degree there is; D is in D(k,k) exactly when every
+    vertex is one or both.  For the move search the state also keeps the R
     edges at each vertex (`r_at`), the R edges whose Crit is empty
     (`returnable`) and the arrow score (`score`, the colored R edges), and
     fills two caches on demand: the non-R edges at a vertex (`free`) and the
@@ -59,9 +46,12 @@ class RemovalState:
     """
 
     def __init__(self, D: Digraph, k: int, R: set[Edge]):
+        if class_partition(D, k, k) is None:
+            raise PreconditionError(f"digraph is not in D({k},{k})")
         self.D = D
         self.k = k
-        self.coloring = vertex_coloring(D, k)
+        self.white = [D.in_deg(v) <= k for v in range(D.n)]
+        self.black = [D.out_deg(v) <= k for v in range(D.n)]
         self.R: set[Edge] = set(R)
         self.din = [D.in_deg(v) for v in range(D.n)]
         self.dout = [D.out_deg(v) for v in range(D.n)]
@@ -69,7 +59,6 @@ class RemovalState:
             self.dout[u] -= 1
             self.din[v] -= 1
         self.check_feasible()
-        self.order = sorted(self.R)
         self.score = sum(1 for e in self.R if self.is_colored(e))
         self.r_at: list[set[Edge]] = [set() for _ in range(D.n)]
         for e in self.R:
@@ -81,7 +70,7 @@ class RemovalState:
 
     def is_colored(self, e: Edge) -> bool:
         """Black-tail or white-head arrow."""
-        return e[0] in self.coloring.black or e[1] in self.coloring.white
+        return self.black[e[0]] or self.white[e[1]]
 
     def potential(self) -> tuple[int, int]:
         return (len(self.R), -self.score)
@@ -177,12 +166,10 @@ class RemovalState:
         self.score += into * self.is_colored(e)
         if into > 0:
             self.R.add(e)
-            insort(self.order, e)
             self.r_at[u].add(e)
             self.r_at[v].add(e)
         else:
             self.R.remove(e)
-            del self.order[bisect_left(self.order, e)]
             self.r_at[u].remove(e)
             self.r_at[v].remove(e)
             self.returnable.discard(e)
@@ -191,8 +178,8 @@ class RemovalState:
 
 def initial_removal(D: Digraph, k: int) -> RemovalState:
     """Greedy feasible start: trim in-degrees of white vertices, then
-    out-degrees of the other black vertices, to k-1.  Only the state builds
-    the `VertexColoring`, and so refuses a D outside D(k,k)."""
+    out-degrees of the other black vertices, to k-1.  Only the state checks
+    the class, and so refuses a D outside D(k,k)."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     white = [v for v in range(D.n) if D.in_deg(v) <= k]
@@ -241,11 +228,11 @@ def _r_cycle_edges(state: RemovalState) -> set[Edge]:
     return alive
 
 
-def _connected_triples(state: RemovalState):
+def _connected_triples(state: RemovalState, order: list[Edge]):
     """The triples of R edges whose union is connected, ascending, built
-    one least edge at a time."""
+    one least edge at a time from `order`, R sorted."""
     r_at = state.r_at
-    for e in state.order:
+    for e in order:
         near = {f for v in e for f in r_at[v] if f > e}
         pairs = {(f, g) if f < g else (g, f)
                  for f in near for g in near.union(r_at[f[0]], r_at[f[1]])
@@ -258,10 +245,12 @@ def _move_table(state: RemovalState):
     """(returned edges, adds, tag) in scan order, for the entries that can
     fire, listed lazily: a later kind is only built once every earlier
     entry has failed."""
+    # Crit(e) is empty exactly when returning e alone is feasible
     for e in sorted(state.returnable):
-        yield (e,), _adds(state, (e,), 0), "return-edge"
+        yield (e,), [()], "return-edge"
+    order = sorted(state.R)
     on_cycle = None
-    for e in state.order:
+    for e in order:
         if state.is_colored(e):
             continue
         # |R| stays: only colored adds lower the potential
@@ -272,13 +261,13 @@ def _move_table(state: RemovalState):
             yield (e,), adds, ("cycle-recolor-swap" if e in on_cycle
                                else "growth-swap")
     sharing: dict[Edge, list[Edge]] = {}
-    for e in state.order:
+    for e in order:
         for (g,) in state.repairs(e):
             sharing.setdefault(g, []).append(e)
     for pair in sorted({p for es in sharing.values()
                         for p in combinations(es, 2)}):
         yield pair, _adds(state, pair, 1), "tree-path-swap"
-    for tri in _connected_triples(state):
+    for tri in _connected_triples(state, order):
         yield tri, _adds(state, tri, 2), "short-path-swap"
 
 
@@ -353,12 +342,8 @@ def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
 
 def _covering_adds(C: frozenset[int], most: int, at):
     """The `most`-sets of edges at C whose endpoints cover C, ascending and
-    in `combinations` order, where `at(vs)` lists the edges with every
-    vertex of vs as an endpoint."""
-    if most == 0:
-        if not C:
-            yield ()
-        return
+    in `combinations` order, for `most` 1 or 2, where `at(vs)` lists the
+    edges with every vertex of vs as an endpoint."""
 
     def touching(vs) -> list[Edge]:
         return sorted({g for v in vs for g in at(frozenset((v,)))})

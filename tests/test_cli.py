@@ -96,6 +96,13 @@ class TestGen:
         assert out == ""
         assert "resource guard: more than 1048576 vertices" in err
 
+    def test_tournament_past_the_edge_guard(self, capsys):
+        # 1 048 575 vertices pass the vertex guard, but n * k edges do not
+        assert main(["gen", "tournament", "--k", "524287"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "resource guard: 549754241025 edges exceed guard 1048576" in err
+
 
 class TestCheck:
     def test_member(self, t5_file):

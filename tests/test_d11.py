@@ -160,7 +160,7 @@ class TestPreconditions:
         check = digraph.is_p3_free
         counted = lambda H, S: calls.append(H) or check(H, S)
         monkeypatch.setattr(digraph, "is_p3_free", counted)
-        monkeypatch.setattr(d11, "is_p3_free", counted)
+        monkeypatch.setattr(d11, "is_p3_free", counted, raising=False)
         for D in [gen_example1(3), triangle_chain(4)] + \
                 [PATTERN_INSTANCES[tag] for tag in sorted(PATTERN_INSTANCES)
                  if method is dicut_d11]:
@@ -244,14 +244,12 @@ class TestReducingPairs:
 
     def test_contraction_graph_on_gamma_instance(self):
         D = _gamma_instance()
-        V_plus = {v for v in range(D.n) if D.out_deg(v) >= 2}
-        V_minus = {v for v in range(D.n) if D.in_deg(v) >= 2}
-        M = contraction_graph(D, V_plus, V_minus)
+        M = contraction_graph(D)
         assert len(M.plus_cycles) == 3 and len(M.minus_cycles) == 3
         links = [e for es in M.between.values() for e in es]
         assert len(links) == 9
         # every link goes from a contracted plus-cycle to a minus-cycle
-        assert all(M.node_of[u] == ("+", i) and M.node_of[v] == ("-", j)
+        assert all(u in M.plus_cycles[i] and v in M.minus_cycles[j]
                    for (i, j), es in M.between.items() for u, v in es)
 
     def test_validator_rejects_bad_pair(self):

@@ -162,8 +162,9 @@ class TestStructure:
         assert [P.vertices for P in pieces] == [c for c in comps if len(c) > 1]
         for P in pieces:
             inside = set(P.vertices)
-            assert P.edges == tuple(e for e in D.edges if e[0] in inside)
-            assert P.m == len(P.edges)
+            edges = [(u, w) for u in P.vertices for w in P.succ[u]]
+            assert edges == [e for e in D.edges if e[0] in inside]
+            assert P.m == len(edges)
             assert list(P.triangles()) == [t for t in tris if t[0] in inside]
 
     def test_acyclic(self):

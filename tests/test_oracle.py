@@ -5,7 +5,7 @@ import sys
 import pytest
 from test_d11 import triangle_chain
 
-from dicuts import cli, oracle
+from dicuts import cli, digraph, oracle
 from dicuts.digraph import Digraph, ResourceLimitError, is_p3_free
 from dicuts.generators import gen_example1, gen_regular_tournament
 
@@ -157,6 +157,23 @@ class TestTrianglePacking:
         monkeypatch.setattr(oracle, "MAX_PACKING_STEPS", 100_000)
         with pytest.raises(ResourceLimitError):
             oracle.max_triangle_packing(D)
+
+    def test_triangle_guard_stops_the_listing(self, monkeypatch):
+        # n = 41: 2 870 triangles; the guard needs to see only one past it
+        D = gen_regular_tournament(20)
+        drawn = []
+        listing = digraph._triangles
+
+        def counted(*args):
+            for tri in listing(*args):
+                drawn.append(tri)
+                yield tri
+
+        for mod in (digraph, oracle):
+            monkeypatch.setattr(mod, "_triangles", counted, raising=False)
+        with pytest.raises(ResourceLimitError):
+            oracle.max_triangle_packing(D)
+        assert len(drawn) == oracle.MAX_PACKING_TRIANGLES + 1
 
     def test_disjoint_groups_packed_apart(self, monkeypatch):
         # one group per triangle: 3 steps each, where the search over the

@@ -7,16 +7,17 @@ needs.
 """
 
 import random
+import statistics
 import time
 
 import pytest
 from test_colorcut import dense_d22
 from test_d11 import triangle_chain
 
-from dicuts import peel
+from dicuts import d11, peel
 from dicuts.colorcut import dicut_acyclic, dicut_d22
 from dicuts.d11 import dicut_d11, dicut_d11_connected
-from dicuts.digraph import Digraph, class_partition
+from dicuts.digraph import Digraph, Piece, class_partition
 from dicuts.generators import gen_random_family
 from dicuts.oracle import MAX_DICUT_VERTICES, max_dicut_exact
 from dicuts.peel import RemovalState, peel_to_lower_class
@@ -124,6 +125,32 @@ def test_d11_long_chain_builds_no_graph(method, monkeypatch):
     # leaf-triangle peel deletes from the reduction loop's working graph
     assert sum(step[0] == "oracle-base" for step in trace) >= 1098
     assert len(builds) == 0
+
+
+def test_reducing_pair_reads_few_adjacency_entries(monkeypatch):
+    # a search reads D+ and D- from the degrees where a pattern needs them,
+    # and its validation finds edges in succ; building the V+ and V- sets
+    # or the piece's edge list reads succ or pred at every vertex (median
+    # piece: 1 876 vertices; those reads put the median at 5 639)
+    D = gen_random_family("d11", 3200, 1, 1)  # m = 3 750
+    reads = []
+    search = d11.find_reducing_pair
+
+    class Counted(list):
+        def __getitem__(self, i):
+            reads[-1] += 1
+            return list.__getitem__(self, i)
+
+    def counted(H):
+        reads.append(0)
+        return search(Piece(H.vertices, Counted(H.succ), Counted(H.pred),
+                            H.m))
+
+    monkeypatch.setattr(d11, "find_reducing_pair", counted)
+    cert = dicut_d11(D)
+    cert.verify(D)
+    assert len(reads) >= 700
+    assert statistics.median(reads) <= 1000
 
 
 def test_max_dicut_exact_at_the_vertex_guard():
