@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import oracle
 from .colorcut import dicut_acyclic, dicut_d22
-from .d11 import dicut_d11, dicut_d11_connected
+from .d11 import dicut_d11, dicut_d11_connected, max_disjoint_triangles
 from .decompose import split_dkk
 from .digraph import (
     AlgorithmBugError,
@@ -50,21 +50,10 @@ def _infer_k(D: Digraph) -> int:
     return max([1] + [min(D.in_deg(v), D.out_deg(v)) for v in range(D.n)])
 
 
-def _triangle_bound_t(D: Digraph) -> int:
-    """t for the (2m - t)/5 guarantee: the exact maximum packing when the
-    backtracking guard allows, else the always-valid upper bound m // 3."""
-    try:
-        return oracle.max_triangle_packing(D)
-    except ResourceLimitError:
-        return D.m // 3
-
-
 def _run_method(D: Digraph, method: str, k: int | None):
     """(certificate, guaranteed bound as Fraction)."""
     if method == "d11":
-        # the class check comes first: t may cost a packing search
-        cert = dicut_d11(D)
-        return cert, Fraction(2 * D.m - _triangle_bound_t(D), 5)
+        return dicut_d11(D), Fraction(2 * D.m - max_disjoint_triangles(D), 5)
     if method == "d11c":
         return dicut_d11_connected(D), Fraction(7 * D.m, 20)
     if method == "acyclic":
@@ -206,6 +195,9 @@ def _cmd_explore(args) -> int:
     low = 3 if p < 4 else 4  # least n drawn
     if args.max_n < low:
         raise InputError(f"--max-n must be at least {low} for problem {p}")
+    if args.max_n > oracle.MAX_DICUT_VERTICES:  # every oracle refuses more
+        raise ResourceLimitError(
+            f"--max-n exceeds the oracle guard {oracle.MAX_DICUT_VERTICES}")
 
     def members(family: str, k: int, high: int):
         """The members with an edge among the budget's draws, n in low..high."""

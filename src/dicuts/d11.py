@@ -25,13 +25,13 @@ minus-cycle) pair.  Every choice below (sorted triangles, scans of
 the same choices as its component relabelled onto 0..n-1, and the
 functions below take a `Digraph` just as well.
 
-The input class is checked once, at the entries `dicut_d11` and
-`dicut_d11_connected`.  Deleting edges keeps a digraph digon-free and in
-D(1,1), so every piece is a connected, edge-carrying, digon-free D(1,1)
-digraph.  `find_triangle_reduction`, `find_reducing_pair` and
-`is_triangle_forest` take such a piece (the last one also the connected
-input of `dicut_d11_connected`, isolated vertices and all) and do not
-check it again.
+The input class is checked once, at the entries `dicut_d11`,
+`dicut_d11_connected` and `max_disjoint_triangles`.  Deleting edges keeps a
+digraph digon-free and in D(1,1), so every piece is a connected,
+edge-carrying, digon-free D(1,1) digraph.  `find_triangle_reduction`,
+`find_reducing_pair` and `is_triangle_forest` take such a piece (the last
+one also the connected input of `dicut_d11_connected`, isolated vertices
+and all) and do not check it again.
 """
 
 from __future__ import annotations
@@ -528,10 +528,23 @@ def _reduction_loop(W: WorkGraph, vertices, trace: list | None) -> set[Edge]:
 
 def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     """A directed cut of size at least (2m - t)/5, t the maximum number of
-    vertex-disjoint directed triangles (never computed here)."""
+    vertex-disjoint directed triangles (`max_disjoint_triangles`)."""
     _require_d11(D)
     K = _reduction_loop(WorkGraph(D), D.vertices, trace)
     return cut_from_banked(D, K)
+
+
+def max_disjoint_triangles(D: Digraph) -> int:
+    """t of `dicut_d11`'s bound.  Triangles that share a vertex share an edge
+    there, and two on a->b leave a no other out-edge and b no other in-edge:
+    each group of vertex-sharing triangles is a book on one edge, and any
+    maximal packing, as the greedy one below, takes one triangle per book."""
+    _require_d11(D)
+    used: set[int] = set()
+    for tri in D.triangles():
+        if used.isdisjoint(tri):
+            used.update(tri)
+    return len(used) // 3
 
 
 # -- Theorem 5: connected case, 7m/20 --------------------------------------

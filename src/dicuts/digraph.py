@@ -112,15 +112,16 @@ class Digraph(_AdjacencyReads):
     def __init__(self, n: int, edges: Iterable[Edge]):
         check_vertex_count(n)
         edge_tuple = tuple(sorted((int(u), int(v)) for u, v in edges))
-        seen = set()
-        for u, v in edge_tuple:
+        prev = None  # sorted, so a duplicate follows its twin
+        for edge in edge_tuple:
+            u, v = edge
             if u == v:
                 raise InputError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            if (u, v) in seen:
+            if edge == prev:
                 raise InputError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+            prev = edge
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_tuple)
 

@@ -4,10 +4,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_d11 import book
 
-from dicuts import cli, oracle
+from dicuts import cli
 from dicuts.cli import main
-from dicuts.digraph import AlgorithmBugError, load_dg
+from dicuts.digraph import AlgorithmBugError, load_dg, save_dg
 from dicuts.generators import gen_example1
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -138,15 +139,25 @@ class TestCutVerify:
         assert main(["cut", t5_file, "--method", "d11"]) == 2
 
     def test_class_checked_before_packing(self, tmp_path, monkeypatch):
-        # the packing search for t is exponential; a non-member needs none
+        # dicut_d11 refuses a non-member before t's triangles are counted
         path = tmp_path / "t9.dg"
         assert main(["gen", "tournament", "--k", "4", "-o", str(path)]) == 0
         calls = []
-        packing = oracle.max_triangle_packing
-        monkeypatch.setattr(oracle, "max_triangle_packing",
-                            lambda D: calls.append(D) or packing(D))
+        count = cli.max_disjoint_triangles
+        monkeypatch.setattr(cli, "max_disjoint_triangles",
+                            lambda D: calls.append(D) or count(D))
         assert main(["cut", str(path), "--method", "d11"]) == 2
         assert calls == []
+
+    def test_d11_bound_on_a_book(self, tmp_path, capsys):
+        # 2 001 triangles, past the packing search's guard, and t = 1:
+        # the bound is (2 * 4003 - 1) / 5
+        path = tmp_path / "book.dg"
+        save_dg(book(2001), path)
+        assert main(["verify", str(path), "--method", "d11"]) == 0
+        cols = capsys.readouterr().out.strip().split("\t")
+        assert cols[1:4] == ["d11", "2003", "4003"]
+        assert cols[5:] == ["1601/1", "-", "pass"]
 
     def test_oracle_method(self, t5_file, capsys):
         assert main(["verify", t5_file, "--method", "oracle"]) == 0
@@ -258,6 +269,13 @@ class TestExplore:
         assert main(["explore", "--problem", str(problem),
                      "--max-n", str(max_n), "--budget", "1"]) == 2
         assert "--max-n must be at least" in capsys.readouterr().err
+
+    def test_max_n_above_oracle_guard(self, capsys, monkeypatch):
+        # every oracle refuses a draw past MAX_DICUT_VERTICES: none is drawn
+        monkeypatch.setattr(cli, "gen_random_family", None)
+        assert main(["explore", "--problem", "1", "--max-n", "1000000",
+                     "--budget", "3"]) == 3
+        assert "--max-n exceeds the oracle guard 26" in capsys.readouterr().err
 
 
 def test_core_imports_neither_numpy_nor_networkx():

@@ -15,6 +15,7 @@ from dicuts.d11 import (
     find_reducing_pair,
     find_triangle_reduction,
     is_triangle_forest,
+    max_disjoint_triangles,
     validate_reducing_pair,
 )
 from dicuts.digraph import (
@@ -65,6 +66,15 @@ def triangle_chain(t):
         if i:
             edges.append((a - 2, a))
     return Digraph(3 * t, edges)
+
+
+def book(pages):
+    """Triangles 0->1->x->0 on the one edge 0->1, x = 2..pages+1: in
+    D(1,1), m = 2 pages + 1, and no two triangles are disjoint."""
+    edges = [(0, 1)]
+    for x in range(2, pages + 2):
+        edges += [(1, x), (x, 0)]
+    return Digraph(pages + 2, edges)
 
 
 def random_triangle_tree(rng, t):
@@ -176,6 +186,19 @@ class TestPreconditions:
         monkeypatch.setattr(d11, "_peel_triangle_forest", lambda *_: {a, b})
         with pytest.raises(AlgorithmBugError):
             method(D)
+
+
+class TestMaxDisjointTriangles:
+    def test_book_is_one(self):
+        assert max_disjoint_triangles(book(2001)) == 1
+
+    def test_same_as_packing_search(self):
+        for D in digonfree_d11(6):
+            assert max_disjoint_triangles(D) == oracle.max_triangle_packing(D)
+
+    def test_rejects_outside_class(self):
+        with pytest.raises(PreconditionError):
+            max_disjoint_triangles(Digraph(3, [(0, 1), (1, 0), (1, 2)]))
 
 
 class TestTriangleReduction:

@@ -5,7 +5,8 @@ import sys
 import pytest
 from test_d11 import triangle_chain
 
-from dicuts import cli, digraph, oracle
+from dicuts import digraph, oracle
+from dicuts.d11 import max_disjoint_triangles
 from dicuts.digraph import Digraph, ResourceLimitError, is_p3_free
 from dicuts.generators import gen_example1, gen_regular_tournament
 
@@ -182,9 +183,9 @@ class TestTrianglePacking:
         assert oracle.max_triangle_packing(triangle_chain(1100)) == 1100
 
     def test_chain_bound_stays_exact_past_the_whole_set_budget(self):
-        # the whole-set search exceeds MAX_PACKING_STEPS from t = 1 420 on,
-        # and the bound fell back to m // 3 = 1 933
-        assert cli._triangle_bound_t(triangle_chain(1450)) == 1450
+        # the whole-set search exceeds MAX_PACKING_STEPS from t = 1 420 on;
+        # the d11 bound counts books and searches nothing
+        assert max_disjoint_triangles(triangle_chain(1450)) == 1450
 
     def test_same_as_whole_set_search(self):
         # one to three random blocks on shuffled labels, so the triangles
