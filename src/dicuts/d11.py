@@ -18,12 +18,12 @@ vertex ids.  It deletes a step's edges from the working graph and then
 looks for pieces only among the vertices of the piece it stepped on.  The
 patterns read D+ and D- from the degrees as they scan and stop where one
 fires, and the validation finds edges in `succ`: no reducing-pair step
-lists a piece's edges or its V+ and V- sets.  The contraction graph of patterns (4) and
-(5) is built once per search, with its links grouped by (plus-cycle,
-minus-cycle) pair.  Every choice below (sorted triangles, scans of
-``D.vertices``, sorted adjacency) follows vertex order, so a piece makes
-the same choices as its component relabelled onto 0..n-1, and the
-functions below take a `Digraph` just as well.
+lists a piece's edges or its V+ and V- sets.  The contraction graph of
+patterns (4) and (5) is built once per search, with its links grouped by
+(plus-cycle, minus-cycle) pair.  Every choice below (sorted triangles,
+scans of ``D.vertices``, sorted adjacency) follows vertex order, so a
+piece makes the same choices as its component relabelled onto 0..n-1, and
+the functions below take a `Digraph` just as well.
 
 The input class is checked once, at the entries `dicut_d11`,
 `dicut_d11_connected` and `max_disjoint_triangles`.  Deleting edges keeps a
@@ -31,7 +31,8 @@ digraph digon-free and in D(1,1), so every piece is a connected,
 edge-carrying, digon-free D(1,1) digraph.  `find_triangle_reduction`,
 `find_reducing_pair` and `is_triangle_forest` take such a piece (the last
 one also the connected input of `dicut_d11_connected`, isolated vertices
-and all) and do not check it again.
+and all) and do not check it again: there a triangle forest's bridges form
+a tree, and its leaf, bridge and continuation show in the degrees.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def _v0_attach(D: Digraph, minus_cycles) -> Optional[Step]:
                 B = B1 | B2 | set(D.in_edges(x)) | {(y, z)}
                 # (y, z) is an out-edge of the A-head y; z in I covers it via
                 # B2 already, the explicit add keeps the set closed either way
-                return _pair(D, A, B - A, "v0-attach-with-inedge")
+                return _pair(D, A, B, "v0-attach-with-inedge")
             L = _pick_L(order, {z}, set())
             B1, A0, B2 = _minus_side_sets(D, order, L)
             return _pair(D, A0, B1 | B2, "v0-attach-source")
@@ -392,9 +393,7 @@ def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[Step]:
         B1, A0, B2 = _minus_side_sets(D, minus_order, L)
         A2, B1p, B2p = _plus_path_sets(D, plus_order, u, v, parity_even=True)
         B2p.discard((v, y))  # g'_0, already closed through B2
-        A = A0 | A2
-        B = (B1 | B2 | B1p | B2p) - A
-        return _pair(D, A, B, "multiedge-in-M")
+        return _pair(D, A0 | A2, B1 | B2 | B1p | B2p, "multiedge-in-M")
     return None
 
 
@@ -447,7 +446,7 @@ def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[Step]:
         B1, A0, B2 = _minus_side_sets(D, order, L)
         A |= A0
         B |= B1 | B2
-    return _pair(D, A, B - A, "gamma-cycle")
+    return _pair(D, A, B, "gamma-cycle")
 
 
 def find_reducing_pair(D: Digraph) -> Step:
@@ -550,13 +549,11 @@ def max_disjoint_triangles(D: Digraph) -> int:
 # -- Theorem 5: connected case, 7m/20 --------------------------------------
 
 def is_triangle_forest(D: Digraph) -> Optional[TriangleForestShape]:
-    """The t-triangles-plus-(t-1)-tree-bridges shape, if the piece D has it.
-
-    A triangle of D other than the t of the shape would need two parallel
-    bridges or a cycle of bridges, both of which the tree check rejects.  So
-    D has the shape iff its triangles are pairwise disjoint, cover every
-    vertex that carries an edge, and the other m - 3t = t - 1 edges join
-    them into a tree.
+    """The t-triangles-plus-(t-1)-tree-bridges shape, if the connected piece
+    D has it: iff its triangles are pairwise disjoint, cover every vertex
+    that carries an edge, and m = 4t - 1.  Digon-free, the only edges among
+    a triangle's vertices are its own, so the other t - 1 edges are bridges
+    that join the t triangles into one component: a tree.
     """
     tris = D.triangles()
     t = len(tris)
@@ -564,23 +561,8 @@ def is_triangle_forest(D: Digraph) -> Optional[TriangleForestShape]:
     if (len(tri_of) != 3 * t or D.m != 4 * t - 1
             or any(u not in tri_of or v not in tri_of for u, v in D.edges)):
         return None
-    tri_edges = {e for a, b, c in tris for e in ((a, b), (b, c), (c, a))}
-    bridges = tuple(e for e in D.edges if e not in tri_edges)
-    # bridges must form a tree on the contracted triangles
-    parent = list(range(t))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in bridges:
-        ra, rb = find(tri_of[u]), find(tri_of[v])
-        if ra == rb:
-            return None
-        parent[ra] = rb
-    return TriangleForestShape(tuple(tris), bridges)
+    return TriangleForestShape(tuple(tris), tuple(
+        (u, v) for u, v in D.edges if tri_of[u] != tri_of[v]))
 
 
 def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate:
@@ -602,32 +584,29 @@ def _peel_triangle_forest(D: Digraph, W: WorkGraph,
     """Peel a leaf triangle off W, the working graph of D, if D is a
     triangle forest with m > 6 (the rest has t - 2 triangles and 4t - 6
     edges, so it is none); hand what is left to the reduction loop if
-    m > 6, else to the oracle as one oracle-base step."""
+    m > 6, else to the oracle as one oracle-base step.
+
+    A leaf's D-degrees sum to 6 plus its one bridge end.  The bridge's
+    other end x' has two edges on the bridge's side, so D(1,1) leaves it
+    one other edge, the continuation, which lies in the triangle of x'.
+    """
     K: set[Edge] = set()
     m = D.m
     shape = is_triangle_forest(D) if m > 6 else None
     if shape is not None:
-        # peel a leaf triangle together with its unique bridge
-        tri_of = {v: i for i, tri in enumerate(shape.triangles) for v in tri}
-        degree = [0] * len(shape.triangles)
-        for u, v in shape.bridges:
-            degree[tri_of[u]] += 1
-            degree[tri_of[v]] += 1
-        leaf = degree.index(1)
-        bridge = next(e for e in shape.bridges
-                      if leaf in (tri_of[e[0]], tri_of[e[1]]))
-        tri = shape.triangles[leaf]
+        succ, pred = D.succ, D.pred
+        tri = next(tri for tri in shape.triangles
+                   if sum(len(succ[v]) + len(pred[v]) for v in tri) == 7)
         cyc = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
-        if tri_of[bridge[0]] == leaf:
+        bridge = next(e for e in shape.bridges if e[0] in cyc or e[1] in cyc)
+        if bridge[0] in cyc:
             # bridge x -> x' leaves the leaf triangle at x
             x, xp = bridge
-            continuation = (xp, next(w for w in D.succ[xp]
-                                     if tri_of[w] == tri_of[xp]))
+            continuation = (xp, succ[xp][0])
         else:
             # mirrored: bridge x' -> x enters the leaf triangle at x
             xp, x = bridge
-            continuation = (next(u for u in D.pred[xp]
-                                 if tri_of[u] == tri_of[xp]), xp)
+            continuation = (pred[xp][0], xp)
         y = cyc[x]
         kept = tuple(sorted((bridge, (y, cyc[y]))))
         gone = {(a, cyc[a]) for a in tri} | {bridge, continuation}

@@ -147,8 +147,8 @@ def split_dkk(D: Digraph, p1: int, p2: int,
     for y in sorted(Y):
         fill(D.out_edges(y))
 
-    # unconstrained X->Y edges
-    for i, e in enumerate(sorted(set(F) - e1 - e2)):
+    # unconstrained X->Y edges, in no star above
+    for i, e in enumerate(F):
         if balance_f:
             (e1 if i % 2 == 0 else e2).add(e)
         elif p1 > 0:

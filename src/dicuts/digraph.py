@@ -367,20 +367,20 @@ def extend_p3free_to_cut(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
     S = set(S)
     if not is_p3_free(D, S):
         raise PreconditionError("edge set is not P3-free")
-    tails = {u for u, _ in S}
-    cert = cut_from_partition(D, tails)
-    if not S <= set(cert.cut_edges):
-        raise AlgorithmBugError("extension dropped an edge of the P3-free set")
-    return cert
+    return cut_from_banked(D, S)
 
 
 def cut_from_banked(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
-    """`extend_p3free_to_cut` for a set an algorithm banked itself: a set
-    that is not P3-free is a bug of that algorithm, not of its input."""
-    try:
-        return extend_p3free_to_cut(D, S)
-    except PreconditionError as exc:
-        raise AlgorithmBugError("banked edge set lost P3-freeness") from exc
+    """The cut of the tails of S, for a set an algorithm banked itself.
+
+    S lies in that cut iff S is a P3-free, digon-free set of D's edges, so
+    anything else is a bug of that algorithm, not of its input."""
+    S = set(S)
+    cert = cut_from_partition(D, {u for u, _ in S})
+    lost = S.difference(cert.cut_edges)
+    if lost:
+        raise AlgorithmBugError(f"banked edges outside the cut: {sorted(lost)}")
+    return cert
 
 
 def shortest_bipartite_cycle(adj, nodes) -> Optional[list]:

@@ -8,7 +8,7 @@ from test_d11 import book
 
 from dicuts import cli
 from dicuts.cli import main
-from dicuts.digraph import AlgorithmBugError, load_dg, save_dg
+from dicuts.digraph import AlgorithmBugError, Digraph, load_dg, save_dg
 from dicuts.generators import gen_example1
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -127,6 +127,17 @@ class TestCutVerify:
         main(["gen", "example1", "--k", "1", "-o", str(path)])
         assert main(["cut", str(path), "--method", "d11c"]) == 0
         assert "77/20" in capsys.readouterr().out
+
+    def test_cut_acyclic_infers_k_and_lists_edges(self, tmp_path, capsys):
+        # the transitive 5-tournament: vertex 2 has d- = d+ = 2, so k = 2
+        path = tmp_path / "tt5.dg"
+        save_dg(Digraph(5, [(u, v) for u in range(5)
+                            for v in range(u + 1, 5)]), path)
+        assert main(["cut", str(path), "--method", "acyclic", "--edges"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split("\t")[1:] == [
+            "acyclic", "5", "10", "6", "3/1", "-", "pass"]
+        assert lines[1:] == ["X: 0 1", "0 2", "0 3", "0 4", "1 2", "1 3", "1 4"]
 
     def test_non_ascii_input_exit(self, tmp_path, capsys):
         path = tmp_path / "latin1.dg"

@@ -387,10 +387,10 @@ class TestD22:
 
     def test_banked_set_checked_once(self, monkeypatch):
         calls = []
-        check = digraph.is_p3_free
-        counted = lambda H, S: calls.append(H) or check(H, S)
-        monkeypatch.setattr(digraph, "is_p3_free", counted)
-        monkeypatch.setattr(colorcut, "is_p3_free", counted, raising=False)
+        check = digraph.cut_from_partition
+        counted = lambda H, X: calls.append(H) or check(H, X)
+        monkeypatch.setattr(digraph, "cut_from_partition", counted)
+        monkeypatch.setattr(colorcut, "cut_from_partition", counted)
         for D in (dense_d22(20, 1), gen_regular_tournament(2)):
             calls.clear()
             dicut_d22(D).verify(D)
@@ -400,6 +400,14 @@ class TestD22:
         D = dense_d22(20, 1)
         a, b = next((e, f) for e in D.edges for f in D.edges if e[1] == f[0])
         monkeypatch.setattr(colorcut, "_d22_p3free", lambda *_: {a, b})
+        with pytest.raises(AlgorithmBugError):
+            dicut_d22(D)
+
+    def test_banked_foreign_edge_is_a_bug(self, monkeypatch):
+        D = dense_d22(20, 1)
+        e = next((u, v) for u in D.vertices for v in D.vertices
+                 if u != v and (u, v) not in D.edge_set)
+        monkeypatch.setattr(colorcut, "_d22_p3free", lambda *_: {e})
         with pytest.raises(AlgorithmBugError):
             dicut_d22(D)
 

@@ -97,6 +97,66 @@ def random_triangle_tree(rng, t):
     return Digraph(3 * t, [(label[u], label[v]) for u, v in edges])
 
 
+def random_bridged_tree(rng, t):
+    """`random_triangle_tree`, but a bridge may end at any earlier vertex,
+    so one vertex can carry several bridges.  They all point the way of
+    its first one, which keeps the vertex's in- or out-degree at 1."""
+    edges, outward = [], {}  # vertex -> its bridges leave it
+    for i in range(t):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [(a, b), (b, c), (c, a)]
+        if i:
+            p, q = rng.randrange(3 * i), rng.choice((a, b, c))
+            out = outward.setdefault(p, rng.random() < 0.5)
+            outward[q] = not out
+            edges.append((p, q) if out else (q, p))
+    label = list(range(3 * t))
+    rng.shuffle(label)
+    return Digraph(3 * t, [(label[u], label[v]) for u, v in edges])
+
+
+def leaf_peel_reference(D):
+    """d11c's leaf-triangle step as first written: a union-find check that
+    the bridges form a tree, then a vertex -> triangle index and a bridge
+    count per triangle.  Returns the step and whether its bridge leaves the
+    leaf triangle."""
+    tris = D.triangles()
+    tri_of = {v: i for i, tri in enumerate(tris) for v in tri}
+    tri_edges = {e for a, b, c in tris for e in ((a, b), (b, c), (c, a))}
+    bridges = [e for e in D.edges if e not in tri_edges]
+    parent = list(range(len(tris)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    degree = [0] * len(tris)
+    for u, v in bridges:
+        ra, rb = find(tri_of[u]), find(tri_of[v])
+        assert ra != rb
+        parent[ra] = rb
+        degree[tri_of[u]] += 1
+        degree[tri_of[v]] += 1
+    leaf = degree.index(1)
+    bridge = next(e for e in bridges if leaf in (tri_of[e[0]], tri_of[e[1]]))
+    tri = tris[leaf]
+    cyc = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
+    leaves = tri_of[bridge[0]] == leaf
+    if leaves:
+        x, xp = bridge
+        continuation = (xp, next(w for w in D.succ[xp]
+                                 if tri_of[w] == tri_of[xp]))
+    else:
+        xp, x = bridge
+        continuation = (next(u for u in D.pred[xp]
+                             if tri_of[u] == tri_of[xp]), xp)
+    y = cyc[x]
+    kept = tuple(sorted((bridge, (y, cyc[y]))))
+    gone = {(a, cyc[a]) for a in tri} | {bridge, continuation}
+    return Step("leaf-triangle", kept, tuple(sorted(gone - set(kept)))), leaves
+
+
 def reduction_rebuilding(D):
     """d11's reduction loop as first written: every piece a component
     relabelled onto 0..n-1 with the list that maps it back, and a new
@@ -164,13 +224,12 @@ class TestPreconditions:
 
     @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
     def test_banked_set_checked_once(self, method, monkeypatch):
-        # the certificate's one P3 check is extend_p3free_to_cut's; the
-        # pattern validations run on pieces, never on D itself
+        # the certificate's one P3 check is cut_from_banked's cut of the
+        # banked tails; the pattern validations run on pieces, never on D
         calls = []
-        check = digraph.is_p3_free
-        counted = lambda H, S: calls.append(H) or check(H, S)
-        monkeypatch.setattr(digraph, "is_p3_free", counted)
-        monkeypatch.setattr(d11, "is_p3_free", counted, raising=False)
+        check = digraph.cut_from_partition
+        counted = lambda H, X: calls.append(H) or check(H, X)
+        monkeypatch.setattr(digraph, "cut_from_partition", counted)
         for D in [gen_example1(3), triangle_chain(4)] + \
                 [PATTERN_INSTANCES[tag] for tag in sorted(PATTERN_INSTANCES)
                  if method is dicut_d11]:
@@ -185,6 +244,15 @@ class TestPreconditions:
         monkeypatch.setattr(d11, "_reduction_loop", lambda *_: {a, b})
         monkeypatch.setattr(d11, "_peel_triangle_forest", lambda *_: {a, b})
         with pytest.raises(AlgorithmBugError):
+            method(D)
+
+    @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
+    def test_banked_foreign_edge_is_a_bug(self, method, monkeypatch):
+        D = gen_example1(2)
+        assert (0, 2) not in D.edge_set
+        monkeypatch.setattr(d11, "_reduction_loop", lambda *_: {(0, 2)})
+        monkeypatch.setattr(d11, "_peel_triangle_forest", lambda *_: {(0, 2)})
+        with pytest.raises(AlgorithmBugError, match=r"\(0, 2\)"):
             method(D)
 
 
@@ -300,6 +368,14 @@ class TestBound:
             cert = dicut_d11(D)
             cert.verify(D)
             assert bound_ok(D, cert)
+
+    def test_directed_path_starts_at_its_source(self):
+        D = Digraph(8, [(i, i + 1) for i in range(7)])
+        trace = []
+        cert = dicut_d11(D, trace)
+        cert.verify(D)
+        assert trace[0] == Step("path-or-cycle", ((0, 1),), ((1, 2),))
+        assert cert.size == 4
 
     def test_example1_chain(self):
         for k in (1, 2, 3):
@@ -429,6 +505,25 @@ class TestTriangleForest:
         D = triangle_chain(t)
         dicut_d11_connected(D).verify(D)
         assert len(calls) == 1
+
+    def test_leaf_peel_matches_union_find_peel(self):
+        # the degrees find the leaf, bridge and continuation that a
+        # union-find tree and a vertex -> triangle index found before
+        rng = random.Random(17)
+        graphs = [random_triangle_tree(rng, rng.randint(2, 40))
+                  for _ in range(100)]
+        graphs += [random_bridged_tree(rng, rng.randint(2, 40))
+                   for _ in range(100)]
+        directions, several = set(), 0
+        for D in graphs:
+            trace = []
+            dicut_d11_connected(D, trace).verify(D)
+            step, leaves = leaf_peel_reference(D)
+            assert trace[0] == step, D
+            directions.add(leaves)
+            several += any(D.in_deg(v) + D.out_deg(v) > 3
+                           for v in D.vertices)
+        assert directions == {True, False} and several > 50
 
     def test_mirrored_bridge(self):
         # bridge pointing INTO the leaf triangle
