@@ -28,58 +28,53 @@ def bipartite_edge_coloring(
     Incremental insertion: when both endpoints have a free color but no common
     one, swap colors along the alternating path (Vizing fan degenerates to a
     path in the bipartite case, which is why delta colors always suffice).
+    One table holds every vertex: right vertex v is numbered left_n + v.
     """
-    deg_l = [0] * left_n
-    deg_r = [0] * right_n
+    ends = []
+    deg = [0] * (left_n + right_n)
     for u, v in edges:
         if not (0 <= u < left_n and 0 <= v < right_n):
             raise InputError(f"edge ({u}, {v}) out of range")
-        deg_l[u] += 1
-        deg_r[v] += 1
-    if any(d > delta for d in deg_l) or any(d > delta for d in deg_r):
+        ends.append((u, left_n + v))
+        deg[u] += 1
+        deg[left_n + v] += 1
+    if any(d > delta for d in deg):
         raise InputError("maximum degree exceeds delta")
 
-    # at_l[u][c] / at_r[v][c]: index of the edge colored c at that vertex
-    at_l: list[dict[int, int]] = [{} for _ in range(left_n)]
-    at_r: list[dict[int, int]] = [{} for _ in range(right_n)]
+    # at[x][c]: index of the edge colored c at vertex x
+    at: list[dict[int, int]] = [{} for _ in deg]
     colors = [0] * len(edges)
 
     def free(used: dict[int, int]) -> int:
         return next(c for c in range(1, delta + 1) if c not in used)
 
-    for i, (u, v) in enumerate(edges):
-        a = free(at_l[u])
-        b = free(at_r[v])
+    for i, (u, v) in enumerate(ends):
+        a = free(at[u])
+        b = free(at[v])
         if a != b:
             # walk the a/b alternating path from v and swap its colors;
-            # it cannot return to u because the path alternates sides on
-            # alternating colors and u misses a entirely
-            side, x, want = "r", v, a
+            # it cannot return to u because the path alternates between
+            # left and right on alternating colors and u misses a entirely
+            x, want = v, a
             path = []
-            while True:
-                used = at_r[x] if side == "r" else at_l[x]
-                if want not in used:
-                    break
-                f = used[want]
+            while want in at[x]:
+                f = at[x][want]
                 path.append(f)
-                x = edges[f][0] if side == "r" else edges[f][1]
-                side = "l" if side == "r" else "r"
+                x = sum(ends[f]) - x  # the edge's other end
                 want = b if want == a else a
             for f in path:
-                del at_l[edges[f][0]][colors[f]]
-                del at_r[edges[f][1]][colors[f]]
+                for y in ends[f]:
+                    del at[y][colors[f]]
             for f in path:
-                new = b if colors[f] == a else a
-                colors[f] = new
-                at_l[edges[f][0]][new] = f
-                at_r[edges[f][1]][new] = f
-            b = a
+                colors[f] = b if colors[f] == a else a
+                for y in ends[f]:
+                    at[y][colors[f]] = f
         colors[i] = a
-        at_l[u][a] = i
-        at_r[v][a] = i
+        at[u][a] = i
+        at[v][a] = i
 
     # properness is cheap to recheck and the swap logic is fiddly: assert it
-    for vmap in (*at_l, *at_r):
+    for vmap in at:
         for c, f in vmap.items():
             if colors[f] != c:
                 raise AlgorithmBugError("edge coloring bookkeeping broken")
@@ -101,8 +96,10 @@ def split_dkk(D: Digraph, p1: int, p2: int,
 
     The Y->X edges form a bipartite graph of maximum degree <= p1+p2 (in-side
     X, out-side Y); a proper (p1+p2)-edge-coloring splits them so that every
-    constrained degree lands under its budget.  X->Y edges are unconstrained
-    and go to D1 (or alternate when balance_f is set).
+    constrained degree lands under its budget.  A star's other edges, those
+    within its vertex's side, then fill D1's budget and go to D2 past it.
+    X->Y edges are unconstrained and go to D1 (or alternate when balance_f
+    is set).
     """
     if p1 < 0 or p2 < 0:
         raise PreconditionError("p1 and p2 must be non-negative")
@@ -110,64 +107,54 @@ def split_dkk(D: Digraph, p1: int, p2: int,
     part = class_partition(D, p, p)
     if part is None:
         raise PreconditionError(f"digraph is not in D({p},{p})")
-    X, Y = set(part.X), set(part.Y)
-
-    B = [e for e in D.edges if e[0] in Y and e[1] in X]
-    F = [e for e in D.edges if e[0] in X and e[1] in Y]
+    # pos: a vertex's index on its side of the witness
+    pos, in_x = [0] * D.n, [False] * D.n
+    for i, x in enumerate(part.X):
+        pos[x], in_x[x] = i, True
+    for i, y in enumerate(part.Y):
+        pos[y] = i
+    B = [e for e in D.edges if in_x[e[1]] and not in_x[e[0]]]
+    F = [e for e in D.edges if in_x[e[0]] and not in_x[e[1]]]
 
     # color B: left side indexes X (by head), right side indexes Y (by tail)
-    xi = {v: i for i, v in enumerate(sorted(X))}
-    yi = {v: i for i, v in enumerate(sorted(Y))}
-    bip = [(xi[v], yi[u]) for u, v in B]
+    bip = [(pos[v], pos[u]) for u, v in B]
     # for p = 0, B is empty: a Y vertex has out-degree 0 in D(0,0)
-    e1: set[Edge] = set()
-    e2: set[Edge] = set()
-    for e, c in zip(B, bipartite_edge_coloring(len(xi), len(yi), bip, p)):
-        (e1 if c <= p1 else e2).add(e)
+    e1: list[Edge] = []
+    e2: list[Edge] = []
+    used1 = [0] * D.n  # B edges in D1 at each vertex
+    for e, c in zip(B, bipartite_edge_coloring(len(part.X), len(part.Y),
+                                               bip, p)):
+        if c <= p1:
+            e1.append(e)
+            used1[e[0]] += 1
+            used1[e[1]] += 1
+        else:
+            e2.append(e)
 
-    # fill the remaining constrained stars greedily under the budgets;
-    # B-edges are already placed and count against them
-    def fill(star: list[Edge]) -> None:
-        used1 = sum(1 for e in star if e in e1)
-        used2 = sum(1 for e in star if e in e2)
-        for e in star:
-            if e in e1 or e in e2:
-                continue
-            if used1 < p1:
-                e1.add(e)
-                used1 += 1
-            elif used2 < p2:
-                e2.add(e)
-                used2 += 1
-            else:
-                raise AlgorithmBugError("star budget exhausted")
-
-    for x in sorted(X):
-        fill(D.in_edges(x))
-    for y in sorted(Y):
-        fill(D.out_edges(y))
+    # the B edges at a star hold used1 of D1's budget
+    for v in D.vertices:
+        star = ([(u, v) for u in D.pred[v] if in_x[u]] if in_x[v]
+                else [(v, w) for w in D.succ[v] if not in_x[w]])
+        e1 += star[:p1 - used1[v]]
+        e2 += star[p1 - used1[v]:]
 
     # unconstrained X->Y edges, in no star above
-    for i, e in enumerate(F):
-        if balance_f:
-            (e1 if i % 2 == 0 else e2).add(e)
-        elif p1 > 0:
-            e1.add(e)
-        else:
-            e2.add(e)
-    leftover = set(D.edges) - e1 - e2
+    if balance_f:
+        e1 += F[::2]
+        e2 += F[1::2]
+    else:
+        (e1 if p1 > 0 else e2).extend(F)
+    leftover = D.edge_set.difference(e1, e2)
     if leftover:
-        raise AlgorithmBugError(f"edges assigned to neither part: {sorted(leftover)}")
+        raise AlgorithmBugError(f"edges assigned to neither part, least {min(leftover)}")
 
-    D1 = Digraph(D.n, sorted(e1))
-    D2 = Digraph(D.n, sorted(e2))
+    D1 = Digraph(D.n, e1)
+    D2 = Digraph(D.n, e2)
     for Dj, pj in ((D1, p1), (D2, p2)):
-        for x in X:
+        for x in part.X:
             if Dj.in_deg(x) > pj:
                 raise AlgorithmBugError("X-side in-degree budget violated")
-        for y in Y:
+        for y in part.Y:
             if Dj.out_deg(y) > pj:
                 raise AlgorithmBugError("Y-side out-degree budget violated")
-        if class_partition(Dj, pj, pj) is None:
-            raise AlgorithmBugError("split part fails class membership")
-    return SplitResult(D1, D2, tuple(sorted(X)), tuple(sorted(Y)))
+    return SplitResult(D1, D2, part.X, part.Y)

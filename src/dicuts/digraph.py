@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable, NamedTuple, Optional
 
 Edge = tuple[int, int]
@@ -62,13 +63,18 @@ class ResourceLimitError(RuntimeError):
     """An input or an exact search exceeded its explicit guard."""
 
 
-def check_vertex_count(n: int) -> None:
-    """Refuse a vertex count outside 0..MAX_VERTICES; a generator calls it
-    before it builds any list of that size."""
+def check_vertex_count(n: int) -> int:
+    """n as an int, refused unless it is an integer in 0..MAX_VERTICES; a
+    generator calls it before it builds any list of that size."""
+    try:
+        n = index(n)
+    except TypeError as exc:
+        raise InputError(f"vertex count {n!r} is not an integer") from exc
     if n < 0:
         raise InputError("vertex count must be non-negative")
     if n > MAX_VERTICES:
         raise ResourceLimitError(f"more than {MAX_VERTICES} vertices")
+    return n
 
 
 def _triangles(vertices: Iterable[int], succ):
@@ -110,8 +116,11 @@ class Digraph(_AdjacencyReads):
     edges: tuple[Edge, ...]
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        check_vertex_count(n)
-        edge_tuple = tuple(sorted((int(u), int(v)) for u, v in edges))
+        n = check_vertex_count(n)
+        try:
+            edge_tuple = tuple(sorted((index(u), index(v)) for u, v in edges))
+        except (TypeError, ValueError) as exc:
+            raise InputError("edges must be pairs of integer vertex ids") from exc
         prev = None  # sorted, so a duplicate follows its twin
         for edge in edge_tuple:
             u, v = edge
@@ -360,13 +369,15 @@ def cut_from_partition(D: Digraph, X: Iterable[int]) -> CutCertificate:
 
 
 def extend_p3free_to_cut(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
-    """Grow a P3-free edge set into a full directed cut containing it.
+    """Grow a P3-free, digon-free edge set into a directed cut containing it.
 
     Tails of S go to X, heads to Y; vertices not touched by S go to Y.
     """
     S = set(S)
     if not is_p3_free(D, S):
         raise PreconditionError("edge set is not P3-free")
+    if any((v, u) in S for u, v in S):
+        raise PreconditionError("edge set contains a digon")
     return cut_from_banked(D, S)
 
 

@@ -177,40 +177,22 @@ class RemovalState:
 
 
 def initial_removal(D: Digraph, k: int) -> RemovalState:
-    """Greedy feasible start: trim in-degrees of white vertices, then
-    out-degrees of the other black vertices, to k-1.  Only the state checks
+    """Greedy feasible start: R takes the first in-edge of each vertex of
+    in-degree k, then the first out-edge of each vertex of in-degree above
+    k and out-degree k with no out-edge in R yet.  Only the state checks
     the class, and so refuses a D outside D(k,k)."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    white = [v for v in range(D.n) if D.in_deg(v) <= k]
-    black_only = [v for v in range(D.n) if D.in_deg(v) > k >= D.out_deg(v)]
-    R: set[Edge] = set()
-    din = [D.in_deg(v) for v in range(D.n)]
-    dout = [D.out_deg(v) for v in range(D.n)]
-
-    def drop(e: Edge) -> None:
-        R.add(e)
-        dout[e[0]] -= 1
-        din[e[1]] -= 1
-
-    for v in white:
-        for e in D.in_edges(v):
-            if din[v] <= k - 1:
-                break
-            if e not in R:
-                drop(e)
-    for v in black_only:
-        for e in D.out_edges(v):
-            if dout[v] <= k - 1:
-                break
-            if e not in R:
-                drop(e)
+    R = {(D.pred[v][0], v) for v in D.vertices if D.in_deg(v) == k}
+    R |= {(v, D.succ[v][0]) for v in D.vertices
+          if D.in_deg(v) > k == D.out_deg(v)
+          and not any((v, w) in R for w in D.succ[v])}
     return RemovalState(D, k, R)
 
 
 def _r_cycle_edges(state: RemovalState) -> set[Edge]:
-    """Edges of R lying on an (underlying) cycle of R: the edges left after
-    repeatedly stripping degree-1 vertices."""
+    """The 2-core of R: the edges left after repeatedly stripping degree-1
+    vertices, those on a cycle of R and on a path of R between two cycles."""
     deg: dict[int, int] = {}
     for u, v in state.R:
         deg[u] = deg.get(u, 0) + 1
@@ -277,7 +259,7 @@ def find_improvement(state: RemovalState) -> Step | None:
     M0 return-edge: some e with Crit(e) empty goes back.
     M2 cycle-recolor-swap / M4 growth-swap: one-for-one exchange of an
     uncolored arrow for a colored one (score rises, |R| constant); tagged
-    M2 when the outgoing edge lies on a cycle of R, M4 otherwise.
+    M2 when the outgoing edge lies in the 2-core of R, M4 otherwise.
     M1 tree-path-swap: two R-edges out, one in.
     M3 short-path-swap: a connected triple of R-edges out, two in.
 

@@ -331,6 +331,12 @@ class TestAcyclic:
         with pytest.raises(PreconditionError):
             dicut_acyclic(Digraph(3, [(0, 1), (1, 2), (2, 0)]), 1)
 
+    def test_rejects_non_member(self):
+        # acyclic, but vertex 2 has in- and out-degree 2
+        D = Digraph(5, [(0, 2), (1, 2), (2, 3), (2, 4)])
+        with pytest.raises(PreconditionError):
+            dicut_acyclic(D, 1)
+
     def test_transitive3(self):
         cert = dicut_acyclic(transitive(3), 1)
         assert cert.size >= 1

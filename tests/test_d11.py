@@ -333,6 +333,23 @@ class TestReducingPairs:
         cert.verify(D)
         assert bound_ok(D, cert)
 
+    def test_multiedge_walks_a_gap_between_links(self):
+        # plus triangles a b c and d e f, minus triangles x y z and u v w;
+        # the plus triangle a b c links twice into x y z (a->x, c->y), with
+        # the unlinked b in the gap the walk steps over.  Kept out of
+        # PATTERN_INSTANCES, whose graphs the golden corpus holds.
+        a, b, c, d, e, f, x, y, z, u, v, w = range(12)
+        D = Digraph(12, [(a, b), (b, c), (c, a), (d, e), (e, f), (f, d),
+                         (x, y), (y, z), (z, x), (u, v), (v, w), (w, u),
+                         (a, x), (b, u), (c, y), (d, z), (e, v), (f, w)])
+        step = find_reducing_pair(D)
+        assert step.tag == "multiedge-in-M"
+        assert step.kept == ((2, 0), (2, 7), (3, 8), (6, 7))
+        validate_reducing_pair(D, step.kept, step.dropped, step.tag)
+        cert = dicut_d11(D)
+        cert.verify(D)
+        assert bound_ok(D, cert)
+
     def test_contraction_graph_on_gamma_instance(self):
         D = _gamma_instance()
         M = contraction_graph(D)

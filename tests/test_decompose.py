@@ -11,6 +11,7 @@ from dicuts.digraph import (
     class_partition,
 )
 from dicuts.generators import gen_random_family, gen_regular_tournament
+from test_peel import random_dkk
 
 
 def assert_proper(colors, edges, delta):
@@ -81,7 +82,66 @@ def check_split(D, p1, p2, **kw):
     return res
 
 
+def split_by_counters(D, p1, p2, balance_f):
+    """(D1, D2) edges of the split with each star filled edge by edge under
+    two budget counters, on sets of X and Y."""
+    part = class_partition(D, p1 + p2, p1 + p2)
+    X, Y = set(part.X), set(part.Y)
+    B = [e for e in D.edges if e[0] in Y and e[1] in X]
+    F = [e for e in D.edges if e[0] in X and e[1] in Y]
+    xi = {v: i for i, v in enumerate(sorted(X))}
+    yi = {v: i for i, v in enumerate(sorted(Y))}
+    colors = bipartite_edge_coloring(len(xi), len(yi),
+                                     [(xi[v], yi[u]) for u, v in B], p1 + p2)
+    e1 = {e for e, c in zip(B, colors) if c <= p1}
+    e2 = set(B) - e1
+
+    def fill(star):
+        used1 = sum(1 for e in star if e in e1)
+        used2 = sum(1 for e in star if e in e2)
+        for e in star:
+            if e in e1 or e in e2:
+                continue
+            if used1 < p1:
+                e1.add(e)
+                used1 += 1
+            else:
+                assert used2 < p2
+                e2.add(e)
+                used2 += 1
+
+    for x in sorted(X):
+        fill(D.in_edges(x))
+    for y in sorted(Y):
+        fill(D.out_edges(y))
+    for i, e in enumerate(F):
+        if balance_f:
+            (e1 if i % 2 == 0 else e2).add(e)
+        else:
+            (e1 if p1 > 0 else e2).add(e)
+    return tuple(sorted(e1)), tuple(sorted(e2))
+
+
 class TestSplit:
+    def test_same_parts_as_the_counter_fill(self):
+        rng = random.Random(18)
+        for i in range(240):
+            p = rng.randint(0, 6)
+            p1 = rng.randint(0, p)
+            D = (random_dkk(rng, rng.randint(1, 14), p) if i % 2 else
+                 gen_random_family("dkk", rng.randint(1, 30), p,
+                                   rng.randrange(1 << 30)))
+            part = class_partition(D, p, p)
+            for balance_f in (False, True):
+                res = split_dkk(D, p1, p - p1, balance_f)
+                assert ((res.D1.edges, res.D2.edges)
+                        == split_by_counters(D, p1, p - p1, balance_f))
+                assert (res.X, res.Y) == (part.X, part.Y)
+
+    def test_rejects_negative_part(self):
+        with pytest.raises(PreconditionError):
+            split_dkk(Digraph(2, [(0, 1)]), -1, 2)
+
     def test_tournament5(self):
         check_split(gen_regular_tournament(2), 1, 1)
 

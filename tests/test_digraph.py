@@ -47,6 +47,27 @@ class TestConstruction:
         D = Digraph(2, [(0, 1), (1, 0)])
         assert D.has_digon()
 
+    def test_rejects_float_vertex_id(self):
+        with pytest.raises(InputError):
+            Digraph(3, [(1.9, 2)])
+
+    def test_rejects_string_vertex_ids(self):
+        with pytest.raises(InputError):
+            Digraph(3, [("1", "2")])
+
+    def test_rejects_float_vertex_count(self):
+        with pytest.raises(InputError):
+            Digraph(2.5, [])
+
+    def test_rejects_edges_that_are_not_pairs(self):
+        with pytest.raises(InputError):
+            Digraph(3, [1, 2])
+
+    def test_bool_ids_are_ints(self):
+        D = Digraph(True + 1, [(True, False)])
+        assert D.n == 2 and D.edges == ((1, 0),)
+        assert type(D.n) is int and type(D.edges[0][0]) is int
+
     def test_edges_sorted(self):
         D = Digraph(3, [(2, 1), (0, 2), (0, 1)])
         assert D.edges == ((0, 1), (0, 2), (2, 1))
@@ -122,6 +143,12 @@ class TestP3AndCuts:
         for e in D.edges[:3]:
             cert = extend_p3free_to_cut(D, [e])
             assert e in cert.cut_edges
+
+    def test_extend_rejects_digon(self):
+        # P3-free, as a digon is no P3, yet no cut holds both its edges
+        D = Digraph(2, [(0, 1), (1, 0)])
+        with pytest.raises(PreconditionError, match="digon"):
+            extend_p3free_to_cut(D, D.edges)
 
     def test_extend_rejects_p3(self):
         D = Digraph(3, [(0, 1), (1, 2)])

@@ -7,8 +7,17 @@ from test_d11 import triangle_chain
 
 from dicuts import digraph, oracle
 from dicuts.d11 import max_disjoint_triangles
-from dicuts.digraph import Digraph, ResourceLimitError, is_p3_free
-from dicuts.generators import gen_example1, gen_regular_tournament
+from dicuts.digraph import (
+    Digraph,
+    PreconditionError,
+    ResourceLimitError,
+    is_p3_free,
+)
+from dicuts.generators import (
+    gen_example1,
+    gen_random_family,
+    gen_regular_tournament,
+)
 
 
 def triangle():
@@ -245,6 +254,17 @@ class TestMinRemoval:
         rest = D.without_edges(R)
         assert all(rest.in_deg(v) <= 1 or rest.out_deg(v) <= 1
                    for v in range(5))
+
+    def test_declared_errors(self):
+        with pytest.raises(PreconditionError):
+            oracle.min_removal_exact(triangle(), 0)
+        with pytest.raises(PreconditionError):
+            oracle.min_removal_exact(gen_regular_tournament(2), 1)
+        t = oracle.MAX_REMOVAL_EDGES // 3 + 1
+        D = gen_random_family("disjoint-triangles", t)
+        assert D.m > oracle.MAX_REMOVAL_EDGES
+        with pytest.raises(ResourceLimitError):
+            oracle.min_removal_exact(D, 1)
 
     def test_tournament7(self):
         assert len(oracle.min_removal_exact(gen_regular_tournament(3), 3)) == 4

@@ -1,3 +1,4 @@
+import itertools
 import random
 from itertools import combinations
 
@@ -38,7 +39,64 @@ class TestColoring:
         assert st.white[0] and not st.black[0]
 
 
+def random_dkk(rng, n, k):
+    """A random member of D(k,k), digons allowed: each ordered pair is
+    drawn with probability 1/2 unless it would lift an X vertex's in-degree
+    or a Y vertex's out-degree past k."""
+    X = set(rng.sample(range(n), rng.randint(0, n)))
+    indeg, outdeg, edges = [0] * n, [0] * n, []
+    for u, v in itertools.permutations(range(n), 2):
+        if (rng.random() < 0.5 and not (v in X and indeg[v] == k)
+                and not (u not in X and outdeg[u] == k)):
+            edges.append((u, v))
+            indeg[v] += 1
+            outdeg[u] += 1
+    return Digraph(n, edges)
+
+
+def initial_removal_by_counters(D, k):
+    """R of the greedy start as a counter loop: drop edges into each white
+    vertex, then out of each other black vertex, skipping those already
+    dropped, until its degree there is k-1."""
+    R = set()
+    din = [D.in_deg(v) for v in D.vertices]
+    dout = [D.out_deg(v) for v in D.vertices]
+
+    def drop(e):
+        R.add(e)
+        dout[e[0]] -= 1
+        din[e[1]] -= 1
+
+    for v in [v for v in D.vertices if D.in_deg(v) <= k]:
+        for e in D.in_edges(v):
+            if din[v] <= k - 1:
+                break
+            if e not in R:
+                drop(e)
+    for v in [v for v in D.vertices if D.in_deg(v) > k >= D.out_deg(v)]:
+        for e in D.out_edges(v):
+            if dout[v] <= k - 1:
+                break
+            if e not in R:
+                drop(e)
+    return R
+
+
 class TestInitialRemoval:
+    def test_same_r_as_the_counter_loop(self):
+        # k up to 6: a vertex's surplus over k-1 ranges from 1 up to k
+        rng = random.Random(18)
+        for i in range(300):
+            k = rng.randint(1, 6)
+            D = (random_dkk(rng, rng.randint(2, 14), k) if i % 2 else
+                 gen_random_family("dkk", rng.randint(2, 30), k,
+                                   rng.randrange(1 << 30)))
+            assert initial_removal(D, k).R == initial_removal_by_counters(D, k)
+
+    def test_rejects_k_below_one(self):
+        with pytest.raises(PreconditionError):
+            initial_removal(Digraph(2, [(0, 1)]), 0)
+
     def test_already_member_empty(self):
         D = Digraph(3, [(0, 1), (0, 2)])
         st = initial_removal(D, 2)
