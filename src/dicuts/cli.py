@@ -213,10 +213,7 @@ def _cmd_explore(args) -> int:
         for D in members("d11", 1, args.max_n):
             if not D.is_weakly_connected():
                 continue
-            opt = _oracle_opt(D)
-            if opt is None:
-                continue
-            r = Fraction(opt, D.m)
+            r = Fraction(oracle.max_dicut_exact(D).size, D.m)
             if D.m not in best or r < best[D.m]:
                 best[D.m] = r
         for m in sorted(best):
@@ -225,9 +222,7 @@ def _cmd_explore(args) -> int:
         # does max cut reach (2m + s)/5 on triangle-free D(1,1),
         # s = sources + sinks?
         for D in members("d11-trianglefree", 1, args.max_n):
-            opt = _oracle_opt(D)
-            if opt is None:
-                continue
+            opt = oracle.max_dicut_exact(D).size
             s = sum(1 for v in range(D.n)
                     if (D.in_deg(v) == 0) != (D.out_deg(v) == 0))
             if 5 * opt < 2 * D.m + s:
@@ -238,8 +233,8 @@ def _cmd_explore(args) -> int:
             print("no counterexample to (2m+s)/5 found")
     elif p == 3:
         for D in members("d11-trianglefree", 1, args.max_n):
-            opt = _oracle_opt(D)
-            if opt is not None and opt == math.ceil(2 * D.m / 5):
+            opt = oracle.max_dicut_exact(D).size
+            if opt == math.ceil(2 * D.m / 5):
                 print(f"tight\tn={D.n}\tm={D.m}\topt={opt}")
     elif p == 5:
         worst = Fraction(0)
@@ -260,8 +255,8 @@ def _cmd_explore(args) -> int:
             print("all sampled D(2,2) covered by 4 cuts")
     elif p == 7:
         for D in members("dkk", 3, args.max_n):
-            opt = _oracle_opt(D)
-            if opt is not None and 7 * opt < 2 * D.m:
+            opt = oracle.max_dicut_exact(D).size
+            if 7 * opt < 2 * D.m:
                 print(f"counterexample\tn={D.n}\tm={D.m}\topt={opt}")
                 print(format_dg(D))
                 found_counterexample = True
@@ -272,9 +267,7 @@ def _cmd_explore(args) -> int:
         bound = Fraction(1, 4) + Fraction(1, 8 * k + 4)
         best = Fraction(1)
         for D in members("dkk", k, args.max_n):
-            opt = _oracle_opt(D)
-            if opt is None:
-                continue
+            opt = oracle.max_dicut_exact(D).size
             r = Fraction(opt, D.m)
             best = min(best, r)
             if r < bound:

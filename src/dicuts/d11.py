@@ -247,7 +247,6 @@ def _pick_L(order: list[int], include: set[int], exclude: set[int]) -> list[int]
 
 def _minus_side_sets(D: Digraph, order: list[int], L: list[int]):
     """B1, A0, B2 of the Claim 1.5/1.6/gamma minus-cycle construction."""
-    cs = set(order)
     ls = set(L)
     nxt = {order[i]: order[(i + 1) % len(order)] for i in range(len(order))}
     cycle_edges = {(v, nxt[v]) for v in order}

@@ -488,5 +488,6 @@ def load_dg(path) -> Digraph:
 
 
 def save_dg(D: Digraph, path, comment: str | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    # a comment naming a non-ASCII path is escaped; ASCII text is unchanged
+    with open(path, "w", encoding="ascii", errors="backslashreplace") as fh:
         fh.write(format_dg(D, comment))

@@ -70,15 +70,14 @@ def digonfree_d11(max_n: int) -> Iterator[Digraph]:
 
 def _orient(n: int, und: list, auts: list) -> Iterator[Digraph]:
     """One orientation per orbit under `auts`: the one whose sorted edge
-    list is least."""
+    list is least.  Depth-first over a stack of states, each the edges
+    chosen so far and, as vertex bitmasks, where in- and out-degree reach 1
+    and 2; a state orients und[len(chosen)] each way, (a, b) first."""
     m = len(und)
     identity = tuple(range(n))
     auts = [perm for perm in auts if perm != identity]
-    din = [0] * n
-    dout = [0] * n
-    chosen: list[tuple[int, int]] = []
 
-    def canonical(edges: list) -> bool:
+    def canonical(edges: tuple) -> bool:
         mine = sorted(edges)
         for perm in auts:
             mapped = sorted((perm[u], perm[v]) for u, v in edges)
@@ -86,24 +85,20 @@ def _orient(n: int, und: list, auts: list) -> Iterator[Digraph]:
                 return False
         return True
 
-    def rec(i: int):
-        if i == m:
+    stack = [((), 0, 0, 0, 0)]
+    while stack:
+        chosen, in1, in2, out1, out2 = stack.pop()
+        if len(chosen) == m:
             if canonical(chosen):
                 yield Digraph(n, list(chosen))
-            return
-        a, b = und[i]
-        for u, v in ((a, b), (b, a)):
-            dout[u] += 1
-            din[v] += 1
+            continue
+        a, b = und[len(chosen)]
+        for u, v in ((b, a), (a, b)):  # pushed last, (a, b) pops first
+            i1, i2 = in1 | 1 << v, in2 | in1 & 1 << v
+            o1, o2 = out1 | 1 << u, out2 | out1 & 1 << u
             # a vertex with both degrees >= 2 can never recover
-            if (din[u] < 2 or dout[u] < 2) and (din[v] < 2 or dout[v] < 2):
-                chosen.append((u, v))
-                yield from rec(i + 1)
-                chosen.pop()
-            dout[u] -= 1
-            din[v] -= 1
-
-    yield from rec(0)
+            if not i2 & o2:
+                stack.append((chosen + ((u, v),), i1, i2, o1, o2))
 
 
 def d22_with_digons(n: int) -> Iterator[Digraph]:

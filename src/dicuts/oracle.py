@@ -29,6 +29,7 @@ from .digraph import (
     CutCertificate,
     Digraph,
     Edge,
+    InputError,
     PreconditionError,
     ResourceLimitError,
     _triangles,
@@ -226,8 +227,9 @@ def _pack_group(tris: list, steps: int) -> tuple[int, int]:
 def min_removal_exact(D: Digraph, k: int) -> frozenset[Edge]:
     """Smallest R with D \\ R in D(k-1, k-1).
 
-    Iterative deepening; branches on the edges incident to a violating
-    vertex, so the depth never exceeds the answer.
+    Iterative deepening: per budget, a depth-first search over a stack of
+    removal sets, which branches on the edges at the first violating vertex,
+    in-edges before out-edges, so the depth never exceeds the answer.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
@@ -236,7 +238,7 @@ def min_removal_exact(D: Digraph, k: int) -> frozenset[Edge]:
     if D.m > MAX_REMOVAL_EDGES:
         raise ResourceLimitError(f"m={D.m} exceeds guard {MAX_REMOVAL_EDGES}")
 
-    def violator(removed: set[Edge]) -> Optional[int]:
+    def violator(removed: frozenset[Edge]) -> Optional[int]:
         for v in range(D.n):
             din = sum(1 for u in D.pred[v] if (u, v) not in removed)
             dout = sum(1 for w in D.succ[v] if (v, w) not in removed)
@@ -244,33 +246,33 @@ def min_removal_exact(D: Digraph, k: int) -> frozenset[Edge]:
                 return v
         return None
 
-    def search(removed: set[Edge], budget: int) -> Optional[frozenset[Edge]]:
-        v = violator(removed)
-        if v is None:
-            return frozenset(removed)
-        if budget == 0:
-            return None
-        for e in D.in_edges(v) + D.out_edges(v):
-            if e in removed:
-                continue
-            removed.add(e)
-            res = search(removed, budget - 1)
-            removed.discard(e)
-            if res is not None:
-                return res
-        return None
-
     for budget in range(D.m + 1):
-        res = search(set(), budget)
-        if res is not None:
-            return res
+        stack = [frozenset()]
+        while stack:
+            removed = stack.pop()
+            v = violator(removed)
+            if v is None:
+                return removed
+            if len(removed) < budget:
+                # reversed, so that the children pop in branching order
+                stack += [removed | {e} for e in
+                          reversed(D.in_edges(v) + D.out_edges(v))
+                          if e not in removed]
     raise AlgorithmBugError("unreachable: removing all edges always works")
 
 
 def decompose_into_cuts(D: Digraph, c: int) -> Optional[list[CutCertificate]]:
     """c directed cuts covering E(D) (assign each edge to the first cut that
     contains it to read the result as a partition), or None if no such cover
-    exists within the guard."""
+    exists within the guard.
+
+    Depth-first over a stack of (covered edges, chosen X) states: each state
+    branches on the bipartitions that cut its first uncovered edge, and the
+    last of the c cuts is taken only where it finishes the cover.  A cover
+    with fewer cuts is padded with empty ones.
+    """
+    if c < 0:
+        raise InputError("c must be non-negative")
     if D.n > MAX_COVER_VERTICES or c > MAX_COVER_CUTS:
         raise ResourceLimitError(
             f"n={D.n}, c={c} exceeds guard n<={MAX_COVER_VERTICES}, "
@@ -287,30 +289,19 @@ def decompose_into_cuts(D: Digraph, c: int) -> Optional[list[CutCertificate]]:
 
     all_masks = [cut_mask(x) for x in range(1 << n)]
     full = (1 << len(edge_list)) - 1
-
-    chosen: list[int] = []
-
-    def rec(covered: int, depth: int) -> bool:
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    while stack:
+        covered, chosen = stack.pop()
         if covered == full:
-            return True
-        if depth == c:
-            return False
-        # first uncovered edge; only bipartitions cutting it are candidates
+            return [cut_from_partition(D, [v for v in range(n) if x >> v & 1])
+                    for x in chosen + (0,) * (c - len(chosen))]
+        if len(chosen) == c:
+            continue
         unc = ~covered & full
-        idx = (unc & -unc).bit_length() - 1
-        u, v = edge_list[idx]
-        for x in range(1 << n):
-            if (x >> u) & 1 and not (x >> v) & 1:
-                chosen.append(x)
-                if rec(covered | all_masks[x], depth + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not rec(0, 0):
-        return None
-    certs = [cut_from_partition(D, [v for v in range(n) if (x >> v) & 1])
-             for x in chosen]
-    while len(certs) < c:
-        certs.append(cut_from_partition(D, []))
-    return certs
+        u, v = edge_list[(unc & -unc).bit_length() - 1]
+        last = len(chosen) == c - 1
+        stack += [(covered | all_masks[x], chosen + (x,))
+                  for x in reversed(range(1 << n))
+                  if x >> u & 1 and not x >> v & 1
+                  and not (last and unc & ~all_masks[x])]
+    return None

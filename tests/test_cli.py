@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -242,6 +243,25 @@ class TestDecomposePeel:
                 f"# removed edges, peel k=2 of {path}\n"
                 "32 6\n5 14\n10 2\n11 8\n22 4\n22 7\n29 27\n").encode()
 
+    def test_non_ascii_input_path(self, tmp_path):
+        # each output's comment names the input path, escaped to ASCII
+        path = str(tmp_path / "gr\u00e4ph.dg")
+        escaped = path.encode("ascii", "backslashreplace").decode()
+        assert "gr\\xe4ph.dg" in escaped
+        assert main(["gen", "tournament", "--k", "2", "-o", path]) == 0
+        pe, sp = str(tmp_path / "pe"), str(tmp_path / "sp")
+        assert main(["peel", path, "--k", "2", "-o", pe]) == 0
+        assert main(["decompose", path, "--split", "1", "1", "-o", sp]) == 0
+        for out, comment in [
+                (pe + ".rest.dg", f"# peel k=2 of {escaped}\n"),
+                (pe + ".removed.dg",
+                 f"# removed edges, peel k=2 of {escaped}\n"),
+                (sp + ".1.dg", f"# split p1=1 p2=1 of {escaped}; "),
+                (sp + ".2.dg", f"# split p1=1 p2=1 of {escaped}; ")]:
+            with open(out, encoding="ascii") as fh:
+                assert fh.read().startswith(comment)
+            assert load_dg(out).n == 5
+
 
 class TestExplore:
     def test_problem4_out_of_scope(self, capsys):
@@ -298,3 +318,21 @@ def test_core_imports_neither_numpy_nor_networkx():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": SRC}).stdout
     assert out.strip() == "[]"
+
+
+def test_no_function_calls_itself():
+    # no recursion: a search keeps its frontier on an explicit stack, so no
+    # input can end in a RecursionError
+    found = []
+    for path in sorted(Path(SRC, "dicuts").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                f = getattr(call, "func", None)
+                if (isinstance(f, ast.Name) and f.id == fn.name
+                        or isinstance(f, ast.Attribute) and f.attr == fn.name
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id in ("self", "cls")):
+                    found.append((path.name, fn.name))
+    assert found == []

@@ -9,6 +9,7 @@ from dicuts import digraph, oracle
 from dicuts.d11 import max_disjoint_triangles
 from dicuts.digraph import (
     Digraph,
+    InputError,
     PreconditionError,
     ResourceLimitError,
     is_p3_free,
@@ -237,6 +238,70 @@ def whole_set_packing(tris):
     return best
 
 
+def min_removal_reference(D, k):
+    """The removal search in recursive form, one shared set with add and
+    undo: the order the stack search must reproduce."""
+
+    def violator(removed):
+        for v in range(D.n):
+            din = sum(1 for u in D.pred[v] if (u, v) not in removed)
+            dout = sum(1 for w in D.succ[v] if (v, w) not in removed)
+            if din > k - 1 and dout > k - 1:
+                return v
+        return None
+
+    def search(removed, budget):
+        v = violator(removed)
+        if v is None:
+            return frozenset(removed)
+        if budget == 0:
+            return None
+        for e in D.in_edges(v) + D.out_edges(v):
+            if e in removed:
+                continue
+            removed.add(e)
+            res = search(removed, budget - 1)
+            removed.discard(e)
+            if res is not None:
+                return res
+        return None
+
+    for budget in range(D.m + 1):
+        res = search(set(), budget)
+        if res is not None:
+            return res
+
+
+def cover_reference(D, c):
+    """X of each cut of the cover search in recursive form, padded with
+    empty cuts, or None."""
+    n, edge_list = D.n, list(D.edges)
+    all_masks = [sum(1 << i for i, (u, v) in enumerate(edge_list)
+                     if x >> u & 1 and not x >> v & 1) for x in range(1 << n)]
+    full = (1 << len(edge_list)) - 1
+    chosen = []
+
+    def rec(covered, depth):
+        if covered == full:
+            return True
+        if depth == c:
+            return False
+        unc = ~covered & full
+        u, v = edge_list[(unc & -unc).bit_length() - 1]
+        for x in range(1 << n):
+            if x >> u & 1 and not x >> v & 1:
+                chosen.append(x)
+                if rec(covered | all_masks[x], depth + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not rec(0, 0):
+        return None
+    return [tuple(v for v in range(n) if x >> v & 1)
+            for x in chosen + [0] * (c - len(chosen))]
+
+
 class TestMinRemoval:
     def test_already_below(self):
         D = Digraph(3, [(0, 1), (0, 2)])
@@ -269,6 +334,14 @@ class TestMinRemoval:
     def test_tournament7(self):
         assert len(oracle.min_removal_exact(gen_regular_tournament(3), 3)) == 4
 
+    def test_same_as_recursive_search(self):
+        # seeded D(k,k) draws, answers 0 to 6, and the tournaments T7, T9
+        cases = [(gen_random_family("dkk", 1 + seed % 8, 1 + seed % 3, seed),
+                  1 + seed % 3) for seed in range(300)]
+        cases += [(gen_regular_tournament(k), k) for k in (3, 4)]
+        for D, k in cases:
+            assert oracle.min_removal_exact(D, k) == min_removal_reference(D, k)
+
 
 class TestCutCover:
     def test_single_cut(self):
@@ -291,3 +364,22 @@ class TestCutCover:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             oracle.decompose_into_cuts(Digraph(11, []), 2)
+
+    def test_cut_count_below_one(self):
+        T5 = gen_regular_tournament(2)
+        with pytest.raises(InputError):
+            oracle.decompose_into_cuts(T5, -1)
+        assert oracle.decompose_into_cuts(T5, 0) is None
+        assert oracle.decompose_into_cuts(Digraph(3, []), 0) == []
+
+    def test_same_as_recursive_search(self):
+        # seeded D(1,1) and D(2,2) draws, n 1-8, c 0-4, and T5 at c = 3, 4
+        cases = [(gen_regular_tournament(2), 3), (gen_regular_tournament(2), 4)]
+        for seed in range(200):
+            rng = random.Random(seed)
+            n, c, k = rng.randint(1, 8), rng.randint(0, 4), rng.randint(1, 2)
+            cases.append((gen_random_family("dkk", n, k, seed), c))
+        for D, c in cases:
+            res = oracle.decompose_into_cuts(D, c)
+            assert (None if res is None else [cut.X for cut in res]
+                    ) == cover_reference(D, c)
