@@ -68,11 +68,11 @@ def degeneracy_order(n: int, und_edges) -> tuple[list[int], int]:
     return order, d
 
 
-def greedy_color(n: int, und_edges, order: list[int]) -> Coloring:
-    """Color in reverse `order`; each vertex takes the least color unused by
-    already-colored neighbors."""
-    adj = _underlying_adj(n, und_edges)
-    colors = [-1] * n
+def greedy_color(und_edges, order: list[int]) -> Coloring:
+    """Color in reverse `order`, which lists every vertex; each vertex takes
+    the least color unused by already-colored neighbors."""
+    adj = _underlying_adj(len(order), und_edges)
+    colors = [-1] * len(order)
     for v in reversed(order):
         used = {colors[w] for w in adj[v] if colors[w] >= 0}
         c = 0
@@ -80,15 +80,15 @@ def greedy_color(n: int, und_edges, order: list[int]) -> Coloring:
             c += 1
         colors[v] = c
     gamma = max(colors, default=-1) + 1
-    return Coloring(tuple(colors), max(gamma, 1) if n else 0)
+    return Coloring(tuple(colors), max(gamma, 1) if order else 0)
 
 
 def best_balanced_class_bipartition(
-    coloring: Coloring, n: int, und_edges
+    coloring: Coloring, und_edges
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split the color classes into groups of floor(gamma/2) and the rest so
-    that the number of crossing edges is maximum; the average over all such
-    splits already crosses (floor(gamma^2/4) / C(gamma,2)) * m edges."""
+    """Split the color classes of all the vertices `coloring` colors into
+    groups of floor(gamma/2) and the rest with the most crossing edges; the
+    average such split crosses (floor(gamma^2/4) / C(gamma,2)) * m edges."""
     gamma = coloring.gamma
     if gamma < 2:
         raise InputError("need at least two color classes")
@@ -114,16 +114,16 @@ def best_balanced_class_bipartition(
     if best < need:
         raise AlgorithmBugError(
             f"balanced split crosses {best} < guaranteed {need}")
-    S = tuple(v for v in range(n) if coloring.colors[v] in best_group)
-    T = tuple(v for v in range(n) if coloring.colors[v] not in best_group)
+    S = tuple(v for v, c in enumerate(coloring.colors) if c in best_group)
+    T = tuple(v for v, c in enumerate(coloring.colors) if c not in best_group)
     return S, T
 
 
-def _leaving_side(coloring: Coloring, n: int, edges) -> set[int]:
+def _leaving_side(coloring: Coloring, edges) -> set[int]:
     """The side of the best balanced class split that more of `edges` leave
     than enter, S itself on a tie: one orientation gets at least half of
     the crossing edges."""
-    S, T = best_balanced_class_bipartition(coloring, n, edges)
+    S, T = best_balanced_class_bipartition(coloring, edges)
     ss = set(S)
     leave_minus_enter = sum((u in ss) - (v in ss) for u, v in edges)
     return ss if leave_minus_enter >= 0 else set(T)
@@ -148,13 +148,13 @@ def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
     order, d = degeneracy_order(D.n, same_side)
     if d > k:
         raise AlgorithmBugError(f"side degeneracy {d} exceeds {k}")
-    col = greedy_color(D.n, same_side, order)
+    col = greedy_color(same_side, order)
     colors = [c + k + 1 if h else c for c, h in zip(col.colors, high)]
     for u, v in D.edges:
         if colors[u] == colors[v]:
             raise AlgorithmBugError("combined coloring is not proper")
     full = Coloring(tuple(colors), 2 * k + 2)
-    cert = cut_from_partition(D, _leaving_side(full, D.n, D.edges))
+    cert = cut_from_partition(D, _leaving_side(full, D.edges))
     if (4 * k + 2) * cert.size < (k + 1) * D.m:
         raise AlgorithmBugError("acyclic cut misses its guarantee")
     return cert
@@ -196,7 +196,7 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
     adj = _underlying_adj(n, [(u, v) for u, v in D.edges
                               if in_x[u] and not in_x[v]])
     banked: set[Edge] = set()
-    while (cyc := shortest_bipartite_cycle(adj, range(n))) is not None:
+    while (cyc := shortest_bipartite_cycle(adj)) is not None:
         xc = {v for v in cyc if in_x[v]}
         yc = set(cyc) - xc
         F_C = set()
@@ -206,8 +206,9 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
             if not (in_x[e[0]] and not in_x[e[1]] and e[1] in succ[e[0]]):
                 raise AlgorithmBugError("cycle edge missing from F")
             F_C.add(e)
+        # F_C runs X -> Y, so it holds no in-edge of X and no out-edge of Y
         E_C = ({(u, x) for x in xc for u in pred[x]}
-               | {(y, w) for y in yc for w in succ[y]}) - F_C
+               | {(y, w) for y in yc for w in succ[y]})
         if trace is not None:
             trace.append(Step("cycle", tuple(sorted(F_C)), tuple(sorted(E_C))))
         banked |= F_C
@@ -242,5 +243,5 @@ def _d22_base(n: int, edges: list[Edge]) -> set[Edge]:
     order, d = degeneracy_order(n, edges)
     if d > 5:
         raise AlgorithmBugError(f"base-case degeneracy {d} exceeds 5")
-    side = _leaving_side(greedy_color(n, edges, order), n, edges)
+    side = _leaving_side(greedy_color(edges, order), edges)
     return {(u, v) for u, v in edges if u in side and v not in side}

@@ -50,7 +50,6 @@ from .digraph import (
     WorkGraph,
     class_partition,
     cut_from_banked,
-    _p3_free,
     shortest_bipartite_cycle,
 )
 from . import oracle
@@ -103,6 +102,8 @@ def find_triangle_reduction(
 
 def validate_reducing_pair(D: Digraph, A: Iterable[Edge],
                            B: Iterable[Edge], tag: str) -> None:
+    """Raise `AlgorithmBugError` unless (A, B) is a reducing pair of the
+    digon-free D; there A is P3-free iff no head of A is a tail of A."""
     A, B = frozenset(A), frozenset(B)
     if not A:
         raise AlgorithmBugError(f"{tag}: empty A")
@@ -111,7 +112,7 @@ def validate_reducing_pair(D: Digraph, A: Iterable[Edge],
     succ = D.succ
     if any(v not in succ[u] for u, v in A | B):
         raise AlgorithmBugError(f"{tag}: pair uses edges outside D")
-    if not _p3_free(A):
+    if not {v for _, v in A}.isdisjoint(u for u, _ in A):
         raise AlgorithmBugError(f"{tag}: A contains a directed P3")
     for a, b in A:
         for e in D.in_edges(a):
@@ -185,7 +186,8 @@ def _leaf_in_minus(D: Digraph) -> Optional[Step]:
 
 # -- pattern (2): even cycle in D+ or D- (Claim 1.4) -----------------------
 
-def _directed_cycle_order(D: Digraph, comp: list[int], cs: set[int]) -> list[int]:
+def _directed_cycle_order(D: Digraph, comp: list[int]) -> list[int]:
+    cs = set(comp)
     start = min(comp)
     order = [start]
     while True:
@@ -246,11 +248,11 @@ def _pick_L(order: list[int], include: set[int], exclude: set[int]) -> list[int]
 
 
 def _minus_side_sets(D: Digraph, order: list[int], L: list[int]):
-    """B1, A0, B2 of the Claim 1.5/1.6/gamma minus-cycle construction."""
-    ls = set(L)
-    nxt = {order[i]: order[(i + 1) % len(order)] for i in range(len(order))}
-    cycle_edges = {(v, nxt[v]) for v in order}
-    B1 = {(v, nxt[v]) for v in order if v in ls}
+    """B1, A0, B2 of the Claim 1.5/1.6/gamma minus-cycle construction; a
+    D- vertex has out-degree 1, its out-edge the cycle edge."""
+    succ = D.succ
+    cycle_edges = {(v, succ[v][0]) for v in order}
+    B1 = {(v, succ[v][0]) for v in L}
     A0 = (cycle_edges - B1) | {
         (u, w) for w in L for u in D.pred[w] if (u, w) not in cycle_edges
     }
@@ -294,13 +296,12 @@ def _path_or_cycle(D: Digraph) -> Optional[Step]:
         v = starts[0]
         w = D.succ[v][0]
         return _pair(D, {(v, w)}, set(D.out_edges(w)), "path-or-cycle")
-    # directed cycle; alternate edges
-    comp = [v for v in D.vertices if D.out_deg(v) == 1]
-    order = _directed_cycle_order(D, comp, set(comp))
-    nxt = {order[i]: order[(i + 1) % len(order)] for i in range(len(order))}
-    take = len(order) // 2
-    A = {(order[2 * i], nxt[order[2 * i]]) for i in range(take)}
-    B = {(v, nxt[v]) for v in order} - A
+    # directed cycle, each vertex's one out-edge on it; alternate edges,
+    # leaving out an odd cycle's last
+    order = _directed_cycle_order(
+        D, [v for v in D.vertices if D.out_deg(v) == 1])
+    A = {(v, D.succ[v][0]) for v in order[:-1:2]}
+    B = {(v, D.succ[v][0]) for v in order} - A
     return _pair(D, A, B, "path-or-cycle")
 
 
@@ -309,10 +310,10 @@ def _path_or_cycle(D: Digraph) -> Optional[Step]:
 def contraction_graph(D: Digraph) -> ContractionGraph:
     """Cycles of D+ and D- in cyclic order, and the external V+ -> V- links."""
     plus_cycles = tuple(
-        tuple(_directed_cycle_order(D, comp, set(comp)))
+        tuple(_directed_cycle_order(D, comp))
         for comp in _minus_components(D.reverse()))
     minus_cycles = tuple(
-        tuple(_directed_cycle_order(D, comp, set(comp)))
+        tuple(_directed_cycle_order(D, comp))
         for comp in _minus_components(D))
     # V+ and V- are disjoint in D(1,1), so one map holds both cycle indices
     node_of = {v: i for cycles in (plus_cycles, minus_cycles)
@@ -399,20 +400,20 @@ def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[Step]:
 def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[Step]:
     plus_cycles, minus_cycles = M.plus_cycles, M.minus_cycles
     between = M.between
-    nodes = [("+", i) for i in range(len(plus_cycles))] + \
-            [("-", i) for i in range(len(minus_cycles))]
-    M_adj = {nd: set() for nd in nodes}
+    # node i of M is plus-cycle i, node P + j minus-cycle j
+    P = len(plus_cycles)
+    M_adj = [set() for _ in range(P + len(minus_cycles))]
     for i, j in between:
-        M_adj[("+", i)].add(("-", j))
-        M_adj[("-", j)].add(("+", i))
+        M_adj[i].add(P + j)
+        M_adj[P + j].add(i)
     # M is bipartite (+ to -) and, after _multiedge_in_M, simple: the gamma
     # link of a (plus, minus) pair is its one D-edge
-    cyc = shortest_bipartite_cycle(M_adj, nodes)
+    cyc = shortest_bipartite_cycle(M_adj)
     if cyc is None:
         return None
-    # rotate so the cycle starts at a plus node
-    start = next(i for i, nd in enumerate(cyc) if nd[0] == "+")
-    cyc = cyc[start:] + cyc[:start]
+    # rotate so the cycle starts at a plus node, and read minus nodes as j
+    start = 0 if cyc[0] < P else 1
+    cyc = [nd if nd < P else nd - P for nd in cyc[start:] + cyc[:start]]
     p = len(cyc) // 2
     A: set[Edge] = set()
     B: set[Edge] = set()
@@ -420,9 +421,9 @@ def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[Step]:
         pnode = cyc[2 * i]
         m_next = cyc[(2 * i + 1) % len(cyc)]
         m_prev = cyc[(2 * i - 1) % len(cyc)]
-        e_next = between[(pnode[1], m_next[1])][0]
-        e_prev = between[(pnode[1], m_prev[1])][0]
-        order = plus_cycles[pnode[1]]
+        e_next = between[(pnode, m_next)][0]
+        e_prev = between[(pnode, m_prev)][0]
+        order = plus_cycles[pnode]
         a_v, b_v = e_prev[0], e_next[0]  # the two linked vertices of C+_i
         # choose the direction with an odd number of interior vertices
         pos = {x: j for j, x in enumerate(order)}
@@ -436,11 +437,11 @@ def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[Step]:
         B |= B3 | B4
     for i in range(p):
         mnode = cyc[2 * i + 1]
-        order = minus_cycles[mnode[1]]
+        order = minus_cycles[mnode]
         p_before = cyc[2 * i]
         p_after = cyc[(2 * i + 2) % len(cyc)]
-        targets = {between[(p_before[1], mnode[1])][0][1],
-                   between[(p_after[1], mnode[1])][0][1]}
+        targets = {between[(p_before, mnode)][0][1],
+                   between[(p_after, mnode)][0][1]}
         L = _pick_L(order, targets, set())
         B1, A0, B2 = _minus_side_sets(D, order, L)
         A |= A0
@@ -494,16 +495,15 @@ def _base_step(vertices: list[int], succ) -> Step:
                 tuple([e for e in edges if e not in kept]))
 
 
-def _reduction_loop(W: WorkGraph, vertices, trace: list | None) -> set[Edge]:
-    """Run the Theorem 1 reduction on the edges of the working graph W
-    among the ascending `vertices`, a union of its weak components; returns
-    the accumulated P3-free edge set.
+def _reduction_loop(W: WorkGraph, trace: list | None) -> set[Edge]:
+    """Run the Theorem 1 reduction on the edges of the working graph W;
+    returns the accumulated P3-free edge set.
 
     Each stack entry is a `Piece` of W.  A non-base step deletes its edges
     from W, and what it leaves of its piece is split into pieces again.
     """
     K: set[Edge] = set()
-    work = W.pieces(vertices)
+    work = W.pieces(range(len(W.succ)))
     while work:
         H = work.pop()
         if H.m <= 5:
@@ -528,7 +528,7 @@ def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     """A directed cut of size at least (2m - t)/5, t the maximum number of
     vertex-disjoint directed triangles (`max_disjoint_triangles`)."""
     _require_d11(D)
-    K = _reduction_loop(WorkGraph(D), D.vertices, trace)
+    K = _reduction_loop(WorkGraph(D), trace)
     return cut_from_banked(D, K)
 
 
@@ -616,7 +616,7 @@ def _peel_triangle_forest(D: Digraph, W: WorkGraph,
         W.delete(gone)
         m -= len(gone)
     if m > 6:
-        return K | _reduction_loop(W, D.vertices, trace)
+        return K | _reduction_loop(W, trace)
     vertices = [v for v in D.vertices if W.succ[v] or W.pred[v]]
     step = _base_step(vertices, W.succ)
     if trace is not None and vertices:

@@ -293,10 +293,8 @@ class Piece(_AdjacencyReads):
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Witness that a digraph is in D(k, ell): X covers d- <= k, Y covers d+ <= ell."""
+    """The D(k, ell) witness of `class_partition`: X has d- <= k, Y d+ <= ell."""
 
-    k: int
-    ell: int
     X: tuple[int, ...]
     Y: tuple[int, ...]
 
@@ -334,7 +332,7 @@ def class_partition(D: Digraph, k: int, ell: int) -> Optional[ClassPartition]:
             Y.append(v)
         else:
             return None
-    return ClassPartition(k, ell, tuple(X), tuple(Y))
+    return ClassPartition(tuple(X), tuple(Y))
 
 
 def is_p3_free(D: Digraph, S: Iterable[Edge]) -> bool:
@@ -343,11 +341,6 @@ def is_p3_free(D: Digraph, S: Iterable[Edge]) -> bool:
     bad = S - D.edge_set
     if bad:
         raise InputError(f"edges not in digraph: {sorted(bad)}")
-    return _p3_free(S)
-
-
-def _p3_free(S: set[Edge]) -> bool:
-    """`is_p3_free` for a set of edges already known to be in the digraph."""
     heads = {}
     for u, v in S:
         heads.setdefault(v, []).append(u)
@@ -394,44 +387,38 @@ def cut_from_banked(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
     return cert
 
 
-def shortest_bipartite_cycle(adj, nodes) -> Optional[list]:
-    """A shortest cycle of a simple bipartite graph as a node list, or None
+def shortest_bipartite_cycle(adj: list[set[int]]) -> Optional[list[int]]:
+    """A shortest cycle of a simple bipartite graph on the nodes
+    0..len(adj)-1, `adj[v]` the neighbour set of v, as a node list; None
     for a forest.
 
-    `adj` maps each node to its neighbour set.  BFS runs from every node in
-    `nodes` order, scanning neighbours in sorted order; the first cycle of
-    the least length found wins.  A bipartite graph has no cycle shorter
-    than 4, so the first 4-cycle found is returned at once.
+    BFS runs from every node in ascending order and scans neighbours in
+    ascending order; the first cycle of the least length found wins.  A
+    bipartite graph has no cycle shorter than 4, so the first 4-cycle found
+    is returned at once.
     """
     best = None
-    for s in nodes:
+    for s in range(len(adj)):
         if not adj[s]:
             continue
-        parent = {s: None}
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
+        parent, queue = {s: None}, [s]
+        for v in queue:
             for w in sorted(adj[v]):
                 if w not in parent:
                     parent[w] = v
                     queue.append(w)
                 elif parent[v] != w:
-                    # a non-tree edge: walk both ancestries to their meeting
-                    path_v = []
-                    x = v
-                    while x is not None:
-                        path_v.append(x)
-                        x = parent[x]
-                    path_w = []
-                    x = w
-                    while x not in path_v:
-                        path_w.append(x)
-                        x = parent[x]
-                    join = path_v.index(x)
-                    cand = path_v[: join + 1] + list(reversed(path_w))
-                    if len(cand) >= 3 and (best is None or len(cand) < len(best)):
+                    # a non-tree edge: both ancestries up to s, cut back to
+                    # where they meet, above both ends (BFS order)
+                    up_v, up_w = [v], [w]
+                    for up in (up_v, up_w):
+                        while parent[up[-1]] is not None:
+                            up.append(parent[up[-1]])
+                    while up_v[-2] == up_w[-2]:
+                        up_v.pop()
+                        up_w.pop()
+                    cand = up_v + up_w[-2::-1]
+                    if best is None or len(cand) < len(best):
                         best = cand
                         if len(best) == 4:
                             return best

@@ -23,15 +23,14 @@ from typing import Callable, Iterator
 from .digraph import Digraph, ResourceLimitError
 
 
-def _orderly(n: int, slots: list,
+def _orderly(perms: list, slots: list,
              fits: Callable[[int, int], bool]) -> Iterator[tuple[int, list]]:
-    """(mask, images) for one mask per orbit, under the permutations of
-    0..n-1, of the masks over `slots` (bit i is slots[i]) that the family
-    admits: the largest mask of its orbit, and its images under
-    permutations(range(n)) in that order.  `fits(mask, i)` says whether mask
-    plus slot i is in the family; the family must be closed under edge
-    deletion.  Slots are ordered pairs, or unordered pairs listed once each."""
-    perms = list(permutations(range(n)))
+    """(mask, images) for one mask per orbit, under the vertex permutations
+    `perms` (all of them), of the masks over `slots` (bit i is slots[i])
+    that the family admits: the largest mask of its orbit, and its images
+    under `perms` in that order.  `fits(mask, i)` says whether mask plus
+    slot i is in the family; the family must be closed under edge deletion.
+    Slots are ordered pairs, or unordered pairs listed once each."""
     index = {e: i for i, e in enumerate(slots)}
     # moved[i][k]: slot i's bit under perms[k]
     moved = [[1 << (index[(p[u], p[v])] if (p[u], p[v]) in index
@@ -62,7 +61,7 @@ def digonfree_d11(max_n: int) -> Iterator[Digraph]:
         # early at low vertices, where _orient prunes soonest
         slots = [(u, v) for u in range(n) for v in range(u + 1, n)][::-1]
         perms = list(permutations(range(n)))
-        for mask, images in _orderly(n, slots, lambda mask, i: True):
+        for mask, images in _orderly(perms, slots, lambda mask, i: True):
             und = sorted(e for i, e in enumerate(slots) if mask >> i & 1)
             yield from _orient(n, und,
                                list(compress(perms, map(mask.__eq__, images))))
@@ -119,5 +118,6 @@ def d22_with_digons(n: int) -> Iterator[Digraph]:
         return all((mask & outs[x]).bit_count() < 3
                    or (mask & ins[x]).bit_count() < 3 for x in slots[i])
 
-    for mask in sorted(min(images) for _, images in _orderly(n, slots, fits)):
+    perms = list(permutations(range(n)))
+    for mask in sorted(min(images) for _, images in _orderly(perms, slots, fits)):
         yield Digraph(n, [e for i, e in enumerate(slots) if mask >> i & 1])

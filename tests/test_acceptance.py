@@ -160,10 +160,10 @@ def test_c09_balanced_split_counting_bound():
         edges = list({tuple(sorted(rng.sample(range(n), 2)))
                       for _ in range(rng.randint(3, 30))})
         order, _ = degeneracy_order(n, edges)
-        col = greedy_color(n, edges, order)
+        col = greedy_color(edges, order)
         if not 3 <= col.gamma <= 8:
             continue
-        S, _ = best_balanced_class_bipartition(col, n, edges)
+        S, _ = best_balanced_class_bipartition(col, edges)
         ss = set(S)
         crossing = sum(1 for u, v in edges if (u in ss) != (v in ss))
         g, m = col.gamma, len(edges)

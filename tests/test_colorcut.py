@@ -95,7 +95,7 @@ def d22_rebuilding(D):
         for u, v in F:
             adj[u].add(v)
             adj[v].add(u)
-        cyc = shortest_bipartite_cycle(adj, range(D.n))
+        cyc = shortest_bipartite_cycle(adj)
         if cyc is None:
             return banked | colorcut._d22_base(D.n, list(D.edges)), steps, mid_run
         mid_run |= X_before is not None and X != X_before
@@ -137,19 +137,19 @@ def acyclic_split_by_sides(D, k):
         sub = sorted((remap[u], remap[v]) for u, v in D.edges
                      if u in remap and v in remap)
         order, _ = degeneracy_order(len(side), sub)
-        col = greedy_color(len(side), sub, order)
+        col = greedy_color(sub, order)
         for v, i in remap.items():
             colors[v] = offset + col.colors[i]
     full = Coloring(tuple(colors), 2 * k + 2)
-    S, _ = best_balanced_class_bipartition(full, D.n, D.edges)
+    S, _ = best_balanced_class_bipartition(full, D.edges)
     return S
 
 
 def d22_base_split(D):
     """`_d22_base`'s balanced split as first written, on a `Digraph`."""
     order, _ = degeneracy_order(D.n, D.edges)
-    col = greedy_color(D.n, D.edges, order)
-    S, _ = best_balanced_class_bipartition(col, D.n, D.edges)
+    col = greedy_color(D.edges, order)
+    S, _ = best_balanced_class_bipartition(col, D.edges)
     return S
 
 
@@ -261,7 +261,7 @@ class TestDegeneracy:
     def test_greedy_color_uses_d_plus_one(self):
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         order, d = degeneracy_order(4, edges)
-        col = greedy_color(4, edges, order)
+        col = greedy_color(edges, order)
         assert col.gamma <= d + 1
 
 
@@ -273,13 +273,13 @@ class TestBalancedSplit:
     def test_two_classes_all_crossing(self):
         edges = [(0, 1), (2, 1), (0, 3)]
         col = Coloring((0, 1, 0, 1), 2)
-        S, T = best_balanced_class_bipartition(col, 4, edges)
+        S, T = best_balanced_class_bipartition(col, edges)
         assert self.crossing(S, edges) == 3
 
     def test_triangle_three_classes(self):
         edges = [(0, 1), (1, 2), (0, 2)]
         col = Coloring((0, 1, 2), 3)
-        S, T = best_balanced_class_bipartition(col, 3, edges)
+        S, T = best_balanced_class_bipartition(col, edges)
         assert self.crossing(S, edges) >= 2
 
     def test_random_meets_counting_bound(self):
@@ -289,10 +289,10 @@ class TestBalancedSplit:
             edges = list({tuple(sorted(rng.sample(range(n), 2)))
                           for _ in range(rng.randint(3, 30))})
             order, d = degeneracy_order(n, edges)
-            col = greedy_color(n, edges, order)
+            col = greedy_color(edges, order)
             if col.gamma < 2 or col.gamma > 8:
                 continue
-            S, T = best_balanced_class_bipartition(col, n, edges)
+            S, T = best_balanced_class_bipartition(col, edges)
             g, m = col.gamma, len(edges)
             need = Fraction((g * g // 4) * m, comb(g, 2))
             assert self.crossing(S, edges) >= need
@@ -305,11 +305,11 @@ class TestBalancedSplit:
             edges = list({tuple(sorted(rng.sample(range(n), 2)))
                           for _ in range(rng.randint(3, 60))})
             order, d = degeneracy_order(n, edges)
-            col = greedy_color(n, edges, order)
+            col = greedy_color(edges, order)
             if col.gamma < 2 or col.gamma > 8:
                 continue
             seen.add(col.gamma)
-            assert (best_balanced_class_bipartition(col, n, edges)
+            assert (best_balanced_class_bipartition(col, edges)
                     == self.split_by_edge_scan(col, n, edges))
         assert seen >= {2, 3, 4, 5}
 

@@ -425,7 +425,7 @@ class TestBound:
                    for _ in range(40)]
         for D in graphs:
             trace = []
-            K = d11._reduction_loop(WorkGraph(D), D.vertices, trace)
+            K = d11._reduction_loop(WorkGraph(D), trace)
             want_K, want = reduction_rebuilding(D)
             for got_step, want_step in zip(trace, want):
                 assert got_step == want_step

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +18,10 @@ from dicuts.digraph import (
     format_dg,
     is_p3_free,
     parse_dg,
+    shortest_bipartite_cycle,
 )
+from dicuts.d11 import contraction_graph
+from test_d11 import _gamma_instance
 
 
 def small_digraphs(max_n=6, max_edges=12):
@@ -197,3 +202,90 @@ class TestStructure:
     def test_acyclic(self):
         assert Digraph(3, [(0, 1), (0, 2), (1, 2)]).is_acyclic()
         assert not Digraph(3, [(0, 1), (1, 2), (2, 0)]).is_acyclic()
+
+
+def shortest_cycle_reference(adj, nodes):
+    """The cycle finder as first written: BFS from each node in `nodes`
+    order, and at each non-tree edge a walk over a list of the path up to
+    the root."""
+    best = None
+    for s in nodes:
+        if not adj[s]:
+            continue
+        parent = {s: None}
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for w in sorted(adj[v]):
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+                elif parent[v] != w:
+                    path_v = []
+                    x = v
+                    while x is not None:
+                        path_v.append(x)
+                        x = parent[x]
+                    path_w = []
+                    x = w
+                    while x not in path_v:
+                        path_w.append(x)
+                        x = parent[x]
+                    join = path_v.index(x)
+                    cand = path_v[: join + 1] + list(reversed(path_w))
+                    if len(cand) >= 3 and (best is None or len(cand) < len(best)):
+                        best = cand
+                        if len(best) == 4:
+                            return best
+    return best
+
+
+class TestShortestBipartiteCycle:
+    def test_same_as_reference_on_random_bipartite_graphs(self):
+        # a random forest across two sides whose labels interleave, plus a
+        # few chords across: forests and shortest cycles of many lengths
+        rng = random.Random(20)
+        lengths = Counter()
+        for _ in range(1000):
+            n = rng.randint(2, 40)
+            side = [rng.random() < 0.5 for _ in range(n)]
+            adj = [set() for _ in range(n)]
+            order = rng.sample(range(n), n)
+            for i, v in enumerate(order):
+                others = [u for u in order[:i] if side[u] != side[v]]
+                if others and rng.random() < 0.9:
+                    u = rng.choice(others)
+                    adj[u].add(v)
+                    adj[v].add(u)
+            for _ in range(rng.choice([0, 1, 1, 2])):
+                u = rng.randrange(n)
+                across = [v for v in range(n) if side[v] != side[u]]
+                if across:
+                    v = rng.choice(across)
+                    adj[u].add(v)
+                    adj[v].add(u)
+            want = shortest_cycle_reference(adj, range(n))
+            assert shortest_bipartite_cycle(adj) == want
+            lengths[len(want) if want else None] += 1
+        assert all(lengths[k] >= 20 for k in (None, 4, 6, 8)), lengths
+
+    def test_same_as_reference_on_gamma_contraction(self):
+        # M of the gamma-cycle pattern instance: tuple nodes, plus before
+        # minus, for the reference; plus-cycle i as i and minus-cycle j as
+        # P + j for the finder
+        M = contraction_graph(_gamma_instance())
+        P = len(M.plus_cycles)
+        tuples = {nd: set() for nd in [("+", i) for i in range(P)]
+                  + [("-", j) for j in range(len(M.minus_cycles))]}
+        ints = [set() for _ in tuples]
+        for i, j in M.between:
+            tuples[("+", i)].add(("-", j))
+            tuples[("-", j)].add(("+", i))
+            ints[i].add(P + j)
+            ints[P + j].add(i)
+        want = shortest_cycle_reference(tuples, list(tuples))
+        assert len(want) == 4
+        assert shortest_bipartite_cycle(ints) == [
+            i if sign == "+" else P + i for sign, i in want]

@@ -81,7 +81,8 @@ class TestDigonFree:
         # slots are digonfree_d11's
         for n, count in zip(range(1, 7), [1, 2, 4, 11, 34, 156]):
             slots = [(u, v) for u in range(n) for v in range(u + 1, n)][::-1]
-            graphs = list(enumeration._orderly(n, slots, lambda mask, i: True))
+            graphs = list(enumeration._orderly(
+                list(permutations(range(n))), slots, lambda mask, i: True))
             assert len(graphs) == count
             for mask, images in graphs:
                 und = {e for i, e in enumerate(slots) if mask >> i & 1}
