@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import oracle
 from .colorcut import dicut_acyclic, dicut_d22
-from .d11 import dicut_d11, dicut_d11_connected, max_disjoint_triangles
+from .d11 import _books, dicut_d11, dicut_d11_connected
 from .decompose import split_dkk
 from .digraph import (
     AlgorithmBugError,
@@ -51,9 +51,11 @@ def _infer_k(D: Digraph) -> int:
 
 
 def _run_method(D: Digraph, method: str, k: int | None):
-    """(certificate, guaranteed bound as Fraction)."""
-    if method == "d11":
-        return dicut_d11(D), Fraction(2 * D.m - max_disjoint_triangles(D), 5)
+    """(certificate, guaranteed bound as Fraction); only acyclic reads k."""
+    if k is not None and method != "acyclic":
+        raise InputError("--k applies to acyclic only")
+    if method == "d11":  # dicut_d11 checks the class before t is counted
+        return dicut_d11(D), Fraction(2 * D.m - _books(D), 5)
     if method == "d11c":
         return dicut_d11_connected(D), Fraction(7 * D.m, 20)
     if method == "acyclic":

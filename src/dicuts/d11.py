@@ -538,6 +538,11 @@ def max_disjoint_triangles(D: Digraph) -> int:
     each group of vertex-sharing triangles is a book on one edge, and any
     maximal packing, as the greedy one below, takes one triangle per book."""
     _require_d11(D)
+    return _books(D)
+
+
+def _books(D: Digraph) -> int:
+    """`max_disjoint_triangles` for a D already checked to be in the class."""
     used: set[int] = set()
     for tri in D.triangles():
         if used.isdisjoint(tri):

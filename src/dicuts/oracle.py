@@ -267,9 +267,10 @@ def decompose_into_cuts(D: Digraph, c: int) -> Optional[list[CutCertificate]]:
     exists within the guard.
 
     Depth-first over a stack of (covered edges, chosen X) states: each state
-    branches on the bipartitions that cut its first uncovered edge, and the
-    last of the c cuts is taken only where it finishes the cover.  A cover
-    with fewer cuts is padded with empty ones.
+    branches on the bipartitions that cut its first uncovered edge, but the
+    last of the c cuts is forced.  It must hold every uncovered tail and no
+    uncovered head, so it exists iff the two are disjoint, and its least X
+    is the tails.  A cover with fewer cuts is padded with empty ones.
     """
     if c < 0:
         raise InputError("c must be non-negative")
@@ -298,10 +299,17 @@ def decompose_into_cuts(D: Digraph, c: int) -> Optional[list[CutCertificate]]:
         if len(chosen) == c:
             continue
         unc = ~covered & full
+        if len(chosen) == c - 1:
+            tails = heads = 0
+            for i, (u, v) in enumerate(edge_list):
+                if unc >> i & 1:
+                    tails |= 1 << u
+                    heads |= 1 << v
+            if not tails & heads:
+                stack.append((full, chosen + (tails,)))
+            continue
         u, v = edge_list[(unc & -unc).bit_length() - 1]
-        last = len(chosen) == c - 1
         stack += [(covered | all_masks[x], chosen + (x,))
                   for x in reversed(range(1 << n))
-                  if x >> u & 1 and not x >> v & 1
-                  and not (last and unc & ~all_masks[x])]
+                  if x >> u & 1 and not x >> v & 1]
     return None

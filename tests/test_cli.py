@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from test_d11 import book
 
-from dicuts import cli
+from dicuts import cli, d11
 from dicuts.cli import main
 from dicuts.digraph import AlgorithmBugError, Digraph, load_dg, save_dg
 from dicuts.generators import gen_example1
@@ -155,11 +155,24 @@ class TestCutVerify:
         path = tmp_path / "t9.dg"
         assert main(["gen", "tournament", "--k", "4", "-o", str(path)]) == 0
         calls = []
-        count = cli.max_disjoint_triangles
-        monkeypatch.setattr(cli, "max_disjoint_triangles",
+        count = cli._books
+        monkeypatch.setattr(cli, "_books",
                             lambda D: calls.append(D) or count(D))
         assert main(["cut", str(path), "--method", "d11"]) == 2
         assert calls == []
+
+    def test_d11_checks_the_class_once(self, monkeypatch):
+        # dicut_d11 checks the class, and t's count does not check it again
+        D, calls = gen_example1(3), []
+        for owner, name in ((d11, "class_partition"), (Digraph, "has_digon")):
+            monkeypatch.setattr(owner, name, lambda *args, fn=getattr(
+                owner, name), name=name: calls.append(name) or fn(*args))
+        cli._run_method(D, "d11", None)
+        assert sorted(calls) == ["class_partition", "has_digon"]
+
+    def test_k_refused_for_methods_that_ignore_it(self, t5_file, capsys):
+        assert main(["cut", t5_file, "--method", "d22", "--k", "2"]) == 2
+        assert "--k applies to acyclic only" in capsys.readouterr().err
 
     def test_d11_bound_on_a_book(self, tmp_path, capsys):
         # 2 001 triangles, past the packing search's guard, and t = 1:

@@ -1,9 +1,9 @@
 """Scale cases: inputs large enough that per-step whole-graph work shows.
 
 Each case checks counted work where it can, so it holds on any machine
-and fails at once if a quadratic term comes back; the exact oracle's case,
-whose work is its running time, has a wall-time budget far above what it
-needs.
+and fails at once if a quadratic term comes back; the exact oracles'
+cases, whose work is their running time, have a wall-time budget far above
+what they need.
 """
 
 import random
@@ -18,8 +18,8 @@ from dicuts import d11, peel
 from dicuts.colorcut import dicut_acyclic, dicut_d22
 from dicuts.d11 import dicut_d11, dicut_d11_connected
 from dicuts.digraph import Digraph, Piece, class_partition
-from dicuts.generators import gen_random_family
-from dicuts.oracle import MAX_DICUT_VERTICES, max_dicut_exact
+from dicuts.generators import gen_random_family, gen_regular_tournament
+from dicuts.oracle import MAX_DICUT_VERTICES, decompose_into_cuts, max_dicut_exact
 from dicuts.peel import RemovalState, peel_to_lower_class
 
 # swap_feasible calls of the move search on dense_d22(80, 1), k = 2, when
@@ -162,3 +162,13 @@ def test_max_dicut_exact_at_the_vertex_guard():
     assert time.perf_counter() - start < 10.0
     cert.verify(D)
     assert cert.size >= dicut_d11(D).size
+
+
+def test_cut_cover_takes_its_last_cut_forced():
+    # T5 and five isolated vertices at c = 3: 2^16 states reach the last
+    # cut, and scanning 2^10 bipartitions for each took about 7 s (2-vCPU
+    # VM, Python 3.11); the forced last cut takes about 0.13 s
+    D = Digraph(10, gen_regular_tournament(2).edges)
+    start = time.perf_counter()
+    assert decompose_into_cuts(D, 3) is None
+    assert time.perf_counter() - start < 2.0
