@@ -409,7 +409,7 @@ def shortest_bipartite_cycle(adj: list[set[int]]) -> Optional[list[int]]:
                     queue.append(w)
                 elif parent[v] != w:
                     # a non-tree edge: both ancestries up to s, cut back to
-                    # where they meet, above both ends (BFS order)
+                    # where they meet, which in BFS is above both ends
                     up_v, up_w = [v], [w]
                     for up in (up_v, up_w):
                         while parent[up[-1]] is not None:

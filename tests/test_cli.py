@@ -165,8 +165,9 @@ class TestCutVerify:
         # dicut_d11 checks the class, and t's count does not check it again
         D, calls = gen_example1(3), []
         for owner, name in ((d11, "class_partition"), (Digraph, "has_digon")):
-            monkeypatch.setattr(owner, name, lambda *args, fn=getattr(
-                owner, name), name=name: calls.append(name) or fn(*args))
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name:
+                                calls.append(name) or fn(*args))
         cli._run_method(D, "d11", None)
         assert sorted(calls) == ["class_partition", "has_digon"]
 
