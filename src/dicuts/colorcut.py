@@ -154,10 +154,12 @@ def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
         if colors[u] == colors[v]:
             raise AlgorithmBugError("combined coloring is not proper")
     full = Coloring(tuple(colors), 2 * k + 2)
-    cert = cut_from_partition(D, _leaving_side(full, D.edges))
-    if (4 * k + 2) * cert.size < (k + 1) * D.m:
-        raise AlgorithmBugError("acyclic cut misses its guarantee")
-    return cert
+    return cut_from_partition(D, _leaving_side(full, D.edges)).meeting(
+        acyclic_bound(D, k))
+
+
+def acyclic_bound(D: Digraph, k: int) -> Fraction:
+    return Fraction((k + 1) * D.m, 4 * k + 2)
 
 
 def dicut_d22(D: Digraph, trace: list[Step] | None = None) -> CutCertificate:
@@ -175,10 +177,11 @@ def dicut_d22(D: Digraph, trace: list[Step] | None = None) -> CutCertificate:
     if class_partition(D, 2, 2) is None:
         raise PreconditionError("digraph is not in D(2,2)")
     S = _d22_p3free(D, trace)
-    cert = cut_from_banked(D, S)
-    if 10 * cert.size < 3 * D.m:
-        raise AlgorithmBugError("3m/10 guarantee missed")
-    return cert
+    return cut_from_banked(D, S).meeting(d22_bound(D))
+
+
+def d22_bound(D: Digraph) -> Fraction:
+    return Fraction(3 * D.m, 10)
 
 
 def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:

@@ -24,6 +24,7 @@ are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from operator import index
 from typing import Iterable, NamedTuple, Optional
@@ -315,6 +316,12 @@ class CutCertificate:
         expect = tuple(e for e in D.edges if e[0] in xs and e[1] not in xs)
         if expect != self.cut_edges or self.size != len(expect):
             raise AlgorithmBugError("stored cut does not match its partition")
+
+    def meeting(self, bound: Fraction) -> CutCertificate:
+        """This certificate, checked to meet its algorithm's `bound`."""
+        if self.size < bound:
+            raise AlgorithmBugError(f"cut of {self.size} misses its bound {bound}")
+        return self
 
 
 def class_partition(D: Digraph, k: int, ell: int) -> Optional[ClassPartition]:

@@ -100,14 +100,10 @@ def gen_random_family(family: str, n: int, k: int = 1,
         return Digraph(3 * t, edges)
     if n < 1:
         raise InputError("n must be positive")
-    if family in ("d11", "d11-trianglefree"):
-        kk, acyclic = 1, False
-    elif family == "dkk":
-        kk, acyclic = k, False
-    elif family == "acyclic-dkk":
-        kk, acyclic = k, True
-    else:
+    if family not in ("d11", "d11-trianglefree", "dkk", "acyclic-dkk"):
         raise InputError(f"unknown family {family!r}")
+    kk = 1 if family.startswith("d11") else k
+    acyclic = family == "acyclic-dkk"
     if kk < 0:
         raise InputError("k must be non-negative")
     check_vertex_count(n)

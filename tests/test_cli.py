@@ -1,16 +1,21 @@
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_d11 import book
 
 from dicuts import cli, d11
 from dicuts.cli import main
-from dicuts.digraph import AlgorithmBugError, Digraph, load_dg, save_dg
-from dicuts.generators import gen_example1
+from dicuts.digraph import (AlgorithmBugError, Digraph, cut_from_partition,
+                            format_dg, load_dg, save_dg)
+from dicuts.generators import gen_example1, gen_random_family
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -155,21 +160,44 @@ class TestCutVerify:
         path = tmp_path / "t9.dg"
         assert main(["gen", "tournament", "--k", "4", "-o", str(path)]) == 0
         calls = []
-        count = cli._books
-        monkeypatch.setattr(cli, "_books",
+        count = d11._books
+        monkeypatch.setattr(d11, "_books",
                             lambda D: calls.append(D) or count(D))
         assert main(["cut", str(path), "--method", "d11"]) == 2
         assert calls == []
 
     def test_d11_checks_the_class_once(self, monkeypatch):
-        # dicut_d11 checks the class, and t's count does not check it again
+        # dicut_d11 checks the class; t is counted for its bound check and
+        # again for the report, and neither count checks the class again
         D, calls = gen_example1(3), []
-        for owner, name in ((d11, "class_partition"), (Digraph, "has_digon")):
+        for owner, name in ((d11, "class_partition"), (Digraph, "has_digon"),
+                            (d11, "_books")):
             fn = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name:
                                 calls.append(name) or fn(*args))
         cli._run_method(D, "d11", None)
-        assert sorted(calls) == ["class_partition", "has_digon"]
+        assert sorted(calls) == ["_books", "_books", "class_partition",
+                                 "has_digon"]
+
+    @pytest.mark.parametrize("command", ["cut", "verify"])
+    @pytest.mark.parametrize("method", ["d11", "d11c"])
+    def test_missed_bound_exits_4(self, command, method, tmp_path,
+                                  monkeypatch, capsys):
+        # a cut below its theorem's bound is a bug, never a "fail" line
+        path = tmp_path / "ex1.dg"
+        save_dg(gen_example1(3), path)
+        monkeypatch.setattr(d11, "cut_from_banked",
+                            lambda D, K: cut_from_partition(D, ()))
+        assert main([command, str(path), "--method", method]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "cut of 0 misses its bound" in err
+
+    def test_cut_above_the_optimum_exits_4(self, t5_file, monkeypatch,
+                                           capsys):
+        monkeypatch.setattr(cli, "_oracle_opt", lambda D: 2)
+        assert main(["verify", t5_file, "--method", "d22"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "cut of 3 exceeds the optimum 2" in err
 
     def test_k_refused_for_methods_that_ignore_it(self, t5_file, capsys):
         assert main(["cut", t5_file, "--method", "d22", "--k", "2"]) == 2
@@ -315,12 +343,92 @@ class TestExplore:
                      "--max-n", str(max_n), "--budget", "1"]) == 2
         assert "--max-n must be at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", [1, 5, 8])
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one(self, problem, budget, capsys):
+        # no draw would be made: problem 8 would print a vacuous 1/1
+        assert main(["explore", "--problem", str(problem),
+                     "--budget", budget]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--budget must be at least 1" in err
+
     def test_max_n_above_oracle_guard(self, capsys, monkeypatch):
         # every oracle refuses a draw past MAX_DICUT_VERTICES: none is drawn
         monkeypatch.setattr(cli, "gen_random_family", None)
         assert main(["explore", "--problem", "1", "--max-n", "1000000",
                      "--budget", "3"]) == 3
         assert "--max-n exceeds the oracle guard 26" in capsys.readouterr().err
+
+
+# (family, k) of the members the contract test draws
+MEMBERS = [("d11", 1), ("d11-trianglefree", 1), ("dkk", 1), ("dkk", 2),
+           ("dkk", 3), ("acyclic-dkk", 1), ("acyclic-dkk", 2),
+           ("acyclic-dkk", 3), ("disjoint-triangles", 1)]
+# the words a mutated line is made of: small ids, ids just past n <= 12,
+# a header past the vertex guard, and words that are no vertex id at all
+WORDS = ["0", "1", "2", "3", "7", "11", "12", "13", "-1", "2000000", "x",
+         "1.5", "#"]
+
+
+@st.composite
+def dg_texts(draw):
+    """A `.dg` text of a member with n <= 12, or of one with one line
+    replaced by words or by another edge, deleted or repeated; members and
+    edge swaps, which mostly still parse, are drawn most often."""
+    family, k = draw(st.sampled_from(MEMBERS))
+    size = draw(st.integers(1, 4 if family == "disjoint-triangles" else 12))
+    lines = format_dg(gen_random_family(family, size, k, draw(
+        st.integers(0, 1 << 16)))).splitlines()
+    how = draw(st.sampled_from(["keep"] * 3 + ["edge"] * 3
+                               + ["words", "delete", "repeat"]))
+    # an edge swap keeps the header; the other mutations take any line
+    i = draw(st.integers(how == "edge" and len(lines) > 1, len(lines) - 1))
+    if how == "edge":
+        lines[i] = f"{draw(st.integers(0, 13))} {draw(st.integers(0, 13))}"
+    elif how == "words":
+        lines[i] = " ".join(draw(st.lists(st.sampled_from(WORDS),
+                                          max_size=3)))
+    elif how == "delete":
+        del lines[i]
+    elif how == "repeat":
+        lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def commands(draw):
+    """`check`, `cut` or `verify` argv tails with bounded option values; only
+    `acyclic` reads --k, and it gets an explicit one."""
+    cmd = draw(st.sampled_from(["check", "cut", "verify"]))
+    if cmd == "check":
+        return [cmd, "--k", str(draw(st.integers(0, 4))),
+                "--l", str(draw(st.integers(0, 4)))]
+    method = draw(st.sampled_from(list(cli.METHODS)))
+    k = draw(st.integers(0, 4) if method == "acyclic"
+             else st.sampled_from([None] * 5 + [0, 1, 2, 3, 4]))
+    return [cmd, "--method", method] + ([] if k is None else ["--k", str(k)])
+
+
+def test_declared_exits_on_members_and_mutations(tmp_path):
+    # every run ends in a declared exit: 0, 2 or 3, and 1 only from
+    # `check` on a non-member; 4 would be a bug, a raw exception fails here
+    path = str(tmp_path / "g.dg")
+    start = time.perf_counter()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(dg_texts(), commands())
+    def run(text, argv):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], path, *argv[1:]])
+        assert code in ((0, 1, 2, 3) if argv[0] == "check" else (0, 2, 3)), (
+            code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    run()
+    assert time.perf_counter() - start < 5.0
 
 
 def test_core_imports_neither_numpy_nor_networkx():

@@ -357,6 +357,12 @@ class TestAcyclic:
             cert.verify(D)
             assert (4 * k + 2) * cert.size >= (k + 1) * D.m
 
+    def test_missed_bound_is_a_bug(self, monkeypatch):
+        # an empty side cuts nothing, below (k+1)m/(4k+2)
+        monkeypatch.setattr(colorcut, "_leaving_side", lambda *_: set())
+        with pytest.raises(AlgorithmBugError, match="misses its bound 3"):
+            dicut_acyclic(transitive(5), 2)
+
 
 class TestD22:
     def test_tournament5_exact(self):
@@ -416,6 +422,12 @@ class TestD22:
         monkeypatch.setattr(colorcut, "_d22_p3free", lambda *_: {e})
         with pytest.raises(AlgorithmBugError):
             dicut_d22(D)
+
+    def test_missed_bound_is_a_bug(self, monkeypatch):
+        monkeypatch.setattr(colorcut, "cut_from_banked",
+                            lambda D, S: digraph.cut_from_partition(D, ()))
+        with pytest.raises(AlgorithmBugError, match="misses its bound 3"):
+            dicut_d22(gen_regular_tournament(2))
 
     def test_random_with_digons(self):
         rng = random.Random(12)

@@ -255,6 +255,15 @@ class TestPreconditions:
         with pytest.raises(AlgorithmBugError, match=r"\(0, 2\)"):
             method(D)
 
+    @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
+    def test_missed_bound_is_a_bug(self, method, monkeypatch):
+        # each entry checks its own theorem, (2m - t)/5 or 7m/20, on the
+        # certificate it returns
+        monkeypatch.setattr(d11, "cut_from_banked",
+                            lambda D, K: digraph.cut_from_partition(D, ()))
+        with pytest.raises(AlgorithmBugError, match="cut of 0 misses its bound"):
+            method(gen_example1(3))
+
 
 class TestMaxDisjointTriangles:
     def test_book_is_one(self):

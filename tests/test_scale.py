@@ -3,12 +3,17 @@
 Each case checks counted work where it can, so it holds on any machine
 and fails at once if a quadratic term comes back; the exact oracles'
 cases, whose work is their running time, have a wall-time budget far above
-what they need.
+what they need.  The witnesses and traces of d11, d11c, d22 and peel at
+these sizes are pinned by digest, so a change that promises the same
+answers is held to it beyond the golden corpus's small instances.
 """
 
+import hashlib
 import random
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from test_colorcut import dense_d22
@@ -21,6 +26,9 @@ from dicuts.digraph import Digraph, Piece, class_partition
 from dicuts.generators import gen_random_family, gen_regular_tournament
 from dicuts.oracle import MAX_DICUT_VERTICES, decompose_into_cuts, max_dicut_exact
 from dicuts.peel import RemovalState, peel_to_lower_class
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from instances import dense_dkk  # noqa: E402  the benchmark's dense D(k,k)
 
 # swap_feasible calls of the move search on dense_d22(80, 1), k = 2, when
 # it tried every add combination of every entry of the move table
@@ -172,3 +180,32 @@ def test_cut_cover_takes_its_last_cut_forced():
     start = time.perf_counter()
     assert decompose_into_cuts(D, 3) is None
     assert time.perf_counter() - start < 2.0
+
+
+def digest(value):
+    """The first 16 hex digits of the sha256 of repr(value)."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+# (case, run appending to a trace and returning the witness, its digest,
+# the trace's digest); the witness is X for the cuts and sorted R for peel
+PINNED = [
+    ("d11", lambda trace: dicut_d11(
+        gen_random_family("d11", 3200, 1, 1), trace).X,
+     "19ab957c4ec23e47", "4f13e5a59d865651"),
+    ("d11c", lambda trace: dicut_d11_connected(triangle_chain(1100), trace).X,
+     "3a4e41cffef45d50", "585cf5d8a3dd33b6"),
+    ("d22", lambda trace: dicut_d22(dense_d22(480, 1), trace).X,
+     "b76c70442751eed7", "a4246a3c35be6500"),
+    ("peel", lambda trace: sorted(peel_to_lower_class(Digraph(
+        640, dense_dkk(random.Random(1), 640, 2)), 2, trace)[1]),
+     "f1f32609bbdb05d7", "02dce2d753249dd4"),
+]
+
+
+@pytest.mark.parametrize("run, witness, steps", [case[1:] for case in PINNED],
+                         ids=[case[0] for case in PINNED])
+def test_witness_and_trace_pinned(run, witness, steps):
+    trace = []
+    assert digest(run(trace)) == witness
+    assert digest(trace) == steps
