@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import oracle
-from .colorcut import acyclic_bound, d22_bound, dicut_acyclic, dicut_d22
-from .d11 import d11_bound, d11c_bound, dicut_d11, dicut_d11_connected
+from .colorcut import dicut_acyclic, dicut_d22
+from .d11 import dicut_d11, dicut_d11_connected
 from .decompose import split_dkk
 from .digraph import (
     AlgorithmBugError,
@@ -45,28 +45,29 @@ EXIT_RESOURCE = 3
 EXIT_BUG = 4
 
 
-# method: (D, k) -> (its certificate, its guaranteed bound as a Fraction).
-# The cut runs first, so it checks its input class before the bound counts
-# anything.  The entries read the algorithms from this module's globals at
+# method: (D, k) -> its certificate, which carries the bound it met as a
+# Fraction.  The entries read the algorithms from this module's globals at
 # call time, so a wrapper bound over one of these names sees the CLI's calls.
 METHODS = {
-    "d11": lambda D, k: (dicut_d11(D), d11_bound(D)),
-    "d11c": lambda D, k: (dicut_d11_connected(D), d11c_bound(D)),
-    "acyclic": lambda D, k: (dicut_acyclic(D, k), acyclic_bound(D, k)),
-    "d22": lambda D, k: (dicut_d22(D), d22_bound(D)),
-    "oracle": lambda D, k: ((c := oracle.max_dicut_exact(D)), Fraction(c.size)),
+    "d11": lambda D, k: dicut_d11(D),
+    "d11c": lambda D, k: dicut_d11_connected(D),
+    "acyclic": lambda D, k: dicut_acyclic(D, k),
+    "d22": lambda D, k: dicut_d22(D),
+    "oracle": lambda D, k: (c := oracle.max_dicut_exact(D)).meeting(
+        Fraction(c.size)),
 }
 
 
 def _run_method(D: Digraph, method: str, k: int | None):
-    """(certificate, guaranteed bound as Fraction) of a `METHODS` key; only
-    acyclic reads k."""
+    """(certificate, the bound it carries) of a `METHODS` key; only acyclic
+    reads k."""
     if method == "acyclic" and k is None:
         # the least k >= 1 with D in D(k,k): every v has min(d-, d+) <= k
         k = max([1] + [min(D.in_deg(v), D.out_deg(v)) for v in D.vertices])
     elif method != "acyclic" and k is not None:
         raise InputError("--k applies to acyclic only")
-    return METHODS[method](D, k)
+    cert = METHODS[method](D, k)
+    return cert, cert.bound
 
 
 # the options each family of `gen` reads, in the order its header names them,
@@ -175,9 +176,6 @@ def _cmd_explore(args) -> int:
     rng = random.Random(args.seed)
     p = args.problem
     found_counterexample = False
-    if p == 4:
-        print("problem 4 is a complexity question; out of scope")
-        return EXIT_OK
     low = 3 if p < 4 else 4  # least n drawn
     if args.max_n < low:
         raise InputError(f"--max-n must be at least {low} for problem {p}")
@@ -186,6 +184,9 @@ def _cmd_explore(args) -> int:
     if args.max_n > oracle.MAX_DICUT_VERTICES:  # every oracle refuses more
         raise ResourceLimitError(
             f"--max-n exceeds the oracle guard {oracle.MAX_DICUT_VERTICES}")
+    if p == 4:
+        print("problem 4 is a complexity question; out of scope")
+        return EXIT_OK
 
     def members(family: str, k: int, high: int):
         """The members with an edge among the budget's draws, n in low..high."""

@@ -155,11 +155,7 @@ def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
             raise AlgorithmBugError("combined coloring is not proper")
     full = Coloring(tuple(colors), 2 * k + 2)
     return cut_from_partition(D, _leaving_side(full, D.edges)).meeting(
-        acyclic_bound(D, k))
-
-
-def acyclic_bound(D: Digraph, k: int) -> Fraction:
-    return Fraction((k + 1) * D.m, 4 * k + 2)
+        Fraction((k + 1) * D.m, 4 * k + 2))
 
 
 def dicut_d22(D: Digraph, trace: list[Step] | None = None) -> CutCertificate:
@@ -177,11 +173,7 @@ def dicut_d22(D: Digraph, trace: list[Step] | None = None) -> CutCertificate:
     if class_partition(D, 2, 2) is None:
         raise PreconditionError("digraph is not in D(2,2)")
     S = _d22_p3free(D, trace)
-    return cut_from_banked(D, S).meeting(d22_bound(D))
-
-
-def d22_bound(D: Digraph) -> Fraction:
-    return Fraction(3 * D.m, 10)
+    return cut_from_banked(D, S).meeting(Fraction(3 * D.m, 10))
 
 
 def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:

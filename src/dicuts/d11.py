@@ -530,12 +530,7 @@ def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     vertex-disjoint directed triangles (`max_disjoint_triangles`)."""
     _require_d11(D)
     K = _reduction_loop(WorkGraph(D), trace)
-    return cut_from_banked(D, K).meeting(d11_bound(D))
-
-
-def d11_bound(D: Digraph) -> Fraction:
-    """(2m - t)/5, the guarantee of `dicut_d11`, for D in its class."""
-    return Fraction(2 * D.m - _books(D), 5)
+    return cut_from_banked(D, K).meeting(Fraction(2 * D.m - _books(D), 5))
 
 
 def max_disjoint_triangles(D: Digraph) -> int:
@@ -586,11 +581,7 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
     if D.m == 3 and len(D.triangles()) == 1:
         raise PreconditionError("input is a directed triangle")
     K = _peel_triangle_forest(D, W, trace)
-    return cut_from_banked(D, K).meeting(d11c_bound(D))
-
-
-def d11c_bound(D: Digraph) -> Fraction:
-    return Fraction(7 * D.m, 20)
+    return cut_from_banked(D, K).meeting(Fraction(7 * D.m, 20))
 
 
 def _peel_triangle_forest(D: Digraph, W: WorkGraph,

@@ -23,7 +23,7 @@ are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import index
@@ -302,12 +302,14 @@ class ClassPartition:
 
 @dataclass(frozen=True)
 class CutCertificate:
-    """A vertex bipartition and the directed cut it induces."""
+    """A vertex bipartition and the directed cut it induces, with the bound
+    its algorithm guarantees (0 until `meeting` sets it)."""
 
     X: tuple[int, ...]
     Y: tuple[int, ...]
     cut_edges: tuple[Edge, ...]
     size: int
+    bound: Fraction = field(default=Fraction(0), compare=False)
 
     def verify(self, D: Digraph) -> None:
         if sorted(self.X + self.Y) != list(range(D.n)) or set(self.X) & set(self.Y):
@@ -318,10 +320,10 @@ class CutCertificate:
             raise AlgorithmBugError("stored cut does not match its partition")
 
     def meeting(self, bound: Fraction) -> CutCertificate:
-        """This certificate, checked to meet its algorithm's `bound`."""
+        """This cut carrying its algorithm's `bound`, checked to meet it."""
         if self.size < bound:
             raise AlgorithmBugError(f"cut of {self.size} misses its bound {bound}")
-        return self
+        return CutCertificate(self.X, self.Y, self.cut_edges, self.size, bound)
 
 
 def class_partition(D: Digraph, k: int, ell: int) -> Optional[ClassPartition]:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from dicuts import cli, d11
 from dicuts.cli import main
 from dicuts.digraph import (AlgorithmBugError, Digraph, cut_from_partition,
                             format_dg, load_dg, save_dg)
-from dicuts.generators import gen_example1, gen_random_family
+from dicuts.generators import (gen_example1, gen_random_family,
+                               gen_regular_tournament)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -122,6 +124,20 @@ class TestCheck:
         assert main(["check", "no-such.dg", "--k", "1", "--l", "1"]) == 2
 
 
+# each method's bound as its theorem states it, on an instance of its class:
+# example 1 at k = 1 has k + 1 = 2 disjoint triangles, the transitive
+# 5-tournament is acyclic D(2,2), and T5's best cut has 3 of its 10 edges
+METHOD_BOUNDS = {
+    "d11": (lambda: gen_example1(1), lambda m: Fraction(2 * m - 2, 5)),
+    "d11c": (lambda: gen_example1(1), lambda m: Fraction(7 * m, 20)),
+    "acyclic": (lambda: Digraph(5, [(u, v) for u in range(5)
+                                    for v in range(u + 1, 5)]),
+                lambda m: Fraction((2 + 1) * m, 4 * 2 + 2)),
+    "d22": (lambda: gen_regular_tournament(2), lambda m: Fraction(3 * m, 10)),
+    "oracle": (lambda: gen_regular_tournament(2), lambda m: Fraction(3)),
+}
+
+
 class TestCutVerify:
     def test_report_format(self, t5_file, capsys):
         assert main(["verify", t5_file, "--method", "d22"]) == 0
@@ -167,8 +183,8 @@ class TestCutVerify:
         assert calls == []
 
     def test_d11_checks_the_class_once(self, monkeypatch):
-        # dicut_d11 checks the class; t is counted for its bound check and
-        # again for the report, and neither count checks the class again
+        # dicut_d11 checks the class and counts t once, for the bound its
+        # certificate carries to the report; the count checks no class
         D, calls = gen_example1(3), []
         for owner, name in ((d11, "class_partition"), (Digraph, "has_digon"),
                             (d11, "_books")):
@@ -176,8 +192,7 @@ class TestCutVerify:
             monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name:
                                 calls.append(name) or fn(*args))
         cli._run_method(D, "d11", None)
-        assert sorted(calls) == ["_books", "_books", "class_partition",
-                                 "has_digon"]
+        assert sorted(calls) == ["_books", "class_partition", "has_digon"]
 
     @pytest.mark.parametrize("command", ["cut", "verify"])
     @pytest.mark.parametrize("method", ["d11", "d11c"])
@@ -214,8 +229,24 @@ class TestCutVerify:
         assert cols[5:] == ["1601/1", "-", "pass"]
 
     def test_oracle_method(self, t5_file, capsys):
+        # the oracle's bound is its own size, the optimum
         assert main(["verify", t5_file, "--method", "oracle"]) == 0
-        assert "\t3\t" in capsys.readouterr().out
+        cols = capsys.readouterr().out.strip().split("\t")
+        assert cols[1:] == ["oracle", "5", "10", "3", "3/1", "3", "pass"]
+
+    @pytest.mark.parametrize("method", list(cli.METHODS))
+    def test_reported_bound_is_the_certificates(self, method, tmp_path,
+                                                capsys):
+        # the printed bound is the one the certificate carries, and that is
+        # its theorem's formula in m
+        build, formula = METHOD_BOUNDS[method]
+        D, path = build(), tmp_path / "in.dg"
+        save_dg(D, path)
+        assert main(["cut", str(path), "--method", method]) == 0
+        printed = capsys.readouterr().out.split("\t")[5]
+        cert, bound = cli._run_method(D, method, None)
+        assert bound == cert.bound == formula(D.m)
+        assert printed == f"{bound.numerator}/{bound.denominator}"
 
     @pytest.mark.parametrize("argv", [
         ["check", "--k", "1", "--l", "1"], ["cut", "--method", "d11"],
@@ -337,27 +368,31 @@ class TestExplore:
         assert capsys.readouterr().out == out
 
     @pytest.mark.parametrize("problem, max_n", [
-        (1, 2), (2, 2), (3, 2), (5, 3), (6, 3), (7, 3), (8, 3)])
+        (1, 2), (2, 2), (3, 2), (4, 3), (5, 3), (6, 3), (7, 3), (8, 3)])
     def test_max_n_below_least_draw(self, problem, max_n, capsys):
         assert main(["explore", "--problem", str(problem),
                      "--max-n", str(max_n), "--budget", "1"]) == 2
         assert "--max-n must be at least" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("problem", [1, 5, 8])
+    @pytest.mark.parametrize("problem", [1, 4, 5, 8])
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_budget_below_one(self, problem, budget, capsys):
-        # no draw would be made: problem 8 would print a vacuous 1/1
+        # no draw would be made: problem 8 would print a vacuous 1/1, and
+        # problem 4, which draws nothing, refuses what the others refuse
         assert main(["explore", "--problem", str(problem),
                      "--budget", budget]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--budget must be at least 1" in err
 
     def test_max_n_above_oracle_guard(self, capsys, monkeypatch):
-        # every oracle refuses a draw past MAX_DICUT_VERTICES: none is drawn
+        # every oracle refuses a draw past MAX_DICUT_VERTICES: none is drawn;
+        # problem 4, which draws nothing, refuses it too
         monkeypatch.setattr(cli, "gen_random_family", None)
-        assert main(["explore", "--problem", "1", "--max-n", "1000000",
-                     "--budget", "3"]) == 3
-        assert "--max-n exceeds the oracle guard 26" in capsys.readouterr().err
+        for problem, max_n in (("1", "1000000"), ("4", "27")):
+            assert main(["explore", "--problem", problem, "--max-n", max_n,
+                         "--budget", "3"]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and "--max-n exceeds the oracle guard 26" in err
 
 
 # (family, k) of the members the contract test draws

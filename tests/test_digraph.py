@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -141,6 +142,15 @@ class TestP3AndCuts:
         cert = cut_from_partition(D, X)
         cert.verify(D)
         assert is_p3_free(D, cert.cut_edges)
+
+    def test_a_cut_carries_the_bound_it_met(self):
+        # a bare cut carries bound 0; `meeting` returns an equal cut that
+        # carries its bound, since the bound takes no part in equality
+        c = cut_from_partition(Digraph(3, [(0, 1), (1, 2), (0, 2)]), [0])
+        assert c.size == 2 and c.bound == 0
+        met = c.meeting(Fraction(3, 2))
+        assert met == c and met.bound == Fraction(3, 2)
+        assert (met.X, met.Y, met.cut_edges) == (c.X, c.Y, c.cut_edges)
 
     @given(small_digraphs())
     def test_extend_keeps_the_set(self, D):
