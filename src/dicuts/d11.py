@@ -25,14 +25,15 @@ scans of ``D.vertices``, sorted adjacency) follows vertex order, so a
 piece makes the same choices as its component relabelled onto 0..n-1, and
 the functions below take a `Digraph` just as well.
 
-The input class is checked once, at the entries `dicut_d11`,
-`dicut_d11_connected` and `max_disjoint_triangles`.  Deleting edges keeps a
-digraph digon-free and in D(1,1), so every piece is a connected,
-edge-carrying, digon-free D(1,1) digraph.  `find_triangle_reduction`,
-`find_reducing_pair` and `is_triangle_forest` take such a piece (the last
-one also the connected input of `dicut_d11_connected`, isolated vertices
-and all) and do not check it again: there a triangle forest's bridges form
-a tree, and its leaf, bridge and continuation show in the degrees.
+The input class is checked once, at the entries `dicut_d11` and
+`dicut_d11_connected`.  Deleting edges keeps a digraph digon-free and in
+D(1,1), so every piece is a connected, edge-carrying, digon-free D(1,1)
+digraph.  The step finders `find_triangle_reduction` and
+`find_reducing_pair` take such a piece, and `is_triangle_forest` also the
+connected input of `dicut_d11_connected`, isolated vertices and all; none
+checks it again.  The two finders return the `Step` they found, and the
+forest test the forest's triangles: there the bridges form a tree, and its
+leaf, bridge and continuation show in the degrees.
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ from . import oracle
 
 
 @dataclass(frozen=True)
-class TriangleForestShape:
-    """t vertex-disjoint directed triangles joined by t-1 tree bridges."""
-
-    triangles: tuple[tuple[int, int, int], ...]
-    bridges: tuple[Edge, ...]
-
-
-@dataclass(frozen=True)
 class ContractionGraph:
     """Cycles of D+ and D- contracted to nodes, with the external
     D+ -> D- edges kept as links (multiplicity preserved).
@@ -86,18 +79,18 @@ def _require_d11(D: Digraph) -> None:
         raise PreconditionError("digraph is not in D(1,1)")
 
 
-def find_triangle_reduction(
-    D: Digraph,
-) -> Optional[tuple[Edge, tuple[int, int, int]]]:
-    """An edge x->y of a directed triangle of the piece D with d-(x) = 1
-    and d+(y) = 1.
+def find_triangle_reduction(D: Digraph) -> Optional[Step]:
+    """The triangle step on an edge x->y of a directed triangle of the
+    piece D with d-(x) = 1 and d+(y) = 1: it keeps x->y and drops the
+    triangle's other two edges.
 
     Absent exactly when every triangle lies inside D+ or D-.
     """
     for a, b, c in D.triangles():
         for x, y in ((a, b), (b, c), (c, a)):
             if D.in_deg(x) == 1 and D.out_deg(y) == 1:
-                return (x, y), (a, b, c)
+                return Step("triangle", ((x, y),), tuple(sorted(
+                    {(a, b), (b, c), (c, a)} - {(x, y)})))
     return None
 
 
@@ -510,13 +503,7 @@ def _reduction_loop(W: WorkGraph, trace: list | None) -> set[Edge]:
         if H.m <= 5:
             step = _base_step(H.vertices, H.succ)
         else:
-            tri = find_triangle_reduction(H)
-            if tri is not None:
-                (x, y), (a, b, c) = tri
-                step = Step("triangle", ((x, y),), tuple(sorted(
-                    {(a, b), (b, c), (c, a)} - {(x, y)})))
-            else:
-                step = find_reducing_pair(H)
+            step = find_triangle_reduction(H) or find_reducing_pair(H)
             W.delete(step.kept + step.dropped)
             work.extend(W.pieces(H.vertices))
         K.update(step.kept)
@@ -527,23 +514,18 @@ def _reduction_loop(W: WorkGraph, trace: list | None) -> set[Edge]:
 
 def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     """A directed cut of size at least (2m - t)/5, t the maximum number of
-    vertex-disjoint directed triangles (`max_disjoint_triangles`)."""
+    vertex-disjoint directed triangles (`_books`)."""
     _require_d11(D)
     K = _reduction_loop(WorkGraph(D), trace)
     return cut_from_banked(D, K).meeting(Fraction(2 * D.m - _books(D), 5))
 
 
-def max_disjoint_triangles(D: Digraph) -> int:
-    """t of `dicut_d11`'s bound.  Triangles that share a vertex share an edge
-    there, and two on a->b leave a no other out-edge and b no other in-edge:
-    each group of vertex-sharing triangles is a book on one edge, and any
-    maximal packing, as the greedy one below, takes one triangle per book."""
-    _require_d11(D)
-    return _books(D)
-
-
 def _books(D: Digraph) -> int:
-    """`max_disjoint_triangles` for a D already checked to be in the class."""
+    """t of `dicut_d11`'s bound, for a digon-free D(1,1) digraph D.
+    Triangles that share a vertex share an edge there, and two on a->b
+    leave a no other out-edge and b no other in-edge: each group of
+    vertex-sharing triangles is a book on one edge, and any maximal
+    packing, as the greedy one below, takes one triangle per book."""
     used: set[int] = set()
     for tri in D.triangles():
         if used.isdisjoint(tri):
@@ -553,21 +535,21 @@ def _books(D: Digraph) -> int:
 
 # -- Theorem 5: connected case, 7m/20 --------------------------------------
 
-def is_triangle_forest(D: Digraph) -> Optional[TriangleForestShape]:
-    """The t-triangles-plus-(t-1)-tree-bridges shape, if the connected piece
-    D has it: iff its triangles are pairwise disjoint, cover every vertex
-    that carries an edge, and m = 4t - 1.  Digon-free, the only edges among
-    a triangle's vertices are its own, so the other t - 1 edges are bridges
-    that join the t triangles into one component: a tree.
+def is_triangle_forest(
+    D: Digraph,
+) -> Optional[tuple[tuple[int, int, int], ...]]:
+    """The triangles of the connected piece D if it is t triangles joined
+    by t - 1 tree bridges: iff its triangles are pairwise disjoint, cover
+    every vertex that carries an edge, and m = 4t - 1.  Digon-free, the
+    only edges among a triangle's vertices are its own, so the other t - 1
+    edges are bridges that join the t triangles into one component: a tree.
     """
-    tris = D.triangles()
-    t = len(tris)
-    tri_of = {v: i for i, tri in enumerate(tris) for v in tri}
-    if (len(tri_of) != 3 * t or D.m != 4 * t - 1
-            or any(u not in tri_of or v not in tri_of for u, v in D.edges)):
+    tris = tuple(D.triangles())
+    covered = {v for tri in tris for v in tri}
+    if (len(covered) != 3 * len(tris) or D.m != 4 * len(tris) - 1
+            or any(u not in covered or v not in covered for u, v in D.edges)):
         return None
-    return TriangleForestShape(tuple(tris), tuple(
-        (u, v) for u, v in D.edges if tri_of[u] != tri_of[v]))
+    return tris
 
 
 def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate:
@@ -591,27 +573,29 @@ def _peel_triangle_forest(D: Digraph, W: WorkGraph,
     edges, so it is none); hand what is left to the reduction loop if
     m > 6, else to the oracle as one oracle-base step.
 
-    A leaf's D-degrees sum to 6 plus its one bridge end.  The bridge's
-    other end x' has two edges on the bridge's side, so D(1,1) leaves it
-    one other edge, the continuation, which lies in the triangle of x'.
+    A leaf's D-degrees sum to 6 plus its one bridge end, its one vertex x
+    of degree 3, where the bridge is the edge off the triangle.  The
+    bridge's other end x' has two edges on the bridge's side, so D(1,1)
+    leaves it one other edge, the continuation, which lies in the triangle
+    of x'.
     """
     K: set[Edge] = set()
     m = D.m
-    shape = is_triangle_forest(D) if m > 6 else None
-    if shape is not None:
+    tris = is_triangle_forest(D) if m > 6 else None
+    if tris is not None:
         succ, pred = D.succ, D.pred
-        tri = next(tri for tri in shape.triangles
-                   if sum(len(succ[v]) + len(pred[v]) for v in tri) == 7)
+        deg = lambda v: len(succ[v]) + len(pred[v])
+        tri = next(tri for tri in tris if sum(map(deg, tri)) == 7)
         cyc = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
-        bridge = next(e for e in shape.bridges if e[0] in cyc or e[1] in cyc)
-        if bridge[0] in cyc:
+        x = next(v for v in tri if deg(v) == 3)
+        if len(succ[x]) == 2:
             # bridge x -> x' leaves the leaf triangle at x
-            x, xp = bridge
-            continuation = (xp, succ[xp][0])
+            xp = next(w for w in succ[x] if w not in cyc)
+            bridge, continuation = (x, xp), (xp, succ[xp][0])
         else:
             # mirrored: bridge x' -> x enters the leaf triangle at x
-            xp, x = bridge
-            continuation = (pred[xp][0], xp)
+            xp = next(u for u in pred[x] if u not in cyc)
+            bridge, continuation = (xp, x), (pred[xp][0], xp)
         y = cyc[x]
         kept = tuple(sorted((bridge, (y, cyc[y]))))
         gone = {(a, cyc[a]) for a in tri} | {bridge, continuation}

@@ -78,14 +78,21 @@ def check_vertex_count(n: int) -> int:
     return n
 
 
-def _triangles(vertices: Iterable[int], succ):
+def _triangles(vertices: Iterable[int], succ, pred):
     """The directed 3-cycles a->b->c->a with a in `vertices` and least, in
-    lexicographic order: `vertices` ascends and each `succ` tuple is sorted."""
+    lexicographic order: `vertices` ascends and each `succ` tuple is sorted.
+
+    The closing edge c->a is looked up in the shorter of `succ[c]` and
+    `pred[a]`, so on a D(1,1) digraph the lookups cost O(m) in all."""
     for a in vertices:
+        pa = pred[a]
+        if not pa:
+            continue
         for b in succ[a]:
             if b > a:
                 for c in succ[b]:
-                    if c > a and a in succ[c]:
+                    if c > a and (c in pa if len(pa) < len(succ[c])
+                                  else a in succ[c]):
                         yield a, b, c
 
 
@@ -204,7 +211,7 @@ class Digraph(_AdjacencyReads):
 
     def triangles(self) -> list[tuple[int, int, int]]:
         """All directed 3-cycles, as (a, b, c) with a minimal and a->b->c->a."""
-        return list(_triangles(self.vertices, self.succ))
+        return list(_triangles(self.vertices, self.succ, self.pred))
 
     def is_acyclic(self) -> bool:
         indeg = [self.in_deg(v) for v in range(self.n)]
@@ -286,7 +293,7 @@ class Piece(_AdjacencyReads):
 
     def triangles(self):
         """All directed 3-cycles as in `Digraph.triangles`, lazily."""
-        return _triangles(self.vertices, self.succ)
+        return _triangles(self.vertices, self.succ, self.pred)
 
     def reverse(self) -> "Piece":
         return Piece(self.vertices, self.pred, self.succ, self.m)

@@ -165,7 +165,7 @@ def max_triangle_packing(D: Digraph) -> int:
     is the sum of each group's own.  One step budget covers every group.
     """
     # list one triangle past the guard, not all of them, to trip it
-    tris = list(islice(_triangles(D.vertices, D.succ),
+    tris = list(islice(_triangles(D.vertices, D.succ, D.pred),
                        MAX_PACKING_TRIANGLES + 1))
     if len(tris) > MAX_PACKING_TRIANGLES:
         raise ResourceLimitError(

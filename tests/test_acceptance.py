@@ -223,9 +223,9 @@ def test_c13_step_level_certification():
         assert is_p3_free(D, cert.cut_edges)
         H = D
         while H.m > 5:
-            if find_triangle_reduction(H):
-                (x, y), (a, b, c) = find_triangle_reduction(H)
-                H = H.without_edges([(a, b), (b, c), (c, a)])
+            step = find_triangle_reduction(H)
+            if step:
+                H = H.without_edges(step.kept + step.dropped)
                 continue
             comps = [cc for cc in H.weak_components()
                      if any(H.out_deg(v) or H.in_deg(v) for v in cc)]

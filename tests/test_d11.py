@@ -15,7 +15,6 @@ from dicuts.d11 import (
     find_reducing_pair,
     find_triangle_reduction,
     is_triangle_forest,
-    max_disjoint_triangles,
     validate_reducing_pair,
 )
 from dicuts.digraph import (
@@ -176,15 +175,8 @@ def reduction_rebuilding(D):
             A = oracle.max_dicut_exact(H).cut_edges
             tag, B, gone = "oracle-base", set(H.edges) - set(A), ()
         else:
-            tri = find_triangle_reduction(H)
-            if tri is not None:
-                (x, y), (a, b, c) = tri
-                A, gone = ((x, y),), ((a, b), (b, c), (c, a))
-                tag, B = "triangle", set(gone) - set(A)
-            else:
-                rp = find_reducing_pair(H)
-                tag, A, B = rp
-                gone = A + B
+            tag, A, B = find_triangle_reduction(H) or find_reducing_pair(H)
+            gone = A + B
         step = Step(tag, relabel(A, label), relabel(B, label))
         K.update(step.kept)
         trace.append(step)
@@ -267,24 +259,20 @@ class TestPreconditions:
 
 class TestMaxDisjointTriangles:
     def test_book_is_one(self):
-        assert max_disjoint_triangles(book(2001)) == 1
+        assert d11._books(book(2001)) == 1
 
     def test_same_as_packing_search(self):
         for D in digonfree_d11(6):
-            assert max_disjoint_triangles(D) == oracle.max_triangle_packing(D)
-
-    def test_rejects_outside_class(self):
-        with pytest.raises(PreconditionError):
-            max_disjoint_triangles(Digraph(3, [(0, 1), (1, 0), (1, 2)]))
+            assert d11._books(D) == oracle.max_triangle_packing(D)
 
 
 class TestTriangleReduction:
     def test_finds_reducible_edge(self):
         # pendant triangle: the edge into the pendant tail qualifies
         D = Digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 0)])
-        hit = find_triangle_reduction(D)
-        assert hit is not None
-        (x, y), tri = hit
+        step = find_triangle_reduction(D)
+        assert step == Step("triangle", ((2, 0),), ((0, 1), (1, 2)))
+        ((x, y),) = step.kept
         assert D.in_deg(x) == 1 and D.out_deg(y) == 1
 
     def test_none_when_triangle_saturated(self):
@@ -467,9 +455,8 @@ def test_steps_cover_every_edge_once():
 
 class TestTriangleForest:
     def test_shape_detected(self):
-        shape = is_triangle_forest(triangle_chain(3))
-        assert shape is not None
-        assert len(shape.triangles) == 3 and len(shape.bridges) == 2
+        D = triangle_chain(3)
+        assert is_triangle_forest(D) == tuple(D.triangles())
 
     def test_shape_rejected_on_extra_edge(self):
         D = triangle_chain(3)
@@ -502,11 +489,10 @@ class TestTriangleForest:
             tris = D.triangles()
             if len({v for tri in tris for v in tri}) < 3 * len(tris):
                 overlapping += 1
-            shape = is_triangle_forest(D)
-            got = shape.triangles if shape is not None else None
+            got = is_triangle_forest(D)
             assert got == forest_reference(D), D
             checked += 1
-            accepted += shape is not None
+            accepted += got is not None
         assert checked > 1000 and overlapping > 0 and accepted > 1
 
     def test_long_chain_needs_no_recursion(self):

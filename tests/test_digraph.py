@@ -180,6 +180,36 @@ class TestStructure:
         assert D.weak_components() == [[0, 1, 2], [3, 4]]
         assert not D.has_digon()
 
+    @pytest.mark.parametrize("pendants", [False, True])
+    def test_triangle_listing_scans_shorter_side(self, pendants):
+        # double star: sources -> b -> c -> sinks, b and c the highest ids.
+        # Each source closes its path a->b->c in pred[a], empty or, with a
+        # pendant in-edge at every source, of length 1; not in the 2 000
+        # sinks of succ[c]
+        scanned = [0]
+
+        class Counted(tuple):
+            def __contains__(self, x):
+                scanned[0] += len(self)
+                return tuple.__contains__(self, x)
+
+        k = 2000
+        b, c = 2 * k, 2 * k + 1
+        edges = [(a, b) for a in range(k)] + [(b, c)] \
+            + [(c, d) for d in range(k, 2 * k)]
+        if pendants:
+            edges += [(2 * k + 2 + a, a) for a in range(k)]
+        n = 2 * k + 2 + pendants * k
+        succ = [[] for _ in range(n)]
+        pred = [[] for _ in range(n)]
+        for u, v in edges:
+            succ[u].append(v)
+            pred[v].append(u)
+        P = digraph.Piece(list(range(n)), [Counted(sorted(s)) for s in succ],
+                          [Counted(sorted(p)) for p in pred], len(edges))
+        assert list(P.triangles()) == []
+        assert scanned[0] <= 4 * len(edges)
+
     @given(small_digraphs(max_n=9, max_edges=30))
     def test_reads_match_brute_force(self, D):
         es = D.edge_set

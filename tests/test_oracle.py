@@ -6,7 +6,7 @@ import pytest
 from test_d11 import triangle_chain
 
 from dicuts import digraph, oracle
-from dicuts.d11 import max_disjoint_triangles
+from dicuts.d11 import _books
 from dicuts.digraph import (
     Digraph,
     InputError,
@@ -195,7 +195,7 @@ class TestTrianglePacking:
     def test_chain_bound_stays_exact_past_the_whole_set_budget(self):
         # the whole-set search exceeds MAX_PACKING_STEPS from t = 1 420 on;
         # the d11 bound counts books and searches nothing
-        assert max_disjoint_triangles(triangle_chain(1450)) == 1450
+        assert _books(triangle_chain(1450)) == 1450
 
     def test_same_as_whole_set_search(self):
         # one to three random blocks on shuffled labels, so the triangles
