@@ -68,19 +68,22 @@ def degeneracy_order(n: int, und_edges) -> tuple[list[int], int]:
     return order, d
 
 
-def greedy_color(und_edges, order: list[int]) -> Coloring:
-    """Color in reverse `order`, which lists every vertex; each vertex takes
-    the least color unused by already-colored neighbors."""
-    adj = _underlying_adj(len(order), und_edges)
-    colors = [-1] * len(order)
+def greedy_color(n: int, und_edges, most: int) -> Coloring:
+    """Color the n vertices smallest-last: in reverse `degeneracy_order`,
+    each takes the least color unused by its already-colored neighbors, so
+    d+1 colors suffice; a degeneracy d above `most` is a bug."""
+    order, d = degeneracy_order(n, und_edges)
+    if d > most:
+        raise AlgorithmBugError(f"degeneracy {d} exceeds {most}")
+    adj = _underlying_adj(n, und_edges)
+    colors = [-1] * n
     for v in reversed(order):
         used = {colors[w] for w in adj[v] if colors[w] >= 0}
         c = 0
         while c in used:
             c += 1
         colors[v] = c
-    gamma = max(colors, default=-1) + 1
-    return Coloring(tuple(colors), max(gamma, 1) if order else 0)
+    return Coloring(tuple(colors), max(colors, default=-1) + 1)
 
 
 def best_balanced_class_bipartition(
@@ -145,10 +148,7 @@ def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
     # other, and the sides' colors only need an offset to stay apart
     high = [D.out_deg(v) > k for v in range(D.n)]
     same_side = [(u, v) for u, v in D.edges if high[u] == high[v]]
-    order, d = degeneracy_order(D.n, same_side)
-    if d > k:
-        raise AlgorithmBugError(f"side degeneracy {d} exceeds {k}")
-    col = greedy_color(same_side, order)
+    col = greedy_color(D.n, same_side, k)
     colors = [c + k + 1 if h else c for c, h in zip(col.colors, high)]
     for u, v in D.edges:
         if colors[u] == colors[v]:
@@ -235,8 +235,5 @@ def _d22_base(n: int, edges: list[Edge]) -> set[Edge]:
     of `edges` does not matter."""
     if not edges:
         return set()
-    order, d = degeneracy_order(n, edges)
-    if d > 5:
-        raise AlgorithmBugError(f"base-case degeneracy {d} exceeds 5")
-    side = _leaving_side(greedy_color(edges, order), edges)
+    side = _leaving_side(greedy_color(n, edges, 5), edges)
     return {(u, v) for u, v in edges if u in side and v not in side}

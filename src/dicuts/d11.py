@@ -15,12 +15,13 @@ to check connectivity and deletes a peeled leaf triangle from it before the
 reduction loop takes it over.  The loop works on its pieces: `Piece` views
 of one weakly connected component with at least one edge, on the original
 vertex ids.  It deletes a step's edges from the working graph and then
-looks for pieces only among the vertices of the piece it stepped on.  The
-patterns read D+ and D- from the degrees as they scan and stop where one
-fires, and the validation finds edges in `succ`: no reducing-pair step
-lists a piece's edges or its V+ and V- sets.  The contraction graph of
-patterns (4) and (5) is built once per search, with its links grouped by
-(plus-cycle, minus-cycle) pair.  Every choice below (sorted triangles,
+looks for pieces only among the vertices of the piece it stepped on.  A
+reducing-pair search walks D- once and D+ once, read from the degrees:
+each walk stops where the leaf pattern fires, or else hands back that
+side's cycles for the later patterns and the contraction graph.  A bare
+path or cycle is the case where both sides are empty.  The validation
+finds edges in `succ`: no step lists a piece's edges or its V+ and V-
+sets.  Every choice below (sorted triangles,
 scans of ``D.vertices``, sorted adjacency) follows vertex order, so a
 piece makes the same choices as its component relabelled onto 0..n-1, and
 the functions below take a `Digraph` just as well.
@@ -38,7 +39,6 @@ leaf, bridge and continuation show in the degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -55,21 +55,6 @@ from .digraph import (
     shortest_bipartite_cycle,
 )
 from . import oracle
-
-
-@dataclass(frozen=True)
-class ContractionGraph:
-    """Cycles of D+ and D- contracted to nodes, with the external
-    D+ -> D- edges kept as links (multiplicity preserved).
-
-    `between` lists the links from plus-cycle i to minus-cycle j under the
-    key (i, j), in edge order.  Bipartite between plus-nodes and
-    minus-nodes once the earlier reduction patterns no longer apply.
-    """
-
-    plus_cycles: tuple[tuple[int, ...], ...]
-    minus_cycles: tuple[tuple[int, ...], ...]
-    between: dict[tuple[int, int], list[Edge]]
 
 
 def _require_d11(D: Digraph) -> None:
@@ -160,11 +145,14 @@ def _minus_components(D: Digraph):
         yield sorted(comp)
 
 
-def _leaf_in_minus(D: Digraph) -> Optional[Step]:
+def _leaf_in_minus(D: Digraph):
+    """(Claim 1.3's step, None) if it fires on a component of D-, else
+    (None, D-'s components in cyclic order).  It fires on any leaf, whose
+    two or more in-neighbours all lie outside its component; a V- vertex
+    has out-degree <= 1, so a component without a leaf is a directed cycle."""
+    cycles = []
     for comp in _minus_components(D):
         cs = set(comp)
-        # leaves have no in-neighbour in the component; a V- vertex has
-        # out-degree <= 1, so a component without one is a directed cycle
         leaves = [v for v in comp if cs.isdisjoint(D.pred[v])]
         for v0 in leaves or comp:
             ext = [u for u in D.pred[v0] if u not in cs]
@@ -174,8 +162,9 @@ def _leaf_in_minus(D: Digraph) -> Optional[Step]:
             B = set(D.out_edges(v0))
             B.update(D.in_edges(e1[0]))
             B.update(D.in_edges(e2[0]))
-            return _pair(D, {e1, e2}, B, "leaf-in-minus")
-    return None
+            return _pair(D, {e1, e2}, B, "leaf-in-minus"), None
+        cycles.append(_directed_cycle_order(D, comp))
+    return None, cycles
 
 
 # -- pattern (2): even cycle in D+ or D- (Claim 1.4) -----------------------
@@ -262,7 +251,7 @@ def _v0_attach(D: Digraph, minus_cycles) -> Optional[Step]:
     """`minus_cycles`: the cycles of D-, each in cyclic order."""
     cycle_at = {v: order for order in minus_cycles for v in order}
     # V0: in neither V+ nor V-
-    V0 = [v for v in D.vertices if D.in_deg(v) <= 1 and D.out_deg(v) <= 1]
+    V0 = (v for v in D.vertices if D.in_deg(v) <= 1 and D.out_deg(v) <= 1)
     for y in V0:
         for z in D.succ[y]:
             if z not in cycle_at:
@@ -283,13 +272,12 @@ def _v0_attach(D: Digraph, minus_cycles) -> Optional[Step]:
     return None
 
 
-def _path_or_cycle(D: Digraph) -> Optional[Step]:
+def _path_or_cycle(D: Digraph) -> Step:
     """All degrees <= 1: a bare directed path or cycle (V+ = V- = empty)."""
-    starts = [v for v in D.vertices if D.in_deg(v) == 0 and D.out_deg(v) == 1]
-    if starts:
-        v = starts[0]
-        w = D.succ[v][0]
-        return _pair(D, {(v, w)}, set(D.out_edges(w)), "path-or-cycle")
+    for v in D.vertices:
+        if D.in_deg(v) == 0 and D.out_deg(v) == 1:
+            w = D.succ[v][0]
+            return _pair(D, {(v, w)}, set(D.out_edges(w)), "path-or-cycle")
     # directed cycle, each vertex's one out-edge on it; alternate edges,
     # leaving out an odd cycle's last
     order = _directed_cycle_order(
@@ -301,14 +289,13 @@ def _path_or_cycle(D: Digraph) -> Optional[Step]:
 
 # -- contraction multigraph M, patterns (4) and (5) ------------------------
 
-def contraction_graph(D: Digraph) -> ContractionGraph:
-    """Cycles of D+ and D- in cyclic order, and the external V+ -> V- links."""
-    plus_cycles = tuple(
-        tuple(_directed_cycle_order(D, comp))
-        for comp in _minus_components(D.reverse()))
-    minus_cycles = tuple(
-        tuple(_directed_cycle_order(D, comp))
-        for comp in _minus_components(D))
+def contraction_graph(D: Digraph, plus_cycles,
+                      minus_cycles) -> dict[tuple[int, int], list[Edge]]:
+    """The links of the contraction multigraph M by node pair.  M contracts
+    each cycle of D+ and of D-, given in cyclic order, to a node and keeps
+    the external D+ -> D- edges as links, multiplicity preserved; the links
+    from plus-cycle i to minus-cycle j come under the key (i, j), in edge
+    order.  M is bipartite once the earlier patterns no longer apply."""
     # V+ and V- are disjoint in D(1,1), so one map holds both cycle indices
     node_of = {v: i for cycles in (plus_cycles, minus_cycles)
                for i, cyc in enumerate(cycles) for v in cyc}
@@ -321,7 +308,7 @@ def contraction_graph(D: Digraph) -> ContractionGraph:
         for v in succ[u]:
             if len(pred[v]) >= 2:
                 between.setdefault((node_of[u], node_of[v]), []).append((u, v))
-    return ContractionGraph(plus_cycles, minus_cycles, between)
+    return between
 
 
 def _plus_path_sets(D: Digraph, order: list[int], u: int, v: int,
@@ -357,12 +344,13 @@ def _plus_path_sets(D: Digraph, order: list[int], u: int, v: int,
     return A2, B1, B2
 
 
-def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[Step]:
-    for (pi, mi), es in sorted(M.between.items()):
+def _multiedge_in_M(D: Digraph, plus_cycles, minus_cycles,
+                    between) -> Optional[Step]:
+    for (pi, mi), es in sorted(between.items()):
         if len(es) < 2:
             continue
-        plus_order = M.plus_cycles[pi]
-        minus_order = M.minus_cycles[mi]
+        plus_order = plus_cycles[pi]
+        minus_order = minus_cycles[mi]
         # each cycle vertex has one external edge (Claim 1.3), so the
         # linked vertices of the plus-cycle map to their one link head
         link_of = dict(es)
@@ -391,9 +379,8 @@ def _multiedge_in_M(D: Digraph, M: ContractionGraph) -> Optional[Step]:
     return None
 
 
-def _gamma_cycle(D: Digraph, M: ContractionGraph) -> Optional[Step]:
-    plus_cycles, minus_cycles = M.plus_cycles, M.minus_cycles
-    between = M.between
+def _gamma_cycle(D: Digraph, plus_cycles, minus_cycles,
+                 between) -> Optional[Step]:
     # node i of M is plus-cycle i, node P + j minus-cycle j
     P = len(plus_cycles)
     M_adj = [set() for _ in range(P + len(minus_cycles))]
@@ -447,28 +434,27 @@ def find_reducing_pair(D: Digraph) -> Step:
     """A validated reducing pair for a piece D with no triangle reduction
     and m >= 6; tried pattern by pattern in the order of the claims of the
     2/5 bound's proof."""
-    succ, pred = D.succ, D.pred
-    # D+ and D- are read from the degrees where a pattern needs them; this
-    # scan stops at the first vertex of either
-    if all(len(succ[v]) < 2 and len(pred[v]) < 2 for v in D.vertices):
-        return _path_or_cycle(D)
-
     # a pattern that does not apply returns None; a Step is never falsy
-    Dr = D.reverse()
-    rp = (_leaf_in_minus(D)
-          or _reverse_pair(_leaf_in_minus(Dr), "leaf-in-plus"))
+    rp, minus_cycles = _leaf_in_minus(D)
     if rp:
         return rp
+    Dr = D.reverse()
+    rp, back_plus = _leaf_in_minus(Dr)
+    if rp:
+        return _reverse_pair(rp, "leaf-in-plus")
+    if not minus_cycles and not back_plus:
+        return _path_or_cycle(D)
     # no leaf on either side: every component of D+ and D- is a cycle;
     # Dr walks each one backwards from its least vertex
-    M = contraction_graph(D)
     backwards = lambda cycles: [c[:1] + c[:0:-1] for c in cycles]
-    rp = (_even_cycle_in_plus(D, M.plus_cycles)
-          or _reverse_pair(_even_cycle_in_plus(Dr, backwards(M.minus_cycles)))
-          or _v0_attach(D, M.minus_cycles)
-          or _reverse_pair(_v0_attach(Dr, backwards(M.plus_cycles)))
-          or _multiedge_in_M(D, M)
-          or _gamma_cycle(D, M))
+    plus_cycles = backwards(back_plus)
+    between = contraction_graph(D, plus_cycles, minus_cycles)
+    rp = (_even_cycle_in_plus(D, plus_cycles)
+          or _reverse_pair(_even_cycle_in_plus(Dr, backwards(minus_cycles)))
+          or _v0_attach(D, minus_cycles)
+          or _reverse_pair(_v0_attach(Dr, back_plus))
+          or _multiedge_in_M(D, plus_cycles, minus_cycles, between)
+          or _gamma_cycle(D, plus_cycles, minus_cycles, between))
     if rp:
         return rp
     raise AlgorithmBugError("no reducing pair found where one must exist")

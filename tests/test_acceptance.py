@@ -11,7 +11,6 @@ import pytest
 from dicuts import oracle
 from dicuts.colorcut import (
     best_balanced_class_bipartition,
-    degeneracy_order,
     dicut_acyclic,
     dicut_d22,
     greedy_color,
@@ -159,8 +158,7 @@ def test_c09_balanced_split_counting_bound():
         n = rng.randint(4, 16)
         edges = list({tuple(sorted(rng.sample(range(n), 2)))
                       for _ in range(rng.randint(3, 30))})
-        order, _ = degeneracy_order(n, edges)
-        col = greedy_color(edges, order)
+        col = greedy_color(n, edges, n)
         if not 3 <= col.gamma <= 8:
             continue
         S, _ = best_balanced_class_bipartition(col, edges)

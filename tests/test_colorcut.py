@@ -136,8 +136,7 @@ def acyclic_split_by_sides(D, k):
         remap = {v: i for i, v in enumerate(side)}
         sub = sorted((remap[u], remap[v]) for u, v in D.edges
                      if u in remap and v in remap)
-        order, _ = degeneracy_order(len(side), sub)
-        col = greedy_color(sub, order)
+        col = greedy_color(len(side), sub, k)
         for v, i in remap.items():
             colors[v] = offset + col.colors[i]
     full = Coloring(tuple(colors), 2 * k + 2)
@@ -147,8 +146,7 @@ def acyclic_split_by_sides(D, k):
 
 def d22_base_split(D):
     """`_d22_base`'s balanced split as first written, on a `Digraph`."""
-    order, _ = degeneracy_order(D.n, D.edges)
-    col = greedy_color(D.edges, order)
+    col = greedy_color(D.n, D.edges, 5)
     S, _ = best_balanced_class_bipartition(col, D.edges)
     return S
 
@@ -260,9 +258,10 @@ class TestDegeneracy:
 
     def test_greedy_color_uses_d_plus_one(self):
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        order, d = degeneracy_order(4, edges)
-        col = greedy_color(edges, order)
-        assert col.gamma <= d + 1
+        col = greedy_color(4, edges, 3)
+        assert col.gamma <= 4
+        with pytest.raises(AlgorithmBugError):
+            greedy_color(4, edges, 2)
 
 
 class TestBalancedSplit:
@@ -288,8 +287,7 @@ class TestBalancedSplit:
             n = rng.randint(4, 16)
             edges = list({tuple(sorted(rng.sample(range(n), 2)))
                           for _ in range(rng.randint(3, 30))})
-            order, d = degeneracy_order(n, edges)
-            col = greedy_color(edges, order)
+            col = greedy_color(n, edges, n)
             if col.gamma < 2 or col.gamma > 8:
                 continue
             S, T = best_balanced_class_bipartition(col, edges)
@@ -304,8 +302,7 @@ class TestBalancedSplit:
             n = rng.randint(4, 24)
             edges = list({tuple(sorted(rng.sample(range(n), 2)))
                           for _ in range(rng.randint(3, 60))})
-            order, d = degeneracy_order(n, edges)
-            col = greedy_color(edges, order)
+            col = greedy_color(n, edges, n)
             if col.gamma < 2 or col.gamma > 8:
                 continue
             seen.add(col.gamma)

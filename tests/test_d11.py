@@ -315,6 +315,16 @@ def _gamma_instance():
 PATTERN_INSTANCES["gamma-cycle"] = _gamma_instance()
 
 
+def contraction_of(D):
+    """The plus cycles, the minus cycles and the links of D's contraction
+    graph, from one walk of D- and one of D+ as `find_reducing_pair` makes
+    them.  The plus cycles run backwards, which the links do not see."""
+    _, minus_cycles = d11._leaf_in_minus(D)
+    _, plus_cycles = d11._leaf_in_minus(D.reverse())
+    return plus_cycles, minus_cycles, contraction_graph(
+        D, plus_cycles, minus_cycles)
+
+
 class TestReducingPairs:
     @pytest.mark.parametrize("tag", sorted(PATTERN_INSTANCES))
     def test_pattern_fires_and_validates(self, tag):
@@ -348,14 +358,25 @@ class TestReducingPairs:
         assert bound_ok(D, cert)
 
     def test_contraction_graph_on_gamma_instance(self):
-        D = _gamma_instance()
-        M = contraction_graph(D)
-        assert len(M.plus_cycles) == 3 and len(M.minus_cycles) == 3
-        links = [e for es in M.between.values() for e in es]
+        plus_cycles, minus_cycles, between = contraction_of(_gamma_instance())
+        assert len(plus_cycles) == 3 and len(minus_cycles) == 3
+        links = [e for es in between.values() for e in es]
         assert len(links) == 9
         # every link goes from a contracted plus-cycle to a minus-cycle
-        assert all(u in M.plus_cycles[i] and v in M.minus_cycles[j]
-                   for (i, j), es in M.between.items() for u, v in es)
+        assert all(u in plus_cycles[i] and v in minus_cycles[j]
+                   for (i, j), es in between.items() for u, v in es)
+
+    def test_each_side_walked_once(self, monkeypatch):
+        # the leaf walks of D- and D+ hand their cycles on to the later
+        # patterns and to the contraction graph, which walk neither again
+        calls = []
+        walk = d11._minus_components
+        monkeypatch.setattr(d11, "_minus_components",
+                            lambda D: calls.append(D) or walk(D))
+        D = _gamma_instance()
+        piece, = WorkGraph(D).pieces(D.vertices)
+        assert find_reducing_pair(piece).tag == "gamma-cycle"
+        assert len(calls) == 2
 
     def test_validator_rejects_bad_pair(self):
         D = Digraph(3, [(0, 1), (1, 2)])

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from dicuts import digraph
 from dicuts.digraph import (
+    AlgorithmBugError,
     Digraph,
     InputError,
     PreconditionError,
@@ -21,8 +23,7 @@ from dicuts.digraph import (
     parse_dg,
     shortest_bipartite_cycle,
 )
-from dicuts.d11 import contraction_graph
-from test_d11 import _gamma_instance
+from test_d11 import _gamma_instance, contraction_of
 
 
 def small_digraphs(max_n=6, max_edges=12):
@@ -152,6 +153,19 @@ class TestP3AndCuts:
         assert met == c and met.bound == Fraction(3, 2)
         assert (met.X, met.Y, met.cut_edges) == (c.X, c.Y, c.cut_edges)
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda c: replace(c, Y=c.Y[1:]), "do not partition"),
+        (lambda c: replace(c, cut_edges=((0, 1), (1, 2))), "stored cut"),
+        (lambda c: replace(c, size=c.size + 1), "stored cut"),
+    ], ids=["not-a-partition", "other-cut-edges", "wrong-size"])
+    def test_verify_refuses_a_tampered_certificate(self, tamper, message):
+        D = Digraph(3, [(0, 1), (1, 2), (0, 2)])
+        cert = cut_from_partition(D, [0])
+        assert cert.cut_edges == ((0, 1), (0, 2))
+        cert.verify(D)
+        with pytest.raises(AlgorithmBugError, match=message):
+            tamper(cert).verify(D)
+
     @given(small_digraphs())
     def test_extend_keeps_the_set(self, D):
         # a single edge is always P3-free; extension must contain it
@@ -239,6 +253,12 @@ class TestStructure:
             assert P.m == len(edges)
             assert list(P.triangles()) == [t for t in tris if t[0] in inside]
 
+    def test_workgraph_refuses_a_missing_edge(self):
+        W = WorkGraph(Digraph(3, [(0, 1), (1, 2)]))
+        W.delete([(0, 1)])
+        with pytest.raises(AlgorithmBugError, match="not in the working"):
+            W.delete([(0, 1)])
+
     def test_acyclic(self):
         assert Digraph(3, [(0, 1), (0, 2), (1, 2)]).is_acyclic()
         assert not Digraph(3, [(0, 1), (1, 2), (2, 0)]).is_acyclic()
@@ -315,12 +335,12 @@ class TestShortestBipartiteCycle:
         # M of the gamma-cycle pattern instance: tuple nodes, plus before
         # minus, for the reference; plus-cycle i as i and minus-cycle j as
         # P + j for the finder
-        M = contraction_graph(_gamma_instance())
-        P = len(M.plus_cycles)
+        plus_cycles, minus_cycles, between = contraction_of(_gamma_instance())
+        P = len(plus_cycles)
         tuples = {nd: set() for nd in [("+", i) for i in range(P)]
-                  + [("-", j) for j in range(len(M.minus_cycles))]}
+                  + [("-", j) for j in range(len(minus_cycles))]}
         ints = [set() for _ in tuples]
-        for i, j in M.between:
+        for i, j in between:
             tuples[("+", i)].add(("-", j))
             tuples[("-", j)].add(("+", i))
             ints[i].add(P + j)
