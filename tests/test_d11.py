@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import inspect
 import itertools
 import math
@@ -154,6 +156,97 @@ def leaf_peel_reference(D):
     kept = tuple(sorted((bridge, (y, cyc[y]))))
     gone = {(a, cyc[a]) for a in tri} | {bridge, continuation}
     return Step("leaf-triangle", kept, tuple(sorted(gone - set(kept)))), leaves
+
+
+def _cycles(lengths, first):
+    """Directed cycles of the given lengths on the ids from `first` on:
+    their vertices, their edges and the next free id."""
+    vertices, edges = [], []
+    for length in lengths:
+        c = list(range(first, first + length))
+        first += length
+        vertices += c
+        edges += zip(c, c[1:] + c[:1])
+    return vertices, edges, first
+
+
+def _relabelled(rng, n, edges):
+    label = list(range(n))
+    rng.shuffle(label)
+    return Digraph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def cycle_structured(rng):
+    """A D(1,1) digraph of the shape d11's late patterns read: directed
+    cycles of D+ and of D-, in half the draws of odd lengths only (bar a
+    last minus cycle that makes up a sum), plus-cycle vertices linked one
+    to one to minus-cycle vertices, and on each cycle vertex left unlinked
+    a V0 path of one or two vertices, out of a plus vertex or into a minus
+    vertex.  In two draws of five both sides have as many vertices, so
+    every cycle vertex is linked."""
+    pool = rng.choice(((3, 4, 5, 6), (3, 5, 7)))
+    plus = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+    minus = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.4:
+        minus, left = [], sum(plus)
+        while left:
+            length = rng.choice(pool)
+            length = left if left - length < 3 else length
+            minus.append(length)
+            left -= length
+    P, edges, n = _cycles(plus, 0)
+    M, more, n = _cycles(minus, n)
+    edges += more
+    rng.shuffle(P)
+    rng.shuffle(M)
+    k = min(len(P), len(M))
+    edges += zip(P, M)
+    for u in P[k:]:  # u -> sink, or u -> y -> sink
+        edges.append((u, n))
+        n += 1
+        if rng.random() < 0.5:
+            edges.append((n - 1, n))
+            n += 1
+    for w in M[k:]:  # source -> w, or source -> y -> w
+        edges.append((n, w))
+        n += 1
+        if rng.random() < 0.5:
+            edges.append((n, n - 1))
+            n += 1
+    return _relabelled(rng, n, edges)
+
+
+def odd_cycles_simple_links(rng):
+    """A D(1,1) digraph of odd cycles of D+ and of D- where every cycle
+    vertex has one link and two cycles share at most one: no earlier
+    pattern applies, and the contraction graph M is simple with minimum
+    degree 3, so the first step is the gamma-cycle's."""
+    while True:
+        p, q = rng.randint(3, 6), rng.randint(3, 6)
+        plus = [rng.randrange(3, q + 1, 2) for _ in range(p)]
+        minus = [rng.randrange(3, p + 1, 2) for _ in range(q)]
+        if sum(plus) != sum(minus):
+            continue
+        # Ryser: each plus cycle links to the minus cycles with most room
+        room, links = list(minus), []
+        for i, d in enumerate(plus):
+            js = sorted(range(q), key=lambda j: (-room[j], rng.random()))[:d]
+            if room[js[-1]] == 0:
+                break
+            for j in js:
+                room[j] -= 1
+                links.append((i, j))
+        else:
+            break
+    _, edges, n = _cycles(plus, 0)
+    _, more, n = _cycles(minus, n)
+    edges += more
+    starts = [sum(plus[:i]) for i in range(p)]
+    starts += [sum(plus) + sum(minus[:j]) for j in range(q)]
+    slots = [rng.sample(range(s, s + length), length)
+             for s, length in zip(starts, plus + minus)]
+    edges += [(slots[i].pop(), slots[p + j].pop()) for i, j in links]
+    return _relabelled(rng, n, edges)
 
 
 def reduction_rebuilding(D):
@@ -377,6 +470,28 @@ class TestReducingPairs:
         piece, = WorkGraph(D).pieces(D.vertices)
         assert find_reducing_pair(piece).tag == "gamma-cycle"
         assert len(calls) == 2
+
+    def test_late_patterns_on_cycle_structured_draws(self):
+        # the patterns past the leaves fire on these shapes many times over,
+        # and their certificates and traces are pinned
+        rng = random.Random(29)
+        fired, runs = collections.Counter(), []
+        for i in range(400):
+            odd = i % 4 == 3
+            D = (odd_cycles_simple_links if odd else cycle_structured)(rng)
+            for H in (D, D.reverse()):
+                trace = []
+                cert = dicut_d11(H, trace)
+                cert.verify(H)
+                assert bound_ok(H, cert)
+                assert not odd or trace[0].tag == "gamma-cycle"
+                fired.update(step.tag for step in trace)
+                runs.append((cert.X, trace))
+        late = ["even-cycle", "v0-attach-source", "v0-attach-with-inedge",
+                "multiedge-in-M", "gamma-cycle"]
+        assert min(fired[tag] for tag in late) >= 20, fired
+        assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
+            "f9b256e02ca6eb9519082aeb66d0b71e2ce83f480e152f5a429b2f24c5ba681f")
 
     def test_validator_rejects_bad_pair(self):
         D = Digraph(3, [(0, 1), (1, 2)])
