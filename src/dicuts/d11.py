@@ -21,7 +21,11 @@ each walk stops where the leaf pattern fires, or else hands back that
 side's cycles for the later patterns and the contraction graph.  A bare
 path or cycle is the case where both sides are empty.  The validation
 finds edges in `succ`: no step lists a piece's edges or its V+ and V-
-sets.  Every choice below (sorted triangles,
+sets.  Claims 1.5, 1.6 and the gamma step build their pairs from an
+(l+1)-set on an odd cycle of D-, the last two also from a b-path along a
+cycle of D+.  Each of these side constructions returns one (A, B) pair,
+and each pattern adds or drops its own edges at the vertex v where its
+parts meet.  Every choice below (sorted triangles,
 scans of ``D.vertices``, sorted adjacency) follows vertex order, so a
 piece makes the same choices as its component relabelled onto 0..n-1, and
 the functions below take a `Digraph` just as well.
@@ -205,43 +209,52 @@ def _even_cycle_in_plus(D: Digraph, plus_cycles) -> Optional[Step]:
     return None
 
 
-# -- (l+1)-sets of an odd cycle -------------------------------------------
+# -- the two sides of the Claim 1.5/1.6/gamma constructions ---------------
 
-def _ell_plus_one_sets(order: list[int]):
-    """All (l+1)-sets of an odd directed cycle given in cyclic order.
-
-    The complements of the maximum independent sets of C_{2l+1} are exactly
-    the rotations of the pattern {s, s+2, ..., s+2(l-1)}.
-    """
+def _minus_side(D: Digraph, order: list[int], include: set[int],
+                exclude: set[int]):
+    """The minus-cycle part (A0, B) on the odd cycle `order` of D-, in
+    cyclic order, for its first (l+1)-set L in rotation order that holds
+    `include` and misses `exclude`.  The complements of the maximum
+    independent sets of C_{2l+1} are exactly the rotations of the pattern
+    {s, s+2, ..., s+2(l-1)}.  A0 holds the cycle edges out of the other l
+    vertices and the other edges into L; B the cycle edges out of L and
+    the in-edges of A0's tails.  A D- vertex has out-degree 1, its
+    out-edge the cycle edge."""
     length = len(order)
-    ell = (length - 1) // 2
     for s in range(length):
-        mis = {(s + 2 * i) % length for i in range(ell)}
-        yield [order[i] for i in range(length) if i not in mis]
-
-
-def _pick_L(order: list[int], include: set[int], exclude: set[int]) -> list[int]:
-    for L in _ell_plus_one_sets(order):
-        ls = set(L)
-        if include <= ls and not (exclude & ls):
-            return L
-    raise AlgorithmBugError(
-        f"no (l+1)-set with include={sorted(include)} exclude={sorted(exclude)}"
-    )
-
-
-def _minus_side_sets(D: Digraph, order: list[int], L: list[int]):
-    """B1, A0, B2 of the Claim 1.5/1.6/gamma minus-cycle construction; a
-    D- vertex has out-degree 1, its out-edge the cycle edge."""
+        mis = {(s + 2 * i) % length for i in range((length - 1) // 2)}
+        L = [order[i] for i in range(length) if i not in mis]
+        if include.issubset(L) and exclude.isdisjoint(L):
+            break
+    else:
+        raise AlgorithmBugError(
+            f"no (l+1)-set with include={sorted(include)} "
+            f"exclude={sorted(exclude)}")
     succ = D.succ
     cycle_edges = {(v, succ[v][0]) for v in order}
-    B1 = {(v, succ[v][0]) for v in L}
-    A0 = (cycle_edges - B1) | {
+    B = {(v, succ[v][0]) for v in L}
+    A = (cycle_edges - B) | {
         (u, w) for w in L for u in D.pred[w] if (u, w) not in cycle_edges
     }
-    tails = {a for a, _ in A0}
-    B2 = {e for t in tails for e in D.in_edges(t)} - B1 - A0
-    return B1, A0, B2
+    B.update(e for t, _ in A for e in D.in_edges(t))
+    return A, B - A
+
+
+def _plus_path(D: Digraph, order: list[int], u: int, v: int):
+    """The b-path part (A', B') along the cycle `order` of D+, in cyclic
+    order, from u to v, with interior b_1 .. b_r: A' holds u's cycle edge
+    and the out-edges of the even b's, B' the out-edges of the odd b's and
+    of the heads of A'.  Claim 1.6 walks an even r, the gamma step an odd one;
+    each adds or drops its own edge at v."""
+    i = order.index(u)
+    walk = order[i:] + order[:i]
+    A = {(u, walk[1])}
+    B: set[Edge] = set()
+    for j, b in enumerate(walk[1:walk.index(v)], start=1):
+        (A if j % 2 == 0 else B).update(D.out_edges(b))
+    B.update(e for _, h in A for e in D.out_edges(h))
+    return A, B - A
 
 
 # -- pattern (3): V0 attachment (Claim 1.5), plus the degenerate
@@ -259,16 +272,16 @@ def _v0_attach(D: Digraph, minus_cycles) -> Optional[Step]:
             order = cycle_at[z]
             if D.in_deg(y) != 0:
                 x = D.pred[y][0]
-                L = _pick_L(order, set(), {z})
-                B1, A0, B2 = _minus_side_sets(D, order, L)
-                A = A0 | {(x, y)}
-                B = B1 | B2 | set(D.in_edges(x)) | {(y, z)}
-                # (y, z) is an out-edge of the A-head y; z in I covers it via
-                # B2 already, the explicit add keeps the set closed either way
+                A, B = _minus_side(D, order, set(), {z})
+                A.add((x, y))
+                B.update(D.in_edges(x))
+                # (y, z) is an out-edge of the A-head y; z outside L covers
+                # it via B already, the explicit add keeps the set closed
+                # either way
+                B.add((y, z))
                 return _pair(D, A, B, "v0-attach-with-inedge")
-            L = _pick_L(order, {z}, set())
-            B1, A0, B2 = _minus_side_sets(D, order, L)
-            return _pair(D, A0, B1 | B2, "v0-attach-source")
+            return _pair(D, *_minus_side(D, order, {z}, set()),
+                         "v0-attach-source")
     return None
 
 
@@ -311,39 +324,6 @@ def contraction_graph(D: Digraph, plus_cycles,
     return between
 
 
-def _plus_path_sets(D: Digraph, order: list[int], u: int, v: int,
-                    parity_even: bool):
-    """The b-path sets of Claim 1.6 (even intermediates) or the gamma step
-    (odd intermediates): A', B1', and the heads of A' for the B2' closure."""
-    pos = {x: i for i, x in enumerate(order)}
-    length = len(order)
-    path = []
-    i = pos[u]
-    while order[i] != v:
-        i = (i + 1) % length
-        path.append(order[i])
-    path = path[:-1]  # interior b_1 .. b_r
-    nxt = {order[i]: order[(i + 1) % length] for i in range(length)}
-    e0 = (u, nxt[u])
-    A2 = {e0}
-    B1 = set()
-    # even b's feed A, odd ones B; in the gamma step (path b_1 .. b_{2q-1})
-    # the last cycle edge into v is covered elsewhere and dropped below
-    for j, b in enumerate(path, start=1):
-        (A2 if j % 2 == 0 else B1).update(D.out_edges(b))
-    if parity_even:
-        B1.add((v, nxt[v]))  # f'_0
-        f_last = None
-    else:
-        f_last = (path[-1], v) if path else e0
-        B1.discard(f_last)
-    heads = {b for _, b in A2}
-    B2 = {e for h in heads for e in D.out_edges(h)} - B1 - A2
-    if f_last is not None:
-        B2.discard(f_last)
-    return A2, B1, B2
-
-
 def _multiedge_in_M(D: Digraph, plus_cycles, minus_cycles,
                     between) -> Optional[Step]:
     for (pi, mi), es in sorted(between.items()):
@@ -352,30 +332,21 @@ def _multiedge_in_M(D: Digraph, plus_cycles, minus_cycles,
         plus_order = plus_cycles[pi]
         minus_order = minus_cycles[mi]
         # each cycle vertex has one external edge (Claim 1.3), so the
-        # linked vertices of the plus-cycle map to their one link head
+        # linked vertices of the plus-cycle map to their one link head;
+        # between two consecutive ones pick an even gap
         link_of = dict(es)
-        # walk the cycle; between consecutive linked vertices pick an even gap
         length = len(plus_order)
-        u = v = None
-        for start_idx, a in enumerate(plus_order):
-            if a not in link_of:
-                continue
-            gap = 0
-            i = (start_idx + 1) % length
-            while plus_order[i] not in link_of:
-                gap += 1
-                i = (i + 1) % length
-            if gap % 2 == 0 and plus_order[i] != a:
-                u, v = a, plus_order[i]
+        linked = [i for i, a in enumerate(plus_order) if a in link_of]
+        for i, j in zip(linked, linked[1:] + linked[:1]):
+            if (j - i - 1) % length % 2 == 0:
                 break
-        if u is None:
+        else:
             raise AlgorithmBugError("no even gap between parallel M-links")
-        x, y = link_of[u], link_of[v]
-        L = _pick_L(minus_order, {x}, {y})
-        B1, A0, B2 = _minus_side_sets(D, minus_order, L)
-        A2, B1p, B2p = _plus_path_sets(D, plus_order, u, v, parity_even=True)
-        B2p.discard((v, y))  # g'_0, already closed through B2
-        return _pair(D, A0 | A2, B1 | B2 | B1p | B2p, "multiedge-in-M")
+        u, v = plus_order[i], plus_order[j]
+        A0, B0 = _minus_side(D, minus_order, {link_of[u]}, {link_of[v]})
+        A2, B2 = _plus_path(D, plus_order, u, v)
+        f0 = (v, plus_order[(j + 1) % length])  # f'_0, v's cycle out-edge
+        return _pair(D, A0 | A2, B0 | B2 | {f0}, "multiedge-in-M")
     return None
 
 
@@ -395,38 +366,27 @@ def _gamma_cycle(D: Digraph, plus_cycles, minus_cycles,
     # rotate so the cycle starts at a plus node, and read minus nodes as j
     start = 0 if cyc[0] < P else 1
     cyc = [nd if nd < P else nd - P for nd in cyc[start:] + cyc[:start]]
-    p = len(cyc) // 2
     A: set[Edge] = set()
     B: set[Edge] = set()
-    for i in range(p):
-        pnode = cyc[2 * i]
-        m_next = cyc[(2 * i + 1) % len(cyc)]
-        m_prev = cyc[(2 * i - 1) % len(cyc)]
-        e_next = between[(pnode, m_next)][0]
-        e_prev = between[(pnode, m_prev)][0]
+    for i in range(0, len(cyc), 2):
+        # plus node C+_i, its two links to the minus nodes beside it on the
+        # cycle, and the next minus node with its two link heads
+        pnode, mnode = cyc[i], cyc[i + 1]
+        a_v = between[(pnode, cyc[i - 1])][0][0]
+        b_v, z = between[(pnode, mnode)][0]
+        z_next = between[(cyc[(i + 2) % len(cyc)], mnode)][0][1]
         order = plus_cycles[pnode]
-        a_v, b_v = e_prev[0], e_next[0]  # the two linked vertices of C+_i
         # choose the direction with an odd number of interior vertices
-        pos = {x: j for j, x in enumerate(order)}
-        gap_ab = (pos[b_v] - pos[a_v] - 1) % len(order)
-        if gap_ab % 2 == 1:
-            u_i, v_i = a_v, b_v
-        else:
-            u_i, v_i = b_v, a_v
-        A2, B3, B4 = _plus_path_sets(D, order, u_i, v_i, parity_even=False)
-        A |= A2
-        B |= B3 | B4
-    for i in range(p):
-        mnode = cyc[2 * i + 1]
-        order = minus_cycles[mnode]
-        p_before = cyc[2 * i]
-        p_after = cyc[(2 * i + 2) % len(cyc)]
-        targets = {between[(p_before, mnode)][0][1],
-                   between[(p_after, mnode)][0][1]}
-        L = _pick_L(order, targets, set())
-        B1, A0, B2 = _minus_side_sets(D, order, L)
-        A |= A0
-        B |= B1 | B2
+        gap_ab = (order.index(b_v) - order.index(a_v) - 1) % len(order)
+        u, v = (a_v, b_v) if gap_ab % 2 == 1 else (b_v, a_v)
+        A2, B2 = _plus_path(D, order, u, v)
+        # as in the paper, the plus part leaves out v's cycle in-edge, the
+        # path's last edge; v is the tail of a link into L, so the minus
+        # part's B holds that edge again
+        B2.discard((D.pred[v][0], v))
+        A0, B0 = _minus_side(D, minus_cycles[mnode], {z, z_next}, set())
+        A |= A2 | A0
+        B |= B2 | B0
     return _pair(D, A, B, "gamma-cycle")
 
 
