@@ -40,14 +40,15 @@ def _underlying_adj(n: int, und_edges) -> list[set[int]]:
     return adj
 
 
-def degeneracy_order(n: int, und_edges) -> tuple[list[int], int]:
-    """Remove a minimum-degree vertex repeatedly, the least one on ties;
+def degeneracy_order(adj: list[set[int]]) -> tuple[list[int], int]:
+    """Remove a minimum-degree vertex of the graph on 0..len(adj)-1,
+    `adj[v]` the neighbour set of v, repeatedly, the least one on ties;
     returns (order, d) where d is the largest degree seen at removal time.
     Greedy coloring along the reverse order needs at most d+1 colors.
 
     A heap of (degree, vertex) entries, stale ones skipped when popped,
     finds each minimum in O(log n)."""
-    adj = _underlying_adj(n, und_edges)
+    n = len(adj)
     deg = [len(a) for a in adj]
     heap = [(deg[v], v) for v in range(n)]
     heapify(heap)
@@ -72,10 +73,10 @@ def greedy_color(n: int, und_edges, most: int) -> Coloring:
     """Color the n vertices smallest-last: in reverse `degeneracy_order`,
     each takes the least color unused by its already-colored neighbors, so
     d+1 colors suffice; a degeneracy d above `most` is a bug."""
-    order, d = degeneracy_order(n, und_edges)
+    adj = _underlying_adj(n, und_edges)
+    order, d = degeneracy_order(adj)
     if d > most:
         raise AlgorithmBugError(f"degeneracy {d} exceeds {most}")
-    adj = _underlying_adj(n, und_edges)
     colors = [-1] * n
     for v in reversed(order):
         used = {colors[w] for w in adj[v] if colors[w] >= 0}

@@ -245,8 +245,8 @@ def _plus_path(D: Digraph, order: list[int], u: int, v: int):
     """The b-path part (A', B') along the cycle `order` of D+, in cyclic
     order, from u to v, with interior b_1 .. b_r: A' holds u's cycle edge
     and the out-edges of the even b's, B' the out-edges of the odd b's and
-    of the heads of A'.  Claim 1.6 walks an even r, the gamma step an odd one;
-    each adds or drops its own edge at v."""
+    of the heads of A'.  Claim 1.6 walks an even r, the gamma step an odd
+    one; each adds or drops its own edge at v."""
     i = order.index(u)
     walk = order[i:] + order[:i]
     A = {(u, walk[1])}

@@ -10,15 +10,15 @@ endpoint tuples.  They read it one weak component at a time through a
 reads of a `Digraph` the pattern functions make (`vertices`, `succ`,
 `pred`, degrees, `triangles`, `reverse`, ...) on the original vertex
 ids; a piece lists no edges of its own, so its readers find edges in
-`succ`.  `WorkGraph.pieces` is the one component walk, which
-`Digraph.weak_components` reads too, and `Digraph` and `Piece` list
-triangles through one function.  d22's cycle peeling keeps adjacency sets
-of its own and hands its base case the remainder as an edge list; the
-coloring cuts color edge lists on the original ids, so no algorithm builds
-a `Digraph` it does not hand on.  Every algorithm that works in steps
-(d11, d11c, d22, peel) records them in its trace as `Step`s.  All set-like
-outputs are emitted in ascending order so that golden tests and the CLI
-are deterministic.
+`succ`.  `WorkGraph.pieces` walks the weak components for d11 and for
+`Digraph.weak_components`; d11 walks the components of D- on its own.
+`Digraph` and `Piece` list triangles through one function.  d22's cycle
+peeling keeps adjacency sets of its own and hands its base case the
+remainder as an edge list; the coloring cuts color edge lists on the
+original ids, so no algorithm builds a `Digraph` it does not hand on.
+Every algorithm that works in steps (d11, d11c, d22, peel) records them in
+its trace as `Step`s.  All set-like outputs are emitted in ascending order
+so that golden tests and the CLI are deterministic.
 """
 
 from __future__ import annotations
@@ -369,7 +369,10 @@ def is_p3_free(D: Digraph, S: Iterable[Edge]) -> bool:
 
 
 def cut_from_partition(D: Digraph, X: Iterable[int]) -> CutCertificate:
-    xs = set(X)
+    try:
+        xs = set(map(index, X))
+    except TypeError as exc:
+        raise InputError("X must hold integer vertex ids") from exc
     if any(not 0 <= v < D.n for v in xs):
         raise InputError("vertex outside digraph")
     cut = tuple(e for e in D.edges if e[0] in xs and e[1] not in xs)

@@ -367,6 +367,42 @@ class TestExplore:
                      "--budget", "10", "--max-n", "7"]) == 0
         assert capsys.readouterr().out == out
 
+    @pytest.mark.parametrize("problem, budget, out", [
+        (2, 1, "counterexample\tn=3\tm=3\ts=2\topt=0\n"
+               "3 3\n0 1\n0 2\n2 1\n\n"),
+        (6, 1, "needs>=5 cuts\tn=4\tm=6\n"
+               "4 6\n0 1\n0 3\n1 3\n2 0\n2 1\n2 3\n\n"),
+        (7, 1, "counterexample\tn=4\tm=6\topt=0\n"
+               "4 6\n0 1\n0 3\n1 3\n2 0\n2 1\n2 3\n\n"),
+        (8, 2, "c_max below 1/4+1/(8k+4)\tn=4\tm=6\topt=0\n" * 2
+               + "min c_max seen: 0/1\n"),
+    ])
+    def test_counterexample_reports(self, problem, budget, out, capsys,
+                                    monkeypatch):
+        # oracles that find no cut and no cover make every draw a
+        # counterexample: each problem prints it and exits 1
+        monkeypatch.setattr(cli.oracle, "max_dicut_exact",
+                            lambda D: cut_from_partition(D, ()))
+        monkeypatch.setattr(cli.oracle, "decompose_into_cuts",
+                            lambda D, c: None)
+        assert main(["explore", "--problem", str(problem), "--seed", "1",
+                     "--budget", str(budget), "--max-n", "4"]) == 1
+        assert capsys.readouterr().out == out
+
+    def test_problem5_skips_draws_past_24_edges(self, capsys, monkeypatch):
+        # the exact removal search runs on the draws with 1..24 edges only
+        drawn, solved = [], []
+        draw = cli.gen_random_family
+        monkeypatch.setattr(cli, "gen_random_family",
+                            lambda *a: drawn.append(draw(*a)) or drawn[-1])
+        monkeypatch.setattr(cli.oracle, "min_removal_exact",
+                            lambda D, k: solved.append(D) or D.edges[:1])
+        assert main(["explore", "--problem", "5", "--seed", "1",
+                     "--budget", "6", "--max-n", "20"]) == 0
+        assert capsys.readouterr().out == "lambda>=1/8\n"
+        assert [D.m for D in drawn] == [8, 22, 37, 25, 13, 31]
+        assert solved == [D for D in drawn if D.m <= 24]
+
     @pytest.mark.parametrize("problem, max_n", [
         (1, 2), (2, 2), (3, 2), (4, 3), (5, 3), (6, 3), (7, 3), (8, 3)])
     def test_max_n_below_least_draw(self, problem, max_n, capsys):

@@ -223,7 +223,8 @@ class TestDegeneracy:
             n = rng.randint(1, 40)
             edges = [tuple(rng.sample(range(n), 2))
                      for _ in range(rng.randint(0, 3 * n))] if n > 1 else []
-            assert degeneracy_order(n, edges) == degeneracy_by_scan(n, edges)
+            assert (degeneracy_order(colorcut._underlying_adj(n, edges))
+                    == degeneracy_by_scan(n, edges))
 
     def test_large_sparse_graph(self):
         # out-degree 2 at n = 8 000: a scan per removal took seconds
@@ -232,18 +233,18 @@ class TestDegeneracy:
         edges = [(v, w + (w >= v)) for v in range(n)
                  for w in rng.sample(range(n - 1), 2)]
         start = time.perf_counter()
-        order, d = degeneracy_order(n, edges)
+        order, d = degeneracy_order(colorcut._underlying_adj(n, edges))
         assert time.perf_counter() - start < 1.0
         assert sorted(order) == list(range(n)) and d == 3
 
     def test_tree(self):
         edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
-        _, d = degeneracy_order(5, edges)
+        _, d = degeneracy_order(colorcut._underlying_adj(5, edges))
         assert d == 1
 
     def test_clique(self):
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        _, d = degeneracy_order(4, edges)
+        _, d = degeneracy_order(colorcut._underlying_adj(4, edges))
         assert d == 3
 
     def test_transitive_low_outdegree_side(self):
@@ -253,8 +254,18 @@ class TestDegeneracy:
         remap = {v: i for i, v in enumerate(sorted(ss))}
         sub = [(remap[u], remap[v]) for u, v in D.edges
                if u in ss and v in ss]
-        _, d = degeneracy_order(len(side), sub)
+        _, d = degeneracy_order(colorcut._underlying_adj(len(side), sub))
         assert d <= 2
+
+    def test_greedy_color_builds_one_adjacency(self, monkeypatch):
+        # the degeneracy order and the greedy pass read the same sets
+        calls = []
+        build = colorcut._underlying_adj
+        monkeypatch.setattr(colorcut, "_underlying_adj",
+                            lambda *a: calls.append(a) or build(*a))
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+        assert greedy_color(4, edges, 2).gamma == 3
+        assert len(calls) == 1
 
     def test_greedy_color_uses_d_plus_one(self):
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]

@@ -28,6 +28,13 @@ DECLARED_ERRORS = [
      "non-negative"),
     ("cut-vertex-outside", lambda: cut_from_partition(PATH, [PATH.n]),
      "vertex outside"),
+    ("cut-vertex-float", lambda: cut_from_partition(PATH, [1.5]),
+     "integer vertex ids"),
+    ("cut-vertex-string", lambda: cut_from_partition(PATH, ["a"]),
+     "integer vertex ids"),
+    ("one-field-header", lambda: parse_dg("5"), "header must be 'n m'"),
+    ("three-field-header", lambda: parse_dg("5 0 0"),
+     "header must be 'n m'"),
     ("non-numeric-header", lambda: parse_dg("a 1\n0 1\n"), "non-numeric"),
     ("three-field-edge-line", lambda: parse_dg("3 1\n0 1 2\n"),
      "bad edge line"),
