@@ -24,8 +24,8 @@ finds edges in `succ`: no step lists a piece's edges or its V+ and V-
 sets.  Claims 1.5, 1.6 and the gamma step build their pairs from an
 (l+1)-set on an odd cycle of D-, the last two also from a b-path along a
 cycle of D+.  Each of these side constructions returns one (A, B) pair,
-and each pattern adds or drops its own edges at the vertex v where its
-parts meet.  Every choice below (sorted triangles,
+each pattern adds its own edges where its parts meet, and `_pair` takes
+B - A once.  Every choice below (sorted triangles,
 scans of ``D.vertices``, sorted adjacency) follows vertex order, so a
 piece makes the same choices as its component relabelled onto 0..n-1, and
 the functions below take a `Digraph` just as well.
@@ -238,7 +238,7 @@ def _minus_side(D: Digraph, order: list[int], include: set[int],
         (u, w) for w in L for u in D.pred[w] if (u, w) not in cycle_edges
     }
     B.update(e for t, _ in A for e in D.in_edges(t))
-    return A, B - A
+    return A, B
 
 
 def _plus_path(D: Digraph, order: list[int], u: int, v: int):
@@ -246,7 +246,7 @@ def _plus_path(D: Digraph, order: list[int], u: int, v: int):
     order, from u to v, with interior b_1 .. b_r: A' holds u's cycle edge
     and the out-edges of the even b's, B' the out-edges of the odd b's and
     of the heads of A'.  Claim 1.6 walks an even r, the gamma step an odd
-    one; each adds or drops its own edge at v."""
+    one.  Like `_minus_side`'s, B' may meet A': `_pair` takes B - A."""
     i = order.index(u)
     walk = order[i:] + order[:i]
     A = {(u, walk[1])}
@@ -254,7 +254,7 @@ def _plus_path(D: Digraph, order: list[int], u: int, v: int):
     for j, b in enumerate(walk[1:walk.index(v)], start=1):
         (A if j % 2 == 0 else B).update(D.out_edges(b))
     B.update(e for _, h in A for e in D.out_edges(h))
-    return A, B - A
+    return A, B
 
 
 # -- pattern (3): V0 attachment (Claim 1.5), plus the degenerate
@@ -275,10 +275,6 @@ def _v0_attach(D: Digraph, minus_cycles) -> Optional[Step]:
                 A, B = _minus_side(D, order, set(), {z})
                 A.add((x, y))
                 B.update(D.in_edges(x))
-                # (y, z) is an out-edge of the A-head y; z outside L covers
-                # it via B already, the explicit add keeps the set closed
-                # either way
-                B.add((y, z))
                 return _pair(D, A, B, "v0-attach-with-inedge")
             return _pair(D, *_minus_side(D, order, {z}, set()),
                          "v0-attach-source")
@@ -296,7 +292,7 @@ def _path_or_cycle(D: Digraph) -> Step:
     order = _directed_cycle_order(
         D, [v for v in D.vertices if D.out_deg(v) == 1])
     A = {(v, D.succ[v][0]) for v in order[:-1:2]}
-    B = {(v, D.succ[v][0]) for v in order} - A
+    B = {(v, D.succ[v][0]) for v in order}
     return _pair(D, A, B, "path-or-cycle")
 
 
@@ -380,10 +376,6 @@ def _gamma_cycle(D: Digraph, plus_cycles, minus_cycles,
         gap_ab = (order.index(b_v) - order.index(a_v) - 1) % len(order)
         u, v = (a_v, b_v) if gap_ab % 2 == 1 else (b_v, a_v)
         A2, B2 = _plus_path(D, order, u, v)
-        # as in the paper, the plus part leaves out v's cycle in-edge, the
-        # path's last edge; v is the tail of a link into L, so the minus
-        # part's B holds that edge again
-        B2.discard((D.pred[v][0], v))
         A0, B0 = _minus_side(D, minus_cycles[mnode], {z, z_next}, set())
         A |= A2 | A0
         B |= B2 | B0

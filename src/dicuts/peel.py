@@ -27,6 +27,7 @@ from .digraph import (
     AlgorithmBugError,
     Digraph,
     Edge,
+    InputError,
     PreconditionError,
     Step,
     class_partition,
@@ -41,8 +42,8 @@ class RemovalState:
     vertex is one or both.  For the move search the state also keeps the R
     edges at each vertex (`r_at`), the R edges whose Crit is empty
     (`returnable`) and the arrow score (`score`, the colored R edges), and
-    fills two caches on demand: the non-R edges at a vertex (`free`) and the
-    single adds that repair an R edge's return (`repairs`).
+    fills one cache on demand: the single adds that repair an R edge's
+    return (`repairs`).  R must be edges of D.
     """
 
     def __init__(self, D: Digraph, k: int, R: set[Edge]):
@@ -53,6 +54,9 @@ class RemovalState:
         self.white = [D.in_deg(v) <= k for v in range(D.n)]
         self.black = [D.out_deg(v) <= k for v in range(D.n)]
         self.R: set[Edge] = set(R)
+        bad = self.R - D.edge_set
+        if bad:
+            raise InputError(f"edges not in digraph: {sorted(bad)}")
         self.din = [D.in_deg(v) for v in range(D.n)]
         self.dout = [D.out_deg(v) for v in range(D.n)]
         for u, v in self.R:
@@ -65,7 +69,6 @@ class RemovalState:
             self.r_at[e[0]].add(e)
             self.r_at[e[1]].add(e)
         self.returnable = {e for e in self.R if not self.crit(e)}
-        self._free: dict[int, tuple[list[Edge], list[Edge]]] = {}
         self._repairs: dict[Edge, list[tuple[Edge]]] = {}
 
     def is_colored(self, e: Edge) -> bool:
@@ -95,16 +98,6 @@ class RemovalState:
 
     def crit_R(self) -> frozenset[int]:
         return frozenset(v for e in self.R for v in self.crit(e))
-
-    def free(self, v: int) -> tuple[list[Edge], list[Edge]]:
-        """The non-R out-edges and in-edges at v, each sorted."""
-        got = self._free.get(v)
-        if got is None:
-            R = self.R
-            got = self._free[v] = (
-                [e for e in self.D.out_edges(v) if e not in R],
-                [e for e in self.D.in_edges(v) if e not in R])
-        return got
 
     def repairs(self, e: Edge) -> list[tuple[Edge]]:
         """The single adds with which returning e, an R edge with a
@@ -138,7 +131,7 @@ class RemovalState:
 
     def apply(self, move: Step) -> None:
         """Apply `move` and refresh what it touched: degrees, R membership,
-        and so Crit, free edges and repairs, change only at its endpoints."""
+        and so Crit and repairs, change only at its endpoints."""
         before = self.potential()
         for e in move.kept:
             self._shift(e, -1)
@@ -147,7 +140,6 @@ class RemovalState:
         touched = {v for e in (*move.kept, *move.dropped) for v in e}
         self.check_feasible(touched)
         for v in touched:
-            self._free.pop(v, None)
             for e in self.r_at[v]:
                 self._repairs.pop(e, None)
                 if self.crit(e):
@@ -294,7 +286,7 @@ def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
     feasible, ascending and in `combinations` order: each vertex of B, the
     vertices the return breaks, offers the non-R edges on a side of it that
     `most` adds bring back to k-1, and each set covers B."""
-    k = state.k
+    D, R, k = state.D, state.R, state.k
     up_out: dict[int, int] = {}
     up_in: dict[int, int] = {}
     for u, v in remove:
@@ -308,9 +300,10 @@ def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
             continue
         if len(fix) == 2 * most:
             return ()  # more of B than `most` adds have ends
-        outs, ins = state.free(v)
-        outs = outs if dout - most < k else []
-        ins = ins if din - most < k else []
+        outs = ([e for e in D.out_edges(v) if e not in R]
+                if dout - most < k else [])
+        ins = ([e for e in D.in_edges(v) if e not in R]
+               if din - most < k else [])
         if not outs and not ins:
             return ()
         fix[v] = sorted(outs + ins) if outs and ins else outs or ins

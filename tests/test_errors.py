@@ -14,6 +14,7 @@ from dicuts.digraph import (
     parse_dg,
 )
 from dicuts.generators import gen_random_family, gen_regular_tournament
+from dicuts.peel import RemovalState
 
 PATH = Digraph(3, [(0, 1), (1, 2)])
 
@@ -23,6 +24,10 @@ DECLARED_ERRORS = [
     ("without-foreign-edge", lambda: PATH.without_edges([(2, 0)]),
      "not in digraph"),
     ("p3-free-foreign-edge", lambda: is_p3_free(PATH, [(2, 0)]),
+     "not in digraph"),
+    ("removal-foreign-edge", lambda: RemovalState(PATH, 2, {(0, 2)}),
+     "not in digraph"),
+    ("removal-edge-outside", lambda: RemovalState(PATH, 2, {(0, 5)}),
      "not in digraph"),
     ("negative-class-bound", lambda: class_partition(PATH, -1, 0),
      "non-negative"),

@@ -93,6 +93,24 @@ def test_peel_dense_d22_prunes_the_move_search(monkeypatch):
     assert 10 * len(calls) <= UNPRUNED_SWAP_CALLS
 
 
+def test_peel_dense_dkk_lists_few_adjacency_edges(monkeypatch):
+    # the move search lists, at a vertex the return breaks, only the side
+    # its adds can bring back to k - 1; listing both sides, even once per
+    # vertex between moves, lists about 239 |R| edges here
+    D = Digraph(640, dense_dkk(random.Random(1), 640, 2))  # m = 52 264
+    listed = []
+    for name in ("out_edges", "in_edges"):
+        def counted(self, v, fn=getattr(Digraph, name)):
+            edges = fn(self, v)
+            listed.append(len(edges))
+            return edges
+
+        monkeypatch.setattr(Digraph, name, counted)
+    rest, R = peel_to_lower_class(D, 2)
+    assert class_partition(rest, 1, 1) is not None
+    assert sum(listed) <= 16 * len(R)
+
+
 def test_peel_final_search_lists_few_pairs(monkeypatch):
     # the initial removal of dense_d22(320, 1) is already a fixpoint, so the
     # one search is the final, unsuccessful one; scanning every pair of R
