@@ -147,9 +147,13 @@ def split_dkk(D: Digraph, p1: int, p2: int,
     leftover = D.edge_set.difference(e1, e2)
     if leftover:
         raise AlgorithmBugError(f"edges assigned to neither part, least {min(leftover)}")
+    # with no leftover, m edges in all means e1 and e2 partition D's edges,
+    # so neither part is checked again as a Digraph
+    if len(e1) + len(e2) != D.m:
+        raise AlgorithmBugError("an edge was assigned to both parts or twice")
 
-    D1 = Digraph(D.n, e1)
-    D2 = Digraph(D.n, e2)
+    D1 = Digraph._derived(D.n, tuple(sorted(e1)))
+    D2 = Digraph._derived(D.n, tuple(sorted(e2)))
     for Dj, pj in ((D1, p1), (D2, p2)):
         for x in part.X:
             if Dj.in_deg(x) > pj:

@@ -19,6 +19,13 @@ original ids, so no algorithm builds a `Digraph` it does not hand on.
 Every algorithm that works in steps (d11, d11c, d22, peel) records them in
 its trace as `Step`s.  All set-like outputs are emitted in ascending order
 so that golden tests and the CLI are deterministic.
+
+Each digraph is checked once.  `parse_dg` makes `.dg` text into int pairs
+in one pass and checks them for loops, range and duplicates as the
+constructor does, without its id conversion.  A digraph whose edges come
+from a checked one (`without_edges`, which peel's remainder uses,
+`reverse` and `split_dkk`'s parts) is built by `Digraph._derived`, which
+checks nothing again.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from operator import index
 from typing import Iterable, NamedTuple, Optional
 
@@ -78,6 +86,25 @@ def check_vertex_count(n: int) -> int:
     return n
 
 
+def _checked_edges(n: int, pairs: list[Edge]) -> tuple[Edge, ...]:
+    """`pairs`, a list of int pairs sorted in place, as a tuple, refused on
+    a loop, an id outside 0..n-1 or a duplicate: one pass, where the least
+    bad edge in sorted order names the error."""
+    pairs.sort()
+    edges = tuple(pairs)
+    prev = None  # sorted, so a duplicate follows its twin
+    for edge in edges:
+        u, v = edge
+        if u == v:
+            raise InputError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+        if edge == prev:
+            raise InputError(f"duplicate edge ({u}, {v})")
+        prev = edge
+    return edges
+
+
 def _triangles(vertices: Iterable[int], succ, pred):
     """The directed 3-cycles a->b->c->a with a in `vertices` and least, in
     lexicographic order: `vertices` ascends and each `succ` tuple is sorted.
@@ -126,21 +153,21 @@ class Digraph(_AdjacencyReads):
     def __init__(self, n: int, edges: Iterable[Edge]):
         n = check_vertex_count(n)
         try:
-            edge_tuple = tuple(sorted((index(u), index(v)) for u, v in edges))
+            pairs = [(index(u), index(v)) for u, v in edges]
         except (TypeError, ValueError) as exc:
             raise InputError("edges must be pairs of integer vertex ids") from exc
-        prev = None  # sorted, so a duplicate follows its twin
-        for edge in edge_tuple:
-            u, v = edge
-            if u == v:
-                raise InputError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            if edge == prev:
-                raise InputError(f"duplicate edge ({u}, {v})")
-            prev = edge
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edge_tuple)
+        object.__setattr__(self, "edges", _checked_edges(n, pairs))
+
+    @classmethod
+    def _derived(cls, n: int, edges: tuple[Edge, ...]) -> "Digraph":
+        """The digraph on `edges`, a sorted tuple of int pairs taken from
+        a checked digraph on n vertices (in range, no loop, no duplicate);
+        nothing is checked again."""
+        D = object.__new__(cls)
+        object.__setattr__(D, "n", n)
+        object.__setattr__(D, "edges", edges)
+        return D
 
     @property
     def m(self) -> int:
@@ -175,10 +202,12 @@ class Digraph(_AdjacencyReads):
         bad = gone - self.edge_set
         if bad:
             raise InputError(f"edges not in digraph: {sorted(bad)}")
-        return Digraph(self.n, [e for e in self.edges if e not in gone])
+        return Digraph._derived(
+            self.n, tuple([e for e in self.edges if e not in gone]))
 
     def reverse(self) -> "Digraph":
-        return Digraph(self.n, [(v, u) for u, v in self.edges])
+        return Digraph._derived(
+            self.n, tuple(sorted([(v, u) for u, v in self.edges])))
 
     def has_digon(self) -> bool:
         return any((v, u) in self.edge_set for u, v in self.edges)
@@ -448,8 +477,9 @@ def shortest_bipartite_cycle(adj: list[set[int]]) -> Optional[list[int]]:
 
 def parse_dg(text: str) -> Digraph:
     """Parse the `.dg` format: comments (#), an `n m` header, then m `u v` lines."""
-    lines = [ln for ln in (l.strip() for l in text.splitlines())
-             if ln and not ln.startswith("#")]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        lines = [ln for ln in lines if not ln.startswith("#")]
     if not lines:
         raise InputError("empty .dg input")
     head = lines[0].split()
@@ -461,17 +491,25 @@ def parse_dg(text: str) -> Digraph:
         raise InputError("non-numeric header") from exc
     if len(lines) - 1 != m:
         raise InputError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InputError(f"bad edge line: {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InputError(f"bad edge line: {ln!r}") from exc
-        edges.append((u, v))
-    return Digraph(n, edges)
+    try:
+        pairs = [(int(u), int(v))
+                 for u, v in map(str.split, islice(lines, 1, None))]
+    except ValueError:
+        # some line is bad: the line-by-line parse names the first one
+        pairs = [_edge_line(ln) for ln in islice(lines, 1, None)]
+    del lines  # freed before the pairs are sorted
+    n = check_vertex_count(n)
+    return Digraph._derived(n, _checked_edges(n, pairs))
+
+
+def _edge_line(ln: str) -> Edge:
+    parts = ln.split()
+    if len(parts) != 2:
+        raise InputError(f"bad edge line: {ln!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise InputError(f"bad edge line: {ln!r}") from exc
 
 
 def format_dg(D: Digraph, comment: str | None = None) -> str:

@@ -43,7 +43,8 @@ class RemovalState:
     edges at each vertex (`r_at`), the R edges whose Crit is empty
     (`returnable`) and the arrow score (`score`, the colored R edges), and
     fills one cache on demand: the single adds that repair an R edge's
-    return (`repairs`).  R must be edges of D.
+    return (`repairs`).  R must be edges of D (else `InputError`) that
+    leave a remainder in D(k-1,k-1) (else `PreconditionError`).
     """
 
     def __init__(self, D: Digraph, k: int, R: set[Edge]):
@@ -62,7 +63,8 @@ class RemovalState:
         for u, v in self.R:
             self.dout[u] -= 1
             self.din[v] -= 1
-        self.check_feasible()
+        # R comes from the caller: a remainder outside D(k-1,k-1) is its error
+        self.check_feasible(D.vertices, PreconditionError)
         self.score = sum(1 for e in self.R if self.is_colored(e))
         self.r_at: list[set[Edge]] = [set() for _ in range(D.n)]
         for e in self.R:
@@ -78,12 +80,14 @@ class RemovalState:
     def potential(self) -> tuple[int, int]:
         return (len(self.R), -self.score)
 
-    def check_feasible(self, vertices: Iterable[int] | None = None) -> None:
+    def check_feasible(self, vertices: Iterable[int],
+                       error: type[Exception] = AlgorithmBugError) -> None:
+        """Raise `error` at the first of `vertices` that leaves the
+        remainder outside D(k-1,k-1)."""
         k = self.k
-        for v in range(self.D.n) if vertices is None else vertices:
+        for v in vertices:
             if self.din[v] > k - 1 and self.dout[v] > k - 1:
-                raise AlgorithmBugError(
-                    f"remainder leaves D({k-1},{k-1}) at vertex {v}")
+                raise error(f"remainder leaves D({k-1},{k-1}) at vertex {v}")
 
     def crit(self, e: Edge) -> frozenset[int]:
         """Critical endpoints of a removed edge: returning it there would

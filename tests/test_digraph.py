@@ -99,6 +99,64 @@ class TestFormat:
         with pytest.raises(InputError):
             parse_dg("")
 
+    # (text, (n, edges) it parses to, or the error class and exact message)
+    PARSED = [
+        ("3 2\r\n0 1\r\n1 2\r\n", (3, ((0, 1), (1, 2)))),
+        ("3 1\r0 1\r", (3, ((0, 1),))),
+        ("3 2\n0\t1\n1\t 2\n", (3, ((0, 1), (1, 2)))),
+        ("3\t2\n0\xa01\n1\u20032\n", (3, ((0, 1), (1, 2)))),
+        ("3 2\n\n0 1\n\n1 2\n\n", (3, ((0, 1), (1, 2)))),
+        ("  3 1  \n\t0 1\t\n", (3, ((0, 1),))),
+        ("3 1\n0 1\x0c\n", (3, ((0, 1),))),
+        ("# a\n\n3 2\n0 1\n\n# mid\n  \n #indented\n1 2\n# end",
+         (3, ((0, 1), (1, 2)))),
+        ("3 1\n#0 1\n0 1\n", (3, ((0, 1),))),
+        ("3 2\n1 2\n0 1\n", (3, ((0, 1), (1, 2)))),
+        ("3 1\n+1 2\n", (3, ((1, 2),))),
+        ("11 1\n1_0 2\n", (11, ((10, 2),))),
+        ("3 1\n0 \u0661\n", (3, ((0, 1),))),
+        ("+3 +0\n", (3, ())),
+        ("3 1\n-1 2\n", (InputError, "edge (-1, 2) out of range for n=3")),
+        ("3 1\n0 3\n", (InputError, "edge (0, 3) out of range for n=3")),
+        ("3 2\n2 2\n0 5\n", (InputError, "edge (0, 5) out of range for n=3")),
+        ("3 2\n0 1\n1 1\n", (InputError, "loop at vertex 1")),
+        ("3 2\n0 1\n0 1\n", (InputError, "duplicate edge (0, 1)")),
+        ("3 1\n0\n", (InputError, "bad edge line: '0'")),
+        ("3 1\n0 1 2\n", (InputError, "bad edge line: '0 1 2'")),
+        ("3 1\n0 2 # note\n", (InputError, "bad edge line: '0 2 # note'")),
+        ("3 3\n0 1\n1 x\n2 y\n", (InputError, "bad edge line: '1 x'")),
+        ("3 2\n0 1\n1 2.0\n", (InputError, "bad edge line: '1 2.0'")),
+        ("3 2\n0 1\n1 2 \n", (3, ((0, 1), (1, 2)))),
+        ("1000000000 1\n0 x\n", (InputError, "bad edge line: '0 x'")),
+        ("1000000000 1\n0 1\n",
+         (ResourceLimitError, "more than 1048576 vertices")),
+        ("1_000_000_000 0\n",
+         (ResourceLimitError, "more than 1048576 vertices")),
+        ("-1 0\n", (InputError, "vertex count must be non-negative")),
+        ("", (InputError, "empty .dg input")),
+        ("# only\n\n", (InputError, "empty .dg input")),
+        ("3", (InputError, "header must be 'n m'")),
+        ("3 1 1", (InputError, "header must be 'n m'")),
+        ("a 1\n0 1\n", (InputError, "non-numeric header")),
+        ("3 x\n", (InputError, "non-numeric header")),
+        ("3.0 0\n", (InputError, "non-numeric header")),
+        ("3 2\n0 1\n", (InputError, "expected 2 edge lines, found 1")),
+        ("3 0\n0 1\n", (InputError, "expected 0 edge lines, found 1")),
+        ("3 1\n0 1\x1c2\n", (InputError, "expected 1 edge lines, found 2")),
+    ]
+
+    @pytest.mark.parametrize("text, want", PARSED)
+    def test_accepted_forms_and_exact_messages(self, text, want):
+        if isinstance(want[0], int):
+            D = parse_dg(text)
+            assert (D.n, D.edges) == want
+            assert all(type(x) is int for e in D.edges for x in e)
+            return
+        error, message = want
+        with pytest.raises(error) as info:
+            parse_dg(text)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_header_vertex_bomb(self):
         # every per-vertex structure would be sized by this header
         with pytest.raises(ResourceLimitError):

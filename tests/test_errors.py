@@ -1,5 +1,5 @@
-"""Declared `InputError`s that no other test trips, each raised by a small
-input that reaches it."""
+"""Declared `InputError`s and `PreconditionError`s that no other test trips,
+each raised by a small input that reaches it."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from dicuts.decompose import bipartite_edge_coloring
 from dicuts.digraph import (
     Digraph,
     InputError,
+    PreconditionError,
     class_partition,
     cut_from_partition,
     is_p3_free,
@@ -63,3 +64,12 @@ DECLARED_ERRORS = [
 def test_declared_error(call, message):
     with pytest.raises(InputError, match=message):
         call()
+
+
+def test_removal_state_refuses_an_R_left_outside_the_lower_class():
+    # the empty R leaves vertex 2 with in- and out-degree 2 at k = 2: the
+    # caller's R is at fault, not the algorithm
+    D = Digraph(5, [(0, 2), (1, 2), (2, 3), (2, 4)])
+    with pytest.raises(PreconditionError,
+                       match=r"remainder leaves D\(1,1\) at vertex 2"):
+        RemovalState(D, 2, set())

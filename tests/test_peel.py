@@ -396,8 +396,13 @@ class TestPeel:
     def test_state_refuses_outside_class_and_infeasible_R(self):
         with pytest.raises(PreconditionError):
             RemovalState(gen_regular_tournament(3), 2, set())
-        with pytest.raises(AlgorithmBugError):
+        with pytest.raises(PreconditionError):
             RemovalState(gen_regular_tournament(2), 2, set())
+        # a move that breaks the remainder is the algorithm's own fault
+        state = initial_removal(gen_regular_tournament(2), 2)
+        e = min(e for e in state.R if state.crit(e))
+        with pytest.raises(AlgorithmBugError, match="remainder leaves"):
+            state.apply(Step("return-edge", (e,), ()))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_tournament(self, k):

@@ -111,6 +111,18 @@ def test_peel_dense_dkk_lists_few_adjacency_edges(monkeypatch):
     assert sum(listed) <= 16 * len(R)
 
 
+def test_peel_builds_no_graph_after_its_search(monkeypatch):
+    # the remainder keeps D's edges outside R, and the state has checked R
+    # against D, so no constructor validates those edges again
+    D = Digraph(160, dense_dkk(random.Random(1), 160, 2))  # m = 3 496
+    builds = counting(monkeypatch, Digraph, "__init__")
+    rest, R = peel_to_lower_class(D, 2)
+    assert len(builds) == 0
+    assert rest.n == D.n
+    assert rest.edges == tuple(e for e in D.edges if e not in R)
+    assert class_partition(rest, 1, 1) is not None
+
+
 def test_peel_final_search_lists_few_pairs(monkeypatch):
     # the initial removal of dense_d22(320, 1) is already a fixpoint, so the
     # one search is the final, unsuccessful one; scanning every pair of R
