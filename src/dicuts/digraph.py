@@ -477,9 +477,8 @@ def shortest_bipartite_cycle(adj: list[set[int]]) -> Optional[list[int]]:
 
 def parse_dg(text: str) -> Digraph:
     """Parse the `.dg` format: comments (#), an `n m` header, then m `u v` lines."""
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if "#" in text:
-        lines = [ln for ln in lines if not ln.startswith("#")]
+    lines = [ln for ln in filter(None, map(str.strip, text.splitlines()))
+             if ln[0] != "#"]
     if not lines:
         raise InputError("empty .dg input")
     head = lines[0].split()
