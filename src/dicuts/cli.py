@@ -233,7 +233,8 @@ def _cmd_explore(args) -> int:
             worst = max(worst, Fraction(len(R), D.m))
         print(f"lambda>={worst.numerator}/{worst.denominator}")
     elif p == 6:
-        for D in members("dkk", 2, min(args.max_n, 10)):
+        for D in members("dkk", 2,
+                         min(args.max_n, oracle.MAX_COVER_VERTICES)):
             if oracle.decompose_into_cuts(D, 4) is None:
                 print(f"needs>=5 cuts\tn={D.n}\tm={D.m}")
                 print(format_dg(D))
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as exc:

@@ -16,12 +16,15 @@ from .digraph import (
     Edge,
     InputError,
     PreconditionError,
+    ResourceLimitError,
     Step,
     class_partition,
     cut_from_banked,
     cut_from_partition,
     shortest_bipartite_cycle,
 )
+
+MAX_SPLIT_WORK = 10**8  # C(gamma, gamma // 2) * (gamma + class pairs)
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,16 @@ def best_balanced_class_bipartition(
             raise InputError("coloring is not proper")
         pair = (cu, cv) if cu < cv else (cv, cu)
         pair_count[pair] = pair_count.get(pair, 0) + 1
+    # each split costs gamma + len(pair_count); the binomial grows term by
+    # term and stops once past the guard, as a huge gamma makes it huge too
+    work, half = gamma + len(pair_count), gamma // 2
+    splits = 1
+    for i in range(1, half + 1):
+        splits = splits * (gamma - half + i) // i
+        if splits * work > MAX_SPLIT_WORK:
+            raise ResourceLimitError(
+                f"C({gamma}, {half}) splits of {work} steps each exceed "
+                f"the split guard {MAX_SPLIT_WORK}")
     best = None
     best_group = None
     for group in combinations(range(gamma), gamma // 2):

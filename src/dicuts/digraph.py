@@ -348,7 +348,7 @@ class CutCertificate:
     bound: Fraction = field(default=Fraction(0), compare=False)
 
     def verify(self, D: Digraph) -> None:
-        if sorted(self.X + self.Y) != list(range(D.n)) or set(self.X) & set(self.Y):
+        if sorted(self.X + self.Y) != list(range(D.n)):
             raise AlgorithmBugError("X, Y do not partition V")
         xs = set(self.X)
         expect = tuple(e for e in D.edges if e[0] in xs and e[1] not in xs)

@@ -12,8 +12,8 @@ the 2^16 bipartitions of the low 16 vertices at once, as one bit each of
 Python ints, in one block per setting of the other vertices.  Its memory
 stays at a few dozen ints of 8 KB whatever n is; a sparse digraph with
 n = 26 takes a fraction of a second, the complete one a few seconds.  It
-returns the lexicographically smallest maximizer, the one a plain walk over
-all bipartitions with that tie-break returns, so the certificate of
+returns the maximizer with the smallest bitmask, the first maximum that a
+walk over the bipartitions in counting order meets, so the certificate of
 `max_dicut_exact` does not depend on the block width.  d11 calls the kernel
 on edge lists for its base case.
 """
@@ -47,13 +47,13 @@ MAX_COVER_CUTS = 4
 
 
 def max_dicut_exact(D: Digraph) -> CutCertificate:
-    """A maximum directed cut, the lexicographically smallest X among maximizers.
+    """A maximum directed cut; X has the least bitmask among the maximizers.
 
     The certificate of `max_dicut_mask` on D's edges, which scores all 2^n
     bipartitions in blocks of 2^16 bit-parallel counters, in memory
-    independent of n.  Its X is the one a plain walk over all bipartitions
-    with this tie-break picks, so the certificate does not depend on the
-    block width.  Raises `ResourceLimitError` for n > MAX_DICUT_VERTICES.
+    independent of n.  Its X is the first maximum of a walk over the
+    bipartitions in counting order, so the certificate does not depend on
+    the block width.  Raises `ResourceLimitError` for n > MAX_DICUT_VERTICES.
     """
     _, x = max_dicut_mask(D.n, D.edges)
     return cut_from_partition(D, [v for v in range(D.n) if x >> v & 1])
@@ -77,8 +77,8 @@ def _columns(c: int) -> tuple[tuple[int, ...], int]:
 
 def max_dicut_mask(n: int, edges: Iterable[Edge]) -> tuple[int, int]:
     """(size, X as a bitmask) of a maximum directed cut of the digraph on
-    0..n-1 with these edges, X the lexicographically smallest sorted vertex
-    list among the maximizers.
+    0..n-1 with these edges, X the maximizer of least bitmask: the first
+    maximum in counting order.
 
     The low c = min(n, BLOCK_VERTICES) vertices are scored as one block: all
     2^c bipartitions of them at once, one bit per bipartition in Python
@@ -86,7 +86,9 @@ def max_dicut_mask(n: int, edges: Iterable[Edge]) -> tuple[int, int]:
     crossing indicators are summed into bit-sliced counters, whose maximum
     is read from the top slice down.  There is one block per setting of the
     n - c high vertices, which only the edges at a high vertex depend on, so
-    the sum over the other edges is taken once.  A block keeps
+    the sum over the other edges is taken once.  Blocks run in increasing
+    order of their high bits, so a block replaces the best only when it
+    beats it, and its X is the lowest tied bipartition.  A block keeps
     O(c + log m) ints of 2^c bits live (8 KB each at c = 16), whatever n.
     """
     if n > MAX_DICUT_VERTICES:
@@ -118,23 +120,9 @@ def max_dicut_mask(n: int, edges: Iterable[Edge]) -> tuple[int, int]:
             if reach:
                 tied = reach
                 top |= 1 << i
-        if top + fixed < best_size:
-            continue
-        # The smallest X among the tied: X lists its low vertices first,
-        # then the high ones of this block.  Holding the next low vertex i
-        # puts i next, before anything else can come, so holding it wins;
-        # only without high vertices in X does stopping before i win first.
-        x = 0
-        for i in range(c):
-            if not high and tied >> x & 1:
-                break
-            holding = tied & low[i]
-            if holding:
-                tied = holding
-                x |= 1 << i
-        x |= high << c
-        if top + fixed > best_size or _lex_before(x, best):
-            best, best_size = x, top + fixed
+        if top + fixed > best_size:
+            best = ((tied & -tied).bit_length() - 1) | high << c
+            best_size = top + fixed
     return best_size, best
 
 
@@ -146,16 +134,6 @@ def _add(counter: list[int], bits: int) -> None:
         if not bits:
             return
     counter.append(bits)
-
-
-def _lex_before(x: int, y: int) -> bool:
-    """Whether vertex set x sorts before vertex set y (as ascending lists).
-
-    At their least differing vertex d: x holds d and y has more members
-    beyond it, or y holds d and x has no member from d on.
-    """
-    d = (x ^ y) & -(x ^ y)
-    return y >= d << 1 if x & d else x < d
 
 
 def max_triangle_packing(D: Digraph) -> int:

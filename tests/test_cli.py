@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_d11 import book
 
-from dicuts import cli, d11
+from dicuts import cli, colorcut, d11
 from dicuts.cli import main
 from dicuts.digraph import (AlgorithmBugError, Digraph, cut_from_partition,
                             format_dg, load_dg, save_dg)
@@ -160,6 +160,23 @@ class TestCutVerify:
         assert lines[0].split("\t")[1:] == [
             "acyclic", "5", "10", "6", "3/1", "-", "pass"]
         assert lines[1:] == ["X: 0 1", "0 2", "0 3", "0 4", "1 2", "1 3", "1 4"]
+
+    def test_acyclic_k_past_the_split_guard(self, tmp_path, monkeypatch,
+                                            capsys):
+        # k = 10^6 asks for C(2k + 2, k + 1) splits of the colour classes
+        # of a 3-edge path; the guard refuses before the first is scored
+        def scored(*args):
+            for group in real(*args):
+                pytest.fail("a split was scored")
+                yield group
+
+        real = colorcut.combinations
+        monkeypatch.setattr(colorcut, "combinations", scored)
+        path = tmp_path / "path.dg"
+        save_dg(Digraph(4, [(0, 1), (1, 2), (2, 3)]), path)
+        assert main(["cut", str(path), "--method", "acyclic",
+                     "--k", "1000000"]) == 3
+        assert "split guard" in capsys.readouterr().err
 
     def test_non_ascii_input_exit(self, tmp_path, capsys):
         path = tmp_path / "latin1.dg"

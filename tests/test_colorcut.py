@@ -22,6 +22,7 @@ from dicuts.digraph import (
     AlgorithmBugError,
     Digraph,
     PreconditionError,
+    ResourceLimitError,
     Step,
     class_partition,
     cut_from_partition,
@@ -320,6 +321,18 @@ class TestBalancedSplit:
             assert (best_balanced_class_bipartition(col, edges)
                     == self.split_by_edge_scan(col, n, edges))
         assert seen >= {2, 3, 4, 5}
+
+    @pytest.mark.parametrize("budget, refused", [(36, False), (35, True)])
+    def test_split_guard_at_its_bound(self, budget, refused, monkeypatch):
+        # 4 classes, 2 class pairs: C(4, 2) = 6 splits of 4 + 2 steps each
+        monkeypatch.setattr(colorcut, "MAX_SPLIT_WORK", budget)
+        col, edges = Coloring((0, 1, 2, 3), 4), [(0, 1), (2, 3)]
+        if refused:
+            with pytest.raises(ResourceLimitError, match="C\\(4, 2\\)"):
+                best_balanced_class_bipartition(col, edges)
+        else:
+            assert best_balanced_class_bipartition(col, edges) == ((0, 2),
+                                                                   (1, 3))
 
     @staticmethod
     def split_by_edge_scan(col, n, edges):

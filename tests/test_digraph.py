@@ -213,9 +213,11 @@ class TestP3AndCuts:
 
     @pytest.mark.parametrize("tamper, message", [
         (lambda c: replace(c, Y=c.Y[1:]), "do not partition"),
+        (lambda c: replace(c, X=c.X + c.Y[:1]), "do not partition"),
         (lambda c: replace(c, cut_edges=((0, 1), (1, 2))), "stored cut"),
         (lambda c: replace(c, size=c.size + 1), "stored cut"),
-    ], ids=["not-a-partition", "other-cut-edges", "wrong-size"])
+    ], ids=["not-a-partition", "overlapping-X-and-Y", "other-cut-edges",
+            "wrong-size"])
     def test_verify_refuses_a_tampered_certificate(self, tamper, message):
         D = Digraph(3, [(0, 1), (1, 2), (0, 2)])
         cert = cut_from_partition(D, [0])

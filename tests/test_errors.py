@@ -1,14 +1,19 @@
 """Declared `InputError`s and `PreconditionError`s that no other test trips,
-each raised by a small input that reaches it."""
+each raised by a small input that reaches it; and the runtime certificates
+(`AlgorithmBugError`) that no other test trips, each reached by a bad
+argument to an internal helper or by a patched helper."""
 
 import pytest
 
+from dicuts import colorcut, d11, decompose, peel
 from dicuts.colorcut import Coloring, best_balanced_class_bipartition
 from dicuts.decompose import bipartite_edge_coloring
 from dicuts.digraph import (
+    AlgorithmBugError,
     Digraph,
     InputError,
     PreconditionError,
+    Step,
     class_partition,
     cut_from_partition,
     is_p3_free,
@@ -73,3 +78,86 @@ def test_removal_state_refuses_an_R_left_outside_the_lower_class():
     with pytest.raises(PreconditionError,
                        match=r"remainder leaves D\(1,1\) at vertex 2"):
         RemovalState(D, 2, set())
+
+
+LONG_PATH = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+
+
+def _undo_a_removal(monkeypatch):
+    # a "move" that returns an edge of R and removes it again
+    state = peel.initial_removal(gen_random_family("dkk", 14, 2, 5), 2)
+    e = min(state.R)
+    state.apply(Step("x", (e,), (e,)))
+
+
+def _peel_without_moves(monkeypatch):
+    monkeypatch.setattr(peel, "find_improvement", lambda state: None)
+    peel.peel_to_lower_class(gen_random_family("dkk", 14, 2, 5), 2)
+
+
+def _peel_with_idle_moves(monkeypatch):
+    monkeypatch.setattr(peel, "find_improvement",
+                        lambda state: Step("x", (), ()))
+    monkeypatch.setattr(peel.RemovalState, "apply", lambda self, move: None)
+    peel.peel_to_lower_class(gen_random_family("dkk", 14, 2, 5), 2)
+
+
+def _acyclic_with_one_color(monkeypatch):
+    monkeypatch.setattr(colorcut, "greedy_color",
+                        lambda n, edges, most: Coloring((0,) * n, 1))
+    colorcut.dicut_acyclic(
+        Digraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]), 2)
+
+
+def _d22_on_a_foreign_cycle(monkeypatch):
+    monkeypatch.setattr(colorcut, "shortest_bipartite_cycle",
+                        lambda adj: [0, 1, 2, 3])
+    colorcut.dicut_d22(gen_regular_tournament(2))
+
+
+def _split_with_one_color(monkeypatch):
+    monkeypatch.setattr(decompose, "bipartite_edge_coloring",
+                        lambda nx, ny, bip, p: [1] * len(bip))
+    decompose.split_dkk(gen_random_family("dkk", 12, 2, 0), 1, 1)
+
+
+def _pair(A, B):
+    return lambda monkeypatch: d11.validate_reducing_pair(LONG_PATH, A, B, "t")
+
+
+# (id, run(monkeypatch), the message it raises)
+RUNTIME_CHECKS = [
+    ("pair-empty-A", _pair([], []), "t: empty A"),
+    ("pair-A-meets-B", _pair([(0, 1)], [(0, 1)]), "t: A and B intersect"),
+    ("pair-edge-outside", _pair([(0, 2)], []),
+     "t: pair uses edges outside D"),
+    ("pair-uncovered-in-edge", _pair([(1, 2)], []),
+     r"t: uncovered P3 \(0, 1\) -> \(1, 2\)"),
+    ("pair-uncovered-out-edge", _pair([(1, 2)], [(0, 1)]),
+     r"t: uncovered P3 \(1, 2\) -> \(2, 3\)"),
+    ("cycle-order-on-a-path",
+     lambda monkeypatch: d11._directed_cycle_order(LONG_PATH, [0, 1, 2]),
+     "component is not a directed cycle"),
+    ("minus-side-without-a-set",
+     lambda monkeypatch: d11._minus_side(LONG_PATH, [0, 1, 2], {0}, {0}),
+     r"no \(l\+1\)-set with include=\[0\] exclude=\[0\]"),
+    ("peel-move-keeps-potential", _undo_a_removal,
+     "move x did not decrease the potential"),
+    ("peel-stops-early", _peel_without_moves, r"fixpoint has \|Crit\(R\)\|"),
+    ("peel-moves-forever", _peel_with_idle_moves,
+     "improvement loop exceeded the potential bound"),
+    ("acyclic-improper-coloring", _acyclic_with_one_color,
+     "combined coloring is not proper"),
+    ("d22-cycle-outside-F", _d22_on_a_foreign_cycle,
+     "cycle edge missing from F"),
+    ("split-over-budget", _split_with_one_color,
+     "X-side in-degree budget violated"),
+]
+
+
+@pytest.mark.parametrize("run, message",
+                         [case[1:] for case in RUNTIME_CHECKS],
+                         ids=[case[0] for case in RUNTIME_CHECKS])
+def test_runtime_check(run, message, monkeypatch):
+    with pytest.raises(AlgorithmBugError, match=message):
+        run(monkeypatch)

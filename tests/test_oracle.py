@@ -27,12 +27,11 @@ def triangle():
 
 def max_dicut_by_flips(D):
     """The Gray-code search as first written, X as a flag list and each
-    flip counted by generator sums: (X, size) of the lexicographically
-    smallest maximizer."""
+    flip counted by generator sums: (X, size) of the maximizer with the
+    smallest bitmask."""
     n = D.n
     in_x = [False] * n
-    size = best_size = 0
-    best_x = ()
+    size = best_size = best_x = 0
 
     def flip(v):
         nonlocal size
@@ -47,14 +46,14 @@ def max_dicut_by_flips(D):
 
     total = 1 << n
     for i in range(1, total + 1):
-        if size > best_size or (size == best_size and best_x and
-                                tuple(v for v in range(n) if in_x[v]) < best_x):
+        x = sum(1 << v for v in range(n) if in_x[v])
+        if size > best_size or (size == best_size and x < best_x):
             best_size = size
-            best_x = tuple(v for v in range(n) if in_x[v])
+            best_x = x
         if i == total:
             break
         flip((i & -i).bit_length() - 1)
-    return best_x, best_size
+    return tuple(v for v in range(n) if best_x >> v & 1), best_size
 
 
 def random_digraph(rng, n, p):
@@ -82,11 +81,15 @@ class TestMaxDicut:
     def test_example1(self):
         assert oracle.max_dicut_exact(gen_example1(1)).size == 4
 
-    def test_lexicographic_tie_break(self):
-        # both {0} and {1} cut one edge of a digon; smallest X wins
-        D = Digraph(2, [(0, 1), (1, 0)])
-        cert = oracle.max_dicut_exact(D)
-        assert cert.size == 1 and cert.X == (0,)
+    def test_smallest_mask_tie_break(self):
+        for D, X in [
+            # both {0} and {1} cut one edge of a digon; the smaller mask wins
+            (Digraph(2, [(0, 1), (1, 0)]), (0,)),
+            # {1} (mask 2) comes before {0, 1} (mask 3), though (0, 1) < (1,)
+            (Digraph(3, [(1, 2)]), (1,)),
+        ]:
+            cert = oracle.max_dicut_exact(D)
+            assert cert.size == 1 and cert.X == X
 
     def test_empty_graph(self):
         cert = oracle.max_dicut_exact(Digraph(3, []))
