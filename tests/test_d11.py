@@ -491,7 +491,7 @@ class TestReducingPairs:
                 "multiedge-in-M", "gamma-cycle"]
         assert min(fired[tag] for tag in late) >= 20, fired
         assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
-            "f9b256e02ca6eb9519082aeb66d0b71e2ce83f480e152f5a429b2f24c5ba681f")
+            "e0cfd882d8966fa7b7cf987645daab6b9f066b4b42ffcea1df6c72a310995581")
 
     def test_validator_rejects_bad_pair(self):
         D = Digraph(3, [(0, 1), (1, 2)])
