@@ -95,7 +95,9 @@ def best_balanced_class_bipartition(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split the color classes of all the vertices `coloring` colors into
     groups of floor(gamma/2) and the rest with the most crossing edges; the
-    average such split crosses (floor(gamma^2/4) / C(gamma,2)) * m edges."""
+    average such split crosses (floor(gamma^2/4) / C(gamma,2)) * m edges.
+    Raises `ResourceLimitError` before scoring any split when scoring all
+    of them would take more than MAX_SPLIT_WORK steps."""
     gamma = coloring.gamma
     if gamma < 2:
         raise InputError("need at least two color classes")
@@ -119,7 +121,7 @@ def best_balanced_class_bipartition(
                 f"the split guard {MAX_SPLIT_WORK}")
     best = None
     best_group = None
-    for group in combinations(range(gamma), gamma // 2):
+    for group in combinations(range(gamma), half):
         gs = set(group)
         crossing = sum(c for (cu, cv), c in pair_count.items()
                        if (cu in gs) != (cv in gs))
