@@ -3,6 +3,7 @@ acyclic D(k,k) algorithm, and the 3m/10 algorithm for all of D(2,2)."""
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -197,17 +198,30 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
     (X, Y) of `class_partition` is X = {v : d-(v) <= 2} at every step.
 
     The working graph is kept as succ/pred sets, X flags and the undirected
-    adjacency of F (the X -> Y edges), updated per deleted edge and per
-    vertex whose in-degree falls to 2; X only grows, as in-degrees only
-    fall.  The base case reads the remainder as an edge list."""
+    adjacency of F (the X -> Y edges) as ascending lists, updated per
+    deleted edge and per vertex whose in-degree falls to 2; X only grows,
+    as in-degrees only fall.  `lo` never exceeds the least node with an F
+    edge: a node gains F edges only when it joins X or becomes a joining
+    vertex's new neighbour, and both lower `lo`.  So the finder neither
+    sorts a list nor rescans the empty nodes below `lo`.  The base case
+    reads the remainder as an edge list."""
     n = D.n
     succ = [set(vs) for vs in D.succ]
     pred = [set(us) for us in D.pred]
     in_x = [len(pred[v]) <= 2 for v in range(n)]
-    adj = _underlying_adj(n, [(u, v) for u, v in D.edges
-                              if in_x[u] and not in_x[v]])
+    # D.edges ascends, so both ends' lists come out ascending
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in D.edges:
+        if in_x[u] and not in_x[v]:
+            adj[u].append(v)
+            adj[v].append(u)
     banked: set[Edge] = set()
-    while (cyc := shortest_bipartite_cycle(adj)) is not None:
+    lo = 0
+    while True:
+        while lo < n and not adj[lo]:
+            lo += 1
+        if (cyc := shortest_bipartite_cycle(adj, lo)) is None:
+            break
         xc = {v for v in cyc if in_x[v]}
         yc = set(cyc) - xc
         F_C = set()
@@ -228,20 +242,21 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
             succ[u].discard(v)
             pred[v].discard(u)
             if in_x[u] and not in_x[v]:
-                adj[u].discard(v)
-                adj[v].discard(u)
+                adj[u].remove(v)
+                adj[v].remove(u)
             if len(pred[v]) <= 2 and not in_x[v]:
                 joined.add(v)
         for v in joined:
             in_x[v] = True
             for u in pred[v]:
                 if in_x[u]:  # u -> v leaves F
-                    adj[u].discard(v)
-                    adj[v].discard(u)
+                    adj[u].remove(v)
+                    adj[v].remove(u)
             for w in succ[v]:
                 if not in_x[w]:  # v -> w joins F
-                    adj[v].add(w)
-                    adj[w].add(v)
+                    insort(adj[v], w)
+                    insort(adj[w], v)
+                    lo = min(lo, v, w)
     return banked | _d22_base(n, [(u, v) for u in range(n) for v in succ[u]])
 
 

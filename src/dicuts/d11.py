@@ -350,10 +350,10 @@ def _gamma_cycle(D: Digraph, plus_cycles, minus_cycles,
                  between) -> Optional[Step]:
     # node i of M is plus-cycle i, node P + j minus-cycle j
     P = len(plus_cycles)
-    M_adj = [set() for _ in range(P + len(minus_cycles))]
-    for i, j in between:
-        M_adj[i].add(P + j)
-        M_adj[P + j].add(i)
+    M_adj = [[] for _ in range(P + len(minus_cycles))]
+    for i, j in sorted(between):  # so each node's list ascends
+        M_adj[i].append(P + j)
+        M_adj[P + j].append(i)
     # M is bipartite (+ to -) and, after _multiedge_in_M, simple: the gamma
     # link of a (plus, minus) pair is its one D-edge
     cyc = shortest_bipartite_cycle(M_adj)

@@ -13,7 +13,9 @@ ids; a piece lists no edges of its own, so its readers find edges in
 `succ`.  `WorkGraph.pieces` walks the weak components for d11 and for
 `Digraph.weak_components`; d11 walks the components of D- on its own.
 `Digraph` and `Piece` list triangles through one function.  d22's cycle
-peeling keeps adjacency sets of its own and hands its base case the
+peeling keeps succ/pred sets of its own, and F's adjacency as ascending
+lists with the least node that may still have a neighbour, so the cycle
+finder neither sorts nor rescans empty nodes; it hands its base case the
 remainder as an edge list; the coloring cuts color edge lists on the
 original ids, so no algorithm builds a `Digraph` it does not hand on.
 Every algorithm that works in steps (d11, d11c, d22, peel) records them in
@@ -435,23 +437,24 @@ def cut_from_banked(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
     return cert
 
 
-def shortest_bipartite_cycle(adj: list[set[int]]) -> Optional[list[int]]:
+def shortest_bipartite_cycle(adj: list[list[int]],
+                             start: int = 0) -> Optional[list[int]]:
     """A shortest cycle of a simple bipartite graph on the nodes
-    0..len(adj)-1, `adj[v]` the neighbour set of v, as a node list; None
-    for a forest.
+    0..len(adj)-1, `adj[v]` the ascending neighbour list of v, as a node
+    list; None for a forest.  No node below `start` may have a neighbour.
 
-    BFS runs from every node in ascending order and scans neighbours in
-    ascending order; the first cycle of the least length found wins.  A
-    bipartite graph has no cycle shorter than 4, so the first 4-cycle found
-    is returned at once.
+    BFS runs from every node from `start` on in ascending order and scans
+    neighbours in list order; the first cycle of the least length found
+    wins.  A bipartite graph has no cycle shorter than 4, so the first
+    4-cycle found is returned at once.
     """
     best = None
-    for s in range(len(adj)):
+    for s in range(start, len(adj)):
         if not adj[s]:
             continue
         parent, queue = {s: None}, [s]
         for v in queue:
-            for w in sorted(adj[v]):
+            for w in adj[v]:
                 if w not in parent:
                     parent[w] = v
                     queue.append(w)

@@ -96,7 +96,7 @@ def d22_rebuilding(D):
         for u, v in F:
             adj[u].add(v)
             adj[v].add(u)
-        cyc = shortest_bipartite_cycle(adj)
+        cyc = shortest_bipartite_cycle([sorted(a) for a in adj])
         if cyc is None:
             return banked | colorcut._d22_base(D.n, list(D.edges)), steps, mid_run
         mid_run |= X_before is not None and X != X_before

@@ -387,7 +387,7 @@ class TestShortestBipartiteCycle:
                     adj[u].add(v)
                     adj[v].add(u)
             want = shortest_cycle_reference(adj, range(n))
-            assert shortest_bipartite_cycle(adj) == want
+            assert shortest_bipartite_cycle([sorted(a) for a in adj]) == want
             lengths[len(want) if want else None] += 1
         assert all(lengths[k] >= 20 for k in (None, 4, 6, 8)), lengths
 
@@ -407,5 +407,26 @@ class TestShortestBipartiteCycle:
             ints[P + j].add(i)
         want = shortest_cycle_reference(tuples, list(tuples))
         assert len(want) == 4
-        assert shortest_bipartite_cycle(ints) == [
+        assert shortest_bipartite_cycle([sorted(a) for a in ints]) == [
             i if sign == "+" else P + i for sign, i in want]
+
+    def test_start_past_empty_leading_nodes(self):
+        # any start up to the first node with a neighbour skips only empty
+        # nodes, so it finds the cycle that a scan from node 0 finds
+        rng = random.Random(21)
+        found = 0
+        for _ in range(200):
+            lead, n = rng.randint(1, 5), rng.randint(2, 20)
+            adj = [set() for _ in range(lead + n)]
+            for _ in range(rng.randint(1, 3 * n)):
+                u, v = rng.sample(range(lead, lead + n), 2)
+                if (u - v) % 2:  # even and odd ids are the two sides
+                    adj[u].add(v)
+                    adj[v].add(u)
+            lists = [sorted(a) for a in adj]
+            first = next((v for v, a in enumerate(lists) if a), len(lists))
+            want = shortest_bipartite_cycle(lists)
+            found += want is not None
+            for start in range(first + 1):
+                assert shortest_bipartite_cycle(lists, start) == want
+        assert found >= 50, found

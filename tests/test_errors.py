@@ -111,7 +111,7 @@ def _acyclic_with_one_color(monkeypatch):
 
 def _d22_on_a_foreign_cycle(monkeypatch):
     monkeypatch.setattr(colorcut, "shortest_bipartite_cycle",
-                        lambda adj: [0, 1, 2, 3])
+                        lambda adj, start: [0, 1, 2, 3])
     colorcut.dicut_d22(gen_regular_tournament(2))
 
 

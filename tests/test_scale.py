@@ -19,7 +19,7 @@ import pytest
 from test_colorcut import dense_d22
 from test_d11 import triangle_chain
 
-from dicuts import d11, peel
+from dicuts import colorcut, d11, digraph, peel
 from dicuts.colorcut import dicut_acyclic, dicut_d22
 from dicuts.d11 import dicut_d11, dicut_d11_connected
 from dicuts.digraph import Digraph, Piece, class_partition
@@ -55,6 +55,31 @@ def test_dense_d22_builds_no_graph_per_cycle_step(monkeypatch):
     cert.verify(D)
     assert 10 * cert.size >= 3 * D.m
     assert len(steps) == 1765 and len(builds) == 0
+
+
+def test_dense_d22_cycle_search_sorts_nothing_and_skips_empty_nodes(
+        monkeypatch):
+    # F's lists are kept ascending, so the finder sorts none of them, and
+    # each search starts at the first node with an F edge
+    D = dense_d22(480, 1)  # m = 29 735
+    sorts, starts = [], []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(None)
+        return sorted(*args, **kwargs)
+
+    find = colorcut.shortest_bipartite_cycle
+
+    def finder(adj, *start):
+        first = next((v for v, a in enumerate(adj) if a), len(adj))
+        starts.append(start == (first,))
+        return find(adj, *start)
+
+    monkeypatch.setattr(digraph, "sorted", counted_sorted, raising=False)
+    monkeypatch.setattr(colorcut, "shortest_bipartite_cycle", finder)
+    colorcut._d22_p3free(D, None)
+    assert len(sorts) == 0
+    assert len(starts) > 1000 and all(starts)
 
 
 def dense_acyclic(n, k, seed):
