@@ -15,9 +15,10 @@ ids; a piece lists no edges of its own, so its readers find edges in
 `Digraph` and `Piece` list triangles through one function.  d22's cycle
 peeling keeps succ/pred sets of its own, and F's adjacency as ascending
 lists with the least node that may still have a neighbour, so the cycle
-finder neither sorts nor rescans empty nodes; it hands its base case the
-remainder as an edge list; the coloring cuts color edge lists on the
-original ids, so no algorithm builds a `Digraph` it does not hand on.
+finder neither sorts nor rescans empty nodes, and reads most 4-cycles off
+two of the lists; it hands its base case the remainder as an edge list;
+the coloring cuts color edge lists on the original ids, so no algorithm
+builds a `Digraph` it does not hand on.
 Every algorithm that works in steps (d11, d11c, d22, peel) records them in
 its trace as `Step`s.  All set-like outputs are emitted in ascending order
 so that golden tests and the CLI are deterministic.
@@ -442,12 +443,56 @@ def shortest_bipartite_cycle(adj: list[list[int]],
     """A shortest cycle of a simple bipartite graph on the nodes
     0..len(adj)-1, `adj[v]` the ascending neighbour list of v, as a node
     list; None for a forest.  No node below `start` may have a neighbour.
+    d22's F and d11's gamma-cycle contraction graph both meet these terms.
 
-    BFS runs from every node from `start` on in ascending order and scans
-    neighbours in list order; the first cycle of the least length found
-    wins.  A bipartite graph has no cycle shorter than 4, so the first
-    4-cycle found is returned at once.
+    The cycle is the one `_bfs_cycle` returns: BFS from every node from
+    `start` on, scanning neighbours in list order, where the first cycle
+    of the least length wins, and a first 4-cycle at once, as a bipartite
+    graph has none shorter.  Most calls read that 4-cycle in closed form.
+    Let s be the first node with a neighbour and r be s, or s's one
+    neighbour when s is a leaf; let k0 < k1 be the first two neighbours of
+    r that are not leaves (so neither is s), and w the least node other
+    than r on both their lists, found by one walk over the two.  The BFS
+    from s queues r's neighbours, then scans them in order.  A leaf queues
+    nothing and closes nothing.  k0 queues its neighbours but r and closes
+    nothing, as r is the one queued node on their side.  When k1 is
+    scanned, the queued nodes on that side are r and k0's children, so
+    the first of its neighbours but r that is queued is w, and the BFS
+    returns [k1, r, k0, w].  If r has fewer than two such neighbours, or
+    k0 and k1 share no node but r, the BFS runs from s.
     """
+    n = len(adj)
+    s = start
+    while s < n and not adj[s]:
+        s += 1
+    if s == n:
+        return None
+    r = adj[s][0] if len(adj[s]) == 1 else s
+    k0 = None
+    for k1 in adj[r]:
+        if len(adj[k1]) < 2:  # a leaf, s itself when s is one
+            continue
+        if k0 is None:
+            k0 = k1
+            continue
+        a, b = adj[k0], adj[k1]
+        i = j = 0
+        while i < len(a) and j < len(b):
+            if a[i] < b[j]:
+                i += 1
+            elif a[i] > b[j]:
+                j += 1
+            elif a[i] == r:
+                i += 1
+                j += 1
+            else:
+                return [k1, r, k0, a[i]]
+        break
+    return _bfs_cycle(adj, s)
+
+
+def _bfs_cycle(adj: list[list[int]], start: int) -> Optional[list[int]]:
+    """`shortest_bipartite_cycle` by BFS from every node from `start` on."""
     best = None
     for s in range(start, len(adj)):
         if not adj[s]:

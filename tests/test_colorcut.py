@@ -29,6 +29,7 @@ from dicuts.digraph import (
     shortest_bipartite_cycle,
 )
 from dicuts.generators import gen_random_family, gen_regular_tournament
+from test_digraph import shortest_cycle_reference
 
 
 def transitive(n):
@@ -483,6 +484,22 @@ class TestD22:
             assert steps == want
             joined += mid_run
         assert joined >= 100
+
+    def test_every_cycle_search_same_as_reference(self, monkeypatch):
+        # F's lists as d22 keeps them, step by step, where the finder
+        # mostly reads its 4-cycle in closed form
+        find = colorcut.shortest_bipartite_cycle
+        searches = []
+
+        def checked(adj, start):
+            cyc = find(adj, start)
+            assert cyc == shortest_cycle_reference(adj, range(start, len(adj)))
+            searches.append(cyc)
+            return cyc
+
+        monkeypatch.setattr(colorcut, "shortest_bipartite_cycle", checked)
+        colorcut._d22_p3free(dense_d22(240, 1), None)
+        assert len(searches) == 1766 and searches[-1] is None
 
     def test_many_cycle_steps_need_no_recursion(self):
         D = dense_d22(80, 1)

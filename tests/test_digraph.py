@@ -410,6 +410,45 @@ class TestShortestBipartiteCycle:
         assert shortest_bipartite_cycle([sorted(a) for a in ints]) == [
             i if sign == "+" else P + i for sign, i in want]
 
+    def test_same_as_reference_on_dense_random_graphs(self, monkeypatch):
+        # dense draws reach the closed-form 4-cycle from a first node of
+        # degree 2 or more and from a leaf, and sparse ones fall back to
+        # the BFS; every start up to the first node with a neighbour agrees
+        rng = random.Random(22)
+        bfs_runs = []
+        bfs = digraph._bfs_cycle
+
+        def counted(*args):
+            bfs_runs.append(None)
+            return bfs(*args)
+
+        monkeypatch.setattr(digraph, "_bfs_cycle", counted)
+        cases = Counter()
+        for _ in range(600):
+            lead, n = rng.randint(0, 3), rng.randint(4, 16)
+            side = [rng.random() < 0.5 for _ in range(n)]
+            p = rng.uniform(0.1, 0.7)
+            adj = [set() for _ in range(lead + n)]
+            for u, v in itertools.combinations(range(n), 2):
+                if side[u] != side[v] and rng.random() < p:
+                    adj[lead + u].add(lead + v)
+                    adj[lead + v].add(lead + u)
+            first = next((v for v, a in enumerate(adj) if a), len(adj))
+            if first < len(adj) and rng.random() < 0.4:
+                # keep only one edge at the first node: it becomes a leaf
+                for u in sorted(adj[first])[1:]:
+                    adj[first].discard(u)
+                    adj[u].discard(first)
+            lists = [sorted(a) for a in adj]
+            want = shortest_cycle_reference(adj, range(len(adj)))
+            for start in range(first + 1):
+                bfs_runs.clear()
+                assert shortest_bipartite_cycle(lists, start) == want
+            if first < len(lists):
+                cases["bfs" if bfs_runs else
+                      "leaf" if len(lists[first]) == 1 else "branch"] += 1
+        assert all(cases[k] >= 50 for k in ("branch", "leaf", "bfs")), cases
+
     def test_start_past_empty_leading_nodes(self):
         # any start up to the first node with a neighbour skips only empty
         # nodes, so it finds the cycle that a scan from node 0 finds

@@ -82,6 +82,17 @@ def test_dense_d22_cycle_search_sorts_nothing_and_skips_empty_nodes(
     assert len(starts) > 1000 and all(starts)
 
 
+def test_dense_d22_cycle_search_seldom_runs_the_bfs(monkeypatch):
+    # the finder reads most 4-cycles off two neighbour lists; a BFS on
+    # every search queued about 114 list entries per search here
+    D = dense_d22(480, 1)  # m = 29 735
+    searches = counting(monkeypatch, colorcut, "shortest_bipartite_cycle")
+    bfs_runs = counting(monkeypatch, digraph, "_bfs_cycle")
+    colorcut._d22_p3free(D, None)
+    assert len(searches) == 7099
+    assert 10 * len(bfs_runs) < len(searches)
+
+
 def dense_acyclic(n, k, seed):
     """An acyclic D(k,k) member with m = Theta(n^2): every edge runs forward
     in id order, X is the first half, each X->Y pair is kept with
