@@ -54,7 +54,8 @@ RANDOM_DRAWS = (
     + [("d11-trianglefree", n, 1, seed) for n, seed in
        ((10, 11), (20, 12), (30, 13), (50, 14))]
     + [("dkk", n, 2, seed) for n, seed in
-       ((8, 21), (12, 22), (16, 23), (24, 24), (32, 25), (40, 26))]
+       ((8, 21), (12, 22), (16, 23), (24, 24), (32, 25), (40, 26),
+        (24, 118))]
     + [("dkk", n, 3, seed) for n, seed in ((10, 31), (16, 32), (24, 33))]
     + [("acyclic-dkk", n, k, seed) for k in (1, 2, 3) for n, seed in
        ((10, 40 + k), (20, 50 + k))]
@@ -140,7 +141,10 @@ def test_corpus_covers_every_method_and_reducing_pair_tag():
             for step in inst["outputs"][m]["trace"]}
     assert D11_TAGS <= tags
     assert any(inst["outputs"].get("d22", {}).get("F_C") for inst in stored)
-    assert any(inst["outputs"].get("peel2", {}).get("trace") for inst in stored)
+    peel_tags = {step[0] for inst in stored
+                 for m in ("peel2", "peel3") if m in inst["outputs"]
+                 for step in inst["outputs"][m]["trace"]}
+    assert {"return-edge", "tree-path-swap", "short-path-swap"} <= peel_tags
 
 
 def test_instances_and_witnesses_are_reproduced():
