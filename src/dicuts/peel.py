@@ -4,9 +4,12 @@
 A removal set R is improved by guarded local-search moves.  Every move is
 checked for feasibility (the remainder stays in D(k-1,k-1)) and for a strict
 lexicographic decrease of the potential (|R|, -arrow score) before it is
-applied, so termination is structural, not heuristic.  The fixpoint
-assertions |Crit(R)| >= |R| and |R| <= floor(2m/(2k+1)) are the empirical
-guard that the move catalog is rich enough.  A move is a `Step` whose `kept`
+applied, so termination is structural, not heuristic.  One rule decides
+feasibility: a swap breaks a vertex whose remainder in- and out-degree are
+both >= k after it, and `RemovalState.broken` alone applies it, for Crit,
+the search's adds, `swap_feasible` and `apply`.  The fixpoint assertions
+|Crit(R)| >= |R| and |R| <= floor(2m/(2k+1)) are the empirical guard that
+the move catalog is rich enough.  A move is a `Step` whose `kept`
 edges leave R and whose `dropped` edges enter it, as the trace records it.
 
 The search keeps its state across moves: `RemovalState` refreshes what a
@@ -20,7 +23,6 @@ of D's degrees, and keeps R as a set: each search sorts it once.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable
 from itertools import combinations
 
 from .digraph import (
@@ -44,7 +46,9 @@ class RemovalState:
     (`returnable`) and the arrow score (`score`, the colored R edges), and
     fills one cache on demand: the single adds that repair an R edge's
     return (`repairs`).  R must be edges of D (else `InputError`) that
-    leave a remainder in D(k-1,k-1) (else `PreconditionError`).
+    leave a remainder in D(k-1,k-1) (else `PreconditionError`); from then
+    on `broken` decides what a swap breaks, and `apply` refuses a move
+    that breaks a vertex before it shifts any edge.
     """
 
     def __init__(self, D: Digraph, k: int, R: set[Edge]):
@@ -64,7 +68,10 @@ class RemovalState:
             self.dout[u] -= 1
             self.din[v] -= 1
         # R comes from the caller: a remainder outside D(k-1,k-1) is its error
-        self.check_feasible(D.vertices, PreconditionError)
+        for v in D.vertices:
+            if self.din[v] >= k and self.dout[v] >= k:
+                raise PreconditionError(
+                    f"remainder leaves D({k-1},{k-1}) at vertex {v}")
         self.score = sum(1 for e in self.R if self.is_colored(e))
         self.r_at: list[set[Edge]] = [set() for _ in range(D.n)]
         for e in self.R:
@@ -80,25 +87,25 @@ class RemovalState:
     def potential(self) -> tuple[int, int]:
         return (len(self.R), -self.score)
 
-    def check_feasible(self, vertices: Iterable[int],
-                       error: type[Exception] = AlgorithmBugError) -> None:
-        """Raise `error` at the first of `vertices` that leaves the
-        remainder outside D(k-1,k-1)."""
+    def broken(self, remove: tuple[Edge, ...],
+               add: tuple[Edge, ...] = ()) -> dict[int, tuple[int, int]]:
+        """The ends of the swapped edges whose remainder in- and out-degree
+        would both be >= k after R - remove + add, each mapped to those two
+        degrees.  `remove` edges return to the remainder, `add` edges leave
+        it; as the state's remainder is in D(k-1,k-1), only ends of
+        returned edges can break."""
+        deg: dict[int, list[int]] = {}
+        for edges, d in ((remove, 1), (add, -1)):
+            for u, v in edges:
+                deg.setdefault(u, [self.din[u], self.dout[u]])[1] += d
+                deg.setdefault(v, [self.din[v], self.dout[v]])[0] += d
         k = self.k
-        for v in vertices:
-            if self.din[v] > k - 1 and self.dout[v] > k - 1:
-                raise error(f"remainder leaves D({k-1},{k-1}) at vertex {v}")
+        return {v: (i, o) for v, (i, o) in deg.items() if i >= k and o >= k}
 
     def crit(self, e: Edge) -> frozenset[int]:
         """Critical endpoints of a removed edge: returning it there would
         break membership."""
-        x, y = e
-        out = []
-        if self.dout[x] == self.k - 1 and self.din[x] >= self.k:
-            out.append(x)
-        if self.din[y] == self.k - 1 and self.dout[y] >= self.k:
-            out.append(y)
-        return frozenset(out)
+        return frozenset(self.broken((e,)))
 
     def crit_R(self) -> frozenset[int]:
         return frozenset(v for e in self.R for v in self.crit(e))
@@ -113,37 +120,23 @@ class RemovalState:
 
     def swap_feasible(self, remove: tuple[Edge, ...],
                       add: tuple[Edge, ...]) -> bool:
-        """Would R' = R - remove + add leave a D(k-1,k-1) remainder?
-
-        `remove` edges return to the remainder, `add` edges leave it; only
-        endpoints of returned edges can break membership.
-        """
-        delta_out: dict[int, int] = {}
-        delta_in: dict[int, int] = {}
-        for u, v in remove:
-            delta_out[u] = delta_out.get(u, 0) + 1
-            delta_in[v] = delta_in.get(v, 0) + 1
-        for u, v in add:
-            delta_out[u] = delta_out.get(u, 0) - 1
-            delta_in[v] = delta_in.get(v, 0) - 1
-        for v in set(delta_out) | set(delta_in):
-            din = self.din[v] + delta_in.get(v, 0)
-            dout = self.dout[v] + delta_out.get(v, 0)
-            if din > self.k - 1 and dout > self.k - 1:
-                return False
-        return True
+        """Would R' = R - remove + add leave a D(k-1,k-1) remainder?"""
+        return not self.broken(remove, add)
 
     def apply(self, move: Step) -> None:
         """Apply `move` and refresh what it touched: degrees, R membership,
-        and so Crit and repairs, change only at its endpoints."""
+        and so Crit and repairs, change only at its endpoints.  A move that
+        would break the remainder is refused before any edge shifts."""
+        bad = self.broken(move.kept, move.dropped)
+        if bad:
+            raise AlgorithmBugError(f"remainder leaves D({self.k - 1},"
+                                    f"{self.k - 1}) at vertex {min(bad)}")
         before = self.potential()
         for e in move.kept:
             self._shift(e, -1)
         for e in move.dropped:
             self._shift(e, 1)
-        touched = {v for e in (*move.kept, *move.dropped) for v in e}
-        self.check_feasible(touched)
-        for v in touched:
+        for v in {v for e in (*move.kept, *move.dropped) for v in e}:
             for e in self.r_at[v]:
                 self._repairs.pop(e, None)
                 if self.crit(e):
@@ -265,7 +258,8 @@ def find_improvement(state: RemovalState) -> Step | None:
     every R edge has a non-empty Crit.
 
     Returning edges only raises degrees, so each vertex the return breaks
-    (the set B, which holds the Crit of every returned edge) stays broken
+    (the set B that `RemovalState.broken` gives for the returned edges
+    alone, which holds the Crit of every returned edge) stays broken
     unless the adds bring one of its degrees back to k-1; `most` adds can
     do that only on a side at most `most` too high.  An entry's adds are
     the `most`-sets of non-R edges on such sides whose ends cover B, in
@@ -288,22 +282,15 @@ def find_improvement(state: RemovalState) -> Step | None:
 def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
     """The `most`-sets of non-R edges with which returning `remove` can be
     feasible, ascending and in `combinations` order: each vertex of B, the
-    vertices the return breaks, offers the non-R edges on a side of it that
-    `most` adds bring back to k-1, and each set covers B."""
+    vertices the return breaks by `RemovalState.broken`, offers the non-R
+    edges on a side of it that `most` adds bring back to k-1, and each set
+    covers B."""
     D, R, k = state.D, state.R, state.k
-    up_out: dict[int, int] = {}
-    up_in: dict[int, int] = {}
-    for u, v in remove:
-        up_out[u] = up_out.get(u, 0) + 1
-        up_in[v] = up_in.get(v, 0) + 1
+    B = state.broken(remove)
+    if len(B) > 2 * most:
+        return ()  # more of B than `most` adds have ends
     fix: dict[int, list[Edge]] = {}
-    for v in up_out.keys() | up_in.keys():
-        dout = state.dout[v] + up_out.get(v, 0)
-        din = state.din[v] + up_in.get(v, 0)
-        if dout < k or din < k:
-            continue
-        if len(fix) == 2 * most:
-            return ()  # more of B than `most` adds have ends
+    for v, (din, dout) in B.items():
         outs = ([e for e in D.out_edges(v) if e not in R]
                 if dout - most < k else [])
         ins = ([e for e in D.in_edges(v) if e not in R]

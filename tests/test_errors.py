@@ -5,7 +5,7 @@ argument to an internal helper or by a patched helper."""
 
 import pytest
 
-from dicuts import colorcut, d11, decompose, peel
+from dicuts import colorcut, d11, decompose, generators, peel
 from dicuts.colorcut import Coloring, best_balanced_class_bipartition
 from dicuts.decompose import bipartite_edge_coloring
 from dicuts.digraph import (
@@ -102,6 +102,30 @@ def _peel_with_idle_moves(monkeypatch):
     peel.peel_to_lower_class(gen_random_family("dkk", 14, 2, 5), 2)
 
 
+def _peel_over_its_bound(monkeypatch):
+    # R takes every edge and no move shrinks it, yet Crit(R) is large enough
+    monkeypatch.setattr(peel, "initial_removal",
+                        lambda D, k: RemovalState(D, k, set(D.edges)))
+    monkeypatch.setattr(peel, "find_improvement", lambda state: None)
+    monkeypatch.setattr(peel.RemovalState, "crit_R",
+                        lambda self: frozenset(range(len(self.R))))
+    peel.peel_to_lower_class(gen_random_family("dkk", 14, 2, 5), 2)
+
+
+def _balanced_split_below_guarantee(monkeypatch):
+    # only the split {0, 1} | {2, 3} is scored, and it crosses no edge
+    monkeypatch.setattr(colorcut, "combinations", lambda items, r: [(0, 1)])
+    best_balanced_class_bipartition(Coloring((0, 1, 2, 3), 4),
+                                    [(0, 1), (2, 3)])
+
+
+def _example_outside_class(gen):
+    def run(monkeypatch):
+        monkeypatch.setattr(generators, "class_partition", lambda *a: None)
+        gen()
+    return run
+
+
 def _acyclic_with_one_color(monkeypatch):
     monkeypatch.setattr(colorcut, "greedy_color",
                         lambda n, edges, most: Coloring((0,) * n, 1))
@@ -115,10 +139,12 @@ def _d22_on_a_foreign_cycle(monkeypatch):
     colorcut.dicut_d22(gen_regular_tournament(2))
 
 
-def _split_with_one_color(monkeypatch):
-    monkeypatch.setattr(decompose, "bipartite_edge_coloring",
-                        lambda nx, ny, bip, p: [1] * len(bip))
-    decompose.split_dkk(gen_random_family("dkk", 12, 2, 0), 1, 1)
+def _split_with_one_color(D):
+    def run(monkeypatch):
+        monkeypatch.setattr(decompose, "bipartite_edge_coloring",
+                            lambda nx, ny, bip, p: [1] * len(bip))
+        decompose.split_dkk(D, 1, 1)
+    return run
 
 
 def _pair(A, B):
@@ -150,8 +176,23 @@ RUNTIME_CHECKS = [
      "combined coloring is not proper"),
     ("d22-cycle-outside-F", _d22_on_a_foreign_cycle,
      "cycle edge missing from F"),
-    ("split-over-budget", _split_with_one_color,
+    ("split-over-budget",
+     _split_with_one_color(gen_random_family("dkk", 12, 2, 0)),
      "X-side in-degree budget violated"),
+    # vertex 0 sends both its B edges into D1 and has no star to spill to
+    ("split-over-Y-budget", _split_with_one_color(
+        Digraph(6, [(3, 0), (4, 0), (5, 0), (0, 1), (0, 2)])),
+     "Y-side out-degree budget violated"),
+    ("peel-over-its-bound", _peel_over_its_bound,
+     r"fixpoint \|R\| = 23 exceeds"),
+    ("balanced-split-below-guarantee", _balanced_split_below_guarantee,
+     "balanced split crosses 0 < guaranteed 4/3"),
+    ("example1-outside-class", _example_outside_class(
+        lambda: generators.gen_example1(1)),
+     "chorded-path chain construction broken"),
+    ("example2-outside-class",
+     _example_outside_class(generators.gen_example2),
+     "double-tournament construction broken"),
 ]
 
 

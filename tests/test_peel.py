@@ -401,8 +401,11 @@ class TestPeel:
         # a move that breaks the remainder is the algorithm's own fault
         state = initial_removal(gen_regular_tournament(2), 2)
         e = min(e for e in state.R if state.crit(e))
+        before = (set(state.R), list(state.din), list(state.dout))
         with pytest.raises(AlgorithmBugError, match="remainder leaves"):
             state.apply(Step("return-edge", (e,), ()))
+        # the refused move shifted no edge
+        assert (state.R, state.din, state.dout) == before
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_tournament(self, k):

@@ -132,8 +132,7 @@ def test_peel_dense_d22_prunes_the_move_search(monkeypatch):
 def test_peel_dense_dkk_lists_few_adjacency_edges(monkeypatch):
     # the move search lists, at a vertex the return breaks, only the side
     # its adds can bring back to k - 1; listing both sides, even once per
-    # vertex between moves, lists about 239 |R| edges here
-    D = Digraph(640, dense_dkk(random.Random(1), 640, 2))  # m = 52 264
+    # vertex between moves, lists about 239 |R| edges at n = 640
     listed = []
     for name in ("out_edges", "in_edges"):
         def counted(self, v, fn=getattr(Digraph, name)):
@@ -142,9 +141,16 @@ def test_peel_dense_dkk_lists_few_adjacency_edges(monkeypatch):
             return edges
 
         monkeypatch.setattr(Digraph, name, counted)
-    rest, R = peel_to_lower_class(D, 2)
-    assert class_partition(rest, 1, 1) is not None
-    assert sum(listed) <= 16 * len(R)
+    totals = []
+    for n in (640, 1280):  # m = 52 264 and 206 603
+        D = Digraph(n, dense_dkk(random.Random(1), n, 2))
+        listed.clear()
+        rest, R = peel_to_lower_class(D, 2)
+        totals.append(sum(listed))
+        assert class_partition(rest, 1, 1) is not None
+        assert totals[-1] <= 16 * len(R)
+    # twice the vertices, about twice R: the listing grows with R, not m
+    assert 10 * totals[1] <= 23 * totals[0]
 
 
 def test_peel_builds_no_graph_after_its_search(monkeypatch):
