@@ -79,6 +79,10 @@ def instances():
         yield f"triangle-chain:{t}", None, triangle_chain(t)
     for n, seed in ((20, 1), (30, 2)):
         yield f"dense-d22:{n}:{seed}", None, dense_d22(n, seed)
+    # the one D(2,2) digraph on 5 vertices whose peel2 takes a growth-swap
+    yield "growth-swap", None, Digraph(5, [
+        (0, 3), (0, 4), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3),
+        (3, 0), (3, 2), (4, 0), (4, 1)])
     for family, n, k, seed in RANDOM_DRAWS:
         yield (f"random:{family}:{n}:{k}:{seed}",
                {"family": family, "n": n, "k": k, "seed": seed},
@@ -144,7 +148,8 @@ def test_corpus_covers_every_method_and_reducing_pair_tag():
     peel_tags = {step[0] for inst in stored
                  for m in ("peel2", "peel3") if m in inst["outputs"]
                  for step in inst["outputs"][m]["trace"]}
-    assert {"return-edge", "tree-path-swap", "short-path-swap"} <= peel_tags
+    assert {"return-edge", "tree-path-swap", "short-path-swap",
+            "growth-swap"} <= peel_tags
 
 
 def test_instances_and_witnesses_are_reproduced():
