@@ -163,7 +163,8 @@ def _cmd_peel(args) -> int:
     rest, R = peel_to_lower_class(D, args.k, trace)
     save_dg(rest, f"{args.output}.rest.dg",
             f"peel k={args.k} of {args.file}")
-    save_dg(Digraph(D.n, R), f"{args.output}.removed.dg",
+    save_dg(Digraph._derived(D.n, tuple(sorted(R))),
+            f"{args.output}.removed.dg",
             f"removed edges, peel k={args.k} of {args.file}")
     print(f"removed\t{len(R)}\tbound\t{2 * D.m // (2 * args.k + 1)}")
     if args.verbose:

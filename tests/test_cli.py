@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_d11 import book
+from reference import book
 
 from dicuts import cli, colorcut, d11
 from dicuts.cli import main
@@ -19,7 +19,8 @@ from dicuts.digraph import (AlgorithmBugError, Digraph, cut_from_partition,
 from dicuts.generators import (gen_example1, gen_random_family,
                                gen_regular_tournament)
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+TESTS = str(Path(__file__).resolve().parent)
+SRC = str(Path(TESTS).parent / "src")
 
 
 # `gen` options of each family, and the header they give: only the options
@@ -527,6 +528,36 @@ def test_core_imports_neither_numpy_nor_networkx():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.strip() == "[]"
+
+
+def test_no_test_module_imports_another():
+    # a helper that several test files use lives in tests/reference.py
+    found = []
+    for path in sorted(Path(TESTS).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names
+                      if name.startswith("test_")]
+    assert found == []
+
+
+def test_corpus_writer_needs_no_test_extra():
+    # `python tests/test_golden.py` runs on `src/` and tests/reference.py
+    code = ("import sys, test_golden; "
+            "print(sorted(m for m in sys.modules if m != 'test_golden' and "
+            "(m.startswith('test_') or m.split('.')[0] in "
+            "('pytest', 'hypothesis', 'networkx'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join((SRC, TESTS))}
+                         ).stdout
     assert out.strip() == "[]"
 
 

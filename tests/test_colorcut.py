@@ -29,25 +29,11 @@ from dicuts.digraph import (
     shortest_bipartite_cycle,
 )
 from dicuts.generators import gen_random_family, gen_regular_tournament
-from test_digraph import shortest_cycle_reference
+from reference import dense_d22, shortest_cycle_reference
 
 
 def transitive(n):
     return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def dense_d22(n, seed):
-    """A D(2,2) member with m = Theta(n^2): X is the first half, each X->Y
-    pair is kept with probability 1/2, every x gets two in-edges from X and
-    every y two out-edges into Y."""
-    rng = random.Random(seed)
-    X, Y = range(n // 2), range(n // 2, n)
-    edges = {(x, y) for x in X for y in Y if rng.random() < 0.5}
-    for x in X:
-        edges.update((u, x) for u in rng.sample([u for u in X if u != x], 2))
-    for y in Y:
-        edges.update((y, w) for w in rng.sample([w for w in Y if w != y], 2))
-    return Digraph(n, edges)
 
 
 def random_d22(rng, n, digons):
@@ -129,8 +115,7 @@ def better_oriented_cut(D, S):
 def acyclic_split_by_sides(D, k):
     """`dicut_acyclic`'s balanced split as first written: each side of the
     degree witness colored on its own induced subgraph, relabelled densely
-    in vertex order as `Digraph.induced` does, the high side's colors offset
-    by k+1."""
+    in vertex order, the high side's colors offset by k+1."""
     X = [v for v in range(D.n) if D.out_deg(v) <= k]
     Y = [v for v in range(D.n) if D.out_deg(v) > k]
     colors = [-1] * D.n
@@ -155,7 +140,8 @@ def d22_base_split(D):
 
 class TestColorPathReference:
     """The one-pass coloring and the one orientation count pick the same
-    cut as per-side `induced` coloring and two certificates did."""
+    cut as coloring each side's induced subgraph on its own and two
+    certificates did."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_acyclic(self, k):

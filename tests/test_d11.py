@@ -1,17 +1,14 @@
 import collections
 import hashlib
 import inspect
-import itertools
 import math
 import random
 import sys
 
-import networkx as nx
 import pytest
 
 from dicuts import d11, digraph, oracle
 from dicuts.d11 import (
-    contraction_graph,
     dicut_d11,
     dicut_d11_connected,
     find_reducing_pair,
@@ -30,52 +27,14 @@ from dicuts.digraph import (
 )
 from dicuts.enumeration import digonfree_d11
 from dicuts.generators import gen_example1, gen_random_family
-
-
-def forest_reference(D):
-    """The triangles of the triangle-forest shape by brute force: every set
-    of t = (m+1)/4 vertex-disjoint triangles covering the vertices with
-    edges, whose other t-1 edges join them into a tree.  Asserts that at
-    most one such set exists."""
-    if (D.m + 1) % 4:
-        return None
-    t = (D.m + 1) // 4
-    live = {v for e in D.edges for v in e}
-    found = []
-    for cover in itertools.combinations(D.triangles(), t):
-        tri_of = {v: i for i, tri in enumerate(cover) for v in tri}
-        if len(tri_of) != 3 * t or set(tri_of) != live:
-            continue
-        tri_edges = {e for a, b, c in cover for e in ((a, b), (b, c), (c, a))}
-        G = nx.MultiGraph()
-        G.add_nodes_from(range(t))
-        G.add_edges_from((tri_of[u], tri_of[v]) for u, v in D.edges
-                         if (u, v) not in tri_edges)
-        if nx.is_connected(G):
-            found.append(cover)
-    assert len(found) <= 1
-    return found[0] if found else None
-
-
-def triangle_chain(t):
-    """t directed triangles in a row, a bridge from each apex to the next
-    tail: m = 4t - 1, and t disjoint triangles."""
-    edges = []
-    for i in range(t):
-        a = 3 * i
-        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
-        if i:
-            edges.append((a - 2, a))
-    return Digraph(3 * t, edges)
-
-
-def book(pages):
-    """Triangles 0->1->x->0 on the one edge 0->1, x = 2..pages+1: in
-    D(1,1), m = 2 pages + 1, and no two triangles are disjoint."""
-    edges = [(0, 1)]
-    for x in range(2, pages + 2):
-        edges += [(1, x), (x, 0)]
-    return Digraph(pages + 2, edges)
+from reference import (
+    PATTERN_INSTANCES,
+    _gamma_instance,
+    book,
+    contraction_of,
+    forest_reference,
+    triangle_chain,
+)
 
 
 def random_triangle_tree(rng, t):
@@ -254,8 +213,13 @@ def reduction_rebuilding(D):
     relabelled onto 0..n-1 with the list that maps it back, and a new
     Digraph built of what each step leaves.  Returns K and the trace."""
     def pieces(H, label):
-        return [(H.induced(c)[0], [label[v] for v in c])
-                for c in H.weak_components() if len(c) > 1]
+        out = []
+        for c in H.weak_components():
+            if len(c) > 1:
+                new = {v: i for i, v in enumerate(c)}
+                edges = [(new[u], new[v]) for u, v in H.edges if u in new]
+                out.append((Digraph(len(c), edges), [label[v] for v in c]))
+        return out
 
     def relabel(es, label):
         return tuple(sorted((label[u], label[v]) for u, v in es))
@@ -372,50 +336,6 @@ class TestTriangleReduction:
         # every triangle vertex has out-degree 2: no edge qualifies
         e = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)]
         assert find_triangle_reduction(Digraph(6, e)) is None
-
-
-# one hand-built instance per reducing-pair pattern, chosen so that all
-# earlier patterns in the scan order stay silent
-PATTERN_INSTANCES = {
-    "leaf-in-minus": Digraph(7, [(6, 0), (0, 4), (1, 4), (2, 5), (3, 5),
-                                 (4, 5)]),
-    "even-cycle": Digraph(8, [(i, (i + 1) % 4) for i in range(4)]
-                          + [(i, 4 + i) for i in range(4)]),
-    "v0-attach-with-inedge": Digraph(9, [(0, 1), (1, 2), (2, 0)]
-                                     + [(3 + i, i) for i in range(3)]
-                                     + [(6 + i, 3 + i) for i in range(3)]),
-    "v0-attach-source": Digraph(6, [(0, 1), (1, 2), (2, 0)]
-                                + [(3 + i, i) for i in range(3)]),
-    "path-or-cycle": Digraph(9, [(i, (i + 1) % 9) for i in range(9)]),
-    "multiedge-in-M": Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
-                                  (5, 3), (0, 3), (1, 4), (2, 5)]),
-}
-
-
-def _gamma_instance():
-    edges = []
-    for i in range(3):
-        p = [3 * i, 3 * i + 1, 3 * i + 2]
-        z = [9 + 3 * i, 9 + 3 * i + 1, 9 + 3 * i + 2]
-        edges += [(p[0], p[1]), (p[1], p[2]), (p[2], p[0])]
-        edges += [(z[0], z[1]), (z[1], z[2]), (z[2], z[0])]
-    for i in range(3):
-        for j in range(3):
-            edges.append((3 * i + j, 9 + 3 * j + i))
-    return Digraph(18, edges)
-
-
-PATTERN_INSTANCES["gamma-cycle"] = _gamma_instance()
-
-
-def contraction_of(D):
-    """The plus cycles, the minus cycles and the links of D's contraction
-    graph, from one walk of D- and one of D+ as `find_reducing_pair` makes
-    them.  The plus cycles run backwards, which the links do not see."""
-    _, minus_cycles = d11._leaf_in_minus(D)
-    _, plus_cycles = d11._leaf_in_minus(D.reverse())
-    return plus_cycles, minus_cycles, contraction_graph(
-        D, plus_cycles, minus_cycles)
 
 
 class TestReducingPairs:

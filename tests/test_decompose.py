@@ -11,7 +11,7 @@ from dicuts.digraph import (
     class_partition,
 )
 from dicuts.generators import gen_random_family, gen_regular_tournament
-from test_peel import random_dkk
+from reference import random_dkk
 
 
 def assert_proper(colors, edges, delta):

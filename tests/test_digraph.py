@@ -23,7 +23,7 @@ from dicuts.digraph import (
     parse_dg,
     shortest_bipartite_cycle,
 )
-from test_d11 import _gamma_instance, contraction_of
+from reference import _gamma_instance, contraction_of, shortest_cycle_reference
 
 
 def small_digraphs(max_n=6, max_edges=12):
@@ -322,44 +322,6 @@ class TestStructure:
     def test_acyclic(self):
         assert Digraph(3, [(0, 1), (0, 2), (1, 2)]).is_acyclic()
         assert not Digraph(3, [(0, 1), (1, 2), (2, 0)]).is_acyclic()
-
-
-def shortest_cycle_reference(adj, nodes):
-    """The cycle finder as first written: BFS from each node in `nodes`
-    order, and at each non-tree edge a walk over a list of the path up to
-    the root."""
-    best = None
-    for s in nodes:
-        if not adj[s]:
-            continue
-        parent = {s: None}
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in sorted(adj[v]):
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-                elif parent[v] != w:
-                    path_v = []
-                    x = v
-                    while x is not None:
-                        path_v.append(x)
-                        x = parent[x]
-                    path_w = []
-                    x = w
-                    while x not in path_v:
-                        path_w.append(x)
-                        x = parent[x]
-                    join = path_v.index(x)
-                    cand = path_v[: join + 1] + list(reversed(path_w))
-                    if len(cand) >= 3 and (best is None or len(cand) < len(best)):
-                        best = cand
-                        if len(best) == 4:
-                            return best
-    return best
 
 
 class TestShortestBipartiteCycle:

@@ -38,8 +38,7 @@ from dicuts.generators import (  # noqa: E402
     gen_regular_tournament,
 )
 from dicuts.peel import peel_to_lower_class  # noqa: E402
-from test_colorcut import dense_d22  # noqa: E402
-from test_d11 import PATTERN_INSTANCES, triangle_chain  # noqa: E402
+from reference import PATTERN_INSTANCES, dense_d22, triangle_chain  # noqa: E402
 
 CORPUS = Path(__file__).with_name("golden_corpus.json")
 

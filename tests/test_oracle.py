@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from test_d11 import triangle_chain
+from reference import triangle_chain
 
 from dicuts import digraph, oracle
 from dicuts.d11 import _books

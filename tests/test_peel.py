@@ -1,4 +1,3 @@
-import itertools
 import random
 from itertools import combinations
 
@@ -24,6 +23,7 @@ from dicuts.peel import (
     initial_removal,
     peel_to_lower_class,
 )
+from reference import random_dkk
 
 
 class TestColoring:
@@ -37,21 +37,6 @@ class TestColoring:
         D = Digraph(3, [(0, 1), (0, 2)])
         st = RemovalState(D, 1, {(0, 1)})
         assert st.white[0] and not st.black[0]
-
-
-def random_dkk(rng, n, k):
-    """A random member of D(k,k), digons allowed: each ordered pair is
-    drawn with probability 1/2 unless it would lift an X vertex's in-degree
-    or a Y vertex's out-degree past k."""
-    X = set(rng.sample(range(n), rng.randint(0, n)))
-    indeg, outdeg, edges = [0] * n, [0] * n, []
-    for u, v in itertools.permutations(range(n), 2):
-        if (rng.random() < 0.5 and not (v in X and indeg[v] == k)
-                and not (u not in X and outdeg[u] == k)):
-            edges.append((u, v))
-            indeg[v] += 1
-            outdeg[u] += 1
-    return Digraph(n, edges)
 
 
 def initial_removal_by_counters(D, k):

@@ -16,8 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
-from test_colorcut import dense_d22
-from test_d11 import triangle_chain
+from reference import dense_d22, triangle_chain
 
 from dicuts import colorcut, d11, digraph, peel
 from dicuts.colorcut import dicut_acyclic, dicut_d22
