@@ -185,7 +185,10 @@ def dicut_d22(D: Digraph, trace: list[Step] | None = None) -> CutCertificate:
 
     Each step goes to `trace` as `Step("cycle", F_C, E_C)`: the cycle edges,
     all oriented X -> Y, and the side edges deleted alongside, whose head
-    is a tail of F_C or whose tail is a head of F_C.
+    is a tail of F_C or whose tail is a head of F_C.  A step deletes E_C by
+    emptying the in-sets of the cycle's X vertices and the out-sets of its
+    Y vertices; it touches F's lists only for F_C, and it lists E_C as
+    edges only for a trace.
     """
     if class_partition(D, 2, 2) is None:
         raise PreconditionError("digraph is not in D(2,2)")
@@ -198,13 +201,16 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
     (X, Y) of `class_partition` is X = {v : d-(v) <= 2} at every step.
 
     The working graph is kept as succ/pred sets, X flags and the undirected
-    adjacency of F (the X -> Y edges) as ascending lists, updated per
-    deleted edge and per vertex whose in-degree falls to 2; X only grows,
-    as in-degrees only fall.  `lo` never exceeds the least node with an F
-    edge: a node gains F edges only when it joins X or becomes a joining
-    vertex's new neighbour, and both lower `lo`.  So the finder neither
-    sorts a list nor rescans the empty nodes below `lo`.  The base case
-    reads the remainder as an edge list."""
+    adjacency of F (the X -> Y edges) as ascending lists.  A step empties
+    the in-sets of the cycle's X vertices and the out-sets of its Y
+    vertices (E_C, whose edges never lie in F), then deletes F_C, the only
+    deleted edges on F's lists; E_C is listed as edges only for a trace.
+    F's lists change per F_C edge and per vertex whose in-degree falls to
+    2; X only grows, as in-degrees only fall.  `lo` never exceeds the
+    least node with an F edge: a node gains F edges only when it joins X
+    or becomes a joining vertex's new neighbour, and both lower `lo`.  So
+    the finder neither sorts a list nor rescans the empty nodes below
+    `lo`.  The base case reads the remainder as an edge list."""
     n = D.n
     succ = [set(vs) for vs in D.succ]
     pred = [set(us) for us in D.pred]
@@ -222,8 +228,8 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
             lo += 1
         if (cyc := shortest_bipartite_cycle(adj, lo)) is None:
             break
-        xc = {v for v in cyc if in_x[v]}
-        yc = set(cyc) - xc
+        xc = [v for v in cyc if in_x[v]]
+        yc = [v for v in cyc if not in_x[v]]
         F_C = set()
         for i, v in enumerate(cyc):
             w = cyc[i - 1]
@@ -232,20 +238,33 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
                 raise AlgorithmBugError("cycle edge missing from F")
             F_C.add(e)
         # F_C runs X -> Y, so it holds no in-edge of X and no out-edge of Y
-        E_C = ({(u, x) for x in xc for u in pred[x]}
-               | {(y, w) for y in yc for w in succ[y]})
         if trace is not None:
+            E_C = ({(u, x) for x in xc for u in pred[x]}
+                   | {(y, w) for y in yc for w in succ[y]})
             trace.append(Step("cycle", tuple(sorted(F_C)), tuple(sorted(E_C))))
         banked |= F_C
-        joined = set()
-        for u, v in F_C | E_C:
-            succ[u].discard(v)
-            pred[v].discard(u)
-            if in_x[u] and not in_x[v]:
-                adj[u].remove(v)
-                adj[v].remove(u)
-            if len(pred[v]) <= 2 and not in_x[v]:
-                joined.add(v)
+        # E_C by vertex: its edges end in X or start in Y, so none is on
+        # F's lists, and only heads outside X can join it; a head outside
+        # X has in-degree at least 3, so it falls to 2 once, on one edge
+        joined = []
+        for x in xc:
+            for u in pred[x]:
+                succ[u].discard(x)
+            pred[x].clear()
+        for y in yc:
+            for w in succ[y]:
+                pw = pred[w]
+                pw.discard(y)
+                if len(pw) == 2 and not in_x[w]:
+                    joined.append(w)
+            succ[y].clear()
+        for x, y in F_C:
+            succ[x].discard(y)
+            pred[y].discard(x)
+            adj[x].remove(y)
+            adj[y].remove(x)
+            if len(pred[y]) == 2:
+                joined.append(y)
         for v in joined:
             in_x[v] = True
             for u in pred[v]:

@@ -16,9 +16,12 @@ ids; a piece lists no edges of its own, so its readers find edges in
 peeling keeps succ/pred sets of its own, and F's adjacency as ascending
 lists with the least node that may still have a neighbour, so the cycle
 finder neither sorts nor rescans empty nodes, and reads most 4-cycles off
-two of the lists; it hands its base case the remainder as an edge list;
-the coloring cuts color edge lists on the original ids, so no algorithm
-builds a `Digraph` it does not hand on.
+two of the lists; its BFS fallback walks each cycle-free component once
+per call.  A d22 step deletes by vertex: it empties the in-sets of the
+cycle's X vertices and the out-sets of its Y vertices, and touches F's
+lists only for the cycle's own edges.  d22 hands its base case the
+remainder as an edge list; the coloring cuts color edge lists on the
+original ids, so no algorithm builds a `Digraph` it does not hand on.
 Every algorithm that works in steps (d11, d11c, d22, peel) records them in
 its trace as `Step`s.  All set-like outputs are emitted in ascending order
 so that golden tests and the CLI are deterministic.
@@ -459,7 +462,8 @@ def shortest_bipartite_cycle(adj: list[list[int]],
     scanned, the queued nodes on that side are r and k0's children, so
     the first of its neighbours but r that is queued is w, and the BFS
     returns [k1, r, k0, w].  If r has fewer than two such neighbours, or
-    k0 and k1 share no node but r, the BFS runs from s.
+    k0 and k1 share no node but r, the BFS runs from s; it walks each
+    cycle-free component once, from its least node.
     """
     n = len(adj)
     s = start
@@ -492,18 +496,24 @@ def shortest_bipartite_cycle(adj: list[list[int]],
 
 
 def _bfs_cycle(adj: list[list[int]], start: int) -> Optional[list[int]]:
-    """`shortest_bipartite_cycle` by BFS from every node from `start` on."""
+    """`shortest_bipartite_cycle` by BFS from every node from `start` on.
+    A BFS that meets no non-tree edge has walked a tree, where no start
+    finds a cycle, so that tree's nodes are skipped as later starts: each
+    call walks a cycle-free component once."""
     best = None
+    walked = set()  # nodes of the trees walked so far
     for s in range(start, len(adj)):
-        if not adj[s]:
+        if not adj[s] or s in walked:
             continue
         parent, queue = {s: None}, [s]
+        tree = True
         for v in queue:
             for w in adj[v]:
                 if w not in parent:
                     parent[w] = v
                     queue.append(w)
                 elif parent[v] != w:
+                    tree = False
                     # a non-tree edge: both ancestries up to s, cut back to
                     # where they meet, which in BFS is above both ends
                     up_v, up_w = [v], [w]
@@ -518,6 +528,8 @@ def _bfs_cycle(adj: list[list[int]], start: int) -> Optional[list[int]]:
                         best = cand
                         if len(best) == 4:
                             return best
+        if tree:
+            walked.update(queue)
     return best
 
 

@@ -468,6 +468,8 @@ class TestD22:
             steps = []
             assert colorcut._d22_p3free(D, steps) == banked
             assert steps == want
+            # untraced, a step lists no E_C and must bank the same
+            assert colorcut._d22_p3free(D, None) == banked
             joined += mid_run
         assert joined >= 100
 

@@ -431,3 +431,61 @@ class TestShortestBipartiteCycle:
             for start in range(first + 1):
                 assert shortest_bipartite_cycle(lists, start) == want
         assert found >= 50, found
+
+    def test_trees_on_the_lowest_ids_before_a_cycle(self):
+        # stars and paths on the lowest ids, each walked by the BFS once,
+        # then one component holding a 4-, 6- or 8-cycle with pendant
+        # paths, or nothing more: a forest
+        rng = random.Random(23)
+        lengths = Counter()
+        for _ in range(300):
+            lead = rng.randint(0, 3)
+            edges, nxt = [], lead
+            for _ in range(rng.randint(1, 5)):
+                size = rng.randint(2, 6)
+                ids = list(range(nxt, nxt + size))
+                nxt += size
+                if rng.random() < 0.5:  # a star on a random centre
+                    c = rng.choice(ids)
+                    edges += [(c, v) for v in ids if v != c]
+                else:  # a path in shuffled order
+                    rng.shuffle(ids)
+                    edges += list(zip(ids, ids[1:]))
+            length = rng.choice([None, 4, 6, 8])
+            if length:
+                ring = list(range(nxt, nxt + length))
+                nxt += length
+                edges += list(zip(ring, ring[1:] + ring[:1]))
+                for _ in range(rng.randint(0, 3)):
+                    edges.append((rng.randrange(ring[0], nxt), nxt))
+                    nxt += 1
+            adj = [set() for _ in range(nxt)]
+            for u, v in edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            lists = [sorted(a) for a in adj]
+            want = shortest_cycle_reference(adj, range(nxt))
+            assert (len(want) if want else None) == length
+            lengths[length] += 1
+            for start in range(lead + 1):
+                assert shortest_bipartite_cycle(lists, start) == want
+        assert all(lengths[k] >= 50 for k in (None, 4, 6, 8)), lengths
+
+    @pytest.mark.parametrize("t, scans", [(10, 201), (20, 401)])
+    def test_each_tree_is_walked_once(self, t, scans):
+        # 20 stars of t nodes: one scan of the first centre's list by the
+        # closed form, then t per star; a BFS from every node of each star
+        # would make 20 * t * t + 1
+        count = [0]
+
+        class Counted(list):
+            def __iter__(self):
+                count[0] += 1
+                return super().__iter__()
+
+        adj = []
+        for c in range(0, 20 * t, t):
+            adj.append(Counted(range(c + 1, c + t)))
+            adj += [Counted([c]) for _ in range(t - 1)]
+        assert shortest_bipartite_cycle(adj, 0) is None
+        assert count[0] == scans
