@@ -12,17 +12,8 @@ reads of a `Digraph` the pattern functions make (`vertices`, `succ`,
 ids; a piece lists no edges of its own, so its readers find edges in
 `succ`.  `WorkGraph.pieces` walks the weak components for d11 and for
 `Digraph.weak_components`; d11 walks the components of D- on its own.
-`Digraph` and `Piece` list triangles through one function.  d22's cycle
-peeling keeps succ/pred sets of its own, and F's adjacency as ascending
-lists with the least node that may still have a neighbour, so the cycle
-finder neither sorts nor rescans empty nodes, and reads most 4-cycles off
-two of the lists; its BFS fallback walks each cycle-free component once
-per call.  A d22 step deletes by vertex: it empties the in-sets of the
-cycle's X vertices and the out-sets of its Y vertices, and touches F's
-lists only for the cycle's own edges.  d22 hands its base case the
-remainder as an edge list; the coloring cuts color edge lists on the
-original ids, so no algorithm builds a `Digraph` it does not hand on.
-Every algorithm that works in steps (d11, d11c, d22, peel) records them in
+`Digraph` and `Piece` list triangles through one function.  Every
+algorithm that works in steps (d11, d11c, d22, peel) records them in
 its trace as `Step`s.  All set-like outputs are emitted in ascending order
 so that golden tests and the CLI are deterministic.
 

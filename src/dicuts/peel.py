@@ -181,22 +181,19 @@ def initial_removal(D: Digraph, k: int) -> RemovalState:
 
 def _r_cycle_edges(state: RemovalState) -> set[Edge]:
     """The 2-core of R: the edges left after repeatedly stripping degree-1
-    vertices, those on a cycle of R and on a path of R between two cycles."""
-    deg: dict[int, int] = {}
-    for u, v in state.R:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    alive = set(state.R)
-    changed = True
-    while changed:
-        changed = False
-        for e in list(alive):
-            if deg[e[0]] == 1 or deg[e[1]] == 1:
-                alive.discard(e)
-                deg[e[0]] -= 1
-                deg[e[1]] -= 1
-                changed = True
-    return alive
+    vertices, those on a cycle of R and on a path of R between two cycles.
+    Each degree-1 vertex is stripped once, from a copy of `r_at`."""
+    at = [set(es) for es in state.r_at]
+    leaves = [v for v, es in enumerate(at) if len(es) == 1]
+    while leaves:
+        v = leaves.pop()
+        if at[v]:  # empty when its one edge went with its neighbour
+            e = at[v].pop()
+            w = e[0] if e[1] == v else e[1]
+            at[w].remove(e)
+            if len(at[w]) == 1:
+                leaves.append(w)
+    return set().union(*at)
 
 
 def _connected_triples(state: RemovalState, order: list[Edge]):
@@ -280,15 +277,16 @@ def find_improvement(state: RemovalState) -> Step | None:
 
 
 def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
-    """The `most`-sets of non-R edges with which returning `remove` can be
-    feasible, ascending and in `combinations` order: each vertex of B, the
-    vertices the return breaks by `RemovalState.broken`, offers the non-R
-    edges on a side of it that `most` adds bring back to k-1, and each set
-    covers B."""
+    """The `most`-sets (`most` 1 or 2) of non-R edges with which returning
+    `remove` can be feasible, ascending and in `combinations` order: each
+    vertex of B, the vertices the return breaks by `RemovalState.broken`,
+    offers the non-R edges on a side of it that `most` adds bring back to
+    k-1, and each set covers B, though a first of two adds may end at a
+    vertex of B only on its other side (`swap_feasible` rejects that)."""
     D, R, k = state.D, state.R, state.k
     B = state.broken(remove)
-    if len(B) > 2 * most:
-        return ()  # more of B than `most` adds have ends
+    if not B or len(B) > 2 * most:
+        return  # no add is needed, or more of B than `most` adds have ends
     fix: dict[int, list[Edge]] = {}
     for v, (din, dout) in B.items():
         outs = ([e for e in D.out_edges(v) if e not in R]
@@ -296,31 +294,20 @@ def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
         ins = ([e for e in D.in_edges(v) if e not in R]
                if din - most < k else [])
         if not outs and not ins:
-            return ()
+            return
         fix[v] = sorted(outs + ins) if outs and ins else outs or ins
 
     def at(vs) -> list[Edge]:
         a, *rest = vs
         return [g for g in fix[a] if all(g in fix[b] for b in rest)]
 
-    return _covering_adds(frozenset(fix), most, at)
-
-
-def _covering_adds(C: frozenset[int], most: int, at):
-    """The `most`-sets of edges at C whose endpoints cover C, ascending and
-    in `combinations` order, for `most` 1 or 2, where `at(vs)` lists the
-    edges with every vertex of vs as an endpoint."""
-
-    def touching(vs) -> list[Edge]:
-        return sorted({g for v in vs for g in at(frozenset((v,)))})
-
     if most == 1:
-        yield from ((g,) for g in (at(C) if C else ()))
+        yield from ((g,) for g in at(fix))
         return
-    # two adds: the second covers what the first leaves of C
-    firsts = touching(C)
+    # two adds: the second covers what the first leaves of B
+    firsts = sorted({g for gs in fix.values() for g in gs})
     for g in firsts:
-        rest = C - set(g)
+        rest = [v for v in fix if v not in g]
         if len(rest) <= 2:
             hs = at(rest) if rest else firsts
             for h in hs[bisect_right(hs, g):]:

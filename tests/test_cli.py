@@ -485,16 +485,25 @@ def dg_texts(draw):
 
 
 @st.composite
-def commands(draw):
-    """`check`, `cut` or `verify` argv tails with bounded option values; only
-    `acyclic` reads --k, and it gets an explicit one."""
-    cmd = draw(st.sampled_from(["check", "cut", "verify"]))
+def commands(draw, out):
+    """`check`, `cut`, `verify`, `decompose` or `peel` argv tails with
+    bounded option values, writing under `out`; only `acyclic` reads --k,
+    and it infers k at times."""
+    cmd = draw(st.sampled_from(["check", "cut", "verify", "decompose",
+                                "peel"]))
     if cmd == "check":
         return [cmd, "--k", str(draw(st.integers(0, 4))),
                 "--l", str(draw(st.integers(0, 4)))]
+    if cmd == "decompose":
+        return [cmd, "--split", str(draw(st.integers(-1, 4))),
+                str(draw(st.integers(-1, 4)))] + draw(st.sampled_from(
+                    [[], ["--balance"]])) + ["-o", out]
+    if cmd == "peel":
+        return [cmd, "--k", str(draw(st.integers(-1, 5)))] + draw(
+            st.sampled_from([[], ["-v"]])) + ["-o", out]
     method = draw(st.sampled_from(list(cli.METHODS)))
-    k = draw(st.integers(0, 4) if method == "acyclic"
-             else st.sampled_from([None] * 5 + [0, 1, 2, 3, 4]))
+    k = draw(st.sampled_from([None, 0, 1, 2, 3, 4] if method == "acyclic"
+                             else [None] * 5 + [0, 1, 2, 3, 4]))
     return [cmd, "--method", method] + ([] if k is None else ["--k", str(k)])
 
 
@@ -505,7 +514,7 @@ def test_declared_exits_on_members_and_mutations(tmp_path):
     start = time.perf_counter()
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(dg_texts(), commands())
+    @given(dg_texts(), commands(str(tmp_path / "out")))
     def run(text, argv):
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)

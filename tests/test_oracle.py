@@ -367,6 +367,9 @@ class TestCutCover:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             oracle.decompose_into_cuts(Digraph(11, []), 2)
+        with pytest.raises(ResourceLimitError):
+            oracle.decompose_into_cuts(Digraph(3, [(0, 1), (1, 2)]),
+                                       oracle.MAX_COVER_CUTS + 1)
 
     def test_cut_count_below_one(self):
         T5 = gen_regular_tournament(2)

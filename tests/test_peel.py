@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -15,8 +16,8 @@ from dicuts.digraph import (
 from dicuts.generators import gen_random_family, gen_regular_tournament
 from dicuts.peel import (
     RemovalState,
+    _adds,
     _connected_triples,
-    _covering_adds,
     _move_table,
     _r_cycle_edges,
     find_improvement,
@@ -195,6 +196,15 @@ def colored_add_state():
     return RemovalState(D, 2, {(4, 2), (4, 3), (7, 6), (8, 6)})
 
 
+def loose_first_add_state():
+    """A state where returning ((0, 1), (2, 0), (2, 6)) breaks 0, which only
+    an out-edge fixes, and 6; the two-add set ((6, 0), (6, 3)) is listed, as
+    its first add ends at 0 (on 0's in-side) and at 6, and is infeasible."""
+    D = Digraph(7, [(0, 1), (0, 5), (1, 2), (1, 5), (2, 0), (2, 6), (3, 0),
+                    (4, 0), (4, 3), (4, 5), (5, 6), (6, 0), (6, 3)])
+    return RemovalState(D, 2, {(0, 1), (2, 0), (2, 6), (4, 3), (4, 5)})
+
+
 def full_table(state):
     """Every entry of the move table, as a full scan lists it: (returned
     edges, most adds, tag) for each R edge, each uncolored one, every pair
@@ -246,6 +256,119 @@ def to_first_feasible(state, steps):
     return out, None
 
 
+def r_core_by_passes(R):
+    """The 2-core of R as a fixed point: rescan R, stripping each edge with
+    an end of degree 1, until a pass strips none."""
+    deg: dict = {}
+    for u, v in R:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    alive = set(R)
+    changed = True
+    while changed:
+        changed = False
+        for e in list(alive):
+            if deg[e[0]] == 1 or deg[e[1]] == 1:
+                alive.discard(e)
+                deg[e[0]] -= 1
+                deg[e[1]] -= 1
+                changed = True
+    return alive
+
+
+def bridged_cycles(rng):
+    """(n, R, core, bridge): on at most 12 vertices, one or two cycles of 2
+    to 4 vertices (a 2-cycle is a digon), two joined by a path of 1 to 3
+    edges (bridge), with trees hung on the rest; core is the cycles and
+    the path."""
+    ids = rng.sample(range(12), 12)
+    core = set()
+
+    def join(u, v):
+        core.add((u, v) if rng.random() < 0.5 else (v, u))
+
+    cycles = [[ids.pop() for _ in range(rng.randint(2, 4))]
+              for _ in range(rng.randint(1, 2))]
+    for cyc in cycles:
+        if len(cyc) == 2:
+            core |= {(cyc[0], cyc[1]), (cyc[1], cyc[0])}
+        else:
+            for i, v in enumerate(cyc):
+                join(v, cyc[i - 1])
+    cycle_edges = set(core)
+    if len(cycles) == 2:
+        path = ([rng.choice(cycles[0])] + [ids.pop() for _ in range(
+            rng.randint(0, 2))] + [rng.choice(cycles[1])])
+        for u, v in zip(path, path[1:]):
+            join(u, v)
+    hung = sorted({v for e in core for v in e})
+    R = set(core)
+    for v in ids[:rng.randint(0, len(ids))]:
+        u = rng.choice(hung)
+        R.add((u, v) if rng.random() < 0.5 else (v, u))
+        hung.append(v)
+    return 12, R, core, core - cycle_edges
+
+
+def state_of(n, R):
+    """A state whose D is R itself, at the least k that puts it in D(k,k);
+    removing all of D leaves an empty remainder, which is in every class."""
+    D = Digraph(n, sorted(R))
+    k = max([1] + [min(D.in_deg(v), D.out_deg(v)) for v in D.vertices])
+    return RemovalState(D, k, R)
+
+
+class TestCycleEdges:
+    def test_same_as_passes_to_a_fixed_point(self):
+        rng = random.Random(14)
+        digons = bridges = 0
+        for _ in range(2400):
+            if rng.random() < 0.5:
+                n = rng.randint(1, 12)
+                p = rng.choice((0.1, 0.2, 0.35))
+                R = {(u, v) for u in range(n) for v in range(n)
+                     if u != v and rng.random() < p}
+                core = bridge = None
+            else:
+                n, R, core, bridge = bridged_cycles(rng)
+            got = _r_cycle_edges(state_of(n, R))
+            assert got == r_core_by_passes(R)
+            if core is not None:
+                assert got == core
+                bridges += bool(bridge)
+            digons += any((v, u) in got for u, v in got)
+        assert digons >= 300 and bridges >= 300
+
+    @staticmethod
+    def lines_run(state) -> int:
+        """The lines of peel.py that `_r_cycle_edges(state)` executes."""
+        count = 0
+
+        def line(frame, event, arg):
+            nonlocal count
+            count += event == "line"
+            return line
+
+        def call(frame, event, arg):
+            return line if frame.f_code.co_filename == peel.__file__ else None
+
+        old = sys.gettrace()
+        sys.settrace(call)
+        try:
+            assert _r_cycle_edges(state) == set()
+        finally:
+            sys.settrace(old)
+        return count
+
+    def test_linear_on_a_path(self):
+        # a path of R has an empty 2-core; stripping each end once makes the
+        # work grow as the path, where a rescan of R per pass grows as its
+        # square
+        runs = [self.lines_run(state_of(m + 1, {(i, i + 1) for i in range(m)}))
+                for m in (2000, 4000)]
+        assert runs[1] <= 2.3 * runs[0], runs
+
+
 class TestMoveTable:
     def test_same_moves_as_full_scan(self):
         rng = random.Random(11)
@@ -263,31 +386,48 @@ class TestMoveTable:
                         "tree-path-swap", "short-path-swap"}
 
     def test_covering_adds_are_filtered_combinations(self):
-        # the generated adds are exactly the combinations of the non-R edges
-        # at C whose ends cover C, in the same order
+        # the adds of an entry, by brute force over the vertices B its return
+        # breaks: each vertex of B lists the non-R edges on the sides that
+        # `most` adds bring back to k-1; one add lies on every list, and a
+        # second add lies on the list of each vertex the first does not end
+        # at.  The first add may end at a vertex on its other side, which
+        # `swap_feasible` then rejects
         rng = random.Random(3)
+        states = [loose_first_add_state()]
         for _ in range(60):
             k = rng.choice((1, 2, 3))
             D = gen_random_family("dkk", rng.randint(4, 12), k,
                                   rng.randrange(1 << 30))
             R = initial_removal(D, k).R
             R |= {e for e in D.edges if e not in R and rng.random() < 0.5}
-            state = RemovalState(D, k, R)
-
-            def at(vs):
-                return sorted(g for g in D.edges
-                              if g not in R and vs <= set(g))
-
+            states.append(RemovalState(D, k, R))
+        listed = {1: 0, 2: 0}
+        for state in states:
+            D, R, k = state.D, state.R, state.k
             for remove, most, _ in full_table(state):
                 if not most:
                     continue  # a return-edge entry carries no adds
-                ends = sorted({v for e in remove for v in e})
-                C = frozenset(rng.sample(ends, min(len(ends), 2 * most,
-                                                   rng.randint(0, 4))))
-                near = [g for g in D.edges if g not in R and C & set(g)]
-                want = [add for add in combinations(near, most)
-                        if C <= {v for g in add for v in g}]
-                assert list(_covering_adds(C, most, at)) == want
+                B = state.broken(remove)
+                lists = {v: [g for g in D.edges if g not in R and (
+                    g[0] == v and dout - most < k or
+                    g[1] == v and din - most < k)]
+                    for v, (din, dout) in B.items()}
+                U = sorted(set().union(*lists.values()))
+                if not all(lists.values()):
+                    want = []
+                elif most == 1:
+                    want = [(g,) for g in U
+                            if all(g in gs for gs in lists.values())]
+                else:
+                    want = [(g, h) for g, h in combinations(U, 2)
+                            if sum(v not in g for v in B) <= 2
+                            and all(h in lists[v] for v in B if v not in g)]
+                assert list(_adds(state, remove, most)) == want
+                listed[most] += len(want)
+        assert min(listed.values()) >= 100, listed
+        remove, loose = ((0, 1), (2, 0), (2, 6)), ((6, 0), (6, 3))
+        assert loose in _adds(states[0], remove, 2)
+        assert not states[0].swap_feasible(remove, loose)
 
     def test_move_table_is_the_full_walk_pruned(self):
         # at every call up to the fixpoint, the table's (tag, entry, add)
