@@ -414,7 +414,7 @@ def find_reducing_pair(D: Digraph) -> Step:
 
 def _base_step(vertices: list[int], succ) -> Step:
     """The oracle-base step of the digraph on the ascending `vertices`,
-    which all carry an edge, with these sorted `succ` tuples: it keeps the
+    which all carry an edge, with these sorted `succ` lists: it keeps the
     oracle's maximum directed cut, found on the digraph relabelled onto
     0..n-1 in vertex order, and drops the other edges."""
     edges = [(u, w) for u in vertices for w in succ[u]]

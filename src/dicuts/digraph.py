@@ -3,15 +3,16 @@
 A `Digraph` is an immutable value: no algorithm mutates one.  Algorithms that
 delete edges step by step keep a mutable working graph instead and build a
 `Digraph` only of what they hand on.  d11 and d11c run from entry to
-certificate on one `WorkGraph`: one list of sorted successor tuples and one
-of sorted predecessor tuples, where deleting an edge replaces its two
-endpoint tuples.  They read it one weak component at a time through a
-`Piece`, a view over the component's sorted vertex list that offers the
-reads of a `Digraph` the pattern functions make (`vertices`, `succ`,
-`pred`, degrees, `triangles`, `reverse`, ...) on the original vertex
-ids; a piece lists no edges of its own, so its readers find edges in
-`succ`.  `WorkGraph.pieces` walks the weak components for d11 and for
-`Digraph.weak_components`; d11 walks the components of D- on its own.
+certificate on one `WorkGraph`: sorted successor and predecessor lists,
+copied once, which deleting an edge edits in place.  They read it one weak
+component at a time through a `Piece`, a view over the component's sorted
+vertex list that offers the reads of a `Digraph` the pattern functions
+make (`vertices`, `succ`, `pred`, degrees, `triangles`, `reverse`, ...)
+on the original vertex ids; a piece lists no edges of its own, so its
+readers find edges in `succ`, and it stays valid until an edge at one of
+its vertices is deleted.  The walk behind `WorkGraph.pieces` finds the
+weak components for d11 and for `Digraph.weak_components`; d11 walks the
+components of D- on its own.
 `Digraph` and `Piece` list triangles through one function.  Every
 algorithm that works in steps (d11, d11c, d22, peel) records them in
 its trace as `Step`s.  All set-like outputs are emitted in ascending order
@@ -104,7 +105,7 @@ def _checked_edges(n: int, pairs: list[Edge]) -> tuple[Edge, ...]:
 
 def _triangles(vertices: Iterable[int], succ, pred):
     """The directed 3-cycles a->b->c->a with a in `vertices` and least, in
-    lexicographic order: `vertices` ascends and each `succ` tuple is sorted.
+    lexicographic order: `vertices` ascends and each `succ[v]` is sorted.
 
     The closing edge c->a is looked up in the shorter of `succ[c]` and
     `pred[a]`, so on a D(1,1) digraph the lookups cost O(m) in all."""
@@ -121,7 +122,7 @@ def _triangles(vertices: Iterable[int], succ, pred):
 
 
 class _AdjacencyReads:
-    """Degree and edge reads in terms of sorted `succ` and `pred` tuples."""
+    """Degree and edge reads in terms of the sorted `succ` and `pred`."""
 
     def out_deg(self, v: int) -> int:
         return len(self.succ[v])
@@ -228,7 +229,8 @@ class Digraph(_AdjacencyReads):
     def weak_components(self) -> list[list[int]]:
         """Weakly connected components, each sorted, ordered by least vertex."""
         succ, pred = self.succ, self.pred
-        comps = [P.vertices for P in WorkGraph(self).pieces(self.vertices)]
+        comps = [P.vertices for P in
+                 _walk(succ, pred, self.vertices, [0] * self.n, 1)]
         comps += [[v] for v in self.vertices if not (succ[v] or pred[v])]
         return sorted(comps)
 
@@ -256,21 +258,24 @@ class Digraph(_AdjacencyReads):
 class WorkGraph:
     """A mutable copy of a digraph's adjacency under edge deletion.
 
-    `succ[v]` and `pred[v]` stay sorted tuples over the digraph's vertex
-    ids; deleting an edge replaces the tuples of its two endpoints.
+    `succ[v]` and `pred[v]` are sorted lists over the digraph's vertex
+    ids, copied once; deleting an edge removes it from both lists in place.
+    `mark` and `epoch` let each `pieces` call walk without a set of its own.
     """
 
     def __init__(self, D: Digraph):
-        self.succ = list(D.succ)
-        self.pred = list(D.pred)
+        self.succ = list(map(list, D.succ))
+        self.pred = list(map(list, D.pred))
+        self.mark = [0] * D.n
+        self.epoch = 0
 
     def delete(self, edges: Iterable[Edge]) -> None:
         succ, pred = self.succ, self.pred
         for u, v in edges:
             if v not in succ[u]:
                 raise AlgorithmBugError(f"edge ({u}, {v}) is not in the working graph")
-            succ[u] = tuple([w for w in succ[u] if w != v])
-            pred[v] = tuple([w for w in pred[v] if w != u])
+            succ[u].remove(v)
+            pred[v].remove(u)
 
     def pieces(self, vertices: Iterable[int]) -> list["Piece"]:
         """The weak components that carry an edge among `vertices`, ordered
@@ -279,25 +284,33 @@ class WorkGraph:
         `vertices` comes in ascending order and is a union of weak
         components (all vertices, or the vertices of a piece since cut).
         """
-        succ, pred = self.succ, self.pred
-        seen = set()
-        out = []
-        for s in vertices:
-            if s in seen or not (succ[s] or pred[s]):
-                continue
-            seen.add(s)
-            stack, comp, m = [s], [], 0
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                m += len(succ[v])
-                for w in succ[v] + pred[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comp.sort()
-            out.append(Piece(comp, succ, pred, m))
-        return out
+        self.epoch += 1
+        return _walk(self.succ, self.pred, vertices, self.mark, self.epoch)
+
+
+def _walk(succ, pred, vertices, mark: list[int], epoch: int) -> list["Piece"]:
+    """The pieces of `vertices` as `WorkGraph.pieces` gives them, over this
+    `succ` and `pred`: the walk stamps each vertex it reaches with `epoch`
+    in `mark`, where no vertex may read `epoch` on entry."""
+    out = []
+    for s in vertices:
+        if mark[s] == epoch or not (succ[s] or pred[s]):
+            continue
+        mark[s] = epoch
+        comp, m = [s], 0
+        for v in comp:  # comp grows as the walk reaches new vertices
+            m += len(succ[v])
+            for w in succ[v]:
+                if mark[w] != epoch:
+                    mark[w] = epoch
+                    comp.append(w)
+            for w in pred[v]:
+                if mark[w] != epoch:
+                    mark[w] = epoch
+                    comp.append(w)
+        comp.sort()
+        out.append(Piece(comp, succ, pred, m))
+    return out
 
 
 class Piece(_AdjacencyReads):

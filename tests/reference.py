@@ -17,7 +17,7 @@ import random
 
 from dicuts import d11
 from dicuts.d11 import contraction_graph
-from dicuts.digraph import Digraph
+from dicuts.digraph import Digraph, Piece
 
 
 # -- instance builders -----------------------------------------------------
@@ -143,6 +143,29 @@ def forest_reference(D):
             found.append(cover)
     assert len(found) <= 1
     return found[0] if found else None
+
+
+def pieces_reference(succ, pred, vertices):
+    """`WorkGraph.pieces` as first written: a fresh set and stack per call,
+    walking the concatenation of each vertex's successors and predecessors."""
+    seen = set()
+    out = []
+    for s in vertices:
+        if s in seen or not (succ[s] or pred[s]):
+            continue
+        seen.add(s)
+        stack, comp, m = [s], [], 0
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            m += len(succ[v])
+            for w in succ[v] + pred[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comp.sort()
+        out.append(Piece(comp, succ, pred, m))
+    return out
 
 
 def shortest_cycle_reference(adj, nodes):

@@ -529,6 +529,43 @@ def test_declared_exits_on_members_and_mutations(tmp_path):
     assert time.perf_counter() - start < 5.0
 
 
+@st.composite
+def gen_and_explore(draw, out):
+    """`gen` or `explore` argvs with bounded option values; `gen` draws
+    the options its family reads four times in five and any other option
+    once in ten, and writes to `out`."""
+    if draw(st.booleans()):
+        return ["explore", "--problem", str(draw(st.integers(1, 8))),
+                "--max-n", str(draw(st.integers(-1, 8))),
+                "--seed", str(draw(st.integers(0, 3))),
+                "--budget", str(draw(st.integers(-1, 3)))]
+    family = draw(st.sampled_from(list(cli.GEN_READS)))
+    reads = cli.GEN_READS[family].split()
+    argv = ["gen", family]
+    for opt, low, high in (("k", -1, 4), ("n", -1, 40), ("t", -1, 10),
+                           ("seed", 0, 5)):
+        if draw(st.integers(0, 9)) < (8 if opt in reads else 1):
+            argv += [f"--{opt}", str(draw(st.integers(low, high)))]
+    return argv + ["-o", out]
+
+
+def test_declared_exits_on_gen_and_explore(tmp_path):
+    # as above, for the commands that read no file: 0, 2 or 3 only
+    start = time.perf_counter()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(gen_and_explore(str(tmp_path / "g.dg")))
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    run()
+    assert time.perf_counter() - start < 5.0
+
+
 def test_core_imports_neither_numpy_nor_networkx():
     # the package needs nothing outside the standard library; `cli` and
     # `enumeration` import every other module of it

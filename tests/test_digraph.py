@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dicuts import digraph
 from dicuts.digraph import (
@@ -23,7 +23,8 @@ from dicuts.digraph import (
     parse_dg,
     shortest_bipartite_cycle,
 )
-from reference import _gamma_instance, contraction_of, shortest_cycle_reference
+from reference import (_gamma_instance, contraction_of, pieces_reference,
+                       shortest_cycle_reference)
 
 
 def small_digraphs(max_n=6, max_edges=12):
@@ -35,6 +36,17 @@ def small_digraphs(max_n=6, max_edges=12):
                               max_size=max_edges)) if pairs else []
         return Digraph(n, edges)
     return build()
+
+
+@st.composite
+def deletion_runs(draw):
+    """A digraph on at most 12 vertices, digons allowed, and its edges in a
+    drawn order, cut into batches to delete one after another."""
+    D = draw(small_digraphs(max_n=12, max_edges=40))
+    order = draw(st.permutations(D.edges))
+    cuts = sorted(draw(st.lists(st.integers(0, len(order)), max_size=6)))
+    ends = [0, *cuts, len(order)]
+    return D, [order[a:b] for a, b in zip(ends, ends[1:])]
 
 
 class TestConstruction:
@@ -318,6 +330,40 @@ class TestStructure:
         W.delete([(0, 1)])
         with pytest.raises(AlgorithmBugError, match="not in the working"):
             W.delete([(0, 1)])
+        # a batch whose last edge is missing (the reverse of one that is
+        # there), and a batch that names one edge twice: the refusal comes
+        # before either side of the bad edge is touched, so no edge is left
+        # in one endpoint's list only
+        D = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)])
+        for batch in ([(0, 1), (2, 3), (2, 1)], [(1, 2), (3, 1), (1, 2)]):
+            W = WorkGraph(D)
+            with pytest.raises(AlgorithmBugError, match="not in the working"):
+                W.delete(batch)
+            for u, v in itertools.product(D.vertices, repeat=2):
+                assert (v in W.succ[u]) == (u in W.pred[v])
+
+    @settings(max_examples=300, deadline=None)
+    @given(deletion_runs())
+    def test_pieces_under_deletion_match_the_reference(self, run):
+        # one WorkGraph through every batch, so its walks run under many
+        # epochs; after each batch, its pieces of all vertices and of every
+        # earlier piece's vertices are the set-and-stack walk's
+        D, batches = run
+        W = WorkGraph(D)
+        left = set(D.edges)
+        earlier = [list(D.vertices)]
+        for batch in batches:
+            W.delete(batch)
+            left.difference_update(batch)
+            for v in D.vertices:
+                assert W.succ[v] == sorted(w for u, w in left if u == v)
+                assert W.pred[v] == sorted(u for u, w in left if w == v)
+            for vertices in earlier:
+                got = W.pieces(vertices)
+                want = pieces_reference(W.succ, W.pred, vertices)
+                assert ([(P.vertices, P.m) for P in got]
+                        == [(P.vertices, P.m) for P in want])
+            earlier += [P.vertices for P in W.pieces(D.vertices)]
 
     def test_acyclic(self):
         assert Digraph(3, [(0, 1), (0, 2), (1, 2)]).is_acyclic()
