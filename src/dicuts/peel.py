@@ -213,9 +213,10 @@ def _move_table(state: RemovalState):
     """(returned edges, adds, tag) in scan order, for the entries that can
     fire, listed lazily: a later kind is only built once every earlier
     entry has failed."""
-    # Crit(e) is empty exactly when returning e alone is feasible
-    for e in sorted(state.returnable):
-        yield (e,), [()], "return-edge"
+    # Crit(e) is empty exactly when returning e alone is feasible, so the
+    # least such e always fires
+    if state.returnable:
+        yield (min(state.returnable),), [()], "return-edge"
     order = sorted(state.R)
     on_cycle = None
     for e in order:

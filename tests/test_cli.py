@@ -252,6 +252,16 @@ class TestCutVerify:
         cols = capsys.readouterr().out.strip().split("\t")
         assert cols[1:] == ["oracle", "5", "10", "3", "3/1", "3", "pass"]
 
+    def test_oracle_method_verifies_with_one_search(self, t5_file,
+                                                    monkeypatch):
+        # the oracle method's cut is the optimum verify compares it with
+        calls = []
+        search = cli.oracle.max_dicut_exact
+        monkeypatch.setattr(cli.oracle, "max_dicut_exact",
+                            lambda D: calls.append(D) or search(D))
+        assert main(["verify", t5_file, "--method", "oracle"]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("method", list(cli.METHODS))
     def test_reported_bound_is_the_certificates(self, method, tmp_path,
                                                 capsys):

@@ -129,6 +129,14 @@ def build_corpus() -> dict:
         for name, source, D in instances()]}
 
 
+def render() -> bytes:
+    """The corpus file's bytes, built afresh: one instance per line, so a
+    re-blessed witness reads as a small diff."""
+    lines = [json.dumps(inst, separators=(",", ":"))
+             for inst in build_corpus()["instances"]]
+    return ('{"instances":[\n' + ",\n".join(lines) + "\n]}\n").encode("ascii")
+
+
 def _stored() -> dict:
     with open(CORPUS, encoding="ascii") as fh:
         return json.load(fh)
@@ -160,10 +168,10 @@ def test_instances_and_witnesses_are_reproduced():
         assert new == old, new["name"]
 
 
+def test_writer_reproduces_the_file_byte_for_byte():
+    assert render() == CORPUS.read_bytes()
+
+
 if __name__ == "__main__":
-    # one instance per line, so a re-blessed witness reads as a small diff
-    lines = [json.dumps(inst, separators=(",", ":"))
-             for inst in build_corpus()["instances"]]
-    with open(CORPUS, "w", encoding="ascii") as fh:
-        fh.write('{"instances":[\n' + ",\n".join(lines) + "\n]}\n")
+    CORPUS.write_bytes(render())
     print(f"wrote {CORPUS} ({CORPUS.stat().st_size} bytes)")
