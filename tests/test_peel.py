@@ -13,6 +13,7 @@ from dicuts.digraph import (
     class_partition,
     is_p3_free,
 )
+from dicuts.enumeration import d22_with_digons
 from dicuts.generators import gen_random_family, gen_regular_tournament
 from dicuts.peel import (
     RemovalState,
@@ -585,6 +586,26 @@ class TestPeel:
                     if st.black[y]:
                         for e in heads.get(y, []):
                             assert st.crit(e) == frozenset({e[0]})
+
+    def test_swaps_return_edges_off_the_2_core(self):
+        # from `initial_removal` on, no one-for-one swap has returned an
+        # edge of R's 2-core, so none has been a cycle-recolor-swap: every
+        # five-vertex D(2,2), which holds the golden growth-swap digraph,
+        # and seeded draws that allow digons
+        rng = random.Random(38)
+        runs = [(D, 2) for D in d22_with_digons(5)]
+        for _ in range(400):
+            k = rng.choice((2, 3))
+            runs.append((random_dkk(rng, rng.randint(5, 12), k), k))
+        swaps = 0
+        for D, k in runs:
+            state = initial_removal(D, k)
+            while (move := find_improvement(state)) is not None:
+                if len(move.kept) == len(move.dropped) == 1:
+                    assert move.kept[0] not in r_core_by_passes(state.R)
+                    swaps += 1
+                state.apply(move)
+        assert swaps
 
     def test_member_of_lower_class_untouched(self):
         D = Digraph(4, [(0, 1), (1, 2), (2, 3)])
