@@ -346,8 +346,7 @@ def _multiedge_in_M(D: Digraph, plus_cycles, minus_cycles,
     return None
 
 
-def _gamma_cycle(D: Digraph, plus_cycles, minus_cycles,
-                 between) -> Optional[Step]:
+def _gamma_cycle(D: Digraph, plus_cycles, minus_cycles, between) -> Step:
     # node i of M is plus-cycle i, node P + j minus-cycle j
     P = len(plus_cycles)
     M_adj = [[] for _ in range(P + len(minus_cycles))]
@@ -358,7 +357,7 @@ def _gamma_cycle(D: Digraph, plus_cycles, minus_cycles,
     # link of a (plus, minus) pair is its one D-edge
     cyc = shortest_bipartite_cycle(M_adj)
     if cyc is None:
-        return None
+        raise AlgorithmBugError("no reducing pair found where one must exist")
     # rotate so the cycle starts at a plus node, and read minus nodes as j
     start = 0 if cyc[0] < P else 1
     cyc = [nd if nd < P else nd - P for nd in cyc[start:] + cyc[:start]]
@@ -401,15 +400,12 @@ def find_reducing_pair(D: Digraph) -> Step:
     backwards = lambda cycles: [c[:1] + c[:0:-1] for c in cycles]
     plus_cycles = backwards(back_plus)
     between = contraction_graph(D, plus_cycles, minus_cycles)
-    rp = (_even_cycle_in_plus(D, plus_cycles)
-          or _reverse_pair(_even_cycle_in_plus(Dr, backwards(minus_cycles)))
-          or _v0_attach(D, minus_cycles)
-          or _reverse_pair(_v0_attach(Dr, back_plus))
-          or _multiedge_in_M(D, plus_cycles, minus_cycles, between)
-          or _gamma_cycle(D, plus_cycles, minus_cycles, between))
-    if rp:
-        return rp
-    raise AlgorithmBugError("no reducing pair found where one must exist")
+    return (_even_cycle_in_plus(D, plus_cycles)
+            or _reverse_pair(_even_cycle_in_plus(Dr, backwards(minus_cycles)))
+            or _v0_attach(D, minus_cycles)
+            or _reverse_pair(_v0_attach(Dr, back_plus))
+            or _multiedge_in_M(D, plus_cycles, minus_cycles, between)
+            or _gamma_cycle(D, plus_cycles, minus_cycles, between))
 
 
 def _base_step(vertices: list[int], succ) -> Step:

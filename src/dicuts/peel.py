@@ -179,23 +179,6 @@ def initial_removal(D: Digraph, k: int) -> RemovalState:
     return RemovalState(D, k, R)
 
 
-def _r_cycle_edges(state: RemovalState) -> set[Edge]:
-    """The 2-core of R: the edges left after repeatedly stripping degree-1
-    vertices, those on a cycle of R and on a path of R between two cycles.
-    Each degree-1 vertex is stripped once, from a copy of `r_at`."""
-    at = [set(es) for es in state.r_at]
-    leaves = [v for v, es in enumerate(at) if len(es) == 1]
-    while leaves:
-        v = leaves.pop()
-        if at[v]:  # empty when its one edge went with its neighbour
-            e = at[v].pop()
-            w = e[0] if e[1] == v else e[1]
-            at[w].remove(e)
-            if len(at[w]) == 1:
-                leaves.append(w)
-    return set().union(*at)
-
-
 def _connected_triples(state: RemovalState, order: list[Edge]):
     """The triples of R edges whose union is connected, ascending, built
     one least edge at a time from `order`, R sorted."""
@@ -218,17 +201,13 @@ def _move_table(state: RemovalState):
     if state.returnable:
         yield (min(state.returnable),), [()], "return-edge"
     order = sorted(state.R)
-    on_cycle = None
     for e in order:
         if state.is_colored(e):
             continue
         # |R| stays: only colored adds lower the potential
         adds = [add for add in state.repairs(e) if state.is_colored(add[0])]
         if adds:
-            if on_cycle is None:
-                on_cycle = _r_cycle_edges(state)
-            yield (e,), adds, ("cycle-recolor-swap" if e in on_cycle
-                               else "growth-swap")
+            yield (e,), adds, "growth-swap"
     sharing: dict[Edge, list[Edge]] = {}
     for e in order:
         for (g,) in state.repairs(e):
@@ -244,9 +223,9 @@ def find_improvement(state: RemovalState) -> Step | None:
     """First applicable guarded move of `_move_table`, cheapest first.
 
     M0 return-edge: some e with Crit(e) empty goes back.
-    M2 cycle-recolor-swap / M4 growth-swap: one-for-one exchange of an
-    uncolored arrow for a colored one (score rises, |R| constant); tagged
-    M2 when the outgoing edge lies in the 2-core of R, M4 otherwise.
+    M2/M4 growth-swap: one-for-one exchange of an uncolored arrow for a
+    colored one (score rises, |R| constant); one tag covers both, as the
+    move is the same whether or not the returned edge lies on a cycle of R.
     M1 tree-path-swap: two R-edges out, one in.
     M3 short-path-swap: a connected triple of R-edges out, two in.
 
@@ -260,8 +239,8 @@ def find_improvement(state: RemovalState) -> Step | None:
     alone, which holds the Crit of every returned edge) stays broken
     unless the adds bring one of its degrees back to k-1; `most` adds can
     do that only on a side at most `most` too high.  An entry's adds are
-    the `most`-sets of non-R edges on such sides whose ends cover B, in
-    `combinations` order: with one add, exactly the feasible ones.
+    the `most`-sets of non-R edges that meet each vertex of B on such a
+    side, in `combinations` order: with one add, exactly the feasible ones.
 
     The table lists only entries that can fire.  An add that makes a pair's
     return feasible makes each edge's return alone feasible, so the pairs
@@ -282,8 +261,7 @@ def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
     `remove` can be feasible, ascending and in `combinations` order: each
     vertex of B, the vertices the return breaks by `RemovalState.broken`,
     offers the non-R edges on a side of it that `most` adds bring back to
-    k-1, and each set covers B, though a first of two adds may end at a
-    vertex of B only on its other side (`swap_feasible` rejects that)."""
+    k-1, and each set covers B on those sides."""
     D, R, k = state.D, state.R, state.k
     B = state.broken(remove)
     if not B or len(B) > 2 * most:
@@ -308,7 +286,7 @@ def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
     # two adds: the second covers what the first leaves of B
     firsts = sorted({g for gs in fix.values() for g in gs})
     for g in firsts:
-        rest = [v for v in fix if v not in g]
+        rest = [v for v in fix if g not in fix[v]]
         if len(rest) <= 2:
             hs = at(rest) if rest else firsts
             for h in hs[bisect_right(hs, g):]:

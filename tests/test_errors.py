@@ -21,6 +21,7 @@ from dicuts.digraph import (
 )
 from dicuts.generators import gen_random_family, gen_regular_tournament
 from dicuts.peel import RemovalState
+from reference import PATTERN_INSTANCES
 
 PATH = Digraph(3, [(0, 1), (1, 2)])
 
@@ -147,6 +148,12 @@ def _split_with_one_color(D):
     return run
 
 
+def _gamma_on_a_forest(monkeypatch):
+    # M with no cycle leaves the last pattern nothing to build
+    monkeypatch.setattr(d11, "shortest_bipartite_cycle", lambda adj: None)
+    d11.find_reducing_pair(PATTERN_INSTANCES["gamma-cycle"])
+
+
 def _pair(A, B):
     return lambda monkeypatch: d11.validate_reducing_pair(LONG_PATH, A, B, "t")
 
@@ -167,6 +174,13 @@ RUNTIME_CHECKS = [
     ("minus-side-without-a-set",
      lambda monkeypatch: d11._minus_side(LONG_PATH, [0, 1, 2], {0}, {0}),
      r"no \(l\+1\)-set with include=\[0\] exclude=\[0\]"),
+    # a 4-cycle linked at positions 0 and 2 has only odd gaps between links
+    ("multiedge-without-an-even-gap",
+     lambda monkeypatch: d11._multiedge_in_M(
+         LONG_PATH, [[0, 1, 2, 3]], [[4]], {(0, 0): [(0, 4), (2, 4)]}),
+     "no even gap between parallel M-links"),
+    ("gamma-on-a-forest", _gamma_on_a_forest,
+     "no reducing pair found where one must exist"),
     ("peel-move-keeps-potential", _undo_a_removal,
      "move x did not decrease the potential"),
     ("peel-stops-early", _peel_without_moves, r"fixpoint has \|Crit\(R\)\|"),

@@ -1,5 +1,4 @@
 import random
-import sys
 from itertools import combinations
 
 import pytest
@@ -20,7 +19,6 @@ from dicuts.peel import (
     _adds,
     _connected_triples,
     _move_table,
-    _r_cycle_edges,
     find_improvement,
     initial_removal,
     peel_to_lower_class,
@@ -139,14 +137,12 @@ def scan_every_non_r_edge(state):
         if not state.crit(e):
             return Step("return-edge", (e,), ())
     candidates = sorted(state.D.edge_set - state.R)
-    on_cycle = _r_cycle_edges(state)
     for e in R_sorted:
         if state.is_colored(e):
             continue
         for g in candidates:
             if state.is_colored(g) and state.swap_feasible((e,), (g,)):
-                tag = "cycle-recolor-swap" if e in on_cycle else "growth-swap"
-                return Step(tag, (e,), (g,))
+                return Step("growth-swap", (e,), (g,))
     for i, e in enumerate(R_sorted):
         for f in R_sorted[i + 1:]:
             for add in [()] + [(g,) for g in candidates]:
@@ -199,8 +195,8 @@ def colored_add_state():
 
 def loose_first_add_state():
     """A state where returning ((0, 1), (2, 0), (2, 6)) breaks 0, which only
-    an out-edge fixes, and 6; the two-add set ((6, 0), (6, 3)) is listed, as
-    its first add ends at 0 (on 0's in-side) and at 6, and is infeasible."""
+    an out-edge fixes, and 6; the two-add set ((6, 0), (6, 3)) meets 0 only
+    on its in-side, so it is infeasible and not listed."""
     D = Digraph(7, [(0, 1), (0, 5), (1, 2), (1, 5), (2, 0), (2, 6), (3, 0),
                     (4, 0), (4, 3), (4, 5), (5, 6), (6, 0), (6, 3)])
     return RemovalState(D, 2, {(0, 1), (2, 0), (2, 6), (4, 3), (4, 5)})
@@ -211,13 +207,11 @@ def full_table(state):
     edges, most adds, tag) for each R edge, each uncolored one, every pair
     and every connected triple."""
     R_sorted = sorted(state.R)
-    on_cycle = _r_cycle_edges(state)
     for e in R_sorted:
         yield (e,), 0, "return-edge"
     for e in R_sorted:
         if not state.is_colored(e):
-            yield (e,), 1, ("cycle-recolor-swap" if e in on_cycle
-                            else "growth-swap")
+            yield (e,), 1, "growth-swap"
     for pair in combinations(R_sorted, 2):
         yield pair, 1, "tree-path-swap"
     for tri in combinations(R_sorted, 3):
@@ -277,99 +271,6 @@ def r_core_by_passes(R):
     return alive
 
 
-def bridged_cycles(rng):
-    """(n, R, core, bridge): on at most 12 vertices, one or two cycles of 2
-    to 4 vertices (a 2-cycle is a digon), two joined by a path of 1 to 3
-    edges (bridge), with trees hung on the rest; core is the cycles and
-    the path."""
-    ids = rng.sample(range(12), 12)
-    core = set()
-
-    def join(u, v):
-        core.add((u, v) if rng.random() < 0.5 else (v, u))
-
-    cycles = [[ids.pop() for _ in range(rng.randint(2, 4))]
-              for _ in range(rng.randint(1, 2))]
-    for cyc in cycles:
-        if len(cyc) == 2:
-            core |= {(cyc[0], cyc[1]), (cyc[1], cyc[0])}
-        else:
-            for i, v in enumerate(cyc):
-                join(v, cyc[i - 1])
-    cycle_edges = set(core)
-    if len(cycles) == 2:
-        path = ([rng.choice(cycles[0])] + [ids.pop() for _ in range(
-            rng.randint(0, 2))] + [rng.choice(cycles[1])])
-        for u, v in zip(path, path[1:]):
-            join(u, v)
-    hung = sorted({v for e in core for v in e})
-    R = set(core)
-    for v in ids[:rng.randint(0, len(ids))]:
-        u = rng.choice(hung)
-        R.add((u, v) if rng.random() < 0.5 else (v, u))
-        hung.append(v)
-    return 12, R, core, core - cycle_edges
-
-
-def state_of(n, R):
-    """A state whose D is R itself, at the least k that puts it in D(k,k);
-    removing all of D leaves an empty remainder, which is in every class."""
-    D = Digraph(n, sorted(R))
-    k = max([1] + [min(D.in_deg(v), D.out_deg(v)) for v in D.vertices])
-    return RemovalState(D, k, R)
-
-
-class TestCycleEdges:
-    def test_same_as_passes_to_a_fixed_point(self):
-        rng = random.Random(14)
-        digons = bridges = 0
-        for _ in range(2400):
-            if rng.random() < 0.5:
-                n = rng.randint(1, 12)
-                p = rng.choice((0.1, 0.2, 0.35))
-                R = {(u, v) for u in range(n) for v in range(n)
-                     if u != v and rng.random() < p}
-                core = bridge = None
-            else:
-                n, R, core, bridge = bridged_cycles(rng)
-            got = _r_cycle_edges(state_of(n, R))
-            assert got == r_core_by_passes(R)
-            if core is not None:
-                assert got == core
-                bridges += bool(bridge)
-            digons += any((v, u) in got for u, v in got)
-        assert digons >= 300 and bridges >= 300
-
-    @staticmethod
-    def lines_run(state) -> int:
-        """The lines of peel.py that `_r_cycle_edges(state)` executes."""
-        count = 0
-
-        def line(frame, event, arg):
-            nonlocal count
-            count += event == "line"
-            return line
-
-        def call(frame, event, arg):
-            return line if frame.f_code.co_filename == peel.__file__ else None
-
-        old = sys.gettrace()
-        sys.settrace(call)
-        try:
-            assert _r_cycle_edges(state) == set()
-        finally:
-            sys.settrace(old)
-        return count
-
-    def test_linear_on_a_path(self):
-        # a path of R has an empty 2-core; stripping each end once makes the
-        # work grow as the path, where a rescan of R per pass grows as its
-        # square
-        runs = [self.lines_run(state_of(m + 1, {(i, i + 1) for i in range(m)}))
-                for m in (2000, 4000)]
-        assert runs[1] <= 2.3 * runs[0], runs
-
-
 class TestMoveTable:
     def test_same_moves_as_full_scan(self):
         rng = random.Random(11)
@@ -383,16 +284,14 @@ class TestMoveTable:
             moves_agree(RemovalState(D, k, R), tags)
         moves_agree(short_path_state(), tags)
         moves_agree(colored_add_state(), tags)
-        assert tags == {"return-edge", "cycle-recolor-swap", "growth-swap",
-                        "tree-path-swap", "short-path-swap"}
+        assert tags == {"return-edge", "growth-swap", "tree-path-swap",
+                        "short-path-swap"}
 
     def test_covering_adds_are_filtered_combinations(self):
         # the adds of an entry, by brute force over the vertices B its return
         # breaks: each vertex of B lists the non-R edges on the sides that
-        # `most` adds bring back to k-1; one add lies on every list, and a
-        # second add lies on the list of each vertex the first does not end
-        # at.  The first add may end at a vertex on its other side, which
-        # `swap_feasible` then rejects
+        # `most` adds bring back to k-1, and each listed set has an add on
+        # every list
         rng = random.Random(3)
         states = [loose_first_add_state()]
         for _ in range(60):
@@ -414,20 +313,14 @@ class TestMoveTable:
                     g[1] == v and din - most < k)]
                     for v, (din, dout) in B.items()}
                 U = sorted(set().union(*lists.values()))
-                if not all(lists.values()):
-                    want = []
-                elif most == 1:
-                    want = [(g,) for g in U
-                            if all(g in gs for gs in lists.values())]
-                else:
-                    want = [(g, h) for g, h in combinations(U, 2)
-                            if sum(v not in g for v in B) <= 2
-                            and all(h in lists[v] for v in B if v not in g)]
+                want = [add for add in combinations(U, most)
+                        if all(any(g in gs for g in add)
+                               for gs in lists.values())]
                 assert list(_adds(state, remove, most)) == want
                 listed[most] += len(want)
         assert min(listed.values()) >= 100, listed
         remove, loose = ((0, 1), (2, 0), (2, 6)), ((6, 0), (6, 3))
-        assert loose in _adds(states[0], remove, 2)
+        assert loose not in _adds(states[0], remove, 2)
         assert not states[0].swap_feasible(remove, loose)
 
     def test_move_table_is_the_full_walk_pruned(self):
@@ -589,9 +482,9 @@ class TestPeel:
 
     def test_swaps_return_edges_off_the_2_core(self):
         # from `initial_removal` on, no one-for-one swap has returned an
-        # edge of R's 2-core, so none has been a cycle-recolor-swap: every
-        # five-vertex D(2,2), which holds the golden growth-swap digraph,
-        # and seeded draws that allow digons
+        # edge of R's 2-core, so a tag that told cycle edges apart would
+        # still read growth-swap: every five-vertex D(2,2), which holds the
+        # golden growth-swap digraph, and seeded draws that allow digons
         rng = random.Random(38)
         runs = [(D, 2) for D in d22_with_digons(5)]
         for _ in range(400):
