@@ -16,19 +16,20 @@ reduction loop takes it over.  The loop works on its pieces: `Piece` views
 of one weakly connected component with at least one edge, on the original
 vertex ids.  It deletes a step's edges from the working graph and then
 looks for pieces only among the vertices of the piece it stepped on.  A
-reducing-pair search walks D- once and D+ once, read from the degrees:
-each walk stops where the leaf pattern fires, or else hands back that
-side's cycles for the later patterns and the contraction graph.  A bare
-path or cycle is the case where both sides are empty.  The validation
-finds edges in `succ`: no step lists a piece's edges or its V+ and V-
-sets.  Claims 1.5, 1.6 and the gamma step build their pairs from an
-(l+1)-set on an odd cycle of D-, the last two also from a b-path along a
-cycle of D+.  Each of these side constructions returns one (A, B) pair,
-each pattern adds its own edges where its parts meet, and `_pair` takes
-B - A once.  Every choice below (sorted triangles,
-scans of ``D.vertices``, sorted adjacency) follows vertex order, so a
-piece makes the same choices as its component relabelled onto 0..n-1, and
-the functions below take a `Digraph` just as well.
+reducing-pair search scans D- and then D+ once each, in vertex order and
+read from the degrees.  Each scan stops at the first vertex with two in-
+(out-) neighbours outside its side, where the leaf pattern fires, or else
+follows that side's cycles and hands them on to the later patterns and
+the contraction graph.  A bare path or cycle is the case where both sides
+are empty.  The validation finds edges in `succ`: no step lists a piece's
+edges or its V+ and V- sets.  Claims 1.5, 1.6 and the gamma step build
+their pairs from an (l+1)-set on an odd cycle of D-, the last two also
+from a b-path along a cycle of D+.  Each of these side constructions
+returns one (A, B) pair, each pattern adds its own edges where its parts
+meet, and `_pair` takes B - A once.  Every choice below (sorted
+triangles, scans of ``D.vertices``, sorted adjacency) follows vertex
+order, so a piece makes the same choices as its component relabelled
+onto 0..n-1, and the functions below take a `Digraph` just as well.
 
 The input class is checked once, at the entries `dicut_d11` and
 `dicut_d11_connected`.  Deleting edges keeps a digraph digon-free and in
@@ -44,6 +45,7 @@ leaf, bridge and continuation show in the degrees.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Optional
 
 from .digraph import (
@@ -128,63 +130,50 @@ def _reverse_pair(step: Optional[Step],
 # -- pattern (1): a D- (D+) component that is not a cycle, or a cycle
 #    vertex with more than one external edge (Claim 1.3) ------------------
 
-def _minus_components(D: Digraph):
-    """The weak components of D-, the subgraph on the vertices of in-degree
-    >= 2 (D+ is D- of the reverse), each sorted, in order of least vertex;
-    lazily, so a search can stop at the first one it needs."""
-    succ, pred = D.succ, D.pred
-    seen = set()
-    for s in D.vertices:
-        if s in seen or len(pred[s]) < 2:
-            continue
-        seen.add(s)
-        stack, comp = [s], []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in succ[v] + pred[v]:
-                if w not in seen and len(pred[w]) >= 2:
-                    seen.add(w)
-                    stack.append(w)
-        yield sorted(comp)
-
-
 def _leaf_in_minus(D: Digraph):
-    """(Claim 1.3's step, None) if it fires on a component of D-, else
-    (None, D-'s components in cyclic order).  It fires on any leaf, whose
-    two or more in-neighbours all lie outside its component; a V- vertex
-    has out-degree <= 1, so a component without a leaf is a directed cycle."""
-    cycles = []
-    for comp in _minus_components(D):
-        cs = set(comp)
-        leaves = [v for v in comp if cs.isdisjoint(D.pred[v])]
-        for v0 in leaves or comp:
-            ext = [u for u in D.pred[v0] if u not in cs]
-            if len(ext) < 2:
-                continue
-            e1, e2 = (ext[0], v0), (ext[1], v0)
+    """(Claim 1.3's step, None) if it fires in D-, the vertices of in-degree
+    >= 2 (D+ is D- of the reverse), else (None, D-'s cycles in cyclic
+    order, by least vertex).  It fires at the least v0 of D- with two
+    in-neighbours outside D-.  One exists iff a component of D- is not a
+    directed cycle (its leaves qualify) or a cycle vertex has two external
+    in-edges: a vertex of D- has out-degree <= 1 in D(1,1), so where each
+    has an in-neighbour in D-, D- is a union of directed cycles."""
+    pred = D.pred
+    minus = []
+    for v0 in D.vertices:
+        ins = pred[v0]
+        if len(ins) < 2:
+            continue
+        ext = list(islice((u for u in ins if len(pred[u]) < 2), 2))
+        if len(ext) == 2:
             B = set(D.out_edges(v0))
-            B.update(D.in_edges(e1[0]))
-            B.update(D.in_edges(e2[0]))
-            return _pair(D, {e1, e2}, B, "leaf-in-minus"), None
-        cycles.append(_directed_cycle_order(D, comp))
+            B.update(D.in_edges(ext[0]))
+            B.update(D.in_edges(ext[1]))
+            return _pair(D, {(u, v0) for u in ext}, B, "leaf-in-minus"), None
+        minus.append(v0)
+    cycles, listed = [], set()
+    for v in minus:
+        if v not in listed:
+            cycles.append(_directed_cycle_order(D, v))
+            listed.update(cycles[-1])
     return None, cycles
 
 
 # -- pattern (2): even cycle in D+ or D- (Claim 1.4) -----------------------
 
-def _directed_cycle_order(D: Digraph, comp: list[int]) -> list[int]:
-    cs = set(comp)
-    start = min(comp)
+def _directed_cycle_order(D: Digraph, start: int) -> list[int]:
+    """The directed cycle through `start`, from `start` along each vertex's
+    one out-edge."""
+    succ = D.succ
     order = [start]
-    while True:
-        v = order[-1]
-        nxt = [w for w in D.succ[v] if w in cs]
+    for _ in D.vertices:
+        nxt = succ[order[-1]]
         if len(nxt) != 1:
-            raise AlgorithmBugError("component is not a directed cycle")
+            break
         if nxt[0] == start:
             return order
         order.append(nxt[0])
+    raise AlgorithmBugError("component is not a directed cycle")
 
 
 def _even_cycle_in_plus(D: Digraph, plus_cycles) -> Optional[Step]:
@@ -290,7 +279,7 @@ def _path_or_cycle(D: Digraph) -> Step:
     # directed cycle, each vertex's one out-edge on it; alternate edges,
     # leaving out an odd cycle's last
     order = _directed_cycle_order(
-        D, [v for v in D.vertices if D.out_deg(v) == 1])
+        D, next(v for v in D.vertices if D.out_deg(v) == 1))
     A = {(v, D.succ[v][0]) for v in order[:-1:2]}
     B = {(v, D.succ[v][0]) for v in order}
     return _pair(D, A, B, "path-or-cycle")

@@ -118,6 +118,48 @@ def contraction_of(D):
         D, plus_cycles, minus_cycles)
 
 
+def leaf_in_minus_by_components(D):
+    """Claim 1.3's leaf rule as first written: walk the weak components of
+    D- in order of least vertex, and fire on the first one that has a leaf
+    (no in-neighbour in the component), at its least leaf, or that is a
+    cycle with a vertex of two in-neighbours outside it, at the least such
+    vertex.  Returns (step, None) or (None, D-'s cycles, each from its
+    least vertex)."""
+    succ, pred = D.succ, D.pred
+    seen, cycles = set(), []
+    for s in D.vertices:
+        if s in seen or len(pred[s]) < 2:
+            continue
+        seen.add(s)
+        stack, comp = [s], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in succ[v] + pred[v]:
+                if w not in seen and len(pred[w]) >= 2:
+                    seen.add(w)
+                    stack.append(w)
+        comp.sort()
+        cs = set(comp)
+        leaves = [v for v in comp if cs.isdisjoint(pred[v])]
+        for v0 in leaves or comp:
+            ext = [u for u in pred[v0] if u not in cs]
+            if len(ext) >= 2:
+                B = set(D.out_edges(v0)) | set(D.in_edges(ext[0])) | set(
+                    D.in_edges(ext[1]))
+                return d11._pair(D, {(ext[0], v0), (ext[1], v0)}, B,
+                                 "leaf-in-minus"), None
+        order = comp[:1]
+        while True:
+            nxt = [w for w in succ[order[-1]] if w in cs]
+            assert len(nxt) == 1, "component is not a directed cycle"
+            if nxt[0] == order[0]:
+                break
+            order.append(nxt[0])
+        cycles.append(order)
+    return None, cycles
+
+
 def forest_reference(D):
     """The triangles of the triangle-forest shape by brute force: every set
     of t = (m+1)/4 vertex-disjoint triangles covering the vertices with

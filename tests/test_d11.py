@@ -33,6 +33,7 @@ from reference import (
     book,
     contraction_of,
     forest_reference,
+    leaf_in_minus_by_components,
     triangle_chain,
 )
 
@@ -380,16 +381,41 @@ class TestReducingPairs:
                    for (i, j), es in between.items() for u, v in es)
 
     def test_each_side_walked_once(self, monkeypatch):
-        # the leaf walks of D- and D+ hand their cycles on to the later
-        # patterns and to the contraction graph, which walk neither again
-        calls = []
-        walk = d11._minus_components
-        monkeypatch.setattr(d11, "_minus_components",
-                            lambda D: calls.append(D) or walk(D))
+        # the leaf scans of D- and D+ hand their cycles on to the later
+        # patterns and to the contraction graph, which walk neither again;
+        # each cycle of D- and of D+ is followed once
+        calls = collections.Counter()
+        for name in ("_leaf_in_minus", "_directed_cycle_order"):
+            def counted(*args, name=name, f=getattr(d11, name)):
+                calls[name] += 1
+                return f(*args)
+            monkeypatch.setattr(d11, name, counted)
         D = _gamma_instance()
         piece, = WorkGraph(D).pieces(D.vertices)
         assert find_reducing_pair(piece).tag == "gamma-cycle"
-        assert len(calls) == 2
+        assert calls == {"_leaf_in_minus": 2, "_directed_cycle_order": 6}
+
+    def test_leaf_rule_same_as_component_walk(self):
+        # the degree test fires exactly where the component walk fires, and
+        # where neither fires both list the same cycles of D-
+        rng = random.Random(41)
+        pieces = []
+        while len(pieces) < 200:
+            D = gen_random_family("d11", rng.randint(3, 150), 1,
+                                  rng.randrange(1 << 30))
+            pieces += WorkGraph(D).pieces(D.vertices)
+        graphs = list(digonfree_d11(6)) + pieces[:200]
+        graphs += [cycle_structured(rng) for _ in range(100)]
+        silent = 0
+        for D in graphs:
+            for H in (D, D.reverse()):
+                step, cycles = d11._leaf_in_minus(H)
+                want_step, want_cycles = leaf_in_minus_by_components(H)
+                assert (step is None) == (want_step is None), H
+                if step is None:
+                    assert cycles == want_cycles, H
+                    silent += bool(cycles)
+        assert silent >= 100
 
     def test_late_patterns_on_cycle_structured_draws(self):
         # the patterns past the leaves fire on these shapes many times over,

@@ -169,7 +169,12 @@ RUNTIME_CHECKS = [
     ("pair-uncovered-out-edge", _pair([(1, 2)], [(0, 1)]),
      r"t: uncovered P3 \(1, 2\) -> \(2, 3\)"),
     ("cycle-order-on-a-path",
-     lambda monkeypatch: d11._directed_cycle_order(LONG_PATH, [0, 1, 2]),
+     lambda monkeypatch: d11._directed_cycle_order(LONG_PATH, 0),
+     "component is not a directed cycle"),
+    # 0 -> 1 -> 2 -> 3 -> 1: the walk from 0 never comes back to 0
+    ("cycle-order-off-the-cycle",
+     lambda monkeypatch: d11._directed_cycle_order(
+         Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 1)]), 0),
      "component is not a directed cycle"),
     ("minus-side-without-a-set",
      lambda monkeypatch: d11._minus_side(LONG_PATH, [0, 1, 2], {0}, {0}),
