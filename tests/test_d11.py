@@ -437,7 +437,7 @@ class TestReducingPairs:
                 "multiedge-in-M", "gamma-cycle"]
         assert min(fired[tag] for tag in late) >= 20, fired
         assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
-            "e0cfd882d8966fa7b7cf987645daab6b9f066b4b42ffcea1df6c72a310995581")
+            "667e3678ea564ebcbaec2bec13b66e49d2388d23a6a7e69a89bce3ec8465be08")
 
     def test_validator_rejects_bad_pair(self):
         D = Digraph(3, [(0, 1), (1, 2)])
