@@ -19,9 +19,9 @@ from .digraph import (
     PreconditionError,
     ResourceLimitError,
     Step,
+    _cut_of,
     class_partition,
     cut_from_banked,
-    cut_from_partition,
     shortest_bipartite_cycle,
 )
 
@@ -171,8 +171,8 @@ def dicut_acyclic(D: Digraph, k: int) -> CutCertificate:
         if colors[u] == colors[v]:
             raise AlgorithmBugError("combined coloring is not proper")
     full = Coloring(tuple(colors), 2 * k + 2)
-    return cut_from_partition(D, _leaving_side(full, D.edges)).meeting(
-        Fraction((k + 1) * D.m, 4 * k + 2))
+    return _cut_of(D, _leaving_side(full, D.edges),
+                   Fraction((k + 1) * D.m, 4 * k + 2))
 
 
 def dicut_d22(D: Digraph, trace: list[Step] | None = None) -> CutCertificate:
@@ -193,7 +193,7 @@ def dicut_d22(D: Digraph, trace: list[Step] | None = None) -> CutCertificate:
     if class_partition(D, 2, 2) is None:
         raise PreconditionError("digraph is not in D(2,2)")
     S = _d22_p3free(D, trace)
-    return cut_from_banked(D, S).meeting(Fraction(3 * D.m, 10))
+    return cut_from_banked(D, S, Fraction(3 * D.m, 10))
 
 
 def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:

@@ -440,7 +440,7 @@ def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     vertex-disjoint directed triangles (`_books`)."""
     _require_d11(D)
     K = _reduction_loop(WorkGraph(D), trace)
-    return cut_from_banked(D, K).meeting(Fraction(2 * D.m - _books(D), 5))
+    return cut_from_banked(D, K, Fraction(2 * D.m - _books(D), 5))
 
 
 def _books(D: Digraph) -> int:
@@ -486,7 +486,7 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
     if D.m == 3 and len(D.triangles()) == 1:
         raise PreconditionError("input is a directed triangle")
     K = _peel_triangle_forest(D, W, trace)
-    return cut_from_banked(D, K).meeting(Fraction(7 * D.m, 20))
+    return cut_from_banked(D, K, Fraction(7 * D.m, 20))
 
 
 def _peel_triangle_forest(D: Digraph, W: WorkGraph,

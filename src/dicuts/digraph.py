@@ -24,6 +24,12 @@ constructor does, without its id conversion.  A digraph whose edges come
 from a checked one (`without_edges`, which peel's remainder uses,
 `reverse` and `split_dkk`'s parts) is built by `Digraph._derived`, which
 checks nothing again.
+
+Each certificate is built once, carrying its bound.  `cut_from_banked`
+makes the cut of the tails of an algorithm's banked edge set and checks
+that the set lies in it and that it meets the algorithm's bound; either
+miss is that algorithm's bug.  `cut_from_partition` checks a vertex set
+from outside and carries bound 0.
 """
 
 from __future__ import annotations
@@ -349,7 +355,7 @@ class ClassPartition:
 @dataclass(frozen=True)
 class CutCertificate:
     """A vertex bipartition and the directed cut it induces, with the bound
-    its algorithm guarantees (0 until `meeting` sets it)."""
+    its algorithm guarantees (0 for a bare cut)."""
 
     X: tuple[int, ...]
     Y: tuple[int, ...]
@@ -364,12 +370,6 @@ class CutCertificate:
         expect = tuple(e for e in D.edges if e[0] in xs and e[1] not in xs)
         if expect != self.cut_edges or self.size != len(expect):
             raise AlgorithmBugError("stored cut does not match its partition")
-
-    def meeting(self, bound: Fraction) -> CutCertificate:
-        """This cut carrying its algorithm's `bound`, checked to meet it."""
-        if self.size < bound:
-            raise AlgorithmBugError(f"cut of {self.size} misses its bound {bound}")
-        return CutCertificate(self.X, self.Y, self.cut_edges, self.size, bound)
 
 
 def class_partition(D: Digraph, k: int, ell: int) -> Optional[ClassPartition]:
@@ -414,9 +414,22 @@ def cut_from_partition(D: Digraph, X: Iterable[int]) -> CutCertificate:
         raise InputError("X must hold integer vertex ids") from exc
     if any(not 0 <= v < D.n for v in xs):
         raise InputError("vertex outside digraph")
+    return _cut_of(D, xs, Fraction(0))
+
+
+def _cut_of(D: Digraph, xs: set[int], bound: Fraction,
+            banked: set[Edge] = frozenset()) -> CutCertificate:
+    """The cut of xs carrying its algorithm's `bound`, checked to meet it
+    and to hold every edge of `banked`; every vertex of xs is one of D's
+    or the tail of a banked edge."""
     cut = tuple(e for e in D.edges if e[0] in xs and e[1] not in xs)
+    lost = banked.difference(cut)
+    if lost:
+        raise AlgorithmBugError(f"banked edges outside the cut: {sorted(lost)}")
+    if len(cut) < bound:
+        raise AlgorithmBugError(f"cut of {len(cut)} misses its bound {bound}")
     Y = tuple(v for v in range(D.n) if v not in xs)
-    return CutCertificate(tuple(sorted(xs)), Y, cut, len(cut))
+    return CutCertificate(tuple(sorted(xs)), Y, cut, len(cut), bound)
 
 
 def extend_p3free_to_cut(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
@@ -429,20 +442,20 @@ def extend_p3free_to_cut(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
         raise PreconditionError("edge set is not P3-free")
     if any((v, u) in S for u, v in S):
         raise PreconditionError("edge set contains a digon")
-    return cut_from_banked(D, S)
+    return cut_from_banked(D, S, Fraction(0))
 
 
-def cut_from_banked(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
-    """The cut of the tails of S, for a set an algorithm banked itself.
+def cut_from_banked(D: Digraph, S: Iterable[Edge],
+                    bound: Fraction) -> CutCertificate:
+    """The cut of the tails of S, carrying `bound`, for a set an algorithm
+    banked itself toward that bound.
 
     S lies in that cut iff S is a P3-free, digon-free set of D's edges, so
-    anything else is a bug of that algorithm, not of its input."""
+    anything else is a bug of that algorithm, not of its input, as is a
+    cut below the bound.  A tail outside D leaves its edge outside the
+    cut, so the tails need no range check of their own."""
     S = set(S)
-    cert = cut_from_partition(D, {u for u, _ in S})
-    lost = S.difference(cert.cut_edges)
-    if lost:
-        raise AlgorithmBugError(f"banked edges outside the cut: {sorted(lost)}")
-    return cert
+    return _cut_of(D, {u for u, _ in S}, bound, S)
 
 
 def shortest_bipartite_cycle(adj: list[list[int]],

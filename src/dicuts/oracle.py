@@ -15,11 +15,12 @@ n = 26 takes a fraction of a second, the complete one a few seconds.  It
 returns the maximizer with the smallest bitmask, the first maximum that a
 walk over the bipartitions in counting order meets, so the certificate of
 `max_dicut_exact` does not depend on the block width.  d11 calls the kernel
-on edge lists for its base case.
+on edge lists for its base case, and the CLI for the optimum it reports.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Optional
@@ -32,6 +33,7 @@ from .digraph import (
     InputError,
     PreconditionError,
     ResourceLimitError,
+    _cut_of,
     _triangles,
     class_partition,
     cut_from_partition,
@@ -53,10 +55,12 @@ def max_dicut_exact(D: Digraph) -> CutCertificate:
     bipartitions in blocks of 2^16 bit-parallel counters, in memory
     independent of n.  Its X is the first maximum of a walk over the
     bipartitions in counting order, so the certificate does not depend on
-    the block width.  Raises `ResourceLimitError` for n > MAX_DICUT_VERTICES.
+    the block width.  It carries the optimum as its bound, checked against
+    the cut that X induces.  Raises `ResourceLimitError` for
+    n > MAX_DICUT_VERTICES.
     """
-    _, x = max_dicut_mask(D.n, D.edges)
-    return cut_from_partition(D, [v for v in range(D.n) if x >> v & 1])
+    size, x = max_dicut_mask(D.n, D.edges)
+    return _cut_of(D, {v for v in range(D.n) if x >> v & 1}, Fraction(size))
 
 
 @lru_cache(maxsize=None)  # c <= BLOCK_VERTICES: a few hundred KB in all

@@ -1,4 +1,5 @@
-"""Instance builders and brute-force references that several test files use.
+"""Instance builders, brute-force references and a construction counter
+that several test files use.
 
 Each helper lives here once, and every test file imports it from here; no
 test module imports another.  The module needs only the standard library
@@ -17,7 +18,7 @@ import random
 
 from dicuts import d11
 from dicuts.d11 import contraction_graph
-from dicuts.digraph import Digraph, Piece
+from dicuts.digraph import CutCertificate, Digraph, Piece
 
 
 # -- instance builders -----------------------------------------------------
@@ -246,3 +247,16 @@ def shortest_cycle_reference(adj, nodes):
                         if len(best) == 4:
                             return best
     return best
+
+
+# -- counters ----------------------------------------------------------------
+
+def certificates_built(monkeypatch, run) -> int:
+    """The `CutCertificate`s that `run()` constructs, counted through
+    pytest's `monkeypatch`; the one it returns must carry a positive bound."""
+    built = []
+    init = CutCertificate.__init__
+    monkeypatch.setattr(CutCertificate, "__init__",
+                        lambda c, *a: built.append(a) or init(c, *a))
+    assert run().bound > 0
+    return len(built)

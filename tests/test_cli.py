@@ -2,20 +2,23 @@ import ast
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import book
 
-from dicuts import cli, colorcut, d11
+from dicuts import cli, colorcut, d11, oracle
 from dicuts.cli import main
-from dicuts.digraph import (AlgorithmBugError, Digraph, cut_from_partition,
+from dicuts.digraph import (AlgorithmBugError, Digraph, cut_from_banked,
                             format_dg, load_dg, save_dg)
+from dicuts.enumeration import d22_with_digons, digonfree_d11
 from dicuts.generators import (gen_example1, gen_random_family,
                                gen_regular_tournament)
 
@@ -220,7 +223,7 @@ class TestCutVerify:
         path = tmp_path / "ex1.dg"
         save_dg(gen_example1(3), path)
         monkeypatch.setattr(d11, "cut_from_banked",
-                            lambda D, K: cut_from_partition(D, ()))
+                            lambda D, K, bound: cut_from_banked(D, (), bound))
         assert main([command, str(path), "--method", method]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "cut of 0 misses its bound" in err
@@ -255,12 +258,27 @@ class TestCutVerify:
     def test_oracle_method_verifies_with_one_search(self, t5_file,
                                                     monkeypatch):
         # the oracle method's cut is the optimum verify compares it with
-        calls = []
-        search = cli.oracle.max_dicut_exact
+        calls, kernel_calls = [], []
+        search, kernel = cli.oracle.max_dicut_exact, cli.oracle.max_dicut_mask
         monkeypatch.setattr(cli.oracle, "max_dicut_exact",
                             lambda D: calls.append(D) or search(D))
+        monkeypatch.setattr(cli.oracle, "max_dicut_mask",
+                            lambda *a: kernel_calls.append(a) or kernel(*a))
         assert main(["verify", t5_file, "--method", "oracle"]) == 0
-        assert len(calls) == 1
+        assert len(calls) == len(kernel_calls) == 1
+
+    def test_reported_optimum_is_the_exact_one(self):
+        # verify reads the optimum off the exact search's kernel, with no
+        # certificate; it is the size of the oracle method's certificate,
+        # and None past the vertex guard
+        rng = random.Random(41)
+        draws = [gen_random_family(family, rng.randint(7, 20), k,
+                                   rng.randrange(1 << 30))
+                 for family, k in (("d11", 1), ("dkk", 2), ("acyclic-dkk", 3))
+                 for _ in range(4)]
+        for D in chain(digonfree_d11(6), d22_with_digons(5), draws):
+            assert cli._oracle_opt(D) == oracle.max_dicut_exact(D).size
+        assert cli._oracle_opt(Digraph(27, [(0, 1)])) is None
 
     @pytest.mark.parametrize("method", list(cli.METHODS))
     def test_reported_bound_is_the_certificates(self, method, tmp_path,
@@ -409,8 +427,8 @@ class TestExplore:
                                     monkeypatch):
         # oracles that find no cut and no cover make every draw a
         # counterexample: each problem prints it and exits 1
-        monkeypatch.setattr(cli.oracle, "max_dicut_exact",
-                            lambda D: cut_from_partition(D, ()))
+        monkeypatch.setattr(cli.oracle, "max_dicut_mask",
+                            lambda n, edges: (0, 0))
         monkeypatch.setattr(cli.oracle, "decompose_into_cuts",
                             lambda D, c: None)
         assert main(["explore", "--problem", str(problem), "--seed", "1",

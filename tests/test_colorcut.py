@@ -29,7 +29,8 @@ from dicuts.digraph import (
     shortest_bipartite_cycle,
 )
 from dicuts.generators import gen_random_family, gen_regular_tournament
-from reference import dense_d22, shortest_cycle_reference
+from reference import (certificates_built, dense_d22,
+                       shortest_cycle_reference)
 
 
 def transitive(n):
@@ -365,6 +366,12 @@ class TestAcyclic:
             cert.verify(D)
             assert (4 * k + 2) * cert.size >= (k + 1) * D.m
 
+    def test_one_certificate_per_run(self, monkeypatch):
+        # the cut is built once, with the bound it is checked to meet
+        for D, k in ((transitive(5), 2), (transitive(3), 1)):
+            assert certificates_built(monkeypatch,
+                                      lambda: dicut_acyclic(D, k)) == 1
+
     def test_missed_bound_is_a_bug(self, monkeypatch):
         # an empty side cuts nothing, below (k+1)m/(4k+2)
         monkeypatch.setattr(colorcut, "_leaving_side", lambda *_: set())
@@ -407,14 +414,18 @@ class TestD22:
 
     def test_banked_set_checked_once(self, monkeypatch):
         calls = []
-        check = digraph.cut_from_partition
-        counted = lambda H, X: calls.append(H) or check(H, X)
-        monkeypatch.setattr(digraph, "cut_from_partition", counted)
-        monkeypatch.setattr(colorcut, "cut_from_partition", counted)
+        check = digraph._cut_of
+        counted = lambda H, *args: calls.append(H) or check(H, *args)
+        monkeypatch.setattr(digraph, "_cut_of", counted)
+        monkeypatch.setattr(colorcut, "_cut_of", counted)
         for D in (dense_d22(20, 1), gen_regular_tournament(2)):
             calls.clear()
             dicut_d22(D).verify(D)
             assert calls == [D]
+
+    def test_one_certificate_per_run(self, monkeypatch):
+        for D in (dense_d22(20, 1), gen_regular_tournament(2)):
+            assert certificates_built(monkeypatch, lambda: dicut_d22(D)) == 1
 
     def test_banked_p3_is_a_bug(self, monkeypatch):
         D = dense_d22(20, 1)
@@ -424,16 +435,20 @@ class TestD22:
             dicut_d22(D)
 
     def test_banked_foreign_edge_is_a_bug(self, monkeypatch):
+        # a tail outside D leaves its edge outside the cut as well
         D = dense_d22(20, 1)
         e = next((u, v) for u in D.vertices for v in D.vertices
                  if u != v and (u, v) not in D.edge_set)
-        monkeypatch.setattr(colorcut, "_d22_p3free", lambda *_: {e})
-        with pytest.raises(AlgorithmBugError):
-            dicut_d22(D)
+        for banked in ({e}, {(D.n, 0)}):
+            monkeypatch.setattr(colorcut, "_d22_p3free", lambda *_: banked)
+            with pytest.raises(AlgorithmBugError,
+                               match="banked edges outside"):
+                dicut_d22(D)
 
     def test_missed_bound_is_a_bug(self, monkeypatch):
         monkeypatch.setattr(colorcut, "cut_from_banked",
-                            lambda D, S: digraph.cut_from_partition(D, ()))
+                            lambda D, S, bound: digraph.cut_from_banked(
+                                D, (), bound))
         with pytest.raises(AlgorithmBugError, match="misses its bound 3"):
             dicut_d22(gen_regular_tournament(2))
 

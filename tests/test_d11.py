@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -31,6 +32,7 @@ from reference import (
     PATTERN_INSTANCES,
     _gamma_instance,
     book,
+    certificates_built,
     contraction_of,
     forest_reference,
     leaf_in_minus_by_components,
@@ -277,15 +279,21 @@ class TestPreconditions:
         # the certificate's one P3 check is cut_from_banked's cut of the
         # banked tails; the pattern validations run on pieces, never on D
         calls = []
-        check = digraph.cut_from_partition
-        counted = lambda H, X: calls.append(H) or check(H, X)
-        monkeypatch.setattr(digraph, "cut_from_partition", counted)
+        check = digraph._cut_of
+        counted = lambda H, *args: calls.append(H) or check(H, *args)
+        monkeypatch.setattr(digraph, "_cut_of", counted)
         for D in [gen_example1(3), triangle_chain(4)] + \
                 [PATTERN_INSTANCES[tag] for tag in sorted(PATTERN_INSTANCES)
                  if method is dicut_d11]:
             calls.clear()
             method(D).verify(D)
             assert sum(H is D for H in calls) == 1
+
+    @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
+    def test_one_certificate_per_run(self, method, monkeypatch):
+        # the cut is built once, with the bound it is checked to meet
+        for D in (gen_example1(3), triangle_chain(4)):
+            assert certificates_built(monkeypatch, lambda: method(D)) == 1
 
     @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
     def test_banked_p3_is_a_bug(self, method, monkeypatch):
@@ -298,19 +306,24 @@ class TestPreconditions:
 
     @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
     def test_banked_foreign_edge_is_a_bug(self, method, monkeypatch):
+        # its tail goes to X, and the edge is not in the cut X induces: a
+        # tail outside D is an algorithm's bug too, never an input error
         D = gen_example1(2)
-        assert (0, 2) not in D.edge_set
-        monkeypatch.setattr(d11, "_reduction_loop", lambda *_: {(0, 2)})
-        monkeypatch.setattr(d11, "_peel_triangle_forest", lambda *_: {(0, 2)})
-        with pytest.raises(AlgorithmBugError, match=r"\(0, 2\)"):
-            method(D)
+        for edge in ((0, 2), (D.n, 0)):
+            assert edge not in D.edge_set
+            monkeypatch.setattr(d11, "_reduction_loop", lambda *_: {edge})
+            monkeypatch.setattr(d11, "_peel_triangle_forest",
+                                lambda *_: {edge})
+            with pytest.raises(AlgorithmBugError, match=re.escape(str(edge))):
+                method(D)
 
     @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
     def test_missed_bound_is_a_bug(self, method, monkeypatch):
         # each entry checks its own theorem, (2m - t)/5 or 7m/20, on the
         # certificate it returns
         monkeypatch.setattr(d11, "cut_from_banked",
-                            lambda D, K: digraph.cut_from_partition(D, ()))
+                            lambda D, K, bound: digraph.cut_from_banked(
+                                D, (), bound))
         with pytest.raises(AlgorithmBugError, match="cut of 0 misses its bound"):
             method(gen_example1(3))
 

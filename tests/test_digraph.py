@@ -16,6 +16,7 @@ from dicuts.digraph import (
     ResourceLimitError,
     WorkGraph,
     class_partition,
+    cut_from_banked,
     cut_from_partition,
     extend_p3free_to_cut,
     format_dg,
@@ -215,13 +216,19 @@ class TestP3AndCuts:
         assert is_p3_free(D, cert.cut_edges)
 
     def test_a_cut_carries_the_bound_it_met(self):
-        # a bare cut carries bound 0; `meeting` returns an equal cut that
-        # carries its bound, since the bound takes no part in equality
-        c = cut_from_partition(Digraph(3, [(0, 1), (1, 2), (0, 2)]), [0])
+        # a bare cut carries bound 0; a banked set's cut carries the bound
+        # it was checked to meet, and is equal to the bare cut of its
+        # tails, since the bound takes no part in equality
+        D = Digraph(3, [(0, 1), (1, 2), (0, 2)])
+        c = cut_from_partition(D, [0])
         assert c.size == 2 and c.bound == 0
-        met = c.meeting(Fraction(3, 2))
+        met = cut_from_banked(D, [(0, 1)], Fraction(3, 2))
         assert met == c and met.bound == Fraction(3, 2)
         assert (met.X, met.Y, met.cut_edges) == (c.X, c.Y, c.cut_edges)
+        assert cut_from_banked(D, [(0, 1)], Fraction(2)).bound == 2
+        with pytest.raises(AlgorithmBugError,
+                           match=r"cut of 2 misses its bound 5/2"):
+            cut_from_banked(D, [(0, 1)], Fraction(5, 2))
 
     @pytest.mark.parametrize("tamper, message", [
         (lambda c: replace(c, Y=c.Y[1:]), "do not partition"),
