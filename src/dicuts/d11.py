@@ -10,14 +10,16 @@ silently degraded answer.  Each step, a reducing pair included, is a `Step`
 of the edges it banks (`kept`) and the other edges it deletes (`dropped`).
 
 `dicut_d11` and `dicut_d11_connected` run from entry to certificate on one
-`WorkGraph` of their input and build no `Digraph`: d11c counts its pieces
-to check connectivity and deletes a peeled leaf triangle from it before the
-reduction loop takes it over.  The loop works on its pieces: `Piece` views
-of one weakly connected component with at least one edge, on the original
-vertex ids.  It deletes a step's edges from the working graph and then
-looks for pieces only among the vertices of the piece it stepped on.  A
-reducing-pair search scans D- and then D+ once each, in vertex order and
-read from the degrees.  Each scan stops at the first vertex with two in-
+`WorkGraph` of their input and build no `Digraph`.  Both end in the same
+reduction loop; d11c counts its pieces to check connectivity and is at
+most one leaf-triangle step, on a forest of t >= 2 triangles, in front of
+it.  The loop works on its pieces: `Piece` views of one weakly connected
+component with at least one edge, on the original vertex ids.  A piece of
+at most 6 edges goes to the exact oracle.  On a larger one the loop
+deletes a step's edges from the working graph and then looks for pieces
+only among the vertices of the piece it stepped on.  A reducing-pair
+search scans D- and then D+ once each, in vertex order and read from the
+degrees.  Each scan stops at the first vertex with two in-
 (out-) neighbours outside its side, where the leaf pattern fires, or else
 follows that side's cycles and hands them on to the later patterns and
 the contraction graph.  A bare path or cycle is the case where both sides
@@ -372,7 +374,7 @@ def _gamma_cycle(D: Digraph, plus_cycles, minus_cycles, between) -> Step:
 
 def find_reducing_pair(D: Digraph) -> Step:
     """A validated reducing pair for a piece D with no triangle reduction
-    and m >= 6; tried pattern by pattern in the order of the claims of the
+    and m >= 7; tried pattern by pattern in the order of the claims of the
     2/5 bound's proof."""
     # a pattern that does not apply returns None; a Step is never falsy
     rp, minus_cycles = _leaf_in_minus(D)
@@ -397,15 +399,15 @@ def find_reducing_pair(D: Digraph) -> Step:
             or _gamma_cycle(D, plus_cycles, minus_cycles, between))
 
 
-def _base_step(vertices: list[int], succ) -> Step:
-    """The oracle-base step of the digraph on the ascending `vertices`,
-    which all carry an edge, with these sorted `succ` lists: it keeps the
-    oracle's maximum directed cut, found on the digraph relabelled onto
-    0..n-1 in vertex order, and drops the other edges."""
-    edges = [(u, w) for u in vertices for w in succ[u]]
-    index = {v: i for i, v in enumerate(vertices)}
+def _base_step(H: Digraph) -> Step:
+    """The oracle-base step of the piece H: it keeps the oracle's maximum
+    directed cut, found on H relabelled onto 0..n-1 in vertex order, and
+    drops H's other edges."""
+    succ = H.succ
+    edges = [(u, w) for u in H.vertices for w in succ[u]]
+    index = {v: i for i, v in enumerate(H.vertices)}
     _, x = oracle.max_dicut_mask(
-        len(vertices), [(index[u], index[v]) for u, v in edges])
+        len(index), [(index[u], index[v]) for u, v in edges])
     kept = [(u, v) for u, v in edges
             if x >> index[u] & 1 and not x >> index[v] & 1]
     return Step("oracle-base", tuple(kept),
@@ -416,15 +418,16 @@ def _reduction_loop(W: WorkGraph, trace: list | None) -> set[Edge]:
     """Run the Theorem 1 reduction on the edges of the working graph W;
     returns the accumulated P3-free edge set.
 
-    Each stack entry is a `Piece` of W.  A non-base step deletes its edges
-    from W, and what it leaves of its piece is split into pieces again.
+    Each stack entry is a `Piece` of W.  A piece of at most 6 edges goes
+    to the oracle; any other step deletes its edges from W, and what it
+    leaves of its piece is split into pieces again.
     """
     K: set[Edge] = set()
     work = W.pieces(range(len(W.succ)))
     while work:
         H = work.pop()
-        if H.m <= 5:
-            step = _base_step(H.vertices, H.succ)
+        if H.m <= 6:
+            step = _base_step(H)
         else:
             step = find_triangle_reduction(H) or find_reducing_pair(H)
             W.delete(step.kept + step.dropped)
@@ -477,24 +480,31 @@ def is_triangle_forest(
 
 def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate:
     """A directed cut of size at least 7m/20 for connected D(1,1) digraphs
-    that are not a single directed triangle."""
+    that are not a single directed triangle: a triangle forest of t >= 2
+    triangles loses a leaf triangle first, and the reduction loop takes
+    what is left."""
     _require_d11(D)
     W = WorkGraph(D)
     # isolated vertices are allowed: only edge-carrying components count
     if len(W.pieces(D.vertices)) > 1:
         raise PreconditionError("digraph is not connected")
-    if D.m == 3 and len(D.triangles()) == 1:
-        raise PreconditionError("input is a directed triangle")
-    K = _peel_triangle_forest(D, W, trace)
+    K: set[Edge] = set()
+    tris = is_triangle_forest(D)
+    if tris is not None:
+        if len(tris) == 1:
+            raise PreconditionError("input is a directed triangle")
+        step = _leaf_triangle(D, tris)
+        if trace is not None:
+            trace.append(step)
+        K.update(step.kept)
+        W.delete(step.kept + step.dropped)
+    K |= _reduction_loop(W, trace)
     return cut_from_banked(D, K, Fraction(7 * D.m, 20))
 
 
-def _peel_triangle_forest(D: Digraph, W: WorkGraph,
-                          trace: list | None) -> set[Edge]:
-    """Peel a leaf triangle off W, the working graph of D, if D is a
-    triangle forest with m > 6 (the rest has t - 2 triangles and 4t - 6
-    edges, so it is none); hand what is left to the reduction loop if
-    m > 6, else to the oracle as one oracle-base step.
+def _leaf_triangle(D: Digraph, tris) -> Step:
+    """The leaf-triangle step of D, a forest of the t >= 2 triangles
+    `tris`: it banks a leaf's bridge and the edge opposite its end.
 
     A leaf's D-degrees sum to 6 plus its one bridge end, its one vertex x
     of degree 3, where the bridge is the edge off the triangle.  The
@@ -502,36 +512,20 @@ def _peel_triangle_forest(D: Digraph, W: WorkGraph,
     leaves it one other edge, the continuation, which lies in the triangle
     of x'.
     """
-    K: set[Edge] = set()
-    m = D.m
-    tris = is_triangle_forest(D) if m > 6 else None
-    if tris is not None:
-        succ, pred = D.succ, D.pred
-        deg = lambda v: len(succ[v]) + len(pred[v])
-        tri = next(tri for tri in tris if sum(map(deg, tri)) == 7)
-        cyc = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
-        x = next(v for v in tri if deg(v) == 3)
-        if len(succ[x]) == 2:
-            # bridge x -> x' leaves the leaf triangle at x
-            xp = next(w for w in succ[x] if w not in cyc)
-            bridge, continuation = (x, xp), (xp, succ[xp][0])
-        else:
-            # mirrored: bridge x' -> x enters the leaf triangle at x
-            xp = next(u for u in pred[x] if u not in cyc)
-            bridge, continuation = (xp, x), (pred[xp][0], xp)
-        y = cyc[x]
-        kept = tuple(sorted((bridge, (y, cyc[y]))))
-        gone = {(a, cyc[a]) for a in tri} | {bridge, continuation}
-        step = Step("leaf-triangle", kept, tuple(sorted(gone.difference(kept))))
-        if trace is not None:
-            trace.append(step)
-        K.update(kept)
-        W.delete(gone)
-        m -= len(gone)
-    if m > 6:
-        return K | _reduction_loop(W, trace)
-    vertices = [v for v in D.vertices if W.succ[v] or W.pred[v]]
-    step = _base_step(vertices, W.succ)
-    if trace is not None and vertices:
-        trace.append(step)
-    return K.union(step.kept)
+    succ, pred = D.succ, D.pred
+    deg = lambda v: len(succ[v]) + len(pred[v])
+    tri = next(tri for tri in tris if sum(map(deg, tri)) == 7)
+    cyc = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
+    x = next(v for v in tri if deg(v) == 3)
+    if len(succ[x]) == 2:
+        # bridge x -> x' leaves the leaf triangle at x
+        xp = next(w for w in succ[x] if w not in cyc)
+        bridge, continuation = (x, xp), (xp, succ[xp][0])
+    else:
+        # mirrored: bridge x' -> x enters the leaf triangle at x
+        xp = next(u for u in pred[x] if u not in cyc)
+        bridge, continuation = (xp, x), (pred[xp][0], xp)
+    y = cyc[x]
+    kept = tuple(sorted((bridge, (y, cyc[y]))))
+    gone = {(a, cyc[a]) for a in tri} | {bridge, continuation}
+    return Step("leaf-triangle", kept, tuple(sorted(gone.difference(kept))))

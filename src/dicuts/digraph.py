@@ -11,8 +11,7 @@ make (`vertices`, `succ`, `pred`, degrees, `triangles`, `reverse`, ...)
 on the original vertex ids; a piece lists no edges of its own, so its
 readers find edges in `succ`, and it stays valid until an edge at one of
 its vertices is deleted.  The walk behind `WorkGraph.pieces` finds the
-weak components for d11 and for `Digraph.weak_components`; d11 walks the
-components of D- on its own.
+weak components for d11 and for `Digraph.weak_components`.
 `Digraph` and `Piece` list triangles through one function.  Every
 algorithm that works in steps (d11, d11c, d22, peel) records them in
 its trace as `Step`s.  All set-like outputs are emitted in ascending order
@@ -29,7 +28,8 @@ Each certificate is built once, carrying its bound.  `cut_from_banked`
 makes the cut of the tails of an algorithm's banked edge set and checks
 that the set lies in it and that it meets the algorithm's bound; either
 miss is that algorithm's bug.  `cut_from_partition` checks a vertex set
-from outside and carries bound 0.
+from outside and carries bound 0.  `CutCertificate.verify` checks all of
+it again: the partition, the cut and the bound.
 """
 
 from __future__ import annotations
@@ -370,6 +370,7 @@ class CutCertificate:
         expect = tuple(e for e in D.edges if e[0] in xs and e[1] not in xs)
         if expect != self.cut_edges or self.size != len(expect):
             raise AlgorithmBugError("stored cut does not match its partition")
+        _check_bound(self.size, self.bound)
 
 
 def class_partition(D: Digraph, k: int, ell: int) -> Optional[ClassPartition]:
@@ -426,10 +427,14 @@ def _cut_of(D: Digraph, xs: set[int], bound: Fraction,
     lost = banked.difference(cut)
     if lost:
         raise AlgorithmBugError(f"banked edges outside the cut: {sorted(lost)}")
-    if len(cut) < bound:
-        raise AlgorithmBugError(f"cut of {len(cut)} misses its bound {bound}")
+    _check_bound(len(cut), bound)
     Y = tuple(v for v in range(D.n) if v not in xs)
     return CutCertificate(tuple(sorted(xs)), Y, cut, len(cut), bound)
+
+
+def _check_bound(size: int, bound: Fraction) -> None:
+    if size < bound:
+        raise AlgorithmBugError(f"cut of {size} misses its bound {bound}")
 
 
 def extend_p3free_to_cut(D: Digraph, S: Iterable[Edge]) -> CutCertificate:

@@ -45,17 +45,18 @@ def book(pages):
 
 
 # one hand-built instance per reducing-pair pattern, chosen so that all
-# earlier patterns in the scan order stay silent
+# earlier patterns in the scan order stay silent; each has more than 6
+# edges, so dicut_d11 does not hand it to the oracle whole
 PATTERN_INSTANCES = {
-    "leaf-in-minus": Digraph(7, [(6, 0), (0, 4), (1, 4), (2, 5), (3, 5),
-                                 (4, 5)]),
+    "leaf-in-minus": Digraph(8, [(6, 0), (0, 4), (1, 4), (2, 5), (3, 5),
+                                 (4, 5), (5, 7)]),
     "even-cycle": Digraph(8, [(i, (i + 1) % 4) for i in range(4)]
                           + [(i, 4 + i) for i in range(4)]),
     "v0-attach-with-inedge": Digraph(9, [(0, 1), (1, 2), (2, 0)]
                                      + [(3 + i, i) for i in range(3)]
                                      + [(6 + i, 3 + i) for i in range(3)]),
-    "v0-attach-source": Digraph(6, [(0, 1), (1, 2), (2, 0)]
-                                + [(3 + i, i) for i in range(3)]),
+    "v0-attach-source": Digraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(5 + i, i) for i in range(5)]),
     "path-or-cycle": Digraph(9, [(i, (i + 1) % 9) for i in range(9)]),
     "multiedge-in-M": Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
                                   (5, 3), (0, 3), (1, 4), (2, 5)]),

@@ -231,7 +231,7 @@ def reduction_rebuilding(D):
     work = pieces(D, list(range(D.n)))
     while work:
         H, label = work.pop()
-        if H.m <= 5:
+        if H.m <= 6:
             A = oracle.max_dicut_exact(H).cut_edges
             tag, B, gone = "oracle-base", set(H.edges) - set(A), ()
         else:
@@ -300,7 +300,6 @@ class TestPreconditions:
         D = gen_example1(2)
         a, b = next((e, f) for e in D.edges for f in D.edges if e[1] == f[0])
         monkeypatch.setattr(d11, "_reduction_loop", lambda *_: {a, b})
-        monkeypatch.setattr(d11, "_peel_triangle_forest", lambda *_: {a, b})
         with pytest.raises(AlgorithmBugError):
             method(D)
 
@@ -312,8 +311,6 @@ class TestPreconditions:
         for edge in ((0, 2), (D.n, 0)):
             assert edge not in D.edge_set
             monkeypatch.setattr(d11, "_reduction_loop", lambda *_: {edge})
-            monkeypatch.setattr(d11, "_peel_triangle_forest",
-                                lambda *_: {edge})
             with pytest.raises(AlgorithmBugError, match=re.escape(str(edge))):
                 method(D)
 
@@ -362,10 +359,14 @@ class TestReducingPairs:
 
     @pytest.mark.parametrize("tag", sorted(PATTERN_INSTANCES))
     def test_pattern_instance_meets_bound(self, tag):
+        # each instance has more than 6 edges, so a full run takes its
+        # pattern before any oracle step, and the golden corpus pins it
         D = PATTERN_INSTANCES[tag]
-        cert = dicut_d11(D)
+        trace = []
+        cert = dicut_d11(D, trace)
         cert.verify(D)
         assert bound_ok(D, cert)
+        assert trace[0].tag == tag
 
     def test_multiedge_walks_a_gap_between_links(self):
         # plus triangles a b c and d e f, minus triangles x y z and u v w;
@@ -478,6 +479,24 @@ class TestBound:
             cert.verify(D)
             assert bound_ok(D, cert)
 
+    def test_small_digraphs_cut_exactly(self):
+        # a piece of at most 6 edges goes to the oracle, so on a digraph of
+        # at most 6 edges d11, and d11c where it applies, cut a maximum
+        checked = connected = 0
+        for D in digonfree_d11(6):
+            if D.m > 6:
+                continue
+            opt = oracle.max_dicut_exact(D).size
+            assert dicut_d11(D).size == opt, D
+            checked += 1
+            try:
+                cert = dicut_d11_connected(D)
+            except PreconditionError:  # disconnected, or a triangle
+                continue
+            assert cert.size == opt, D
+            connected += 1
+        assert checked == 1024 and connected == 961
+
     def test_directed_path_starts_at_its_source(self):
         D = Digraph(8, [(i, i + 1) for i in range(7)])
         trace = []
@@ -525,8 +544,8 @@ class TestBound:
 
 
 def test_steps_cover_every_edge_once():
-    # each edge is banked or deleted by exactly one step, d11c's exact
-    # tail (m <= 6 after the optional leaf peel) included
+    # each edge is banked or deleted by exactly one step, d11c's leaf
+    # step included
     rng = random.Random(31)
     graphs = list(digonfree_d11(6))
     graphs += [gen_random_family("d11", rng.randint(3, 60), 1,

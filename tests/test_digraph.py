@@ -235,8 +235,10 @@ class TestP3AndCuts:
         (lambda c: replace(c, X=c.X + c.Y[:1]), "do not partition"),
         (lambda c: replace(c, cut_edges=((0, 1), (1, 2))), "stored cut"),
         (lambda c: replace(c, size=c.size + 1), "stored cut"),
+        (lambda c: replace(c, bound=Fraction(c.size + 1)),
+         r"cut of 2 misses its bound 3"),
     ], ids=["not-a-partition", "overlapping-X-and-Y", "other-cut-edges",
-            "wrong-size"])
+            "wrong-size", "bound-above-size"])
     def test_verify_refuses_a_tampered_certificate(self, tamper, message):
         D = Digraph(3, [(0, 1), (1, 2), (0, 2)])
         cert = cut_from_partition(D, [0])
