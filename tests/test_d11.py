@@ -451,7 +451,7 @@ class TestReducingPairs:
                 "multiedge-in-M", "gamma-cycle"]
         assert min(fired[tag] for tag in late) >= 20, fired
         assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
-            "667e3678ea564ebcbaec2bec13b66e49d2388d23a6a7e69a89bce3ec8465be08")
+            "e8e07853f683cefd15c280bb6cd63b2cd1107a5d87122e91ad919657b98e1b24")
 
     def test_validator_rejects_bad_pair(self):
         D = Digraph(3, [(0, 1), (1, 2)])

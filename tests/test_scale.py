@@ -271,7 +271,7 @@ def digest(value):
 PINNED = [
     ("d11", lambda trace: dicut_d11(
         gen_random_family("d11", 3200, 1, 1), trace).X,
-     "d58d2462b3286441", "d7237da84b4e8e63"),
+     "3e446ae8efbdeb4d", "7984616bc7e5b773"),
     ("d11c", lambda trace: dicut_d11_connected(triangle_chain(1100), trace).X,
      "3a4e41cffef45d50", "585cf5d8a3dd33b6"),
     ("d22", lambda trace: dicut_d22(dense_d22(480, 1), trace).X,
