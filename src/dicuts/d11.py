@@ -407,7 +407,7 @@ def _base_step(H: Digraph) -> Step:
     edges = [(u, w) for u in H.vertices for w in succ[u]]
     index = {v: i for i, v in enumerate(H.vertices)}
     _, x = oracle.max_dicut_mask(
-        len(index), [(index[u], index[v]) for u, v in edges])
+        len(H.vertices), [(index[u], index[v]) for u, v in edges])
     kept = [(u, v) for u, v in edges
             if x >> index[u] & 1 and not x >> index[v] & 1]
     return Step("oracle-base", tuple(kept),

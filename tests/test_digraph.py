@@ -236,7 +236,7 @@ class TestP3AndCuts:
         (lambda c: replace(c, cut_edges=((0, 1), (1, 2))), "stored cut"),
         (lambda c: replace(c, size=c.size + 1), "stored cut"),
         (lambda c: replace(c, bound=Fraction(c.size + 1)),
-         r"cut of 2 misses its bound 3"),
+         "cut of 2 misses its bound 3"),
     ], ids=["not-a-partition", "overlapping-X-and-Y", "other-cut-edges",
             "wrong-size", "bound-above-size"])
     def test_verify_refuses_a_tampered_certificate(self, tamper, message):
