@@ -11,9 +11,10 @@ of the edges it banks (`kept`) and the other edges it deletes (`dropped`).
 
 `dicut_d11` and `dicut_d11_connected` run from entry to certificate on one
 `WorkGraph` of their input and build no `Digraph`.  Both end in the same
-reduction loop; d11c counts its pieces to check connectivity and is at
-most one leaf-triangle step, on a forest of t >= 2 triangles, in front of
-it.  The loop works on its pieces: `Piece` views of one weakly connected
+reduction loop, which starts from the pieces its caller walked; d11c
+counts them to check connectivity and is at most one leaf-triangle step,
+on a forest of t >= 2 triangles, in front of the loop, after which it
+walks again.  The loop works on pieces: `Piece` views of one weakly connected
 component with at least one edge, on the original vertex ids.  A piece of
 at most 6 edges goes to the exact oracle.  On a larger one the loop
 deletes a step's edges from the working graph and then looks for pieces
@@ -55,6 +56,7 @@ from .digraph import (
     CutCertificate,
     Digraph,
     Edge,
+    Piece,
     PreconditionError,
     Step,
     WorkGraph,
@@ -414,8 +416,10 @@ def _base_step(H: Digraph) -> Step:
                 tuple([e for e in edges if e not in kept]))
 
 
-def _reduction_loop(W: WorkGraph, trace: list | None) -> set[Edge]:
-    """Run the Theorem 1 reduction on the edges of the working graph W;
+def _reduction_loop(W: WorkGraph, work: list[Piece],
+                    trace: list | None) -> set[Edge]:
+    """Run the Theorem 1 reduction on the edges of the working graph W,
+    starting from `work`, all of W's pieces as `W.pieces` lists them;
     returns the accumulated P3-free edge set.
 
     Each stack entry is a `Piece` of W.  A piece of at most 6 edges goes
@@ -423,7 +427,6 @@ def _reduction_loop(W: WorkGraph, trace: list | None) -> set[Edge]:
     leaves of its piece is split into pieces again.
     """
     K: set[Edge] = set()
-    work = W.pieces(range(len(W.succ)))
     while work:
         H = work.pop()
         if H.m <= 6:
@@ -442,7 +445,8 @@ def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     """A directed cut of size at least (2m - t)/5, t the maximum number of
     vertex-disjoint directed triangles (`_books`)."""
     _require_d11(D)
-    K = _reduction_loop(WorkGraph(D), trace)
+    W = WorkGraph(D)
+    K = _reduction_loop(W, W.pieces(D.vertices), trace)
     return cut_from_banked(D, K, Fraction(2 * D.m - _books(D), 5))
 
 
@@ -485,8 +489,9 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
     what is left."""
     _require_d11(D)
     W = WorkGraph(D)
+    work = W.pieces(D.vertices)
     # isolated vertices are allowed: only edge-carrying components count
-    if len(W.pieces(D.vertices)) > 1:
+    if len(work) > 1:
         raise PreconditionError("digraph is not connected")
     K: set[Edge] = set()
     tris = is_triangle_forest(D)
@@ -498,7 +503,8 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
             trace.append(step)
         K.update(step.kept)
         W.delete(step.kept + step.dropped)
-    K |= _reduction_loop(W, trace)
+        work = W.pieces(D.vertices)
+    K |= _reduction_loop(W, work, trace)
     return cut_from_banked(D, K, Fraction(7 * D.m, 20))
 
 

@@ -535,8 +535,8 @@ class TestBound:
         graphs += [random_triangle_tree(rng, rng.randint(1, 40))
                    for _ in range(40)]
         for D in graphs:
-            trace = []
-            K = d11._reduction_loop(WorkGraph(D), trace)
+            trace, W = [], WorkGraph(D)
+            K = d11._reduction_loop(W, W.pieces(D.vertices), trace)
             want_K, want = reduction_rebuilding(D)
             for got_step, want_step in zip(trace, want):
                 assert got_step == want_step

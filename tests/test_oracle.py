@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from itertools import chain
 
 import pytest
 from reference import triangle_chain
@@ -14,6 +15,7 @@ from dicuts.digraph import (
     ResourceLimitError,
     is_p3_free,
 )
+from dicuts.enumeration import d22_with_digons, digonfree_d11
 from dicuts.generators import (
     gen_example1,
     gen_random_family,
@@ -108,12 +110,32 @@ class TestMaxDicut:
     @pytest.mark.parametrize("width", [2, 3])
     def test_cross_block_tie_break(self, width, monkeypatch):
         # narrow blocks put most vertices high, so maximizers tie across
-        # blocks with and without high vertices in X
+        # blocks with and without high vertices in X; no byte lanes, so
+        # the draws with n <= 8 take the blocks too
         monkeypatch.setattr(oracle, "BLOCK_VERTICES", width)
+        monkeypatch.setattr(oracle, "LANE_VERTICES", 0)
         for D in seeded_draws():
             cert = oracle.max_dicut_exact(D)
             cert.verify(D)
             assert (cert.X, cert.size) == max_dicut_by_flips(D)
+
+    def test_byte_lanes_match_bit_slices(self, monkeypatch):
+        # every small graph, digons included, and the two least-mask
+        # ties: the byte lanes, the bit-sliced blocks and the flip search
+        # give one (size, mask)
+        rng = random.Random(43)
+        graphs = list(chain(digonfree_d11(6), d22_with_digons(5)))
+        graphs += [random_digraph(rng, n, rng.random())
+                   for n in range(9) for _ in range(40)]
+        graphs += [Digraph(2, [(0, 1), (1, 0)]), Digraph(3, [(1, 2)])]
+        lanes = [oracle.max_dicut_mask(D.n, D.edges) for D in graphs]
+        # 300 counts of one edge overflow a byte: this takes the blocks
+        assert oracle.max_dicut_mask(2, [(0, 1)] * 300) == (300, 1)
+        monkeypatch.setattr(oracle, "LANE_VERTICES", 0)
+        for D, got in zip(graphs, lanes):
+            X, size = max_dicut_by_flips(D)
+            want = (size, sum(1 << v for v in X))
+            assert got == oracle.max_dicut_mask(D.n, D.edges) == want, D
 
     @pytest.mark.parametrize("n, seed", [(17, 1), (18, 2)])
     def test_several_blocks_at_full_width(self, n, seed):
