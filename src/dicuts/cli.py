@@ -12,7 +12,6 @@ the exact search's kernel as a number, and `-` past that guard.
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import sys
 from fractions import Fraction
@@ -227,7 +226,7 @@ def _cmd_explore(args) -> int:
     elif p == 3:
         for D in members("d11-trianglefree", 1, args.max_n):
             opt = oracle.max_dicut_mask(D.n, D.edges)[0]
-            if opt == math.ceil(2 * D.m / 5):
+            if opt == -(-2 * D.m // 5):
                 print(f"tight\tn={D.n}\tm={D.m}\topt={opt}")
     elif p == 5:
         worst = Fraction(0)

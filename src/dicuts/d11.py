@@ -10,11 +10,11 @@ silently degraded answer.  Each step, a reducing pair included, is a `Step`
 of the edges it banks (`kept`) and the other edges it deletes (`dropped`).
 
 `dicut_d11` and `dicut_d11_connected` run from entry to certificate on one
-`WorkGraph` of their input and build no `Digraph`.  Both end in the same
+`WorkGraph` of their input and build no `Digraph`.  Both are the same
 reduction loop, which starts from the pieces its caller walked; d11c
-counts them to check connectivity and is at most one leaf-triangle step,
-on a forest of t >= 2 triangles, in front of the loop, after which it
-walks again.  The loop works on pieces: `Piece` views of one weakly connected
+counts them to check connectivity, and the loop alone clears 7m/20 on a
+triangle forest too (proof at `dicut_d11_connected`).  The loop works on
+pieces: `Piece` views of one weakly connected
 component with at least one edge, on the original vertex ids.  A piece of
 at most 6 edges goes to the exact oracle.  On a larger one the loop
 deletes a step's edges from the working graph and then looks for pieces
@@ -41,8 +41,7 @@ digraph.  The step finders `find_triangle_reduction` and
 `find_reducing_pair` take such a piece, and `is_triangle_forest` also the
 connected input of `dicut_d11_connected`, isolated vertices and all; none
 checks it again.  The two finders return the `Step` they found, and the
-forest test the forest's triangles: there the bridges form a tree, and its
-leaf, bridge and continuation show in the degrees.
+forest test the forest's triangles, by which d11c refuses a lone triangle.
 """
 
 from __future__ import annotations
@@ -484,54 +483,57 @@ def is_triangle_forest(
 
 def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate:
     """A directed cut of size at least 7m/20 for connected D(1,1) digraphs
-    that are not a single directed triangle: a triangle forest of t >= 2
-    triangles loses a leaf triangle first, and the reduction loop takes
-    what is left."""
+    that are not a single directed triangle, by the reduction loop of
+    `dicut_d11` alone.
+
+    The loop banks at least (2m - t)/5, t the most vertex-disjoint
+    triangles (`dicut_d11`).  Joining those t triangles and every vertex
+    they miss takes m >= 4t - 1 edges, so (2m - t)/5 >= 7m/20 unless
+    m = 4t - 1.  Then D is a triangle forest (`is_triangle_forest`):
+    t triangles, every vertex on one, joined by t - 1 bridges in a tree.
+    There 7m/20 = (2m - t)/5 + 1/20, and t >= 2, as a lone triangle is
+    refused.  The trace removes every edge once, and each step keeps at
+    least its share of what it removes:
+
+    - a triangle step keeps 1 of 3 edges, its share (2*3 - 1)/5;
+    - a reducing pair keeps |A| >= 2(|A| + |B|)/5;
+    - an oracle base on the piece H keeps opt(H) >= (2m_H - t_H)/5, t_H the
+      triangles intact in H (Theorem 1 on H).
+
+    Five times a share is an integer, so each surplus is a multiple of 1/5,
+    and |K| >= (2m - t')/5 + s, where t' <= t counts the triangles stepped
+    or intact in a base piece and s >= 0 is the total surplus.  So t' < t
+    or s > 0 gives 5|K| >= 2m - t + 1, above 7m/20.  Suppose t' = t: each
+    triangle's edges go only in its own step or base piece, so no
+    reducing pair takes a triangle edge.  A triangle vertex has in- and
+    out-degree 1 on its triangle, so no vertex is both a bridge tail and a
+    bridge head.  A bridge goes in a base piece or a reducing
+    pair, and either one has a surplus:
+
+    - a base piece with a bridge has b >= 1 bridges and at most one
+      triangle, whole, as two triangles and a bridge make 7 edges.  X = the
+      bridge tails, plus a triangle vertex that is no head where no
+      triangle vertex is a tail, cuts every bridge and a triangle edge;
+      where all three are tails or all are heads, it cuts the b = 3
+      bridges.  Either way it beats the share, 2b/5 or 1 + 2b/5;
+    - a leaf pair (or its mirror) takes no triangle edge, so v0 and both
+      ext vertices carry bridges only: v0 is a head, so it has no
+      out-edge, and they are tails, so they have no in-edge.  B is empty
+      and the surplus 6/5;
+    - every other pattern takes an edge of a cycle of D- or D+, and the
+      only cycles of a forest are its whole triangles.  A bare path or
+      cycle of m >= 7 edges does not occur: bridges make no path of two.
+
+    `cut_from_banked` checks the bound at runtime all the same.
+    """
     _require_d11(D)
     W = WorkGraph(D)
     work = W.pieces(D.vertices)
     # isolated vertices are allowed: only edge-carrying components count
     if len(work) > 1:
         raise PreconditionError("digraph is not connected")
-    K: set[Edge] = set()
     tris = is_triangle_forest(D)
-    if tris is not None:
-        if len(tris) == 1:
-            raise PreconditionError("input is a directed triangle")
-        step = _leaf_triangle(D, tris)
-        if trace is not None:
-            trace.append(step)
-        K.update(step.kept)
-        W.delete(step.kept + step.dropped)
-        work = W.pieces(D.vertices)
-    K |= _reduction_loop(W, work, trace)
+    if tris is not None and len(tris) == 1:
+        raise PreconditionError("input is a directed triangle")
+    K = _reduction_loop(W, work, trace)
     return cut_from_banked(D, K, Fraction(7 * D.m, 20))
-
-
-def _leaf_triangle(D: Digraph, tris) -> Step:
-    """The leaf-triangle step of D, a forest of the t >= 2 triangles
-    `tris`: it banks a leaf's bridge and the edge opposite its end.
-
-    A leaf's D-degrees sum to 6 plus its one bridge end, its one vertex x
-    of degree 3, where the bridge is the edge off the triangle.  The
-    bridge's other end x' has two edges on the bridge's side, so D(1,1)
-    leaves it one other edge, the continuation, which lies in the triangle
-    of x'.
-    """
-    succ, pred = D.succ, D.pred
-    deg = lambda v: len(succ[v]) + len(pred[v])
-    tri = next(tri for tri in tris if sum(map(deg, tri)) == 7)
-    cyc = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
-    x = next(v for v in tri if deg(v) == 3)
-    if len(succ[x]) == 2:
-        # bridge x -> x' leaves the leaf triangle at x
-        xp = next(w for w in succ[x] if w not in cyc)
-        bridge, continuation = (x, xp), (xp, succ[xp][0])
-    else:
-        # mirrored: bridge x' -> x enters the leaf triangle at x
-        xp = next(u for u in pred[x] if u not in cyc)
-        bridge, continuation = (xp, x), (pred[xp][0], xp)
-    y = cyc[x]
-    kept = tuple(sorted((bridge, (y, cyc[y]))))
-    gone = {(a, cyc[a]) for a in tri} | {bridge, continuation}
-    return Step("leaf-triangle", kept, tuple(sorted(gone.difference(kept))))

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import inspect
+import itertools
 import math
 import random
 import re
@@ -78,46 +79,37 @@ def random_bridged_tree(rng, t):
     return Digraph(3 * t, [(label[u], label[v]) for u, v in edges])
 
 
-def leaf_peel_reference(D):
-    """d11c's leaf-triangle step as first written: a union-find check that
-    the bridges form a tree, then a vertex -> triangle index and a bridge
-    count per triangle.  Returns the step and whether its bridge leaves the
-    leaf triangle."""
-    tris = D.triangles()
-    tri_of = {v: i for i, tri in enumerate(tris) for v in tri}
-    tri_edges = {e for a, b, c in tris for e in ((a, b), (b, c), (c, a))}
-    bridges = [e for e in D.edges if e not in tri_edges]
-    parent = list(range(len(tris)))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    degree = [0] * len(tris)
-    for u, v in bridges:
-        ra, rb = find(tri_of[u]), find(tri_of[v])
-        assert ra != rb
-        parent[ra] = rb
-        degree[tri_of[u]] += 1
-        degree[tri_of[v]] += 1
-    leaf = degree.index(1)
-    bridge = next(e for e in bridges if leaf in (tri_of[e[0]], tri_of[e[1]]))
-    tri = tris[leaf]
-    cyc = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
-    leaves = tri_of[bridge[0]] == leaf
-    if leaves:
-        x, xp = bridge
-        continuation = (xp, next(w for w in D.succ[xp]
-                                 if tri_of[w] == tri_of[xp]))
-    else:
-        xp, x = bridge
-        continuation = (next(u for u in D.pred[xp]
-                             if tri_of[u] == tri_of[xp]), xp)
-    y = cyc[x]
-    kept = tuple(sorted((bridge, (y, cyc[y]))))
-    gone = {(a, cyc[a]) for a in tri} | {bridge, continuation}
-    return Step("leaf-triangle", kept, tuple(sorted(gone - set(kept)))), leaves
+def triangle_forests(t_max):
+    """Every forest of 2 <= t <= t_max triangles (3i, 3i+1, 3i+2): each
+    labelled tree on the triangles (by Pruefer sequence), each bridge with
+    an end on each of its two triangles and a direction, where the result
+    is in D(1,1), that is where no vertex is both a bridge tail and a
+    bridge head."""
+    for t in range(2, t_max + 1):
+        for code in itertools.product(range(t), repeat=t - 2):
+            degree = [1] * t
+            for i in code:
+                degree[i] += 1
+            tree = []
+            for i in code:
+                leaf = degree.index(1)
+                tree.append((leaf, i))
+                degree[leaf] -= 1
+                degree[i] -= 1
+            tree.append(tuple(i for i in range(t) if degree[i] == 1))
+            triangles = [e for i in range(t) for e in
+                         ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2),
+                          (3 * i + 2, 3 * i))]
+            for ends in itertools.product(range(3), repeat=2 * (t - 1)):
+                for flips in itertools.product((False, True), repeat=t - 1):
+                    bridges = []
+                    for (i, j), a, b, flip in zip(tree, ends[::2], ends[1::2],
+                                                  flips):
+                        u, v = 3 * i + a, 3 * j + b
+                        bridges.append((v, u) if flip else (u, v))
+                    D = Digraph(3 * t, triangles + bridges)
+                    if class_partition(D, 1, 1) is not None:
+                        yield D
 
 
 def _cycles(lengths, first):
@@ -544,8 +536,7 @@ class TestBound:
 
 
 def test_steps_cover_every_edge_once():
-    # each edge is banked or deleted by exactly one step, d11c's leaf
-    # step included
+    # each edge is banked or deleted by exactly one step
     rng = random.Random(31)
     graphs = list(digonfree_d11(6))
     graphs += [gen_random_family("d11", rng.randint(3, 60), 1,
@@ -618,13 +609,12 @@ class TestTriangleForest:
             cert = dicut_d11_connected(D, trace)
         finally:
             sys.setrecursionlimit(limit)
-        assert trace[0][0] == "leaf-triangle"
         cert.verify(D)
         assert 20 * cert.size >= 7 * D.m
 
     @pytest.mark.parametrize("t", [3, 4, 5, 6])
     def test_shape_checked_once(self, t, monkeypatch):
-        # the peeled rest keeps 4t - 6 edges on t - 2 triangles: no forest
+        # only to refuse a lone triangle; the reduction loop never asks
         calls = []
         monkeypatch.setattr(d11, "is_triangle_forest",
                             lambda D: calls.append(D) or is_triangle_forest(D))
@@ -632,24 +622,25 @@ class TestTriangleForest:
         dicut_d11_connected(D).verify(D)
         assert len(calls) == 1
 
-    def test_leaf_peel_matches_union_find_peel(self):
-        # the degrees find the leaf, bridge and continuation that a
-        # union-find tree and a vertex -> triangle index found before
+    def test_loop_alone_clears_forests_by_a_fifth(self):
+        # every step keeps at least its share, so |K| >= (2m - t)/5; on a
+        # forest a bridge forces a surplus of a fifth, and 7m/20 is only
+        # (2m - t)/5 + 1/20, so no leaf triangle need go first
         rng = random.Random(17)
-        graphs = [random_triangle_tree(rng, rng.randint(2, 40))
-                  for _ in range(100)]
+        graphs = list(triangle_forests(3))
+        exhaustive = len(graphs)
+        graphs += [random_triangle_tree(rng, rng.randint(2, 40))
+                   for _ in range(100)]
         graphs += [random_bridged_tree(rng, rng.randint(2, 40))
                    for _ in range(100)]
-        directions, several = set(), 0
         for D in graphs:
+            t = len(is_triangle_forest(D))
             trace = []
-            dicut_d11_connected(D, trace).verify(D)
-            step, leaves = leaf_peel_reference(D)
-            assert trace[0] == step, D
-            directions.add(leaves)
-            several += any(D.in_deg(v) + D.out_deg(v) > 3
-                           for v in D.vertices)
-        assert directions == {True, False} and several > 50
+            cert = dicut_d11_connected(D, trace)
+            cert.verify(D)
+            assert all(step.tag != "leaf-triangle" for step in trace), D
+            assert 5 * cert.size >= 2 * D.m - t + 1, D
+        assert exhaustive == 828
 
     def test_mirrored_bridge(self):
         # bridge pointing INTO the leaf triangle

@@ -200,8 +200,8 @@ def test_d11_long_chain_builds_no_graph(method, monkeypatch):
         assert 5 * cert.size >= 2 * D.m - t
     else:
         assert 20 * cert.size >= 7 * D.m
-    # the base steps call the oracle's kernel on edge lists, and d11c's
-    # leaf-triangle peel deletes from the reduction loop's working graph
+    # the base steps call the oracle's kernel on edge lists, and d11c runs
+    # the same reduction loop on the same working graph as d11
     assert sum(step[0] == "oracle-base" for step in trace) >= 1098
     assert len(builds) == 0
 
