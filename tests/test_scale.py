@@ -273,7 +273,7 @@ PINNED = [
         gen_random_family("d11", 3200, 1, 1), trace).X,
      "3e446ae8efbdeb4d", "7984616bc7e5b773"),
     ("d11c", lambda trace: dicut_d11_connected(triangle_chain(1100), trace).X,
-     "3a4e41cffef45d50", "585cf5d8a3dd33b6"),
+     "10af3c74b869b3ae", "73502f18c49a513a"),
     ("d22", lambda trace: dicut_d22(dense_d22(480, 1), trace).X,
      "b76c70442751eed7", "a4246a3c35be6500"),
     ("peel", lambda trace: sorted(peel_to_lower_class(Digraph(
