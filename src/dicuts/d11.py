@@ -487,13 +487,13 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
     `dicut_d11` alone.
 
     The loop banks at least (2m - t)/5, t the most vertex-disjoint
-    triangles (`dicut_d11`).  Joining those t triangles and every vertex
-    they miss takes m >= 4t - 1 edges, so (2m - t)/5 >= 7m/20 unless
-    m = 4t - 1.  Then D is a triangle forest (`is_triangle_forest`):
-    t triangles, every vertex on one, joined by t - 1 bridges in a tree.
-    There 7m/20 = (2m - t)/5 + 1/20, and t >= 2, as a lone triangle is
-    refused.  The trace removes every edge once, and each step keeps at
-    least its share of what it removes:
+    triangles (`dicut_d11`).  Joining those t triangles and every
+    edge-carrying vertex they miss takes m >= 4t - 1 edges, so
+    (2m - t)/5 >= 7m/20 unless m = 4t - 1.  Then D is a triangle forest
+    (`is_triangle_forest`): t triangles, every edge-carrying vertex on one,
+    joined by t - 1 bridges in a tree.  There 7m/20 = (2m - t)/5 + 1/20,
+    and t >= 2, as a lone triangle is refused.  The trace removes every
+    edge once, and each step keeps at least its share of what it removes:
 
     - a triangle step keeps 1 of 3 edges, its share (2*3 - 1)/5;
     - a reducing pair keeps |A| >= 2(|A| + |B|)/5;
@@ -507,8 +507,8 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
     triangle's edges go only in its own step or base piece, so no
     reducing pair takes a triangle edge.  A triangle vertex has in- and
     out-degree 1 on its triangle, so no vertex is both a bridge tail and a
-    bridge head.  A bridge goes in a base piece or a reducing
-    pair, and either one has a surplus:
+    bridge head.  A bridge goes in a base piece or a reducing pair, and
+    either one has a surplus:
 
     - a base piece with a bridge has b >= 1 bridges and at most one
       triangle, whole, as two triangles and a bridge make 7 edges.  X = the

@@ -614,7 +614,8 @@ class TestTriangleForest:
 
     @pytest.mark.parametrize("t", [3, 4, 5, 6])
     def test_shape_checked_once(self, t, monkeypatch):
-        # only to refuse a lone triangle; the reduction loop never asks
+        # d11c tests the shape once, to refuse a lone triangle; the
+        # reduction loop never asks
         calls = []
         monkeypatch.setattr(d11, "is_triangle_forest",
                             lambda D: calls.append(D) or is_triangle_forest(D))
