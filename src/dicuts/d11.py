@@ -11,34 +11,39 @@ of the edges it banks (`kept`) and the other edges it deletes (`dropped`).
 
 `dicut_d11` and `dicut_d11_connected` run from entry to certificate on one
 `WorkGraph` of their input and build no `Digraph`.  Both are the same
-reduction loop, which starts from the pieces its caller walked; d11c
-counts them to check connectivity, and the loop alone clears 7m/20 on a
-triangle forest too (proof at `dicut_d11_connected`).  The loop works on
-pieces: `Piece` views of one weakly connected
-component with at least one edge, on the original vertex ids.  A piece of
-at most 6 edges goes to the exact oracle.  On a larger one the loop
+reduction loop, which starts from the pieces its caller walked; d11c counts
+them to check connectivity, and the loop alone clears 7m/20 on a triangle
+forest too (proof at `dicut_d11_connected`).  The loop works on pieces:
+`Piece` views of one weakly connected component with at least one edge, on
+the original vertex ids.  A run lists its input's triangles once
+(`Digraph.triangle_list`): d11's t, d11c's forest test and the working
+graph's start marks read that one listing, and a piece's triangle scan
+starts only at the marked least vertices, as deletion only kills triangles.
+A piece of at most 6 edges goes to the exact oracle; its base step splits
+the edges into kept and dropped in one pass.  On a larger one the loop
 deletes a step's edges from the working graph and then looks for pieces
-only among the vertices of the piece it stepped on.  A reducing-pair
-search scans D- and then D+ once each, in vertex order and read from the
-degrees.  Each scan stops at the first vertex with two in-
-(out-) neighbours outside its side, where the leaf pattern fires, or else
-follows that side's cycles and hands them on to the later patterns and
-the contraction graph.  A bare path or cycle is the case where both sides
-are empty.  The validation finds edges in `succ`: no step lists a piece's
-edges or its V+ and V- sets.  Claims 1.5, 1.6 and the gamma step build
-their pairs from an (l+1)-set on an odd cycle of D-, the last two also
-from a b-path along a cycle of D+.  Each of these side constructions
-returns one (A, B) pair, each pattern adds its own edges where its parts
-meet, and `_pair` takes B - A once.  Every choice below (sorted
-triangles, scans of ``D.vertices``, sorted adjacency) follows vertex
-order, so a piece makes the same choices as its component relabelled
-onto 0..n-1, and the functions below take a `Digraph` just as well.
+only among the vertices of the piece it stepped on.  A reducing-pair search
+scans D- and then D+ once each, in vertex order and read from the degrees.
+Each scan stops at the first vertex with two in- (out-) neighbours outside
+its side, where the leaf pattern fires, or else follows that side's cycles
+and hands them on to the later patterns and the contraction graph.  A bare
+path or cycle is the case where both sides are empty.  The validation finds
+edges in `succ` and reads the P3s through A straight off the tails' `pred`
+and the heads' `succ`: no step lists a piece's edges or its V+ and V- sets.
+Claims 1.5, 1.6 and the gamma step build their pairs from an (l+1)-set on
+an odd cycle of D-, the last two also from a b-path along a cycle of D+.
+Each of these side constructions returns one (A, B) pair, each pattern adds
+its own edges where its parts meet, and `_pair` takes B - A once.  Every
+choice below (sorted triangles, scans of ``D.vertices``, sorted adjacency)
+follows vertex order, so a piece makes the same choices as its component
+relabelled onto 0..n-1, and the functions below take a `Digraph` just as
+well.
 
 The input class is checked once, at the entries `dicut_d11` and
 `dicut_d11_connected`.  Deleting edges keeps a digraph digon-free and in
 D(1,1), so every piece is a connected, edge-carrying, digon-free D(1,1)
 digraph.  The step finders `find_triangle_reduction` and
-`find_reducing_pair` take such a piece, and `is_triangle_forest` also the
+`find_reducing_pair` take such a piece, and `is_triangle_forest` the
 connected input of `dicut_d11_connected`, isolated vertices and all; none
 checks it again.  The two finders return the `Step` they found, and the
 forest test the forest's triangles, by which d11c refuses a lone triangle.
@@ -47,7 +52,7 @@ forest test the forest's triangles, by which d11c refuses a lone triangle.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Optional
 
 from .digraph import (
@@ -91,24 +96,33 @@ def find_triangle_reduction(D: Digraph) -> Optional[Step]:
 def validate_reducing_pair(D: Digraph, A: Iterable[Edge],
                            B: Iterable[Edge], tag: str) -> None:
     """Raise `AlgorithmBugError` unless (A, B) is a reducing pair of the
-    digon-free D; there A is P3-free iff no head of A is a tail of A."""
+    digon-free D; there A is P3-free iff no head of A is a tail of A.
+
+    The P3s through A are read off `pred` and `succ` directly.  Once A is
+    P3-free, no edge into a tail of A or out of a head of A lies in A, so
+    such an edge is covered iff it lies in B."""
     A, B = frozenset(A), frozenset(B)
     if not A:
         raise AlgorithmBugError(f"{tag}: empty A")
-    if A & B:
+    if not A.isdisjoint(B):
         raise AlgorithmBugError(f"{tag}: A and B intersect")
-    succ = D.succ
-    if any(v not in succ[u] for u, v in A | B):
-        raise AlgorithmBugError(f"{tag}: pair uses edges outside D")
-    if not {v for _, v in A}.isdisjoint(u for u, _ in A):
-        raise AlgorithmBugError(f"{tag}: A contains a directed P3")
+    succ, pred = D.succ, D.pred
+    for u, v in chain(A, B):
+        if v not in succ[u]:
+            raise AlgorithmBugError(f"{tag}: pair uses edges outside D")
+    heads = {v for _, v in A}
+    for u, _ in A:
+        if u in heads:
+            raise AlgorithmBugError(f"{tag}: A contains a directed P3")
     for a, b in A:
-        for e in D.in_edges(a):
-            if e not in B and e not in A:
-                raise AlgorithmBugError(f"{tag}: uncovered P3 {e} -> {(a, b)}")
-        for e in D.out_edges(b):
-            if e not in B and e not in A:
-                raise AlgorithmBugError(f"{tag}: uncovered P3 {(a, b)} -> {e}")
+        for u in pred[a]:
+            if (u, a) not in B:
+                raise AlgorithmBugError(
+                    f"{tag}: uncovered P3 {(u, a)} -> {(a, b)}")
+        for w in succ[b]:
+            if (b, w) not in B:
+                raise AlgorithmBugError(
+                    f"{tag}: uncovered P3 {(a, b)} -> {(b, w)}")
     if 2 * len(B) > 3 * len(A):
         raise AlgorithmBugError(f"{tag}: |B| = {len(B)} > 3/2 |A| = {len(A)}")
 
@@ -405,14 +419,17 @@ def _base_step(H: Digraph) -> Step:
     directed cut, found on H relabelled onto 0..n-1 in vertex order, and
     drops H's other edges."""
     succ = H.succ
-    edges = [(u, w) for u in H.vertices for w in succ[u]]
     index = {v: i for i, v in enumerate(H.vertices)}
+    edges = [(u, w) for u in H.vertices for w in succ[u]]
     _, x = oracle.max_dicut_mask(
-        len(H.vertices), [(index[u], index[v]) for u, v in edges])
-    kept = [(u, v) for u, v in edges
-            if x >> index[u] & 1 and not x >> index[v] & 1]
-    return Step("oracle-base", tuple(kept),
-                tuple([e for e in edges if e not in kept]))
+        len(index), [(index[u], index[w]) for u, w in edges])
+    kept, dropped = [], []
+    for e in edges:
+        if x >> index[e[0]] & 1 and not x >> index[e[1]] & 1:
+            kept.append(e)
+        else:
+            dropped.append(e)
+    return Step("oracle-base", tuple(kept), tuple(dropped))
 
 
 def _reduction_loop(W: WorkGraph, work: list[Piece],
@@ -445,6 +462,7 @@ def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     vertex-disjoint directed triangles (`_books`)."""
     _require_d11(D)
     W = WorkGraph(D)
+    W.mark_starts(D.triangle_list)
     K = _reduction_loop(W, W.pieces(D.vertices), trace)
     return cut_from_banked(D, K, Fraction(2 * D.m - _books(D), 5))
 
@@ -456,7 +474,7 @@ def _books(D: Digraph) -> int:
     vertex-sharing triangles is a book on one edge, and any maximal
     packing, as the greedy one below, takes one triangle per book."""
     used: set[int] = set()
-    for tri in D.triangles():
+    for tri in D.triangle_list:
         if used.isdisjoint(tri):
             used.update(tri)
     return len(used) // 3
@@ -467,13 +485,14 @@ def _books(D: Digraph) -> int:
 def is_triangle_forest(
     D: Digraph,
 ) -> Optional[tuple[tuple[int, int, int], ...]]:
-    """The triangles of the connected piece D if it is t triangles joined
-    by t - 1 tree bridges: iff its triangles are pairwise disjoint, cover
+    """The triangles of the connected digraph D, as its one listing
+    `D.triangle_list` holds them, if it is t triangles joined by t - 1
+    tree bridges: iff its triangles are pairwise disjoint, cover
     every vertex that carries an edge, and m = 4t - 1.  Digon-free, the
     only edges among a triangle's vertices are its own, so the other t - 1
     edges are bridges that join the t triangles into one component: a tree.
     """
-    tris = tuple(D.triangles())
+    tris = D.triangle_list
     covered = {v for tri in tris for v in tri}
     if (len(covered) != 3 * len(tris) or D.m != 4 * len(tris) - 1
             or any(u not in covered or v not in covered for u, v in D.edges)):
@@ -535,5 +554,6 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
     tris = is_triangle_forest(D)
     if tris is not None and len(tris) == 1:
         raise PreconditionError("input is a directed triangle")
+    W.mark_starts(D.triangle_list)
     K = _reduction_loop(W, work, trace)
     return cut_from_banked(D, K, Fraction(7 * D.m, 20))

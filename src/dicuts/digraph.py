@@ -12,7 +12,10 @@ on the original vertex ids; a piece lists no edges of its own, so its
 readers find edges in `succ`, and it stays valid until an edge at one of
 its vertices is deleted.  The walk behind `WorkGraph.pieces` finds the
 weak components for d11 and for `Digraph.weak_components`.
-`Digraph` and `Piece` list triangles through one function.  Every
+`Digraph` and `Piece` list triangles through one function.
+`Digraph.triangle_list` keeps one listing per digraph; a d11 run reads
+it, and its `WorkGraph` marks each listed triangle's least vertex, so a
+piece scans only the marked vertices for triangles.  Every
 algorithm that works in steps (d11, d11c, d22, peel) records them in
 its trace as `Step`s.  All set-like outputs are emitted in ascending order
 so that golden tests and the CLI are deterministic.
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import compress, islice
 from operator import index
 from typing import Iterable, NamedTuple, Optional
 
@@ -247,6 +250,13 @@ class Digraph(_AdjacencyReads):
         """All directed 3-cycles, as (a, b, c) with a minimal and a->b->c->a."""
         return list(_triangles(self.vertices, self.succ, self.pred))
 
+    @cached_property
+    def triangle_list(self) -> tuple[tuple[int, int, int], ...]:
+        """`triangles()`, listed by one call and kept: a d11 or d11c run
+        reads its t, its forest test and its start marks off this one
+        listing."""
+        return tuple(self.triangles())
+
     def is_acyclic(self) -> bool:
         indeg = [self.in_deg(v) for v in range(self.n)]
         queue = [v for v in range(self.n) if indeg[v] == 0]
@@ -267,6 +277,8 @@ class WorkGraph:
     `succ[v]` and `pred[v]` are sorted lists over the digraph's vertex
     ids, copied once; deleting an edge removes it from both lists in place.
     `mark` and `epoch` let each `pieces` call walk without a set of its own.
+    `starts[v]` is 0 only where `mark_starts` found that v starts no
+    triangle; every piece's triangle scan skips those vertices.
     """
 
     def __init__(self, D: Digraph):
@@ -274,6 +286,18 @@ class WorkGraph:
         self.pred = list(map(list, D.pred))
         self.mark = [0] * D.n
         self.epoch = 0
+        self.starts = bytearray(b"\1") * D.n
+
+    def mark_starts(self, triangles: Iterable[tuple[int, int, int]]) -> None:
+        """Clear every start mark but those of the least vertices of
+        `triangles`, the digraph's own listing.  Deleting edges only kills
+        triangles, so a vertex without a mark never starts a live one, and
+        the pieces, walked before or after, scan the same triangles in the
+        same order."""
+        starts = self.starts
+        starts[:] = bytes(len(starts))
+        for a, _, _ in triangles:
+            starts[a] = 1
 
     def delete(self, edges: Iterable[Edge]) -> None:
         succ, pred = self.succ, self.pred
@@ -291,13 +315,16 @@ class WorkGraph:
         components (all vertices, or the vertices of a piece since cut).
         """
         self.epoch += 1
-        return _walk(self.succ, self.pred, vertices, self.mark, self.epoch)
+        return _walk(self.succ, self.pred, vertices, self.mark, self.epoch,
+                     self.starts)
 
 
-def _walk(succ, pred, vertices, mark: list[int], epoch: int) -> list["Piece"]:
+def _walk(succ, pred, vertices, mark: list[int], epoch: int,
+          starts: Optional[bytearray] = None) -> list["Piece"]:
     """The pieces of `vertices` as `WorkGraph.pieces` gives them, over this
-    `succ` and `pred`: the walk stamps each vertex it reaches with `epoch`
-    in `mark`, where no vertex may read `epoch` on entry."""
+    `succ` and `pred` and with these `starts`: the walk stamps each vertex
+    it reaches with `epoch` in `mark`, where no vertex may read `epoch` on
+    entry."""
     out = []
     for s in vertices:
         if mark[s] == epoch or not (succ[s] or pred[s]):
@@ -315,7 +342,7 @@ def _walk(succ, pred, vertices, mark: list[int], epoch: int) -> list["Piece"]:
                     mark[w] = epoch
                     comp.append(w)
         comp.sort()
-        out.append(Piece(comp, succ, pred, m))
+        out.append(Piece(comp, succ, pred, m, starts))
     return out
 
 
@@ -327,21 +354,29 @@ class Piece(_AdjacencyReads):
 
     `vertices` is sorted, and `triangles` come in the order a `Digraph`
     gives them, so a pattern that scans `vertices` makes the same choices
-    on a piece as on the component relabelled onto 0..n-1.
+    on a piece as on the component relabelled onto 0..n-1.  The scan
+    starts only at vertices whose `starts` entry is set, or at every
+    vertex without `starts`.
     """
 
-    def __init__(self, vertices: list[int], succ: list, pred: list, m: int):
+    def __init__(self, vertices: list[int], succ: list, pred: list, m: int,
+                 starts: Optional[bytearray] = None):
         self.vertices = vertices
         self.succ = succ
         self.pred = pred
         self.m = m
+        self.starts = starts
 
     def triangles(self):
         """All directed 3-cycles as in `Digraph.triangles`, lazily."""
-        return _triangles(self.vertices, self.succ, self.pred)
+        vertices, starts = self.vertices, self.starts
+        if starts is not None:
+            vertices = compress(vertices, map(starts.__getitem__, vertices))
+        return _triangles(vertices, self.succ, self.pred)
 
     def reverse(self) -> "Piece":
-        return Piece(self.vertices, self.pred, self.succ, self.m)
+        # a triangle reversed has the same least vertex
+        return Piece(self.vertices, self.pred, self.succ, self.m, self.starts)
 
 
 @dataclass(frozen=True)
@@ -381,10 +416,10 @@ def class_partition(D: Digraph, k: int, ell: int) -> Optional[ClassPartition]:
     if k < 0 or ell < 0:
         raise InputError("k and ell must be non-negative")
     X, Y = [], []
-    for v in range(D.n):
-        if D.in_deg(v) <= k:
+    for v, ins, outs in zip(range(D.n), D.pred, D.succ):
+        if len(ins) <= k:
             X.append(v)
-        elif D.out_deg(v) <= ell:
+        elif len(outs) <= ell:
             Y.append(v)
         else:
             return None
@@ -433,7 +468,7 @@ def _cut_of(D: Digraph, xs: set[int], bound: Fraction,
 
 
 def _check_bound(size: int, bound: Fraction) -> None:
-    if size < bound:
+    if size * bound.denominator < bound.numerator:
         raise AlgorithmBugError(f"cut of {size} misses its bound {bound}")
 
 

@@ -18,7 +18,7 @@ import random
 
 from dicuts import d11
 from dicuts.d11 import contraction_graph
-from dicuts.digraph import CutCertificate, Digraph, Piece
+from dicuts.digraph import AlgorithmBugError, CutCertificate, Digraph, Piece
 
 
 # -- instance builders -----------------------------------------------------
@@ -187,6 +187,31 @@ def forest_reference(D):
             found.append(cover)
     assert len(found) <= 1
     return found[0] if found else None
+
+
+def validate_by_edge_lists(D, A, B, tag):
+    """`d11.validate_reducing_pair` as first written: it lists the in-edges
+    of each tail and the out-edges of each head of A, looks each one up in
+    B and in A, and finds A | B in `succ`."""
+    A, B = frozenset(A), frozenset(B)
+    if not A:
+        raise AlgorithmBugError(f"{tag}: empty A")
+    if A & B:
+        raise AlgorithmBugError(f"{tag}: A and B intersect")
+    succ = D.succ
+    if any(v not in succ[u] for u, v in A | B):
+        raise AlgorithmBugError(f"{tag}: pair uses edges outside D")
+    if not {v for _, v in A}.isdisjoint(u for u, _ in A):
+        raise AlgorithmBugError(f"{tag}: A contains a directed P3")
+    for a, b in A:
+        for e in D.in_edges(a):
+            if e not in B and e not in A:
+                raise AlgorithmBugError(f"{tag}: uncovered P3 {e} -> {(a, b)}")
+        for e in D.out_edges(b):
+            if e not in B and e not in A:
+                raise AlgorithmBugError(f"{tag}: uncovered P3 {(a, b)} -> {e}")
+    if 2 * len(B) > 3 * len(A):
+        raise AlgorithmBugError(f"{tag}: |B| = {len(B)} > 3/2 |A| = {len(A)}")
 
 
 def pieces_reference(succ, pred, vertices):

@@ -38,6 +38,7 @@ from reference import (
     forest_reference,
     leaf_in_minus_by_components,
     triangle_chain,
+    validate_by_edge_lists,
 )
 
 
@@ -237,6 +238,22 @@ def reduction_rebuilding(D):
     return K, trace
 
 
+def run_seeded_draws(seed):
+    """d11, and d11c where it applies, on seeded random D(1,1) digraphs,
+    triangle trees and Example 1 chains, each cut verified."""
+    rng = random.Random(seed)
+    graphs = [gen_random_family("d11", rng.randint(8, 160), 1,
+                                rng.randrange(1 << 30)) for _ in range(30)]
+    graphs += [random_triangle_tree(rng, rng.randint(2, 30))
+               for _ in range(15)]
+    for D in graphs + [gen_example1(k) for k in (1, 2, 4, 7)]:
+        for method in (dicut_d11, dicut_d11_connected):
+            try:
+                method(D).verify(D)
+            except PreconditionError:  # d11c: disconnected
+                continue
+
+
 def bound_ok(D, cert):
     t = oracle.max_triangle_packing(D)
     return cert.size >= math.ceil((2 * D.m - t) / 5)
@@ -339,6 +356,54 @@ class TestTriangleReduction:
         # every triangle vertex has out-degree 2: no edge qualifies
         e = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)]
         assert find_triangle_reduction(Digraph(6, e)) is None
+
+    def test_marked_scan_lists_every_live_triangle(self, monkeypatch):
+        # a run marks the least vertex of each of its input's triangles,
+        # and every piece it meets must still list all of its own
+        listed = collections.Counter()
+
+        def checked(original):
+            def run(H):
+                got = list(H.triangles())
+                assert got == list(digraph._triangles(H.vertices, H.succ,
+                                                      H.pred))
+                listed[bool(got)] += 1
+                return original(H)
+            return run
+
+        for name in ("find_triangle_reduction", "_base_step"):
+            monkeypatch.setattr(d11, name, checked(getattr(d11, name)))
+        run_seeded_draws(43)
+        assert listed[True] > 100 and listed[False] > 1000, listed
+
+    def test_scan_reads_no_out_list_without_triangles(self, monkeypatch):
+        # no vertex of a triangle-free digraph starts a triangle, so the
+        # scan reads no vertex's out-list; walking every vertex with an
+        # in-edge would read one at each
+        reads, ins = [0], [0]
+
+        class Counted:
+            def __init__(self, lists):
+                self.lists = lists
+
+            def __getitem__(self, v):
+                reads[0] += 1
+                return self.lists[v]
+
+        def counted(H):
+            succ = H.succ
+            H.succ = Counted(succ)
+            try:
+                assert list(H.triangles()) == []
+            finally:
+                H.succ = succ
+            ins[0] += sum(1 for v in H.vertices if H.pred[v])
+            return find_triangle_reduction(H)
+
+        monkeypatch.setattr(d11, "find_triangle_reduction", counted)
+        D = gen_random_family("d11-trianglefree", 1600, 1, 7)
+        dicut_d11(D).verify(D)
+        assert ins[0] > 10000 and reads[0] == 0
 
 
 class TestReducingPairs:
@@ -444,6 +509,55 @@ class TestReducingPairs:
         assert min(fired[tag] for tag in late) >= 20, fired
         assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
             "e8e07853f683cefd15c280bb6cd63b2cd1107a5d87122e91ad919657b98e1b24")
+
+    def test_validator_same_as_edge_list_reference(self, monkeypatch):
+        # every pair of seeded d11 and d11c runs, and mutations of each,
+        # get the same verdict and message from the validator and from
+        # the edge-list reference
+        kinds = collections.Counter()
+        validate = d11.validate_reducing_pair
+
+        def outcome(check, D, A, B):
+            try:
+                check(D, A, B, "t")
+            except AlgorithmBugError as exc:
+                return str(exc)
+            return "valid"
+
+        def mutations(D, A, B):
+            yield A, B
+            a = min(A)
+            yield A - {a}, B | {a}  # an A edge moved to B
+            yield frozenset(), A | B
+            yield A, B | {a}  # an A edge in B as well
+            for b in sorted(B):  # a B edge dropped
+                yield A, B - {b}
+            u, v = next((u, v) for u in D.vertices for v in D.vertices
+                        if u != v and v not in D.succ[u])
+            yield A, B | {(u, v)}  # an edge outside D
+            for x, y in sorted(A):  # a P3 inside A
+                for e in D.out_edges(y) + D.in_edges(x):
+                    yield A | {e}, B - {e}
+            spare = [(u, w) for u in D.vertices for w in D.succ[u]
+                     if (u, w) not in A and (u, w) not in B]
+            past = 3 * len(A) // 2 + 1 - len(B)  # B one edge past 3/2 |A|
+            if 0 < past <= len(spare):
+                yield A, B | set(spare[:past])
+
+        def compared(D, A, B, tag):
+            for A2, B2 in mutations(D, frozenset(A), frozenset(B)):
+                got = outcome(validate, D, A2, B2)
+                assert got == outcome(validate_by_edge_lists, D, A2, B2)
+                kinds[got.split(" (")[0].split(" =")[0]] += 1
+            return validate(D, A, B, tag)
+
+        monkeypatch.setattr(d11, "validate_reducing_pair", compared)
+        run_seeded_draws(41)
+        assert set(kinds) == {
+            "valid", "t: empty A", "t: A and B intersect",
+            "t: pair uses edges outside D", "t: A contains a directed P3",
+            "t: uncovered P3", "t: |B|"}, kinds
+        assert min(kinds.values()) >= 20, kinds
 
     def test_validator_rejects_bad_pair(self):
         D = Digraph(3, [(0, 1), (1, 2)])
