@@ -13,23 +13,30 @@ of the edges it banks (`kept`) and the other edges it deletes (`dropped`).
 `WorkGraph` of their input and build no `Digraph`.  Both are the same
 reduction loop, which starts from the pieces its caller walked; d11c counts
 them to check connectivity, and the loop alone clears 7m/20 on a triangle
-forest too (proof at `dicut_d11_connected`).  The loop works on pieces:
-`Piece` views of one weakly connected component with at least one edge, on
-the original vertex ids.  A run lists its input's triangles once
-(`Digraph.triangle_list`): d11's t, d11c's forest test and the working
-graph's start marks read that one listing, and a piece's triangle scan
-starts only at the marked least vertices, as deletion only kills triangles.
-A piece of at most 6 edges goes to the exact oracle; its base step splits
-the edges into kept and dropped in one pass.  On a larger one the loop
-deletes a step's edges from the working graph and then looks for pieces
-only among the vertices of the piece it stepped on.  A reducing-pair search
-scans D- and then D+ once each, in vertex order and read from the degrees.
-Each scan stops at the first vertex with two in- (out-) neighbours outside
-its side, where the leaf pattern fires, or else follows that side's cycles
-and hands them on to the later patterns and the contraction graph.  A bare
-path or cycle is the case where both sides are empty.  The validation finds
-edges in `succ` and reads the P3s through A straight off the tails' `pred`
-and the heads' `succ`: no step lists a piece's edges or its V+ and V- sets.
+forest too (proof at `dicut_d11_connected`).  A piece is a `Piece` view of
+one weakly connected component with at least one edge, on the original
+vertex ids.  A piece of at most 6 edges goes to the exact oracle, and its
+base step splits the edges into kept and dropped in one pass.  Every other
+piece stays in the working graph, and the loop steps on their union: a step
+reads and deletes edges of one piece only, so steps in different pieces
+commute, and each piece takes the steps it would take alone.  Min-heaps of
+candidate vertices find the least vertex where the triangle step, the leaf
+step of D- or the leaf step of D+ fires; a run lists its input's triangles
+once (`Digraph.triangle_list`), and d11's t, d11c's forest test and the
+triangle heap read that one listing.  A deletion can make one of these
+patterns fire only where it leaves a degree at 1, so only the neighbours
+there are pushed again.  Where no candidate fires, `find_reducing_pair`
+runs on the piece of the least vertex that still has an edge.  After each
+step, walks from the ends of its edges that give up past 6 edges hand
+every piece it leaves of at most 6 edges to the oracle, so no step walks
+a whole piece again.  A reducing-pair search scans D- and then D+ once
+each, in vertex order and read from the degrees.  Each scan stops at the
+first vertex with two in- (out-) neighbours outside its side, where the
+leaf pattern fires, or else follows that side's cycles and hands them on
+to the later patterns and the contraction graph.  A bare path or cycle is
+the case where both sides are empty.  The validation finds edges in `succ`
+and reads the P3s through A straight off the tails' `pred` and the heads'
+`succ`: no step lists a piece's edges or its V+ and V- sets.
 Claims 1.5, 1.6 and the gamma step build their pairs from an (l+1)-set on
 an odd cycle of D-, the last two also from a b-path along a cycle of D+.
 Each of these side constructions returns one (A, B) pair, each pattern adds
@@ -52,7 +59,9 @@ forest test the forest's triangles, by which d11c refuses a lone triangle.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .digraph import (
@@ -64,6 +73,7 @@ from .digraph import (
     PreconditionError,
     Step,
     WorkGraph,
+    _triangles,
     class_partition,
     cut_from_banked,
     shortest_bipartite_cycle,
@@ -85,9 +95,15 @@ def find_triangle_reduction(D: Digraph) -> Optional[Step]:
 
     Absent exactly when every triangle lies inside D+ or D-.
     """
-    for a, b, c in D.triangles():
+    return _triangle_step(D.vertices, D.succ, D.pred)
+
+
+def _triangle_step(starts: Iterable[int], succ, pred) -> Optional[Step]:
+    """`find_triangle_reduction` on the triangles whose least vertex is in
+    `starts`, in the order `Digraph.triangles` lists them."""
+    for a, b, c in _triangles(starts, succ, pred):
         for x, y in ((a, b), (b, c), (c, a)):
-            if D.in_deg(x) == 1 and D.out_deg(y) == 1:
+            if len(pred[x]) == 1 and len(succ[y]) == 1:
                 return Step("triangle", ((x, y),), tuple(sorted(
                     {(a, b), (b, c), (c, a)} - {(x, y)})))
     return None
@@ -163,10 +179,7 @@ def _leaf_in_minus(D: Digraph):
             continue
         ext = list(islice((u for u in ins if len(pred[u]) < 2), 2))
         if len(ext) == 2:
-            B = set(D.out_edges(v0))
-            B.update(D.in_edges(ext[0]))
-            B.update(D.in_edges(ext[1]))
-            return _pair(D, {(u, v0) for u in ext}, B, "leaf-in-minus"), None
+            return _leaf_step(D, v0, ext), None
         minus.append(v0)
     cycles, listed = [], set()
     for v in minus:
@@ -174,6 +187,16 @@ def _leaf_in_minus(D: Digraph):
             cycles.append(_directed_cycle_order(D, v))
             listed.update(cycles[-1])
     return None, cycles
+
+
+def _leaf_step(D, v0: int, ext: list[int]) -> Step:
+    """Claim 1.3's step at v0 of D-, `ext` its first two in-neighbours
+    outside D-: it keeps their edges into v0 and drops v0's out-edges and
+    their in-edges.  It reads only `D.succ` and `D.pred`."""
+    pred = D.pred
+    B = {(v0, w) for w in D.succ[v0]}
+    B.update((x, u) for u in ext for x in pred[u])
+    return _pair(D, {(u, v0) for u in ext}, B, "leaf-in-minus")
 
 
 # -- pattern (2): even cycle in D+ or D- (Claim 1.4) -----------------------
@@ -433,28 +456,128 @@ def _base_step(H: Digraph) -> Step:
 
 
 def _reduction_loop(W: WorkGraph, work: list[Piece],
+                    triangles: tuple[tuple[int, int, int], ...],
                     trace: list | None) -> set[Edge]:
     """Run the Theorem 1 reduction on the edges of the working graph W,
-    starting from `work`, all of W's pieces as `W.pieces` lists them;
-    returns the accumulated P3-free edge set.
+    given `work`, all of W's pieces as `W.pieces` lists them, and
+    `triangles`, W's triangles as `Digraph.triangles` lists them; returns
+    the accumulated P3-free edge set.
 
-    Each stack entry is a `Piece` of W.  A piece of at most 6 edges goes
-    to the oracle; any other step deletes its edges from W, and what it
-    leaves of its piece is split into pieces again.
+    Every piece of at most 6 edges goes to the oracle and leaves W, so W
+    holds only larger pieces, and each step is the one its piece takes
+    alone (module docstring).  It is a triangle step, a leaf-in-minus or a
+    leaf-in-plus at the least vertex where that pattern fires, the first
+    of the three that fires anywhere, or else `find_reducing_pair`'s step
+    on the piece of the least vertex with an edge.  A candidate vertex that
+    no longer fires is popped.  `WorkGraph.delete` names the vertices whose
+    in- or out-degree a step left at 1; their neighbours and the triangles
+    through them are pushed again.  Then `WorkGraph.small_pieces` finds
+    the pieces of at most 6 edges the step left, or one walk finds every
+    piece once at most 6 edges are left.
     """
     K: set[Edge] = set()
-    while work:
-        H = work.pop()
-        if H.m <= 6:
-            step = _base_step(H)
-        else:
-            step = find_triangle_reduction(H) or find_reducing_pair(H)
-            W.delete(step.kept + step.dropped)
-            work.extend(W.pieces(H.vertices))
+    left = 0  # edges in W
+    for H in work:
+        if H.m > 6:
+            left += H.m
+            continue
+        step = _base_step(H)
         K.update(step.kept)
         if trace is not None:
             trace.append(step)
+    if not left:
+        return K
+    for H in work:
+        if H.m <= 6:
+            W.drop(H)
+    succ, pred = W.succ, W.pred
+    n = len(succ)
+    # candidates: least vertices of triangles, vertices of in-degree >= 2
+    # for leaf-in-minus and of out-degree >= 2 for leaf-in-plus; ascending
+    # lists are heaps already
+    tri = [a for a, _, _ in triangles]
+    through = None
+    minus = [v for v in range(n) if len(pred[v]) >= 2]
+    plus = [v for v in range(n) if len(succ[v]) >= 2]
+    lo = 0  # no vertex below it has an edge
+    while left:
+        step = None
+        while tri:
+            step = _triangle_step(tri[:1], succ, pred)
+            if step:
+                break
+            heappop(tri)
+        while minus and step is None:
+            v0, ext = minus[0], []
+            for u in pred[v0]:
+                if len(pred[u]) < 2:
+                    ext.append(u)
+                    if len(ext) == 2:
+                        step = _leaf_step(W, v0, ext)
+                        break
+            else:
+                heappop(minus)
+        while plus and step is None:
+            v0, ext = plus[0], []
+            for w in succ[v0]:
+                if len(succ[w]) < 2:
+                    ext.append(w)
+                    if len(ext) == 2:  # leaf-in-minus on W read backwards
+                        back = SimpleNamespace(succ=pred, pred=succ)
+                        step = _reverse_pair(_leaf_step(back, v0, ext),
+                                             "leaf-in-plus")
+                        break
+            else:
+                heappop(plus)
+        if step is None:
+            while not (succ[lo] or pred[lo]):
+                lo += 1
+            step = find_reducing_pair(W.pieces((lo,))[0])
+        K.update(step.kept)
+        if trace is not None:
+            trace.append(step)
+        gone = step.kept + step.dropped
+        heads, tails = W.delete(gone)
+        left -= len(gone)
+        if left <= 6:  # every piece left goes to the oracle
+            small = W.pieces(range(lo, n))
+        else:
+            # a vertex whose in-degree falls to 1 may be the second
+            # in-neighbour outside D- that a leaf-in-minus needs; mirrored
+            # for leaf-in-plus, and a triangle edge x->y needs both
+            for v in heads:
+                for w in succ[v]:
+                    if len(pred[w]) >= 2:
+                        heappush(minus, w)
+            for u in tails:
+                for w in pred[u]:
+                    if len(succ[w]) >= 2:
+                        heappush(plus, w)
+            if triangles:
+                if through is None:
+                    through = _least_through(triangles)
+                for v in chain(heads, tails):
+                    for a in through.get(v, ()):
+                        heappush(tri, a)
+            small = W.small_pieces(gone, 6)
+        for H in small:
+            step = _base_step(H)
+            W.drop(H)
+            left -= H.m
+            K.update(step.kept)
+            if trace is not None:
+                trace.append(step)
     return K
+
+
+def _least_through(triangles) -> dict[int, list[int]]:
+    """Each vertex of `triangles` mapped to the least vertices of those
+    through it."""
+    through: dict[int, list[int]] = {}
+    for abc in triangles:
+        for v in abc:
+            through.setdefault(v, []).append(abc[0])
+    return through
 
 
 def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
@@ -462,8 +585,7 @@ def dicut_d11(D: Digraph, trace: list | None = None) -> CutCertificate:
     vertex-disjoint directed triangles (`_books`)."""
     _require_d11(D)
     W = WorkGraph(D)
-    W.mark_starts(D.triangle_list)
-    K = _reduction_loop(W, W.pieces(D.vertices), trace)
+    K = _reduction_loop(W, W.pieces(D.vertices), D.triangle_list, trace)
     return cut_from_banked(D, K, Fraction(2 * D.m - _books(D), 5))
 
 
@@ -554,6 +676,5 @@ def dicut_d11_connected(D: Digraph, trace: list | None = None) -> CutCertificate
     tris = is_triangle_forest(D)
     if tris is not None and len(tris) == 1:
         raise PreconditionError("input is a directed triangle")
-    W.mark_starts(D.triangle_list)
-    K = _reduction_loop(W, work, trace)
+    K = _reduction_loop(W, work, D.triangle_list, trace)
     return cut_from_banked(D, K, Fraction(7 * D.m, 20))

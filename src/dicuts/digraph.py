@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
+from itertools import chain, islice
 from operator import index
 from typing import Iterable, NamedTuple, Optional
 
@@ -275,10 +275,9 @@ class WorkGraph:
     """A mutable copy of a digraph's adjacency under edge deletion.
 
     `succ[v]` and `pred[v]` are sorted lists over the digraph's vertex
-    ids, copied once; deleting an edge removes it from both lists in place.
-    `mark` and `epoch` let each `pieces` call walk without a set of its own.
-    `starts[v]` is 0 only where `mark_starts` found that v starts no
-    triangle; every piece's triangle scan skips those vertices.
+    ids, copied once; deleting an edge removes it from both lists in place,
+    and `drop` empties the lists of a whole piece at once.  `mark` and
+    `epoch` let each walk run without a set of its own.
     """
 
     def __init__(self, D: Digraph):
@@ -286,45 +285,91 @@ class WorkGraph:
         self.pred = list(map(list, D.pred))
         self.mark = [0] * D.n
         self.epoch = 0
-        self.starts = bytearray(b"\1") * D.n
 
-    def mark_starts(self, triangles: Iterable[tuple[int, int, int]]) -> None:
-        """Clear every start mark but those of the least vertices of
-        `triangles`, the digraph's own listing.  Deleting edges only kills
-        triangles, so a vertex without a mark never starts a live one, and
-        the pieces, walked before or after, scan the same triangles in the
-        same order."""
-        starts = self.starts
-        starts[:] = bytes(len(starts))
-        for a, _, _ in triangles:
-            starts[a] = 1
-
-    def delete(self, edges: Iterable[Edge]) -> None:
+    def delete(self, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
+        """Delete `edges`, each still in the graph; returns the heads whose
+        in-degree and the tails whose out-degree a deletion left at 1."""
         succ, pred = self.succ, self.pred
+        heads, tails = [], []
         for u, v in edges:
-            if v not in succ[u]:
+            outs, ins = succ[u], pred[v]
+            if v not in outs:
                 raise AlgorithmBugError(f"edge ({u}, {v}) is not in the working graph")
-            succ[u].remove(v)
-            pred[v].remove(u)
+            outs.remove(v)
+            ins.remove(u)
+            if len(ins) == 1:
+                heads.append(v)
+            if len(outs) == 1:
+                tails.append(u)
+        return heads, tails
+
+    def drop(self, P: "Piece") -> None:
+        """Delete every edge of the piece P."""
+        succ, pred = self.succ, self.pred
+        for v in P.vertices:
+            succ[v] = []
+            pred[v] = []
 
     def pieces(self, vertices: Iterable[int]) -> list["Piece"]:
-        """The weak components that carry an edge among `vertices`, ordered
-        by least vertex.
-
-        `vertices` comes in ascending order and is a union of weak
-        components (all vertices, or the vertices of a piece since cut).
-        """
+        """The weak components that carry an edge and hold a vertex of
+        `vertices`, in the order the walk meets them: by least vertex when
+        `vertices` ascends and is a union of weak components."""
         self.epoch += 1
-        return _walk(self.succ, self.pred, vertices, self.mark, self.epoch,
-                     self.starts)
+        return _walk(self.succ, self.pred, vertices, self.mark, self.epoch)
+
+    def small_pieces(self, edges: Iterable[Edge], cap: int) -> list["Piece"]:
+        """The pieces of at most `cap` edges that hold an end of `edges`,
+        in the order of their first vertex there, tail before head.
+
+        A walk from each end gives up at a vertex of degree above `cap`,
+        past `cap` edges, or at a vertex that an earlier walk of this call
+        gave up on, so each takes time bounded by `cap` alone, whatever
+        the size of its component.
+        """
+        succ, pred, mark = self.succ, self.pred, self.mark
+        floor = self.epoch  # a mark above it is this call's
+        out = []
+        for s in chain.from_iterable(edges):
+            if mark[s] > floor or not (succ[s] or pred[s]):
+                continue
+            self.epoch += 1
+            P = _capped_walk(succ, pred, s, mark, self.epoch, floor, cap)
+            if P is not None:
+                out.append(P)
+        return out
 
 
-def _walk(succ, pred, vertices, mark: list[int], epoch: int,
-          starts: Optional[bytearray] = None) -> list["Piece"]:
+def _capped_walk(succ, pred, s: int, mark: list[int], epoch: int,
+                 floor: int, cap: int) -> Optional["Piece"]:
+    """The piece of s, its vertices stamped with `epoch` in `mark`, or None
+    once the walk meets a vertex of degree above `cap`, more than `cap`
+    edges or `cap` + 1 vertices, or a vertex stamped above `floor` by
+    another walk."""
+    mark[s] = epoch
+    comp, m = [s], 0
+    for v in comp:  # comp grows as the walk reaches new vertices
+        outs, ins = succ[v], pred[v]
+        m += len(outs)
+        if m > cap or len(outs) + len(ins) > cap:
+            return None
+        for w in outs + ins:
+            t = mark[w]
+            if t <= floor:
+                mark[w] = epoch
+                comp.append(w)
+            elif t != epoch:
+                return None
+        if len(comp) > cap + 1:
+            return None
+    comp.sort()
+    return Piece(comp, succ, pred, m)
+
+
+def _walk(succ, pred, vertices, mark: list[int],
+          epoch: int) -> list["Piece"]:
     """The pieces of `vertices` as `WorkGraph.pieces` gives them, over this
-    `succ` and `pred` and with these `starts`: the walk stamps each vertex
-    it reaches with `epoch` in `mark`, where no vertex may read `epoch` on
-    entry."""
+    `succ` and `pred`: the walk stamps each vertex it reaches with `epoch`
+    in `mark`, where no vertex may read `epoch` on entry."""
     out = []
     for s in vertices:
         if mark[s] == epoch or not (succ[s] or pred[s]):
@@ -342,7 +387,7 @@ def _walk(succ, pred, vertices, mark: list[int], epoch: int,
                     mark[w] = epoch
                     comp.append(w)
         comp.sort()
-        out.append(Piece(comp, succ, pred, m, starts))
+        out.append(Piece(comp, succ, pred, m))
     return out
 
 
@@ -352,31 +397,18 @@ class Piece(_AdjacencyReads):
     its vertices is deleted; deleting edges of other pieces leaves it
     intact.
 
-    `vertices` is sorted, and `triangles` come in the order a `Digraph`
-    gives them, so a pattern that scans `vertices` makes the same choices
-    on a piece as on the component relabelled onto 0..n-1.  The scan
-    starts only at vertices whose `starts` entry is set, or at every
-    vertex without `starts`.
+    `vertices` is sorted, so a pattern that scans `vertices` makes the same
+    choices on a piece as on the component relabelled onto 0..n-1.
     """
 
-    def __init__(self, vertices: list[int], succ: list, pred: list, m: int,
-                 starts: Optional[bytearray] = None):
+    def __init__(self, vertices: list[int], succ: list, pred: list, m: int):
         self.vertices = vertices
         self.succ = succ
         self.pred = pred
         self.m = m
-        self.starts = starts
-
-    def triangles(self):
-        """All directed 3-cycles as in `Digraph.triangles`, lazily."""
-        vertices, starts = self.vertices, self.starts
-        if starts is not None:
-            vertices = compress(vertices, map(starts.__getitem__, vertices))
-        return _triangles(vertices, self.succ, self.pred)
 
     def reverse(self) -> "Piece":
-        # a triangle reversed has the same least vertex
-        return Piece(self.vertices, self.pred, self.succ, self.m, self.starts)
+        return Piece(self.vertices, self.pred, self.succ, self.m)
 
 
 @dataclass(frozen=True)

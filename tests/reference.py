@@ -18,7 +18,8 @@ import random
 
 from dicuts import d11
 from dicuts.d11 import contraction_graph
-from dicuts.digraph import AlgorithmBugError, CutCertificate, Digraph, Piece
+from dicuts.digraph import (AlgorithmBugError, CutCertificate, Digraph, Piece,
+                            WorkGraph)
 
 
 # -- instance builders -----------------------------------------------------
@@ -77,6 +78,46 @@ def _gamma_instance():
 
 
 PATTERN_INSTANCES["gamma-cycle"] = _gamma_instance()
+
+
+def linked_cycles(rng, N):
+    """N vertices of D+ and N of D- (N >= 3, N != 4), each side a union of
+    directed cycles whose lengths are drawn from {3, 5, 7}, and each plus
+    vertex linked to its own minus vertex, on shuffled labels.  Every plus
+    vertex has out-degree 2 and every minus vertex in-degree 2, so no leaf
+    or triangle step applies and d11's first step is a later pattern."""
+    def lengths():
+        out, left = [], N
+        while left:
+            out.append(rng.choice([L for L in (3, 5, 7)
+                                   if left - L in (0, 3) or left - L >= 5]))
+            left -= out[-1]
+        return out
+
+    edges, n = [], 0
+    sides = []
+    for _ in range(2):
+        side = []
+        for length in lengths():
+            c = list(range(n, n + length))
+            n += length
+            side += c
+            edges += zip(c, c[1:] + c[:1])
+        sides.append(side)
+    plus, minus = sides
+    rng.shuffle(minus)
+    edges += zip(plus, minus)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Digraph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def double_star(k):
+    """k sources -> b -> c -> k sinks, b and c the highest ids: m = 2k + 1,
+    and b and c hubs of in- and out-degree k."""
+    b, c = 2 * k, 2 * k + 1
+    return Digraph(2 * k + 2, [(a, b) for a in range(k)] + [(b, c)]
+                   + [(c, d) for d in range(k, 2 * k)])
 
 
 def dense_d22(n, seed):
@@ -198,16 +239,16 @@ def validate_by_edge_lists(D, A, B, tag):
         raise AlgorithmBugError(f"{tag}: empty A")
     if A & B:
         raise AlgorithmBugError(f"{tag}: A and B intersect")
-    succ = D.succ
+    succ, pred = D.succ, D.pred
     if any(v not in succ[u] for u, v in A | B):
         raise AlgorithmBugError(f"{tag}: pair uses edges outside D")
     if not {v for _, v in A}.isdisjoint(u for u, _ in A):
         raise AlgorithmBugError(f"{tag}: A contains a directed P3")
     for a, b in A:
-        for e in D.in_edges(a):
+        for e in [(u, a) for u in pred[a]]:
             if e not in B and e not in A:
                 raise AlgorithmBugError(f"{tag}: uncovered P3 {e} -> {(a, b)}")
-        for e in D.out_edges(b):
+        for e in [(b, w) for w in succ[b]]:
             if e not in B and e not in A:
                 raise AlgorithmBugError(f"{tag}: uncovered P3 {(a, b)} -> {e}")
     if 2 * len(B) > 3 * len(A):
@@ -235,6 +276,30 @@ def pieces_reference(succ, pred, vertices):
         comp.sort()
         out.append(Piece(comp, succ, pred, m))
     return out
+
+
+def reduction_by_pieces(D, trace):
+    """d11's reduction loop on the digon-free D(1,1) digraph D as it was
+    before it ran on the union of its large pieces: a stack of pieces,
+    where a piece of at most 6 edges goes to the oracle and any other
+    takes `find_triangle_reduction` or `find_reducing_pair`, and what a
+    step leaves of its piece is walked again (`pieces_reference`).
+    Appends each step to `trace` and returns the banked edge set."""
+    W = WorkGraph(D)
+    work = pieces_reference(W.succ, W.pred, D.vertices)
+    K = set()
+    while work:
+        H = work.pop()
+        if H.m <= 6:
+            step = d11._base_step(H)
+        else:
+            step = (d11.find_triangle_reduction(H)
+                    or d11.find_reducing_pair(H))
+            W.delete(step.kept + step.dropped)
+            work.extend(pieces_reference(W.succ, W.pred, H.vertices))
+        K.update(step.kept)
+        trace.append(step)
+    return K
 
 
 def shortest_cycle_reference(adj, nodes):

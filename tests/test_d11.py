@@ -35,8 +35,11 @@ from reference import (
     book,
     certificates_built,
     contraction_of,
+    double_star,
     forest_reference,
     leaf_in_minus_by_components,
+    linked_cycles,
+    reduction_by_pieces,
     triangle_chain,
     validate_by_edge_lists,
 )
@@ -357,53 +360,46 @@ class TestTriangleReduction:
         e = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)]
         assert find_triangle_reduction(Digraph(6, e)) is None
 
-    def test_marked_scan_lists_every_live_triangle(self, monkeypatch):
-        # a run marks the least vertex of each of its input's triangles,
-        # and every piece it meets must still list all of its own
-        listed = collections.Counter()
+    def test_no_triangle_step_left_when_a_later_pattern_fires(
+            self, monkeypatch):
+        # the loop's triangle candidates hold every vertex that starts a
+        # live triangle with an edge the step may keep, so when a leaf step
+        # or a later pattern fires, no triangle of the working graph has one
+        seen = collections.Counter()
 
         def checked(original):
-            def run(H):
-                got = list(H.triangles())
-                assert got == list(digraph._triangles(H.vertices, H.succ,
-                                                      H.pred))
-                listed[bool(got)] += 1
-                return original(H)
+            def run(D, *args):
+                vertices = range(len(D.succ))
+                assert d11._triangle_step(vertices, D.succ, D.pred) is None
+                live = digraph._triangles(vertices, D.succ, D.pred)
+                seen[next(live, None) is not None] += 1
+                return original(D, *args)
             return run
 
-        for name in ("find_triangle_reduction", "_base_step"):
+        for name in ("_leaf_step", "find_reducing_pair"):
             monkeypatch.setattr(d11, name, checked(getattr(d11, name)))
         run_seeded_draws(43)
-        assert listed[True] > 100 and listed[False] > 1000, listed
+        rng = random.Random(43)
+        for _ in range(100):  # their plus triangles never reduce
+            D = cycle_structured(rng)
+            dicut_d11(D).verify(D)
+        assert seen[True] > 100 and seen[False] > 1000, seen
 
-    def test_scan_reads_no_out_list_without_triangles(self, monkeypatch):
+    def test_no_triangle_candidate_without_triangles(self, monkeypatch):
         # no vertex of a triangle-free digraph starts a triangle, so the
-        # scan reads no vertex's out-list; walking every vertex with an
-        # in-edge would read one at each
-        reads, ins = [0], [0]
-
-        class Counted:
-            def __init__(self, lists):
-                self.lists = lists
-
-            def __getitem__(self, v):
-                reads[0] += 1
-                return self.lists[v]
-
-        def counted(H):
-            succ = H.succ
-            H.succ = Counted(succ)
-            try:
-                assert list(H.triangles()) == []
-            finally:
-                H.succ = succ
-            ins[0] += sum(1 for v in H.vertices if H.pred[v])
-            return find_triangle_reduction(H)
-
-        monkeypatch.setattr(d11, "find_triangle_reduction", counted)
+        # loop tests no triangle candidate; a triangle scan of every piece
+        # it steps on would read the out-list of each vertex with an in-edge
+        calls = []
+        test = d11._triangle_step
+        monkeypatch.setattr(d11, "_triangle_step",
+                            lambda *args: calls.append(args) or test(*args))
         D = gen_random_family("d11-trianglefree", 1600, 1, 7)
         dicut_d11(D).verify(D)
-        assert ins[0] > 10000 and reads[0] == 0
+        assert D.triangles() == [] and calls == []
+        assert sum(1 for v in D.vertices if D.pred[v]) > 1000
+        D = triangle_chain(30)
+        dicut_d11(D).verify(D)
+        assert calls
 
 
 class TestReducingPairs:
@@ -532,13 +528,17 @@ class TestReducingPairs:
             yield A, B | {a}  # an A edge in B as well
             for b in sorted(B):  # a B edge dropped
                 yield A, B - {b}
-            u, v = next((u, v) for u in D.vertices for v in D.vertices
-                        if u != v and v not in D.succ[u])
+            # D may be the working graph, or it read backwards, whose
+            # vertices are the ids of its lists
+            succ, pred = D.succ, D.pred
+            vertices = range(len(succ))
+            u, v = next((u, v) for u in vertices for v in vertices
+                        if u != v and v not in succ[u])
             yield A, B | {(u, v)}  # an edge outside D
             for x, y in sorted(A):  # a P3 inside A
-                for e in D.out_edges(y) + D.in_edges(x):
+                for e in [(y, w) for w in succ[y]] + [(w, x) for w in pred[x]]:
                     yield A | {e}, B - {e}
-            spare = [(u, w) for u in D.vertices for w in D.succ[u]
+            spare = [(u, w) for u in vertices for w in succ[u]
                      if (u, w) not in A and (u, w) not in B]
             past = 3 * len(A) // 2 + 1 - len(B)  # B one edge past 3/2 |A|
             if 0 < past <= len(spare):
@@ -642,11 +642,58 @@ class TestBound:
                    for _ in range(40)]
         for D in graphs:
             trace, W = [], WorkGraph(D)
-            K = d11._reduction_loop(W, W.pieces(D.vertices), trace)
+            K = d11._reduction_loop(W, W.pieces(D.vertices), D.triangle_list,
+                                    trace)
             want_K, want = reduction_rebuilding(D)
             for got_step, want_step in zip(trace, want):
                 assert got_step == want_step
             assert len(trace) == len(want) and K == want_K
+
+
+def test_same_steps_as_the_stack_of_pieces():
+    # a step reads and deletes edges of its own piece only, so the loop on
+    # the union of the large pieces takes every step the parent's stack of
+    # pieces takes, in another order: X and the multiset of steps agree
+    rng = random.Random(47)
+    graphs = [gen_random_family("d11", rng.randint(8, 300), 1,
+                                rng.randrange(1 << 30)) for _ in range(60)]
+    shaped = [cycle_structured(rng) for _ in range(40)]
+    shaped += [odd_cycles_simple_links(rng) for _ in range(20)]
+    graphs += shaped + [D.reverse() for D in shaped]
+    graphs += [linked_cycles(rng, rng.randint(5, 60)) for _ in range(20)]
+    graphs += [double_star(k) for k in (1, 2, 3, 7, 40)]
+    graphs += [triangle_chain(t) for t in (1, 2, 7, 40)]
+    graphs += [random_triangle_tree(rng, rng.randint(2, 30))
+               for _ in range(10)]
+    graphs += [PATTERN_INSTANCES[tag] for tag in sorted(PATTERN_INSTANCES)]
+    for _ in range(40):  # disjoint unions of 2 to 5 draws
+        parts, n, edges = rng.sample(graphs, rng.randint(2, 5)), 0, []
+        for P in parts:
+            edges += [(u + n, v + n) for u, v in P.edges]
+            n += P.n
+        graphs.append(Digraph(n, edges))
+    graphs += list(digonfree_d11(6))
+    moved, fired, connected = 0, collections.Counter(), 0
+    for D in graphs:
+        want = []
+        X = tuple(sorted({u for u, _ in reduction_by_pieces(D, want)}))
+        for method in (dicut_d11, dicut_d11_connected):
+            trace = []
+            try:
+                cert = method(D, trace)
+            except PreconditionError:  # d11c: disconnected, or a triangle
+                continue
+            connected += method is dicut_d11_connected
+            assert cert.X == X, (method.__name__, D)
+            assert collections.Counter(trace) == collections.Counter(want), (
+                method.__name__, D)
+            moved += trace != want
+            fired.update(step.tag for step in trace)
+    assert moved > 500 and connected > 7000, (moved, connected)
+    assert all(fired[tag] for tag in (
+        "triangle", "leaf-in-minus", "leaf-in-plus", "even-cycle",
+        "v0-attach-source", "v0-attach-with-inedge", "path-or-cycle",
+        "multiedge-in-M", "gamma-cycle")), fired
 
 
 def test_steps_cover_every_edge_once():

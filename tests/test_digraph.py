@@ -300,9 +300,9 @@ class TestStructure:
         for u, v in edges:
             succ[u].append(v)
             pred[v].append(u)
-        P = digraph.Piece(list(range(n)), [Counted(sorted(s)) for s in succ],
-                          [Counted(sorted(p)) for p in pred], len(edges))
-        assert list(P.triangles()) == []
+        listed = digraph._triangles(range(n), [Counted(sorted(s)) for s in succ],
+                                    [Counted(sorted(p)) for p in pred])
+        assert list(listed) == []
         assert scanned[0] <= 4 * len(edges)
 
     @given(small_digraphs(max_n=9, max_edges=30))
@@ -332,7 +332,8 @@ class TestStructure:
             edges = [(u, w) for u in P.vertices for w in P.succ[u]]
             assert edges == [e for e in D.edges if e[0] in inside]
             assert P.m == len(edges)
-            assert list(P.triangles()) == [t for t in tris if t[0] in inside]
+            assert list(digraph._triangles(P.vertices, P.succ, P.pred)) == [
+                t for t in tris if t[0] in inside]
 
     def test_workgraph_refuses_a_missing_edge(self):
         W = WorkGraph(Digraph(3, [(0, 1), (1, 2)]))
@@ -356,17 +357,39 @@ class TestStructure:
     def test_pieces_under_deletion_match_the_reference(self, run):
         # one WorkGraph through every batch, so its walks run under many
         # epochs; after each batch, its pieces of all vertices and of every
-        # earlier piece's vertices are the set-and-stack walk's
+        # earlier piece's vertices are the set-and-stack walk's, and so are
+        # its small pieces at the batch's ends; `delete` names each vertex
+        # whose in- or out-degree one of its deletions left at 1
         D, batches = run
         W = WorkGraph(D)
         left = set(D.edges)
         earlier = [list(D.vertices)]
-        for batch in batches:
-            W.delete(batch)
+        ins = Counter(v for _, v in left)
+        outs = Counter(u for u, _ in left)
+        for i, batch in enumerate(batches):
+            heads, tails = [], []
+            for u, v in batch:
+                ins[v] -= 1
+                outs[u] -= 1
+                heads += [v] * (ins[v] == 1)
+                tails += [u] * (outs[u] == 1)
+            assert W.delete(batch) == (heads, tails)
             left.difference_update(batch)
             for v in D.vertices:
                 assert W.succ[v] == sorted(w for u, w in left if u == v)
                 assert W.pred[v] == sorted(u for u, w in left if w == v)
+            cap = i % 4 + 2
+            piece_of = {v: P for P in pieces_reference(W.succ, W.pred,
+                                                       D.vertices)
+                        for v in P.vertices}
+            want = []
+            for v in itertools.chain.from_iterable(batch):
+                P = piece_of.get(v)
+                if P is not None and P.m <= cap and P not in want:
+                    want.append(P)
+            got = W.small_pieces(batch, cap)
+            assert ([(P.vertices, P.m) for P in got]
+                    == [(P.vertices, P.m) for P in want])
             for vertices in earlier:
                 got = W.pieces(vertices)
                 want = pieces_reference(W.succ, W.pred, vertices)

@@ -16,7 +16,8 @@ import time
 from pathlib import Path
 
 import pytest
-from reference import dense_d22, triangle_chain
+from reference import (dense_d22, double_star, linked_cycles,
+                       reduction_by_pieces, triangle_chain)
 
 from dicuts import colorcut, d11, digraph, oracle, peel
 from dicuts.colorcut import dicut_acyclic, dicut_d22
@@ -210,7 +211,9 @@ def test_reducing_pair_reads_few_adjacency_entries(monkeypatch):
     # a search reads D+ and D- from the degrees where a pattern needs them,
     # and its validation finds edges in succ; building the V+ and V- sets
     # or the piece's edge list reads succ or pred at every vertex (median
-    # piece: 1 876 vertices; those reads put the median at 5 639)
+    # piece: 1 876 vertices; those reads put the median at 5 639).  d11's
+    # loop calls the search only where no leaf fires, so the pieces here
+    # are those of the stack of pieces, which calls it at every step
     D = gen_random_family("d11", 3200, 1, 1)  # m = 3 750
     reads = []
     search = d11.find_reducing_pair
@@ -226,10 +229,64 @@ def test_reducing_pair_reads_few_adjacency_entries(monkeypatch):
                             H.m))
 
     monkeypatch.setattr(d11, "find_reducing_pair", counted)
-    cert = dicut_d11(D)
-    cert.verify(D)
+    reduction_by_pieces(D, [])
     assert len(reads) >= 700
     assert statistics.median(reads) <= 1000
+
+
+class CountedMarks(list):
+    """A walk's `mark` list that counts the vertices stamped in it."""
+
+    stamped = 0
+
+    def __setitem__(self, i, value):
+        CountedMarks.stamped += 1
+        list.__setitem__(self, i, value)
+
+
+# (method, family of size s, the two sizes, the most work per edge);
+# random d11 took 298 659 -> 1 116 879 vertices walked at PR 35 (x3.74),
+# with a whole-piece walk after every step
+GROWTH = [
+    ("d11-random", dicut_d11, lambda s: gen_random_family("d11", s, 1, 1),
+     (1600, 3200), 7),
+    ("d11-chain", dicut_d11, triangle_chain, (1100, 2200), 5),
+    ("d11c-chain", dicut_d11_connected, triangle_chain, (1100, 2200), 5),
+    ("d11-linked", dicut_d11, lambda s: linked_cycles(random.Random(1), s),
+     (1000, 2000), 8),
+    ("d11-star", dicut_d11, double_star, (1000, 2000), 3),
+]
+
+
+@pytest.mark.parametrize("method, family, sizes, per_edge",
+                         [row[1:] for row in GROWTH],
+                         ids=[row[0] for row in GROWTH])
+def test_growth_per_doubling(method, family, sizes, per_edge, monkeypatch):
+    # exact work: the vertices d11's walks stamp in the working graph's
+    # mark, and the entries pushed on its candidate heaps (their starting
+    # lists hold at most one entry per vertex and per triangle); a walk
+    # of every piece a step leaves makes this quadratic
+    init = digraph.WorkGraph.__init__
+
+    def counted_init(W, D):
+        init(W, D)
+        W.mark = CountedMarks(W.mark)
+
+    pushes = []
+    push = getattr(d11, "heappush", None)
+    monkeypatch.setattr(digraph.WorkGraph, "__init__", counted_init)
+    monkeypatch.setattr(d11, "heappush",
+                        lambda heap, v: pushes.append(v) or push(heap, v),
+                        raising=False)
+    work = []
+    for s in sizes:
+        D = family(s)
+        CountedMarks.stamped = 0
+        pushes.clear()
+        method(D).verify(D)
+        work.append(CountedMarks.stamped + len(pushes))
+        assert work[-1] <= per_edge * D.m, (s, work[-1], D.m)
+    assert 10 * work[1] <= 23 * work[0], work
 
 
 def test_max_dicut_exact_at_the_vertex_guard():
