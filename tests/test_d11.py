@@ -208,36 +208,66 @@ def odd_cycles_simple_links(rng):
 
 
 def reduction_rebuilding(D):
-    """d11's reduction loop as first written: every piece a component
-    relabelled onto 0..n-1 with the list that maps it back, and a new
-    Digraph built of what each step leaves.  Returns K and the trace."""
-    def pieces(H, label):
+    """d11's reduction loop built from `Digraph`s: a new digraph of what
+    each step leaves, where every component of at most 6 edges goes to the
+    oracle relabelled onto 0..n-1, the triangle and leaf steps are looked
+    for on the whole of the rest, and the other patterns on its component
+    of least vertex, relabelled.  The base steps come first by least
+    vertex, then after each step in the order of the ends of its edges,
+    or by least vertex once at most 6 edges are left.  Returns K and the
+    trace."""
+    def relabelled(H, c):
+        new = {v: i for i, v in enumerate(c)}
+        return Digraph(len(c), [(new[u], new[v]) for u, v in H.edges
+                                if u in new])
+
+    def relabel(es, c):
+        return tuple(sorted((c[u], c[v]) for u, v in es))
+
+    def base(H, c):
+        Hc = relabelled(H, c)
+        A = oracle.max_dicut_exact(Hc).cut_edges
+        return Step("oracle-base", relabel(A, c),
+                    relabel(set(Hc.edges) - set(A), c))
+
+    def small(H, order):
+        """The components of at most 6 edges among `order`'s, each once."""
+        size = collections.Counter(comp[u] for u, _ in H.edges)
         out = []
-        for c in H.weak_components():
-            if len(c) > 1:
-                new = {v: i for i, v in enumerate(c)}
-                edges = [(new[u], new[v]) for u, v in H.edges if u in new]
-                out.append((Digraph(len(c), edges), [label[v] for v in c]))
+        for c in map(tuple, order):
+            if size[c] <= 6 and c not in out:
+                out.append(c)
         return out
 
-    def relabel(es, label):
-        return tuple(sorted((label[u], label[v]) for u, v in es))
-
     K, trace = set(), []
-    work = pieces(D, list(range(D.n)))
-    while work:
-        H, label = work.pop()
-        if H.m <= 6:
-            A = oracle.max_dicut_exact(H).cut_edges
-            tag, B, gone = "oracle-base", set(H.edges) - set(A), ()
+    H, ends = D, None
+    while H.m:
+        comps = [c for c in H.weak_components() if len(c) > 1]
+        comp = {v: tuple(c) for c in comps for v in c}
+        if ends is None or H.m <= 6:
+            order = comps
         else:
-            tag, A, B = find_triangle_reduction(H) or find_reducing_pair(H)
-            gone = A + B
-        step = Step(tag, relabel(A, label), relabel(B, label))
+            order = [comp[v] for e in ends for v in e if v in comp]
+        gone = []
+        for c in small(H, order):
+            step = base(H, c)
+            K.update(step.kept)
+            trace.append(step)
+            gone += step.kept + step.dropped
+        H = H.without_edges(gone)
+        if not H.m:
+            break
+        step = (find_triangle_reduction(H) or d11._leaf_in_minus(H)[0]
+                or d11._reverse_pair(d11._leaf_in_minus(H.reverse())[0],
+                                     "leaf-in-plus"))
+        if step is None:
+            c = next(c for c in H.weak_components() if len(c) > 1)
+            tag, A, B = find_reducing_pair(relabelled(H, c))
+            step = Step(tag, relabel(A, c), relabel(B, c))
         K.update(step.kept)
         trace.append(step)
-        if gone:
-            work.extend(pieces(H.without_edges(gone), label))
+        ends = step.kept + step.dropped
+        H = H.without_edges(ends)
     return K, trace
 
 
@@ -504,7 +534,7 @@ class TestReducingPairs:
                 "multiedge-in-M", "gamma-cycle"]
         assert min(fired[tag] for tag in late) >= 20, fired
         assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
-            "e8e07853f683cefd15c280bb6cd63b2cd1107a5d87122e91ad919657b98e1b24")
+            "4af0941a39dd2f75fa2b7d9936d38e7fdbc26e859f2c259db4872e990323e760")
 
     def test_validator_same_as_edge_list_reference(self, monkeypatch):
         # every pair of seeded d11 and d11c runs, and mutations of each,

@@ -328,9 +328,9 @@ def digest(value):
 PINNED = [
     ("d11", lambda trace: dicut_d11(
         gen_random_family("d11", 3200, 1, 1), trace).X,
-     "3e446ae8efbdeb4d", "7984616bc7e5b773"),
+     "3e446ae8efbdeb4d", "8071bbbe2b2d6409"),
     ("d11c", lambda trace: dicut_d11_connected(triangle_chain(1100), trace).X,
-     "10af3c74b869b3ae", "73502f18c49a513a"),
+     "10af3c74b869b3ae", "5fbfbb1d212c3da9"),
     ("d22", lambda trace: dicut_d22(dense_d22(480, 1), trace).X,
      "b76c70442751eed7", "a4246a3c35be6500"),
     ("peel", lambda trace: sorted(peel_to_lower_class(Digraph(
