@@ -199,6 +199,22 @@ def _leaf_step(D, v0: int, ext: list[int]) -> Step:
     return _pair(D, {(u, v0) for u in ext}, B, "leaf-in-minus")
 
 
+def _first_leaf(D, heap: list[int]) -> Optional[Step]:
+    """`_leaf_step` on D at the least vertex of `heap` where it fires, after
+    popping the vertices before it, where it does not; None once `heap` is
+    empty.  Reads only `D.succ` and `D.pred`."""
+    pred = D.pred
+    while heap:
+        v0, ext = heap[0], []
+        for u in pred[v0]:
+            if len(pred[u]) < 2:
+                ext.append(u)
+                if len(ext) == 2:
+                    return _leaf_step(D, v0, ext)
+        heappop(heap)
+    return None
+
+
 # -- pattern (2): even cycle in D+ or D- (Claim 1.4) -----------------------
 
 def _directed_cycle_order(D: Digraph, start: int) -> list[int]:
@@ -497,8 +513,7 @@ def _reduction_loop(W: WorkGraph, work: list[Piece],
     # lists are heaps already
     tri = [a for a, _, _ in triangles]
     through = None
-    minus = [v for v in range(n) if len(pred[v]) >= 2]
-    plus = [v for v in range(n) if len(succ[v]) >= 2]
+    minus = plus = None  # listed when first needed
     lo = 0  # no vertex below it has an edge
     while left:
         step = None
@@ -507,28 +522,15 @@ def _reduction_loop(W: WorkGraph, work: list[Piece],
             if step:
                 break
             heappop(tri)
-        while minus and step is None:
-            v0, ext = minus[0], []
-            for u in pred[v0]:
-                if len(pred[u]) < 2:
-                    ext.append(u)
-                    if len(ext) == 2:
-                        step = _leaf_step(W, v0, ext)
-                        break
-            else:
-                heappop(minus)
-        while plus and step is None:
-            v0, ext = plus[0], []
-            for w in succ[v0]:
-                if len(succ[w]) < 2:
-                    ext.append(w)
-                    if len(ext) == 2:  # leaf-in-minus on W read backwards
-                        back = SimpleNamespace(succ=pred, pred=succ)
-                        step = _reverse_pair(_leaf_step(back, v0, ext),
-                                             "leaf-in-plus")
-                        break
-            else:
-                heappop(plus)
+        if step is None:
+            if minus is None:
+                minus = [v for v in range(n) if len(pred[v]) >= 2]
+            step = _first_leaf(W, minus)
+        if step is None:
+            if plus is None:
+                plus = [v for v in range(n) if len(succ[v]) >= 2]
+                back = SimpleNamespace(succ=pred, pred=succ)  # W backwards
+            step = _reverse_pair(_first_leaf(back, plus), "leaf-in-plus")
         if step is None:
             while not (succ[lo] or pred[lo]):
                 lo += 1
@@ -545,14 +547,16 @@ def _reduction_loop(W: WorkGraph, work: list[Piece],
             # a vertex whose in-degree falls to 1 may be the second
             # in-neighbour outside D- that a leaf-in-minus needs; mirrored
             # for leaf-in-plus, and a triangle edge x->y needs both
-            for v in heads:
-                for w in succ[v]:
-                    if len(pred[w]) >= 2:
-                        heappush(minus, w)
-            for u in tails:
-                for w in pred[u]:
-                    if len(succ[w]) >= 2:
-                        heappush(plus, w)
+            if minus is not None:
+                for v in heads:
+                    for w in succ[v]:
+                        if len(pred[w]) >= 2:
+                            heappush(minus, w)
+            if plus is not None:
+                for u in tails:
+                    for w in pred[u]:
+                        if len(succ[w]) >= 2:
+                            heappush(plus, w)
             if triangles:
                 if through is None:
                     through = _least_through(triangles)

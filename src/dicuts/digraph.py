@@ -4,21 +4,23 @@ A `Digraph` is an immutable value: no algorithm mutates one.  Algorithms that
 delete edges step by step keep a mutable working graph instead and build a
 `Digraph` only of what they hand on.  d11 and d11c run from entry to
 certificate on one `WorkGraph`: sorted successor and predecessor lists,
-copied once, which deleting an edge edits in place.  They read it one weak
-component at a time through a `Piece`, a view over the component's sorted
-vertex list that offers the reads of a `Digraph` the pattern functions
-make (`vertices`, `succ`, `pred`, degrees, `triangles`, `reverse`, ...)
-on the original vertex ids; a piece lists no edges of its own, so its
-readers find edges in `succ`, and it stays valid until an edge at one of
-its vertices is deleted.  The walk behind `WorkGraph.pieces` finds the
-weak components for d11 and for `Digraph.weak_components`.
-`Digraph` and `Piece` list triangles through one function.
-`Digraph.triangle_list` keeps one listing per digraph; a d11 run reads
-it, and its `WorkGraph` marks each listed triangle's least vertex, so a
-piece scans only the marked vertices for triangles.  Every
-algorithm that works in steps (d11, d11c, d22, peel) records them in
-its trace as `Step`s.  All set-like outputs are emitted in ascending order
-so that golden tests and the CLI are deterministic.
+copied once, which deleting an edge edits in place, and which name the
+vertices a deletion leaves at in- or out-degree 1.  They read a weak
+component through a `Piece`, a view over the component's sorted vertex
+list that offers the reads of a `Digraph` the pattern functions make
+(`vertices`, `succ`, `pred`, degrees, `reverse`, ...) on the original
+vertex ids; a piece lists no edges of its own, so its readers find edges
+in `succ`, and it stays valid until an edge at one of its vertices is
+deleted.  The walk behind `WorkGraph.pieces` finds the weak components
+for d11 and for `Digraph.weak_components`; `WorkGraph.small_pieces` walks
+from the ends of deleted edges and gives up on a component past a few
+edges, so finding the small pieces a step leaves costs no more than the
+step.  One function lists the triangles from a set of start vertices:
+`Digraph.triangles` from all of them, and d11 from one candidate at a
+time; `Digraph.triangle_list` keeps one listing per digraph, which a d11
+run reads.  Every algorithm that works in steps (d11, d11c, d22, peel)
+records them in its trace as `Step`s.  All set-like outputs are emitted
+in ascending order so that golden tests and the CLI are deterministic.
 
 Each digraph is checked once.  `parse_dg` makes `.dg` text into int pairs
 in one pass and checks them for loops, range and duplicates as the
@@ -253,8 +255,8 @@ class Digraph(_AdjacencyReads):
     @cached_property
     def triangle_list(self) -> tuple[tuple[int, int, int], ...]:
         """`triangles()`, listed by one call and kept: a d11 or d11c run
-        reads its t, its forest test and its start marks off this one
-        listing."""
+        reads its t, its forest test and its triangle candidates off this
+        one listing."""
         return tuple(self.triangles())
 
     def is_acyclic(self) -> bool:
@@ -322,9 +324,9 @@ class WorkGraph:
         in the order of their first vertex there, tail before head.
 
         A walk from each end gives up at a vertex of degree above `cap`,
-        past `cap` edges, or at a vertex that an earlier walk of this call
-        gave up on, so each takes time bounded by `cap` alone, whatever
-        the size of its component.
+        past `cap` edges or `cap` + 1 vertices, or at a vertex that an
+        earlier walk of this call gave up on, so each takes time bounded
+        by `cap` alone, whatever the size of its component.
         """
         succ, pred, mark = self.succ, self.pred, self.mark
         floor = self.epoch  # a mark above it is this call's

@@ -300,7 +300,8 @@ class TestStructure:
         for u, v in edges:
             succ[u].append(v)
             pred[v].append(u)
-        listed = digraph._triangles(range(n), [Counted(sorted(s)) for s in succ],
+        listed = digraph._triangles(range(n),
+                                    [Counted(sorted(s)) for s in succ],
                                     [Counted(sorted(p)) for p in pred])
         assert list(listed) == []
         assert scanned[0] <= 4 * len(edges)
