@@ -244,9 +244,9 @@ class CountedMarks(list):
         list.__setitem__(self, i, value)
 
 
-# (method, family of size s, the two sizes, the most work per edge);
-# random d11 took 298 659 -> 1 116 879 vertices walked at PR 35 (x3.74),
-# with a whole-piece walk after every step
+# (method, family of size s, the two sizes, the most work per edge); with
+# a whole-piece walk after every step, the random row counted 297 229 ->
+# 1 145 428 (x3.85) and the others x3.98-3.99, 158-826 per edge
 GROWTH = [
     ("d11-random", dicut_d11, lambda s: gen_random_family("d11", s, 1, 1),
      (1600, 3200), 7),
