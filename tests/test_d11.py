@@ -394,20 +394,26 @@ class TestTriangleReduction:
             self, monkeypatch):
         # the loop's triangle candidates hold every vertex that starts a
         # live triangle with an edge the step may keep, so when a leaf step
-        # or a later pattern fires, no triangle of the working graph has one
+        # or a later pattern fires, no triangle of the working graph has one;
+        # its leaf candidates hold every vertex where a leaf fires, so the
+        # loop's searches past the leaves find none
         seen = collections.Counter()
 
-        def checked(original):
+        def checked(name):
+            original = getattr(d11, name)
+
             def run(D, *args):
                 vertices = range(len(D.succ))
                 assert d11._triangle_step(vertices, D.succ, D.pred) is None
                 live = digraph._triangles(vertices, D.succ, D.pred)
                 seen[next(live, None) is not None] += 1
-                return original(D, *args)
+                step = original(D, *args)
+                assert name == "_leaf_step" or "leaf" not in step.tag, step
+                return step
             return run
 
         for name in ("_leaf_step", "find_reducing_pair"):
-            monkeypatch.setattr(d11, name, checked(getattr(d11, name)))
+            monkeypatch.setattr(d11, name, checked(name))
         run_seeded_draws(43)
         rng = random.Random(43)
         for _ in range(100):  # their plus triangles never reduce
