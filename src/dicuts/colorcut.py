@@ -97,21 +97,29 @@ def best_balanced_class_bipartition(
     """Split the color classes of all the vertices `coloring` colors into
     groups of floor(gamma/2) and the rest with the most crossing edges; the
     average such split crosses (floor(gamma^2/4) / C(gamma,2)) * m edges.
-    Raises `ResourceLimitError` before scoring any split when scoring all
-    of them would take more than MAX_SPLIT_WORK steps."""
+    Raises `ResourceLimitError` before scoring any split, or building any
+    table per class, when scoring all of them would take more than
+    MAX_SPLIT_WORK steps.
+
+    An edge inside a group S meets two of its classes and a crossing edge
+    one, so with deg(c) the edges at class c and inside(S) the edges
+    between classes of S, crossing(S) = sum of deg(c) over c in S minus
+    2 * inside(S): floor(gamma/2) + C(floor(gamma/2), 2) table reads."""
     gamma = coloring.gamma
     if gamma < 2:
         raise InputError("need at least two color classes")
-    # edges per unordered class pair, so a split costs O(gamma^2), not O(m)
+    # edges per unordered class pair, so no split reads an edge
+    colors = coloring.colors
     pair_count: dict[tuple[int, int], int] = {}
     for u, v in und_edges:
-        cu, cv = coloring.colors[u], coloring.colors[v]
+        cu, cv = colors[u], colors[v]
         if cu == cv:
             raise InputError("coloring is not proper")
         pair = (cu, cv) if cu < cv else (cv, cu)
         pair_count[pair] = pair_count.get(pair, 0) + 1
-    # each split costs gamma + len(pair_count); the binomial grows term by
-    # term and stops once past the guard, as a huge gamma makes it huge too
+    # the guard charges each split gamma + len(pair_count) steps; the
+    # binomial grows term by term and stops once past the guard, as a huge
+    # gamma makes it huge too, and the tables per class come after it
     work, half = gamma + len(pair_count), gamma // 2
     splits = 1
     for i in range(1, half + 1):
@@ -120,22 +128,27 @@ def best_balanced_class_bipartition(
             raise ResourceLimitError(
                 f"C({gamma}, {half}) splits of {work} steps each exceed "
                 f"the split guard {MAX_SPLIT_WORK}")
+    between = [[0] * gamma for _ in range(gamma)]
+    deg = [0] * gamma
+    for (cu, cv), c in pair_count.items():
+        between[cu][cv] = between[cv][cu] = c
+        deg[cu] += c
+        deg[cv] += c
     best = None
     best_group = None
     for group in combinations(range(gamma), half):
-        gs = set(group)
-        crossing = sum(c for (cu, cv), c in pair_count.items()
-                       if (cu in gs) != (cv in gs))
+        crossing = sum(map(deg.__getitem__, group)) - 2 * sum(
+            [between[cu][cv] for cu, cv in combinations(group, 2)])
         if best is None or crossing > best:
             best = crossing
-            best_group = gs
+            best_group = set(group)
     m = sum(pair_count.values())
     need = Fraction((gamma * gamma // 4) * m, comb(gamma, 2))
     if best < need:
         raise AlgorithmBugError(
             f"balanced split crosses {best} < guaranteed {need}")
-    S = tuple(v for v, c in enumerate(coloring.colors) if c in best_group)
-    T = tuple(v for v, c in enumerate(coloring.colors) if c not in best_group)
+    S = tuple(v for v, c in enumerate(colors) if c in best_group)
+    T = tuple(v for v, c in enumerate(colors) if c not in best_group)
     return S, T
 
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 from operator import index
-from typing import Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 Edge = tuple[int, int]
 
@@ -488,12 +488,13 @@ def cut_from_partition(D: Digraph, X: Iterable[int]) -> CutCertificate:
 
 
 def _cut_of(D: Digraph, xs: set[int], bound: Fraction,
-            banked: set[Edge] = frozenset()) -> CutCertificate:
+            banked: Iterable[Edge] = ()) -> CutCertificate:
     """The cut of xs carrying its algorithm's `bound`, checked to meet it
     and to hold every edge of `banked`; every vertex of xs is one of D's
     or the tail of a banked edge."""
     cut = tuple(e for e in D.edges if e[0] in xs and e[1] not in xs)
-    lost = banked.difference(cut)
+    lost = set(banked)
+    lost.difference_update(cut)
     if lost:
         raise AlgorithmBugError(f"banked edges outside the cut: {sorted(lost)}")
     _check_bound(len(cut), bound)
@@ -519,7 +520,7 @@ def extend_p3free_to_cut(D: Digraph, S: Iterable[Edge]) -> CutCertificate:
     return cut_from_banked(D, S, Fraction(0))
 
 
-def cut_from_banked(D: Digraph, S: Iterable[Edge],
+def cut_from_banked(D: Digraph, S: Collection[Edge],
                     bound: Fraction) -> CutCertificate:
     """The cut of the tails of S, carrying `bound`, for a set an algorithm
     banked itself toward that bound.
@@ -528,7 +529,6 @@ def cut_from_banked(D: Digraph, S: Iterable[Edge],
     anything else is a bug of that algorithm, not of its input, as is a
     cut below the bound.  A tail outside D leaves its edge outside the
     cut, so the tails need no range check of their own."""
-    S = set(S)
     return _cut_of(D, {u for u, _ in S}, bound, S)
 
 
@@ -592,15 +592,17 @@ def _bfs_cycle(adj: list[list[int]], start: int) -> Optional[list[int]]:
     finds a cycle, so that tree's nodes are skipped as later starts: each
     call walks a cycle-free component once."""
     best = None
-    walked = set()  # nodes of the trees walked so far
+    # parent[v] is -1 for an unqueued node and s for the start s; a walked
+    # tree keeps its entries, so its nodes are never queued or started again
+    parent = [-1] * len(adj)
     for s in range(start, len(adj)):
-        if not adj[s] or s in walked:
+        if not adj[s] or parent[s] >= 0:
             continue
-        parent, queue = {s: None}, [s]
+        parent[s], queue = s, [s]
         tree = True
         for v in queue:
             for w in adj[v]:
-                if w not in parent:
+                if parent[w] < 0:
                     parent[w] = v
                     queue.append(w)
                 elif parent[v] != w:
@@ -609,7 +611,7 @@ def _bfs_cycle(adj: list[list[int]], start: int) -> Optional[list[int]]:
                     # where they meet, which in BFS is above both ends
                     up_v, up_w = [v], [w]
                     for up in (up_v, up_w):
-                        while parent[up[-1]] is not None:
+                        while up[-1] != s:
                             up.append(parent[up[-1]])
                     while up_v[-2] == up_w[-2]:
                         up_v.pop()
@@ -619,8 +621,9 @@ def _bfs_cycle(adj: list[list[int]], start: int) -> Optional[list[int]]:
                         best = cand
                         if len(best) == 4:
                             return best
-        if tree:
-            walked.update(queue)
+        if not tree:
+            for v in queue:
+                parent[v] = -1
     return best
 
 

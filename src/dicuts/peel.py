@@ -6,18 +6,22 @@ checked for feasibility (the remainder stays in D(k-1,k-1)) and for a strict
 lexicographic decrease of the potential (|R|, -arrow score) before it is
 applied, so termination is structural, not heuristic.  One rule decides
 feasibility: a swap breaks a vertex whose remainder in- and out-degree are
-both >= k after it, and `RemovalState.broken` alone applies it, for Crit,
-the search's adds, `swap_feasible` and `apply`.  The fixpoint assertions
-|Crit(R)| >= |R| and |R| <= floor(2m/(2k+1)) are the empirical guard that
-the move catalog is rich enough.  A move is a `Step` whose `kept`
-edges leave R and whose `dropped` edges enter it, as the trace records it.
+both >= k after it.  `RemovalState.broken` applies it for the search's adds,
+`swap_feasible` and `apply`; Crit, its case of one returned edge, is two
+degree tests.  The fixpoint assertions |Crit(R)| >= |R| and
+|R| <= floor(2m/(2k+1)) are the empirical guard that the move catalog is
+rich enough.  A move is a `Step` whose `kept` edges leave R and whose
+`dropped` edges enter it, as the trace records it.
 
 The search keeps its state across moves: `RemovalState` refreshes what a
 move touched at the move's own endpoints, and the move table lists only the
 entries and adds that can fire, in the order a full scan would try them, so
-every call returns that scan's first feasible move.  The state checks the
-class once, with `class_partition`, colors arrows from two per-vertex flags
-of D's degrees, and keeps R as a set: each search sorts it once.
+every call returns that scan's first feasible move.  An entry whose
+broken vertices outnumber its adds is refused before any add is listed
+when no non-R edge joins two of them, as an add serves only its two ends.
+The state checks the class once, with `class_partition`, colors arrows
+from two per-vertex flags of D's degrees, and keeps R as a set: each
+search sorts it once.
 """
 
 from __future__ import annotations
@@ -56,14 +60,14 @@ class RemovalState:
             raise PreconditionError(f"digraph is not in D({k},{k})")
         self.D = D
         self.k = k
-        self.white = [D.in_deg(v) <= k for v in range(D.n)]
-        self.black = [D.out_deg(v) <= k for v in range(D.n)]
+        self.din = list(map(len, D.pred))
+        self.dout = list(map(len, D.succ))
+        self.white = [d <= k for d in self.din]
+        self.black = [d <= k for d in self.dout]
         self.R: set[Edge] = set(R)
         bad = self.R - D.edge_set
         if bad:
             raise InputError(f"edges not in digraph: {sorted(bad)}")
-        self.din = [D.in_deg(v) for v in range(D.n)]
-        self.dout = [D.out_deg(v) for v in range(D.n)]
         for u, v in self.R:
             self.dout[u] -= 1
             self.din[v] -= 1
@@ -94,6 +98,10 @@ class RemovalState:
         degrees.  `remove` edges return to the remainder, `add` edges leave
         it; as the state's remainder is in D(k-1,k-1), only ends of
         returned edges can break."""
+        if not add and len(remove) == 1:
+            (u, v), = remove
+            return {w: (self.din[w] + (w == v), self.dout[w] + (w == u))
+                    for w in self.crit((u, v))}
         deg: dict[int, list[int]] = {}
         for edges, d in ((remove, 1), (add, -1)):
             for u, v in edges:
@@ -104,8 +112,13 @@ class RemovalState:
 
     def crit(self, e: Edge) -> frozenset[int]:
         """Critical endpoints of a removed edge: returning it there would
-        break membership."""
-        return frozenset(self.broken((e,)))
+        break membership.  The return raises only u's out-degree and v's
+        in-degree, so two degree tests decide it, and `broken` reads them
+        for one returned edge."""
+        u, v = e
+        k, din, dout = self.k, self.din, self.dout
+        return frozenset((u,) * (din[u] >= k and dout[u] >= k - 1)
+                         + (v,) * (din[v] >= k - 1 and dout[v] >= k))
 
     def crit_R(self) -> frozenset[int]:
         return frozenset(v for e in self.R for v in self.crit(e))
@@ -241,6 +254,11 @@ def find_improvement(state: RemovalState) -> Step | None:
     do that only on a side at most `most` too high.  An entry's adds are
     the `most`-sets of non-R edges that meet each vertex of B on such a
     side, in `combinations` order: with one add, exactly the feasible ones.
+    An add meets at most its two ends, so when B outnumbers the adds one
+    add joins two of its vertices: a non-R edge (a, b) of D with a's
+    out-side and b's in-side ones it can fix.  Without one no `most`-set
+    covers B, so this cover test refuses the entry before any side is
+    listed, and it is exact: it drops only entries that list no add.
 
     The table lists only entries that can fire.  An add that makes a pair's
     return feasible makes each edge's return alone feasible, so the pairs
@@ -261,11 +279,23 @@ def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
     `remove` can be feasible, ascending and in `combinations` order: each
     vertex of B, the vertices the return breaks by `RemovalState.broken`,
     offers the non-R edges on a side of it that `most` adds bring back to
-    k-1, and each set covers B on those sides."""
+    k-1, and each set covers B on those sides.  When B outnumbers the
+    adds, the joins the cover test reads are the adds for `most` = 1."""
     D, R, k = state.D, state.R, state.k
     B = state.broken(remove)
     if not B or len(B) > 2 * most:
         return  # no add is needed, or more of B than `most` adds have ends
+    if len(B) > most:
+        # the cover test (see `find_improvement`)
+        E = D.edge_set
+        joins = sorted((a, b) for a, (_, da) in B.items() if da - most < k
+                       for b, (db, _) in B.items() if db - most < k
+                       if (a, b) in E and (a, b) not in R)
+        if not joins:
+            return
+        if most == 1:  # the one add meets both vertices of B
+            yield from ((g,) for g in joins)
+            return
     fix: dict[int, list[Edge]] = {}
     for v, (din, dout) in B.items():
         outs = ([e for e in D.out_edges(v) if e not in R]
@@ -275,14 +305,15 @@ def _adds(state: RemovalState, remove: tuple[Edge, ...], most: int):
         if not outs and not ins:
             return
         fix[v] = sorted(outs + ins) if outs and ins else outs or ins
+    if most == 1:  # B is one vertex, served by any add on its list
+        (gs,) = fix.values()
+        yield from ((g,) for g in gs)
+        return
 
     def at(vs) -> list[Edge]:
         a, *rest = vs
         return [g for g in fix[a] if all(g in fix[b] for b in rest)]
 
-    if most == 1:
-        yield from ((g,) for g in at(fix))
-        return
     # two adds: the second covers what the first leaves of B
     firsts = sorted({g for gs in fix.values() for g in gs})
     for g in firsts:

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -321,6 +322,19 @@ class TestBalancedSplit:
         else:
             assert best_balanced_class_bipartition(col, edges) == ((0, 2),
                                                                    (1, 3))
+
+    def test_split_guard_refuses_before_it_allocates(self):
+        # two million classes: a table or list per class would take tens
+        # of MB before the guard, one class-pair table terabytes
+        col = Coloring((0, 1, 2, 3), 2_000_002)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="split guard"):
+                best_balanced_class_bipartition(col, [(0, 1), (2, 3)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     @staticmethod
     def split_by_edge_scan(col, n, edges):

@@ -301,7 +301,9 @@ class TestMoveTable:
             R = initial_removal(D, k).R
             R |= {e for e in D.edges if e not in R and rng.random() < 0.5}
             states.append(RemovalState(D, k, R))
-        listed = {1: 0, 2: 0}
+        # B outnumbering the adds needs an add on two lists: the entries
+        # without one are those the cover test refuses
+        listed, refused, joined = {1: 0, 2: 0}, 0, 0
         for state in states:
             D, R, k = state.D, state.R, state.k
             for remove, most, _ in full_table(state):
@@ -318,7 +320,15 @@ class TestMoveTable:
                                for gs in lists.values())]
                 assert list(_adds(state, remove, most)) == want
                 listed[most] += len(want)
+                if most < len(B):
+                    if any(sum(g in gs for gs in lists.values()) == 2
+                           for g in U):
+                        joined += 1
+                    else:
+                        assert want == []
+                        refused += 1
         assert min(listed.values()) >= 100, listed
+        assert refused >= 50 and joined >= 20, (refused, joined)
         remove, loose = ((0, 1), (2, 0), (2, 6)), ((6, 0), (6, 3))
         assert loose not in _adds(states[0], remove, 2)
         assert not states[0].swap_feasible(remove, loose)

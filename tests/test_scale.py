@@ -187,6 +187,36 @@ def test_peel_final_search_lists_few_pairs(monkeypatch):
     assert len(pairs) <= len(R)
 
 
+def test_peel_final_search_lists_no_side_for_a_triple(monkeypatch):
+    # at the fixpoint of dense_d22(640, 1) no add joins two of the vertices
+    # a connected triple's return breaks, so the cover test refuses every
+    # triple before its two adds list a side of any vertex
+    D = dense_d22(640, 1)  # m = 52 495
+    listed = []
+    for name in ("out_edges", "in_edges"):
+        def counted_edges(self, v, fn=getattr(Digraph, name)):
+            listed.append(None)
+            return fn(self, v)
+
+        monkeypatch.setattr(Digraph, name, counted_edges)
+    per_triple = []
+    table = peel._move_table
+
+    def counted(state):
+        per_triple.clear()  # keep the last search's triples
+        for remove, adds, tag in table(state):
+            if len(remove) == 3:
+                before = len(listed)
+                adds = list(adds)
+                per_triple.append(len(listed) - before)
+            yield remove, adds, tag
+
+    monkeypatch.setattr(peel, "_move_table", counted)
+    rest, R = peel_to_lower_class(D, 2)
+    assert class_partition(rest, 1, 1) is not None and len(R) == 640
+    assert len(per_triple) == 2150 and not any(per_triple)
+
+
 @pytest.mark.parametrize("method", [dicut_d11, dicut_d11_connected])
 def test_d11_long_chain_builds_no_graph(method, monkeypatch):
     # the chain's t = 1 100 triangles are disjoint, so t is also the most
