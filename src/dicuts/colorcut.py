@@ -50,26 +50,33 @@ def degeneracy_order(adj: list[set[int]]) -> tuple[list[int], int]:
     returns (order, d) where d is the largest degree seen at removal time.
     Greedy coloring along the reverse order needs at most d+1 colors.
 
-    A heap of (degree, vertex) entries, stale ones skipped when popped,
-    finds each minimum in O(log n)."""
-    n = len(adj)
+    A heap finds each minimum in O(log n).  Its entries are packed keys
+    deg << b | v, with b = len(adj).bit_length() so that v fits below the
+    degree: the keys order as (degree, vertex) pairs would, and compare as
+    single ints.  A removed vertex reads degree -1, so its entries, like
+    stale ones, no longer match and are skipped when popped."""
+    b = len(adj).bit_length()
+    low = (1 << b) - 1
     deg = [len(a) for a in adj]
-    heap = [(deg[v], v) for v in range(n)]
+    heap = [dv << b | v for v, dv in enumerate(deg)]
     heapify(heap)
-    alive = [True] * n
     order = []
     d = 0
     while heap:
-        dv, v = heappop(heap)
-        if not alive[v] or dv != deg[v]:
+        key = heappop(heap)
+        v = key & low
+        dv = key >> b
+        if dv != deg[v]:
             continue
-        d = max(d, dv)
+        if dv > d:
+            d = dv
         order.append(v)
-        alive[v] = False
+        deg[v] = -1
         for w in adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                heappush(heap, (deg[w], w))
+            dw = deg[w]
+            if dw >= 0:
+                deg[w] = dw = dw - 1
+                heappush(heap, dw << b | w)
     return order, d
 
 
@@ -83,7 +90,7 @@ def greedy_color(n: int, und_edges, most: int) -> Coloring:
         raise AlgorithmBugError(f"degeneracy {d} exceeds {most}")
     colors = [-1] * n
     for v in reversed(order):
-        used = {colors[w] for w in adj[v] if colors[w] >= 0}
+        used = {colors[w] for w in adj[v]}  # -1 for an uncolored neighbour
         c = 0
         while c in used:
             c += 1
@@ -104,7 +111,8 @@ def best_balanced_class_bipartition(
     An edge inside a group S meets two of its classes and a crossing edge
     one, so with deg(c) the edges at class c and inside(S) the edges
     between classes of S, crossing(S) = sum of deg(c) over c in S minus
-    2 * inside(S): floor(gamma/2) + C(floor(gamma/2), 2) table reads."""
+    2 * inside(S): floor(gamma/2) + C(floor(gamma/2), 2) table reads.
+    With 2 or 3 classes a group is one class, so only deg is built."""
     gamma = coloring.gamma
     if gamma < 2:
         raise InputError("need at least two color classes")
@@ -128,20 +136,26 @@ def best_balanced_class_bipartition(
             raise ResourceLimitError(
                 f"C({gamma}, {half}) splits of {work} steps each exceed "
                 f"the split guard {MAX_SPLIT_WORK}")
-    between = [[0] * gamma for _ in range(gamma)]
     deg = [0] * gamma
-    for (cu, cv), c in pair_count.items():
-        between[cu][cv] = between[cv][cu] = c
-        deg[cu] += c
-        deg[cv] += c
-    best = None
-    best_group = None
-    for group in combinations(range(gamma), half):
-        crossing = sum(map(deg.__getitem__, group)) - 2 * sum(
-            [between[cu][cv] for cu, cv in combinations(group, 2)])
-        if best is None or crossing > best:
-            best = crossing
-            best_group = set(group)
+    if half == 1:  # a group of one class holds no class pair
+        for (cu, cv), c in pair_count.items():
+            deg[cu] += c
+            deg[cv] += c
+        top = max(range(gamma), key=deg.__getitem__)  # the first best
+        best, best_group = deg[top], {top}
+    else:
+        between = [[0] * gamma for _ in range(gamma)]
+        for (cu, cv), c in pair_count.items():
+            between[cu][cv] = between[cv][cu] = c
+            deg[cu] += c
+            deg[cv] += c
+        best = None
+        for group in combinations(range(gamma), half):
+            crossing = sum(map(deg.__getitem__, group)) - 2 * sum(
+                [between[cu][cv] for cu, cv in combinations(group, 2)])
+            if best is None or crossing > best:
+                best = crossing
+                best_group = set(group)
     m = sum(pair_count.values())
     need = Fraction((gamma * gamma // 4) * m, comb(gamma, 2))
     if best < need:
@@ -241,21 +255,23 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
             lo += 1
         if (cyc := shortest_bipartite_cycle(adj, lo)) is None:
             break
-        xc = [v for v in cyc if in_x[v]]
-        yc = [v for v in cyc if not in_x[v]]
-        F_C = set()
+        F_C = []
         for i, v in enumerate(cyc):
             w = cyc[i - 1]
-            e = (v, w) if in_x[v] else (w, v)
-            if not (in_x[e[0]] and not in_x[e[1]] and e[1] in succ[e[0]]):
+            x, y = (v, w) if in_x[v] else (w, v)
+            if not (in_x[x] and not in_x[y] and y in succ[x]):
                 raise AlgorithmBugError("cycle edge missing from F")
-            F_C.add(e)
+            F_C.append((x, y))
+        # so the cycle alternates between X and Y
+        xc, yc = cyc[0::2], cyc[1::2]
+        if not in_x[xc[0]]:
+            xc, yc = yc, xc
         # F_C runs X -> Y, so it holds no in-edge of X and no out-edge of Y
         if trace is not None:
             E_C = ({(u, x) for x in xc for u in pred[x]}
                    | {(y, w) for y in yc for w in succ[y]})
             trace.append(Step("cycle", tuple(sorted(F_C)), tuple(sorted(E_C))))
-        banked |= F_C
+        banked.update(F_C)
         # E_C by vertex: its edges end in X or start in Y, so none is on
         # F's lists, and only heads outside X can join it; a head outside
         # X has in-degree at least 3, so it falls to 2 once, on one edge

@@ -23,11 +23,15 @@ records them in its trace as `Step`s.  All set-like outputs are emitted
 in ascending order so that golden tests and the CLI are deterministic.
 
 Each digraph is checked once.  `parse_dg` makes `.dg` text into int pairs
-in one pass and checks them for loops, range and duplicates as the
-constructor does, without its id conversion.  A digraph whose edges come
-from a checked one (`without_edges`, which peel's remainder uses,
-`reverse` and `split_dkk`'s parts) is built by `Digraph._derived`, which
-checks nothing again.
+and checks them for loops, range and duplicates as the constructor does,
+without its id conversion.  Canonical text, as `format_dg` writes it,
+takes a fast path: one `str.translate` tells it apart, one JSON scan
+reads all its numbers, and C-level scans of the sorted pairs check them.
+Other text, and canonical text that fails a check, goes to the line
+parser or to `_checked_edges`, which name every error exactly as before.
+A digraph whose edges come from a checked one (`without_edges`, which
+peel's remainder uses, `reverse` and `split_dkk`'s parts) is built by
+`Digraph._derived`, which checks nothing again.
 
 Each certificate is built once, carrying its bound.  `cut_from_banked`
 makes the cut of the tails of an algorithm's banked edge set and checks
@@ -39,11 +43,12 @@ it again: the partition, the cut and the bound.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
-from operator import index
+from itertools import chain, islice, starmap
+from operator import eq, index
 from typing import Collection, Iterable, NamedTuple, Optional
 
 Edge = tuple[int, int]
@@ -630,7 +635,15 @@ def _bfs_cycle(adj: list[list[int]], start: int) -> Optional[list[int]]:
 # -- .dg text format -------------------------------------------------------
 
 def parse_dg(text: str) -> Digraph:
-    """Parse the `.dg` format: comments (#), an `n m` header, then m `u v` lines."""
+    """Parse the `.dg` format: comments (#), an `n m` header, then m `u v` lines.
+
+    Canonical text, as `format_dg` writes it, takes `_parse_canonical`,
+    whose errors are the line parser's.  Any other text, and canonical
+    text with a leading zero or a count that misses its header, goes to
+    the line parser, which names every error."""
+    D = _parse_canonical(text)
+    if D is not None:
+        return D
     lines = [ln for ln in filter(None, map(str.strip, text.splitlines()))
              if ln[0] != "#"]
     if not lines:
@@ -653,6 +666,56 @@ def parse_dg(text: str) -> Digraph:
     del lines  # freed before the pairs are sorted
     n = check_vertex_count(n)
     return Digraph._derived(n, _checked_edges(n, pairs))
+
+
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+_TO_COMMAS = str.maketrans(" \n", ",,")
+# not `json.loads`, which adds two regex passes per call
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_canonical(text: str) -> Optional[Digraph]:
+    """`parse_dg` of canonical text, or None for any other text.
+
+    Canonical text is a block of `#` lines that pass `str.isprintable`,
+    so no line break of `str.splitlines` hides in one, then lines of two
+    ASCII digit runs split by one space, each line ending in LF, the first
+    the header: one `str.translate` that deletes the digits must leave
+    `" \n"` once per line.  One JSON scan of the body, spaces and LFs
+    turned into commas, reads every number in C; it refuses an empty run
+    and a leading zero, which go back to the line parser.  So does a count
+    that misses the header.  Range, loops and duplicates are checked by
+    C-level scans of the sorted pairs, and `_checked_edges` names the
+    least bad edge, as the line parser would."""
+    start = 0
+    while text.startswith("#", start):
+        end = text.find("\n", start)
+        if end < 0 or not text[start:end].isprintable():
+            return None
+        start = end + 1
+    body = text[start:] if start else text
+    rest = body.translate(_DROP_DIGITS)
+    if not rest or rest != " \n" * (len(rest) >> 1):
+        return None
+    try:
+        nums = _raw_decode(f"[{body.translate(_TO_COMMAS)[:-1]}]")[0]
+    except ValueError:  # an empty run, a leading zero, a huge number
+        return None
+    del body, rest
+    n, m = nums[0], nums[1]
+    if len(nums) != 2 * m + 2:
+        return None
+    n = check_vertex_count(n)
+    del nums[:2]
+    top = max(nums, default=-1)
+    ids = iter(nums)
+    pairs = list(zip(ids, ids))
+    del nums, ids  # freed before the pairs are sorted
+    pairs.sort()
+    if (top >= n or any(starmap(eq, pairs))
+            or any(map(eq, pairs, islice(pairs, 1, None)))):
+        return Digraph._derived(n, _checked_edges(n, pairs))  # it raises
+    return Digraph._derived(n, tuple(pairs))
 
 
 def _edge_line(ln: str) -> Edge:

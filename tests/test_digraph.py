@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -24,8 +25,8 @@ from dicuts.digraph import (
     parse_dg,
     shortest_bipartite_cycle,
 )
-from reference import (_gamma_instance, contraction_of, pieces_reference,
-                       shortest_cycle_reference)
+from reference import (_gamma_instance, contraction_of, dense_d22,
+                       pieces_reference, shortest_cycle_reference)
 
 
 def small_digraphs(max_n=6, max_edges=12):
@@ -37,6 +38,43 @@ def small_digraphs(max_n=6, max_edges=12):
                               max_size=max_edges)) if pairs else []
         return Digraph(n, edges)
     return build()
+
+
+# every break of str.splitlines but LF, which ends a line in any case
+SPLITLINES_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@st.composite
+def dg_texts(draw):
+    """`.dg` text in the canonical form `format_dg` writes, or a few edits
+    away from it: a leading zero, no final LF, a negative or out-of-range
+    id, a loop, a duplicate, a header count that misses, or a comment
+    holding a line break of `str.splitlines`."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 12, 2**21]))
+    ids = st.integers(0, min(n, 13))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=8))
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    tokens = [str(x) for e in [(n, m), *edges] for x in e]
+    sign = draw(st.integers(0, 5))
+    if sign in (1, 2):
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = "-0"[sign - 1] + tokens[i]
+    comments = draw(st.lists(st.text("ab #0 1", max_size=6) | st.text(
+        st.sampled_from("a 1" + SPLITLINES_BREAKS), max_size=3), max_size=3))
+    text = "".join(f"#{c}\n" for c in comments) + "".join(
+        f"{u} {v}\n" for u, v in zip(tokens[::2], tokens[1::2]))
+    return text[:-1] if draw(st.integers(0, 3)) == 1 else text
+
+
+def parse_outcome(text):
+    """(n, edges) of `parse_dg(text)`, or its error class and message."""
+    try:
+        D = parse_dg(text)
+    except (InputError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+    return D.n, D.edges
 
 
 @st.composite
@@ -158,7 +196,9 @@ class TestFormat:
         ("3 1\n0 1\x1c2\n", (InputError, "expected 1 edge lines, found 2")),
     ]
 
-    @pytest.mark.parametrize("text, want", PARSED)
+    # a leading canonical comment keeps canonical text canonical
+    @pytest.mark.parametrize("text, want", [
+        *PARSED, *((f"# c\n{text}", want) for text, want in PARSED)])
     def test_accepted_forms_and_exact_messages(self, text, want):
         if isinstance(want[0], int):
             D = parse_dg(text)
@@ -169,6 +209,33 @@ class TestFormat:
         with pytest.raises(error) as info:
             parse_dg(text)
         assert type(info.value) is error and str(info.value) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(dg_texts())
+    def test_canonical_parse_agrees_with_the_line_parser(self, text):
+        # a leading blank line makes any text non-canonical, and the line
+        # parser skips it
+        assert digraph._parse_canonical("\n" + text) is None
+        assert parse_outcome(text) == parse_outcome("\n" + text)
+
+    def test_formatted_text_takes_the_canonical_parse(self):
+        D = dense_d22(60, 1)
+        for text in (format_dg(D), format_dg(D, "two\nlines")):
+            got = digraph._parse_canonical(text)
+            assert (got.n, got.edges) == (D.n, D.edges)
+            assert all(type(x) is int for e in got.edges for x in e)
+
+    def test_canonical_parse_peak_memory(self):
+        # 0.91 MB of text, m = 117 088; the line parser peaks near 20 MB
+        text = format_dg(dense_d22(960, 1))
+        tracemalloc.start()
+        try:
+            D = parse_dg(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert D.m == 117088
+        assert peak < 15_000_000, peak
 
     def test_header_vertex_bomb(self):
         # every per-vertex structure would be sized by this header
