@@ -262,7 +262,7 @@ def _d22_p3free(D: Digraph, trace: list[Step] | None) -> set[Edge]:
             if not (in_x[x] and not in_x[y] and y in succ[x]):
                 raise AlgorithmBugError("cycle edge missing from F")
             F_C.append((x, y))
-        # so the cycle alternates between X and Y
+        # the check proved that the cycle alternates between X and Y
         xc, yc = cyc[0::2], cyc[1::2]
         if not in_x[xc[0]]:
             xc, yc = yc, xc

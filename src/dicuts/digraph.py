@@ -695,7 +695,7 @@ def _parse_canonical(text: str) -> Optional[Digraph]:
         start = end + 1
     body = text[start:] if start else text
     rest = body.translate(_DROP_DIGITS)
-    if not rest or rest != " \n" * (len(rest) >> 1):
+    if not rest or rest != " \n" * (len(rest) // 2):
         return None
     try:
         nums = _raw_decode(f"[{body.translate(_TO_COMMAS)[:-1]}]")[0]
@@ -714,7 +714,7 @@ def _parse_canonical(text: str) -> Optional[Digraph]:
     pairs.sort()
     if (top >= n or any(starmap(eq, pairs))
             or any(map(eq, pairs, islice(pairs, 1, None)))):
-        return Digraph._derived(n, _checked_edges(n, pairs))  # it raises
+        _checked_edges(n, pairs)  # raises, naming the least bad edge
     return Digraph._derived(n, tuple(pairs))
 
 

@@ -218,6 +218,13 @@ class TestFormat:
         assert digraph._parse_canonical("\n" + text) is None
         assert parse_outcome(text) == parse_outcome("\n" + text)
 
+    def test_number_past_the_digit_limit_agrees(self):
+        # int() and the JSON scanner refuse it alike, past
+        # sys.get_int_max_str_digits()
+        big = "1" * 5000
+        for text in (f"3 1\n0 {big}\n", f"{big} 0\n"):
+            assert parse_outcome(text) == parse_outcome("\n" + text)
+
     def test_formatted_text_takes_the_canonical_parse(self):
         D = dense_d22(60, 1)
         for text in (format_dg(D), format_dg(D, "two\nlines")):
