@@ -137,25 +137,20 @@ def best_balanced_class_bipartition(
                 f"C({gamma}, {half}) splits of {work} steps each exceed "
                 f"the split guard {MAX_SPLIT_WORK}")
     deg = [0] * gamma
-    if half == 1:  # a group of one class holds no class pair
-        for (cu, cv), c in pair_count.items():
-            deg[cu] += c
-            deg[cv] += c
-        top = max(range(gamma), key=deg.__getitem__)  # the first best
-        best, best_group = deg[top], {top}
-    else:
-        between = [[0] * gamma for _ in range(gamma)]
-        for (cu, cv), c in pair_count.items():
+    # a group of one class holds no class pair to read
+    between = [[0] * gamma for _ in range(gamma)] if half > 1 else None
+    for (cu, cv), c in pair_count.items():
+        deg[cu] += c
+        deg[cv] += c
+        if between:
             between[cu][cv] = between[cv][cu] = c
-            deg[cu] += c
-            deg[cv] += c
-        best = None
-        for group in combinations(range(gamma), half):
-            crossing = sum(map(deg.__getitem__, group)) - 2 * sum(
-                [between[cu][cv] for cu, cv in combinations(group, 2)])
-            if best is None or crossing > best:
-                best = crossing
-                best_group = set(group)
+    best = None
+    for group in combinations(range(gamma), half):
+        crossing = sum(map(deg.__getitem__, group)) - 2 * sum(
+            [between[cu][cv] for cu, cv in combinations(group, 2)])
+        if best is None or crossing > best:
+            best = crossing
+            best_group = set(group)
     m = sum(pair_count.values())
     need = Fraction((gamma * gamma // 4) * m, comb(gamma, 2))
     if best < need:

@@ -25,10 +25,10 @@ in ascending order so that golden tests and the CLI are deterministic.
 Each digraph is checked once.  `parse_dg` makes `.dg` text into int pairs
 and checks them for loops, range and duplicates as the constructor does,
 without its id conversion.  Canonical text, as `format_dg` writes it,
-takes a fast path: one `str.translate` tells it apart, one JSON scan
-reads all its numbers, and C-level scans of the sorted pairs check them.
-Other text, and canonical text that fails a check, goes to the line
-parser or to `_checked_edges`, which name every error exactly as before.
+takes a fast path: one `str.translate` tells it apart and one JSON scan
+reads all its numbers.  Other text, and canonical text the scan refuses,
+goes to the line parser, which names every error; both paths check their
+pairs with `_checked_edges`, so a bad edge gets the same error on either.
 A digraph whose edges come from a checked one (`without_edges`, which
 peel's remainder uses, `reverse` and `split_dkk`'s parts) is built by
 `Digraph._derived`, which checks nothing again.
@@ -47,8 +47,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, starmap
-from operator import eq, index
+from itertools import chain, islice
+from operator import index
 from typing import Collection, Iterable, NamedTuple, Optional
 
 Edge = tuple[int, int]
@@ -684,9 +684,8 @@ def _parse_canonical(text: str) -> Optional[Digraph]:
     `" \n"` once per line.  One JSON scan of the body, spaces and LFs
     turned into commas, reads every number in C; it refuses an empty run
     and a leading zero, which go back to the line parser.  So does a count
-    that misses the header.  Range, loops and duplicates are checked by
-    C-level scans of the sorted pairs, and `_checked_edges` names the
-    least bad edge, as the line parser would."""
+    that misses the header.  The pairs then go to `_checked_edges`, as
+    the line parser's do, so a bad edge gets the same error."""
     start = 0
     while text.startswith("#", start):
         end = text.find("\n", start)
@@ -706,16 +705,10 @@ def _parse_canonical(text: str) -> Optional[Digraph]:
     if len(nums) != 2 * m + 2:
         return None
     n = check_vertex_count(n)
-    del nums[:2]
-    top = max(nums, default=-1)
-    ids = iter(nums)
+    ids = islice(nums, 2, None)
     pairs = list(zip(ids, ids))
     del nums, ids  # freed before the pairs are sorted
-    pairs.sort()
-    if (top >= n or any(starmap(eq, pairs))
-            or any(map(eq, pairs, islice(pairs, 1, None)))):
-        _checked_edges(n, pairs)  # raises, naming the least bad edge
-    return Digraph._derived(n, tuple(pairs))
+    return Digraph._derived(n, _checked_edges(n, pairs))
 
 
 def _edge_line(ln: str) -> Edge:
