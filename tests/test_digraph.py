@@ -233,7 +233,7 @@ class TestFormat:
             assert all(type(x) is int for e in got.edges for x in e)
 
     def test_canonical_parse_peak_memory(self):
-        # 0.91 MB of text, m = 117 088; the line parser peaks near 20 MB
+        # 0.91 MB of text, m = 117 088; the line parser peaks at 19-20 MB
         text = format_dg(dense_d22(960, 1))
         tracemalloc.start()
         try:
