@@ -361,6 +361,12 @@ PINNED = [
      "3e446ae8efbdeb4d", "8071bbbe2b2d6409"),
     ("d11c", lambda trace: dicut_d11_connected(triangle_chain(1100), trace).X,
      "10af3c74b869b3ae", "5fbfbb1d212c3da9"),
+    # the late patterns past the leaves, and a hub of in- and out-degree k
+    ("d11-linked-cycles", lambda trace: dicut_d11(
+        linked_cycles(random.Random(1), 1000), trace).X,
+     "bcea5591fdc323c4", "ff99af476026dcd2"),
+    ("d11-double-star", lambda trace: dicut_d11(double_star(1000), trace).X,
+     "a694e27a6f36bb5e", "e0c91926d7ef2001"),
     ("d22", lambda trace: dicut_d22(dense_d22(480, 1), trace).X,
      "b76c70442751eed7", "a4246a3c35be6500"),
     ("peel", lambda trace: sorted(peel_to_lower_class(Digraph(
