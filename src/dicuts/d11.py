@@ -21,22 +21,24 @@ piece stays in the working graph, and the loop steps on their union: a step
 reads and deletes edges of one piece only, so steps in different pieces
 commute, and each piece takes the steps it would take alone.  Min-heaps of
 candidate vertices find the least vertex where the triangle step, the leaf
-step of D- or the leaf step of D+ fires; a run lists its input's triangles
-once (`Digraph.triangle_list`), and d11's t, d11c's forest test and the
-triangle heap read that one listing.  A deletion can make one of these
-patterns fire only where it leaves a degree at 1, so only the neighbours
-there are pushed again.  Where no candidate fires, `find_reducing_pair`
-runs on the piece of the least vertex that still has an edge.  After each
-step, walks from the ends of its edges that give up past 6 edges hand
-every piece it leaves of at most 6 edges to the oracle, so no step walks
-a whole piece again.  A reducing-pair search scans D- and then D+ once
-each, in vertex order and read from the degrees.  Each scan stops at the
-first vertex with two in- (out-) neighbours outside its side, where the
-leaf pattern fires, or else follows that side's cycles and hands them on
-to the later patterns and the contraction graph.  A bare path or cycle is
-the case where both sides are empty.  The validation finds edges in `succ`
-and reads the P3s through A straight off the tails' `pred` and the heads'
-`succ`: no step lists a piece's edges or its V+ and V- sets.
+step of D- or the leaf step of D+ fires, each walked by `_first`, the one
+heap walk; a run lists its input's triangles once (`Digraph.triangle_list`),
+and d11's t, d11c's forest test and the triangle heap read that one
+listing.  A deletion can make one of these patterns fire only where it
+leaves a degree at 1, so only the neighbours there are pushed again.  Where
+no candidate fires, `find_reducing_pair` runs on the piece of the least
+vertex that still has an edge.  After each step, walks from the ends of its
+edges that give up past 6 edges hand every piece it leaves of at most 6
+edges to the oracle, so no step walks a whole piece again.  A reducing-pair
+search scans D- and then D+ once each, in vertex order and read from the
+degrees.  Each scan stops at the first vertex with two in- (out-) neighbours
+outside its side, where the leaf pattern fires, or else follows that side's
+cycles and hands them on to the later patterns and the contraction
+graph.  `_leaf_at` is the one place the leaf pattern (Claim 1.3) is tested,
+for these scans and for the loop's leaf heaps alike.  A bare path or cycle
+is the case where both sides are empty.  The validation finds edges in
+`succ` and reads the P3s through A straight off the tails' `pred` and the
+heads' `succ`: no step lists a piece's edges or its V+ and V- sets.
 Claims 1.5, 1.6 and the gamma step build their pairs from an (l+1)-set on
 an odd cycle of D-, the last two also from a b-path along a cycle of D+.
 Each of these side constructions returns one (A, B) pair, each pattern adds
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, islice
+from itertools import chain
 from types import SimpleNamespace
 from typing import Iterable, Optional
 
@@ -95,13 +97,15 @@ def find_triangle_reduction(D: Digraph) -> Optional[Step]:
 
     Absent exactly when every triangle lies inside D+ or D-.
     """
-    return _triangle_step(D.vertices, D.succ, D.pred)
+    return _first([a for a, _, _ in _triangles(D.vertices, D.succ, D.pred)],
+                  _triangle_at, D)
 
 
-def _triangle_step(starts: Iterable[int], succ, pred) -> Optional[Step]:
-    """`find_triangle_reduction` on the triangles whose least vertex is in
-    `starts`, in the order `Digraph.triangles` lists them."""
-    for a, b, c in _triangles(starts, succ, pred):
+def _triangle_at(D, a: int) -> Optional[Step]:
+    """`find_triangle_reduction` on the triangles with least vertex a, in
+    the order `Digraph.triangles` lists them."""
+    succ, pred = D.succ, D.pred
+    for a, b, c in _triangles((a,), succ, pred):
         for x, y in ((a, b), (b, c), (c, a)):
             if len(pred[x]) == 1 and len(succ[y]) == 1:
                 return Step("triangle", ((x, y),), tuple(sorted(
@@ -166,21 +170,19 @@ def _reverse_pair(step: Optional[Step],
 def _leaf_in_minus(D: Digraph):
     """(Claim 1.3's step, None) if it fires in D-, the vertices of in-degree
     >= 2 (D+ is D- of the reverse), else (None, D-'s cycles in cyclic
-    order, by least vertex).  It fires at the least v0 of D- with two
-    in-neighbours outside D-.  One exists iff a component of D- is not a
-    directed cycle (its leaves qualify) or a cycle vertex has two external
-    in-edges: a vertex of D- has out-degree <= 1 in D(1,1), so where each
-    has an in-neighbour in D-, D- is a union of directed cycles."""
+    order, by least vertex).  It fires at the least v0 of D- where
+    `_leaf_at` does.  One exists iff a component of D- is not a directed
+    cycle (its leaves qualify) or a cycle vertex has two external in-edges:
+    a vertex of D- has out-degree <= 1 in D(1,1), so where each has an
+    in-neighbour in D-, D- is a union of directed cycles."""
     pred = D.pred
     minus = []
     for v0 in D.vertices:
-        ins = pred[v0]
-        if len(ins) < 2:
-            continue
-        ext = list(islice((u for u in ins if len(pred[u]) < 2), 2))
-        if len(ext) == 2:
-            return _leaf_step(D, v0, ext), None
-        minus.append(v0)
+        if len(pred[v0]) >= 2:
+            step = _leaf_at(D, v0)
+            if step:
+                return step, None
+            minus.append(v0)
     cycles, listed = [], set()
     for v in minus:
         if v not in listed:
@@ -189,28 +191,31 @@ def _leaf_in_minus(D: Digraph):
     return None, cycles
 
 
-def _leaf_step(D, v0: int, ext: list[int]) -> Step:
-    """Claim 1.3's step at v0 of D-, `ext` its first two in-neighbours
-    outside D-: it keeps their edges into v0 and drops v0's out-edges and
-    their in-edges.  It reads only `D.succ` and `D.pred`."""
+def _leaf_at(D, v0: int) -> Optional[Step]:
+    """Claim 1.3's step at v0, if v0 has two in-neighbours outside D-, of
+    in-degree below 2; else None.  It keeps the edges into v0 of the first
+    two and drops v0's out-edges and their in-edges.  The one place the
+    leaf pattern is tested; it reads only `D.succ` and `D.pred`."""
     pred = D.pred
-    B = {(v0, w) for w in D.succ[v0]}
-    B.update((x, u) for u in ext for x in pred[u])
-    return _pair(D, {(u, v0) for u in ext}, B, "leaf-in-minus")
+    ext = []
+    for u in pred[v0]:
+        if len(pred[u]) < 2:
+            ext.append(u)
+            if len(ext) == 2:
+                B = {(v0, w) for w in D.succ[v0]}
+                B.update((x, u) for u in ext for x in pred[u])
+                return _pair(D, {(u, v0) for u in ext}, B, "leaf-in-minus")
+    return None
 
 
-def _first_leaf(D, heap: list[int]) -> Optional[Step]:
-    """`_leaf_step` on D at the least vertex of `heap` where it fires, after
-    popping the vertices before it, where it does not; None once `heap` is
-    empty.  Reads only `D.succ` and `D.pred`."""
-    pred = D.pred
+def _first(heap: list[int], fires, D) -> Optional[Step]:
+    """`fires(D, v)` at the least vertex v of `heap` where it gives a step,
+    after popping the vertices before it, where it gives None; None once
+    `heap` is empty."""
     while heap:
-        v0, ext = heap[0], []
-        for u in pred[v0]:
-            if len(pred[u]) < 2:
-                ext.append(u)
-                if len(ext) == 2:
-                    return _leaf_step(D, v0, ext)
+        step = fires(D, heap[0])
+        if step:
+            return step
         heappop(heap)
     return None
 
@@ -484,23 +489,28 @@ def _reduction_loop(W: WorkGraph, work: list[Piece],
     alone (module docstring).  It is a triangle step, a leaf-in-minus or a
     leaf-in-plus at the least vertex where that pattern fires, the first
     of the three that fires anywhere, or else `find_reducing_pair`'s step
-    on the piece of the least vertex with an edge.  A candidate vertex that
-    no longer fires is popped.  `WorkGraph.delete` names the vertices whose
-    in- or out-degree a step left at 1; their neighbours and the triangles
-    through them are pushed again.  Then `WorkGraph.small_pieces` finds
-    the pieces of at most 6 edges the step left, or one walk finds every
-    piece once at most 6 edges are left.
+    on the piece of the least vertex with an edge.  `_first` walks each
+    candidate heap, popping the vertices that no longer fire; the leaf
+    heaps test Claim 1.3 by `_leaf_at`, on W and on W backwards.
+    `WorkGraph.delete` names the vertices whose in- or out-degree a step
+    left at 1; their neighbours and the triangles through them are pushed
+    again.  Then `WorkGraph.small_pieces` finds the pieces of at most 6
+    edges the step left, or one walk finds every piece once at most 6 edges
+    are left.  `bank` adds every step, base steps too, to K and the trace.
     """
     K: set[Edge] = set()
+
+    def bank(step: Step) -> None:
+        K.update(step.kept)
+        if trace is not None:
+            trace.append(step)
+
     left = 0  # edges in W
     for H in work:
         if H.m > 6:
             left += H.m
-            continue
-        step = _base_step(H)
-        K.update(step.kept)
-        if trace is not None:
-            trace.append(step)
+        else:
+            bank(_base_step(H))
     if not left:
         return K
     for H in work:
@@ -516,28 +526,21 @@ def _reduction_loop(W: WorkGraph, work: list[Piece],
     minus = plus = None  # listed when first needed
     lo = 0  # no vertex below it has an edge
     while left:
-        step = None
-        while tri:
-            step = _triangle_step(tri[:1], succ, pred)
-            if step:
-                break
-            heappop(tri)
+        step = _first(tri, _triangle_at, W)
         if step is None:
             if minus is None:
                 minus = [v for v in range(n) if len(pred[v]) >= 2]
-            step = _first_leaf(W, minus)
+            step = _first(minus, _leaf_at, W)
         if step is None:
             if plus is None:
                 plus = [v for v in range(n) if len(succ[v]) >= 2]
                 back = SimpleNamespace(succ=pred, pred=succ)  # W backwards
-            step = _reverse_pair(_first_leaf(back, plus), "leaf-in-plus")
+            step = _reverse_pair(_first(plus, _leaf_at, back), "leaf-in-plus")
         if step is None:
             while not (succ[lo] or pred[lo]):
                 lo += 1
             step = find_reducing_pair(W.pieces((lo,))[0])
-        K.update(step.kept)
-        if trace is not None:
-            trace.append(step)
+        bank(step)
         gone = step.kept + step.dropped
         heads, tails = W.delete(gone)
         left -= len(gone)
@@ -547,16 +550,13 @@ def _reduction_loop(W: WorkGraph, work: list[Piece],
             # a vertex whose in-degree falls to 1 may be the second
             # in-neighbour outside D- that a leaf-in-minus needs; mirrored
             # for leaf-in-plus, and a triangle edge x->y needs both
-            if minus is not None:
-                for v in heads:
-                    for w in succ[v]:
-                        if len(pred[w]) >= 2:
-                            heappush(minus, w)
-            if plus is not None:
-                for u in tails:
-                    for w in pred[u]:
-                        if len(succ[w]) >= 2:
-                            heappush(plus, w)
+            for heap, ends, out, into in ((minus, heads, succ, pred),
+                                          (plus, tails, pred, succ)):
+                if heap is not None:
+                    for v in ends:
+                        for w in out[v]:
+                            if len(into[w]) >= 2:
+                                heappush(heap, w)
             if triangles:
                 if through is None:
                     through = _least_through(triangles)
@@ -565,12 +565,9 @@ def _reduction_loop(W: WorkGraph, work: list[Piece],
                         heappush(tri, a)
             small = W.small_pieces(gone, 6)
         for H in small:
-            step = _base_step(H)
+            bank(_base_step(H))
             W.drop(H)
             left -= H.m
-            K.update(step.kept)
-            if trace is not None:
-                trace.append(step)
     return K
 
 

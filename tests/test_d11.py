@@ -404,15 +404,15 @@ class TestTriangleReduction:
 
             def run(D, *args):
                 vertices = range(len(D.succ))
-                assert d11._triangle_step(vertices, D.succ, D.pred) is None
+                assert not any(d11._triangle_at(D, a) for a in vertices)
                 live = digraph._triangles(vertices, D.succ, D.pred)
                 seen[next(live, None) is not None] += 1
                 step = original(D, *args)
-                assert name == "_leaf_step" or "leaf" not in step.tag, step
+                assert name == "_leaf_at" or "leaf" not in step.tag, step
                 return step
             return run
 
-        for name in ("_leaf_step", "find_reducing_pair"):
+        for name in ("_leaf_at", "find_reducing_pair"):
             monkeypatch.setattr(d11, name, checked(name))
         run_seeded_draws(43)
         rng = random.Random(43)
@@ -426,8 +426,8 @@ class TestTriangleReduction:
         # loop tests no triangle candidate; a triangle scan of every piece
         # it steps on would read the out-list of each vertex with an in-edge
         calls = []
-        test = d11._triangle_step
-        monkeypatch.setattr(d11, "_triangle_step",
+        test = d11._triangle_at
+        monkeypatch.setattr(d11, "_triangle_at",
                             lambda *args: calls.append(args) or test(*args))
         D = gen_random_family("d11-trianglefree", 1600, 1, 7)
         dicut_d11(D).verify(D)
@@ -497,6 +497,27 @@ class TestReducingPairs:
         piece, = WorkGraph(D).pieces(D.vertices)
         assert find_reducing_pair(piece).tag == "gamma-cycle"
         assert calls == {"_leaf_in_minus": 2, "_directed_cycle_order": 6}
+
+    def test_one_leaf_rule_serves_the_loop_and_the_search(self, monkeypatch):
+        # the loop's leaf heaps and the reducing-pair search's scan of D-
+        # test Claim 1.3 in the one place, `_leaf_at`
+        fired = collections.Counter()
+        test = d11._leaf_at
+
+        def counted(*args):
+            step = test(*args)
+            fired[caller] += step is not None
+            return step
+
+        monkeypatch.setattr(d11, "_leaf_at", counted)
+        D = double_star(50)
+        caller = "loop"
+        dicut_d11(D).verify(D)
+        caller = "search"
+        piece, = WorkGraph(D).pieces(D.vertices)
+        assert piece.m == 101
+        assert find_reducing_pair(piece).tag == "leaf-in-minus"
+        assert fired["loop"] > 0 and fired["search"] > 0, fired
 
     def test_leaf_rule_same_as_component_walk(self):
         # the degree test fires exactly where the component walk fires, and
